@@ -425,15 +425,27 @@ def cmd_clean(config: RunConfig, corpus: str, generated: str, out: str) -> None:
     records = []
     flagged = 0
     with open(generated, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            where = f"{generated}: line {line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                _echo_error(f"{where}: invalid JSON: {exc}")
+                sys.exit(1)
+            if not (isinstance(record, dict) and isinstance(record.get("doc_id"), str)
+                    and isinstance(record.get("chunks"), list)):
+                _echo_error(f"{where}: record needs a 'doc_id' and a 'chunks' list")
+                sys.exit(1)
             doc = docs.get(record["doc_id"])
             if doc is None:
-                _echo_error(f"unknown doc id {record['doc_id']!r}")
+                _echo_error(f"{where}: unknown doc id {record['doc_id']!r}")
                 sys.exit(1)
             for i, text in enumerate(record["chunks"]):
+                if not isinstance(text, str) or not text:
+                    _echo_error(f"{where}: chunk {i} is not a non-empty string")
+                    sys.exit(1)
                 verdict = detect_hallucination(
                     text, doc, index=i, flag_ratio=config.dataset.flag_ratio
                 )

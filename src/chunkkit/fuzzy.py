@@ -1,12 +1,18 @@
 """Levenshtein edit distance and approximate substring location.
 
-The substring search finds the span of a haystack minimizing the edit
-distance to a needle. It runs a free-start DP sweep (distance of the needle
-to every haystack prefix-suffix, O(|needle| * |haystack|)), then recovers
-the exact start for each candidate end with a reversed DP over a bounded
-window. Ties are resolved smallest distance, then smallest start, then
-span length closest to the needle's (a one-substitution match beats a
-one-deletion match), then smallest end.
+One bit-parallel kernel computes every distance: Myers' bit-vector
+algorithm (JACM 46(3), 1999) for the free-start row and Hyyrö's global
+variant (Nordic J. Computing 10(1), 2003) for exact distances. Python ints
+are bit vectors of any width, so an m-char pattern against an n-char text
+costs O(ceil(m/w) * n) operations on w-bit machine words: a few big-int
+ops per text character.
+
+The substring search returns an exact occurrence from ``str.find``.
+Otherwise a free-start row gives the best distance ending at each haystack
+position, and a global row over the reversed window before each candidate
+end recovers its start. Ties are resolved smallest distance, then smallest
+start, then span length closest to the needle's (a one-substitution match
+beats a one-deletion match), then smallest end.
 """
 
 from __future__ import annotations
@@ -17,26 +23,48 @@ from dataclasses import dataclass
 from .errors import AnchorNotFoundError
 
 
+def _last_row(pattern: str, text: str, free_start: bool) -> list[int]:
+    """Last DP row: entry j is the edit distance of ``pattern`` to
+    ``text[:j]``, or to its best suffix when ``free_start`` is true.
+
+    Bit i of pv/mv flags D[i+1][j] - D[i][j] = +1/-1. The bit shifted into
+    ph is DP row 0's horizontal delta: 0 with a free start, 1 for global.
+    """
+    m = len(pattern)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    carry = 0 if free_start else 1
+    peq: dict[str, int] = {}
+    for i, c in enumerate(pattern):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    pv, mv, score = mask, 0, m
+    row = [m]
+    append = row.append
+    for c in text:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | carry
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+        append(score)
+    return row
+
+
 def edit_distance(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions, or
     substitutions transforming ``a`` into ``b``."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a  # the shorter string sets the loop count
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, 1):
-            if ca == cb:
-                append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1]))
-            else:
-                append(min(cur[j - 1], prev[j], prev[j - 1]) + 1)
-        prev = cur
-    return prev[-1]
+    return _last_row(a, b, free_start=False)[-1]
 
 
 @dataclass(frozen=True)
@@ -51,44 +79,17 @@ class SpanMatch:
         return self.end - self.start
 
 
-def _distance_per_end(needle: str, hay: str) -> list[int]:
-    """Free-start DP row: entry j = min edit distance of needle to any
-    substring of ``hay`` ending at j."""
-    prev = [0] * (len(hay) + 1)
-    for i, ca in enumerate(needle, 1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(hay, 1):
-            if ca == cb:
-                append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1]))
-            else:
-                append(min(cur[j - 1], prev[j], prev[j - 1]) + 1)
-        prev = cur
-    return prev
-
-
 def _best_start_for_end(needle: str, hay: str, end: int, max_len: int) -> tuple[int, int]:
     """(distance, start) of the best substring of ``hay`` ending at ``end``.
 
-    One reversed DP yields the distance for every start in the window
-    [end - max_len, end]; among minimal distances the smallest start wins.
+    One global row over the reversed window [end - max_len, end] yields the
+    distance for every start; among minimal distances the smallest start wins.
     """
     lo = max(0, end - max_len)
-    a = needle[::-1]
-    b = hay[lo:end][::-1]
-    prev = list(range(len(b) + 1))  # exact distances, not free-start
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, 1):
-            if ca == cb:
-                append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1]))
-            else:
-                append(min(cur[j - 1], prev[j], prev[j - 1]) + 1)
-        prev = cur
-    # prev[k] = distance(needle, hay[end-k:end]); start = end - k.
-    best_dist = min(prev)
-    best_start = end - max(k for k, d in enumerate(prev) if d == best_dist)
+    row = _last_row(needle[::-1], hay[lo:end][::-1], free_start=False)
+    # row[k] = distance(needle, hay[end-k:end]); start = end - k.
+    best_dist = min(row)
+    best_start = end - max(k for k, d in enumerate(row) if d == best_dist)
     return best_dist, best_start
 
 
@@ -97,9 +98,8 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0) -> Sp
 
     Among all spans with minimal edit distance the smallest start wins,
     then the span length closest to the needle's length, then the smallest
-    end. Worst case is quadratic in the needle length around each optimal
-    end, which stays cheap for the short anchors and document-sized
-    haystacks this is used on.
+    end. An exact occurrence is found by ``str.find``: distance 0 forces an
+    exact-length span, so the earliest occurrence is the answer.
     """
     if not needle:
         raise ValueError("needle must be non-empty")
@@ -107,10 +107,13 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0) -> Sp
         raise ValueError(
             f"search_from {search_from} outside haystack of length {len(haystack)}"
         )
-    hay = haystack[search_from:]
     m = len(needle)
+    pos = haystack.find(needle, search_from)
+    if pos >= 0:
+        return SpanMatch(start=pos, end=pos + m, distance=0)
+    hay = haystack[search_from:]
 
-    row = _distance_per_end(needle, hay)
+    row = _last_row(needle, hay, free_start=True)
     d_star = min(row)
     max_len = m + d_star  # any optimal span has length in [m - d*, m + d*]
 
@@ -129,11 +132,7 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0) -> Sp
             break  # smallest reachable start with exact length: unbeatable
     assert best is not None
     start, _, end = best
-    return SpanMatch(
-        start=search_from + start,
-        end=search_from + end,
-        distance=d_star,
-    )
+    return SpanMatch(search_from + start, search_from + end, d_star)
 
 
 def recover_anchor(

@@ -121,9 +121,6 @@ def _locate(
     ``needle`` at or after ``start``; None when nothing qualifies."""
     if start >= len(text):
         return None
-    pos = text.find(needle, start)
-    if pos >= 0:
-        return pos, pos + len(needle), 0
     try:
         match = recover_anchor(needle, text, search_from=start, max_ratio=max_ratio)
     except AnchorNotFoundError:

@@ -366,6 +366,28 @@ class TestDatasetCommands:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("bad_line", [
+        '{"doc_id": "d0", "chunks": ["roses',
+        '{"doc_id": "d0"}',
+        '{"doc_id": "d0", "chunks": ["roses are red", ""]}',
+    ], ids=["malformed-json", "missing-chunks", "empty-chunk"])
+    def test_clean_bad_generated_line_is_one_error(self, runner, tmp_path,
+                                                   bad_line):
+        doc = make_doc("roses are red and bright. violets are blue.", "d0")
+        corpus = write_corpus(tmp_path / "c.jsonl", [doc])
+        generated = tmp_path / "generated.jsonl"
+        generated.write_text(json.dumps(
+            {"doc_id": "d0", "chunks": ["roses are red"]}) + "\n" + bad_line + "\n")
+        result = runner.invoke(main, [
+            "dataset", "clean", "--corpus", corpus,
+            "--generated", str(generated), "--out", str(tmp_path / "v.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "line 2" in errors[0], result.output
+
+
 class TestReproducibility:
     def test_reports_identical_modulo_header(self, runner, tmp_path,
                                              small_corpus):

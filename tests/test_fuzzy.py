@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkkit import fuzzy
 from chunkkit.errors import AnchorNotFoundError
 from chunkkit.fuzzy import best_substring_match, edit_distance, recover_anchor
 
@@ -45,6 +46,134 @@ def brute_force_best_span(needle: str, haystack: str,
                 best = key
     d, s, _, e = best
     return s, e, d
+
+
+def cell_dp_row(pattern: str, text: str, free_start: bool) -> list[int]:
+    """Reference: the per-cell Levenshtein DP the bit-parallel kernel
+    replaced. Last row; row 0 is zeros (free start) or 0..len(text)."""
+    prev = [0] * (len(text) + 1) if free_start else list(range(len(text) + 1))
+    for i, ca in enumerate(pattern, 1):
+        cur = [i]
+        for j, cb in enumerate(text, 1):
+            if ca == cb:
+                cur.append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1]))
+            else:
+                cur.append(min(cur[j - 1], prev[j], prev[j - 1]) + 1)
+        prev = cur
+    return prev
+
+
+def cell_dp_best_start_for_end(needle, hay, end, max_len):
+    lo = max(0, end - max_len)
+    row = cell_dp_row(needle[::-1], hay[lo:end][::-1], free_start=False)
+    best_dist = min(row)
+    return best_dist, end - max(k for k, d in enumerate(row) if d == best_dist)
+
+
+def cell_dp_best_substring_match(needle, haystack, search_from=0):
+    """Reference: the span search as it ran on the per-cell DP, with no
+    exact-match fast path; (start, end, distance)."""
+    hay = haystack[search_from:]
+    m = len(needle)
+    row = cell_dp_row(needle, hay, free_start=True)
+    d_star = min(row)
+    max_len = m + d_star
+    best = None
+    for end, dist in enumerate(row):
+        if dist != d_star:
+            continue
+        if best is not None and end - max_len > best[0]:
+            break
+        _, start = cell_dp_best_start_for_end(needle, hay, end, max_len)
+        key = (start, abs((end - start) - m), end)
+        if best is None or key < best:
+            best = key
+        if best[0] == max(0, end - max_len) and best[1] == 0:
+            break
+    start, _, end = best
+    return search_from + start, search_from + end, d_star
+
+
+# Several scripts and astral code points; needles of 65-200 characters cross
+# the 64-bit machine word, so the kernel's bit vectors span several words.
+ALPHABETS = ("ab", "abcd ", "aé你😀", "xyzüß. ")
+
+
+@st.composite
+def needle_near_haystack(draw):
+    """A long needle, and a haystack holding an edited copy of it."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    needle = draw(st.text(alphabet=alphabet, min_size=65, max_size=200))
+    copy = list(needle)
+    for pos, op, ch in draw(st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from("sid"),
+                      st.sampled_from(alphabet)), max_size=12)):
+        pos %= len(copy) + 1
+        if op == "i":
+            copy.insert(pos, ch)
+        elif copy and pos < len(copy):
+            copy[pos:pos + 1] = [ch] if op == "s" else []
+    side = st.text(alphabet=alphabet, max_size=80)
+    haystack = draw(side) + "".join(copy) + draw(side)
+    return needle, haystack or alphabet[0]
+
+
+class TestBitParallelKernel:
+    @given(needle_near_haystack(), st.booleans())
+    @settings(max_examples=150)
+    def test_rows_match_cell_dp(self, case, free_start):
+        needle, haystack = case
+        assert fuzzy._last_row(needle, haystack, free_start) == \
+            cell_dp_row(needle, haystack, free_start)
+
+    @given(st.text(min_size=1, max_size=70), st.text(max_size=70), st.booleans())
+    @settings(max_examples=200)
+    def test_rows_match_cell_dp_any_unicode(self, pattern, text, free_start):
+        assert fuzzy._last_row(pattern, text, free_start) == \
+            cell_dp_row(pattern, text, free_start)
+
+    @given(needle_near_haystack(), st.integers(0, 10**6), st.integers(0, 260))
+    @settings(max_examples=150)
+    def test_best_start_for_end_matches_cell_dp(self, case, end, max_len):
+        needle, haystack = case
+        end %= len(haystack) + 1
+        assert fuzzy._best_start_for_end(needle, haystack, end, max_len) == \
+            cell_dp_best_start_for_end(needle, haystack, end, max_len)
+
+    @given(needle_near_haystack(), st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_best_substring_match_matches_cell_dp(self, case, search_from):
+        needle, haystack = case
+        search_from %= len(haystack)
+        m = best_substring_match(needle, haystack, search_from)
+        assert (m.start, m.end, m.distance) == \
+            cell_dp_best_substring_match(needle, haystack, search_from)
+
+    @given(st.text(alphabet="aé你😀", max_size=150),
+           st.text(alphabet="aé你😀", max_size=150))
+    @settings(max_examples=200)
+    def test_edit_distance_matches_cell_dp(self, a, b):
+        assert edit_distance(a, b) == cell_dp_row(a, b, free_start=False)[-1]
+
+
+class TestExactMatchFastPath:
+    @pytest.mark.parametrize("needle, haystack, search_from, expected", [
+        # earliest of several, overlapping, exact hits
+        ("aba", "xxabababa", 0, (2, 5, 0)),
+        # the only exact hit lies after search_from
+        ("sun", "sun moon sun", 1, (9, 12, 0)),
+        # an exact hit later than an inexact one
+        ("The sun rose", "The sun rOse. The sun rose.", 0, (14, 26, 0)),
+    ])
+    def test_exact_hit_skips_the_dp(self, monkeypatch, needle, haystack,
+                                    search_from, expected):
+        assert cell_dp_best_substring_match(needle, haystack, search_from) \
+            == expected
+        def no_dp(*args):
+            raise AssertionError("an exact occurrence must not run the DP")
+        monkeypatch.setattr(fuzzy, "_last_row", no_dp)
+        m = best_substring_match(needle, haystack, search_from)
+        assert (m.start, m.end, m.distance) == expected
 
 
 class TestEditDistance:

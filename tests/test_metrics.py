@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from chunkkit.chunkers import chunk_fixed
 from chunkkit.errors import (
     GraphBuildError,
     UndefinedCorrelationError,
@@ -25,7 +26,7 @@ from chunkkit.metrics import (
 from chunkkit.scoring import FixtureEmbedder, FixtureScorer, NGramScorer
 from chunkkit.text import ChunkSet
 
-from conftest import make_doc
+from conftest import make_doc, random_text
 
 
 def complete_graph(n: int) -> SemanticGraph:
@@ -320,6 +321,30 @@ class TestEvaluateChunksets:
         agg = report.aggregate()
         assert agg["bc"] == pytest.approx(row["bc"])
         assert report.params["k"] == 0.8
+
+    @pytest.mark.parametrize("metric, budget", [
+        ("bc", lambda n: 2 * (n - 1)),
+        ("cs_c", lambda n: n + n * (n - 1)),
+        ("cs_i", lambda n: n + n * (n - 1) // 2),
+    ])
+    def test_score_call_budget(self, rng, metric, budget):
+        # LM cost is what a remote backend charges for: gate on exact call
+        # counts per document of n chunks, never on wall time
+        class CountingScorer:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def score(self, text, context=None):
+                self.calls += 1
+                return self.inner.score(text, context)
+
+        docs = [make_doc(random_text(rng, sentences=n), f"d{n}") for n in (2, 3, 6)]
+        sets = [chunk_fixed(d, len(d.text) // n + 1) for d, n in zip(docs, (2, 3, 6))]
+        assert [len(cs) for cs in sets] == [2, 3, 6]
+        scorer = CountingScorer(NGramScorer(order=3, corpus=[d.text for d in docs]))
+        evaluate_chunksets({d.id: d for d in docs}, sets, metrics=(metric,),
+                           scorer=scorer, delta=0)
+        assert scorer.calls == sum(budget(len(cs)) for cs in sets)
 
     def test_orphan_chunksets_rejected(self):
         doc = make_doc("aaaa bbbb", doc_id="d1")
