@@ -5,7 +5,8 @@ place timestamps live, so bodies diff cleanly), followed by one record per
 document and one aggregate record.
 
 Exit codes: 0 success, 1 partial failure or data error, 2 configuration
-error.
+error. A malformed corpus or chunk-set line ends any command with one
+``error: <file>: line N: ...`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .dataset import (
     shape_router_texts,
     sliding_windows,
 )
-from .errors import ChunkKitError, ConfigError
+from .errors import ChunkKitError, ConfigError, CorpusFormatError
 from .metrics import evaluate_chunksets, pearson
 from .moc import moc_chunk
 from .text import Document, load_chunksets, load_corpus, save_chunksets
@@ -71,7 +72,18 @@ def _load_docs(corpus: str) -> dict[str, Document]:
     return {d.id: d for d in load_corpus(corpus)}
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; turns a malformed input line into one error line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CorpusFormatError as exc:
+            _echo_error(str(exc))
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,

@@ -123,6 +123,16 @@ class NGramScorer:
     the concatenation: score(text, context) == score(context + text)
     restricted to the text positions.
 
+    :meth:`fit` turns the counts into log-prob rows, one per seen context:
+    the row of ``ctx`` gives log P(c | ctx) for every char seen after it,
+    stored under the n-gram ``ctx + c``, plus one value for every unseen
+    char, log(1 / (count(ctx) + V)). A context never seen gets log(1 / V).
+    Scoring reads the rows: one dict look-up per character, two when the
+    n-gram is unseen. Only the last ``order - 1`` context characters reach
+    any row, so :meth:`score` keeps just those and costs O(len(text)),
+    however long the context. Every :meth:`fit` rebuilds the rows, since a
+    larger alphabet changes V.
+
     Read-only after :meth:`fit`; safe to share across threads.
     """
 
@@ -138,52 +148,82 @@ class NGramScorer:
         # _counts[k][ctx] -> Counter of next char, for context length k-1
         self._counts: list[dict[str, Counter]] = [dict() for _ in range(order + 1)]
         self._alphabet: set[str] = set(alphabet or ())
-        if corpus is not None:
-            self.fit([corpus] if isinstance(corpus, str) else corpus)
+        self.fit([corpus] if isinstance(corpus, str) else corpus or ())
 
     def fit(self, texts: Iterable[str]) -> "NGramScorer":
         for text in texts:
             self._alphabet.update(text)
             for k in range(1, self.order + 1):
                 table = self._counts[k]
-                for t in range(len(text) - k + 1):
-                    ctx = text[t:t + k - 1]
-                    nxt = text[t + k - 1]
+                grams = Counter(text[t:t + k] for t in range(len(text) - k + 1))
+                for gram, count in grams.items():
+                    ctx = gram[:-1]
                     bucket = table.get(ctx)
                     if bucket is None:
                         bucket = table[ctx] = Counter()
-                    bucket[nxt] += 1
+                    bucket[gram[-1]] += count
+        self._build_rows()
         return self
+
+    def _build_rows(self) -> None:
+        # A context's length k-1 tells its order, so one dict holds all orders.
+        v = len(self._alphabet)
+        self._totals: dict[str, int] = {}
+        self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
+        self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
+        self._floor = math.log(1 / v) if v else 0.0
+        for table in self._counts[1:]:
+            for ctx, bucket in table.items():
+                total = self._totals[ctx] = sum(bucket.values())
+                self._unseen[ctx] = math.log(1 / (total + v))
+                for char, count in bucket.items():
+                    self._logprob[ctx + char] = min(
+                        math.log((count + 1) / (total + v)), 0.0
+                    )
 
     @property
     def alphabet_size(self) -> int:
         return len(self._alphabet)
 
-    def prob(self, history: str, char: str) -> float:
-        """Smoothed probability of ``char`` after ``history``."""
+    def _check_alphabet(self) -> int:
         v = len(self._alphabet)
         if v == 0:
             raise ValueError("scorer has an empty alphabet; fit it or pass one")
+        return v
+
+    def prob(self, history: str, char: str) -> float:
+        """Smoothed probability of ``char`` after ``history``."""
+        v = self._check_alphabet()
         k = min(self.order, len(history) + 1)
         ctx = history[len(history) - (k - 1):] if k > 1 else ""
         bucket = self._counts[k].get(ctx)
-        count = bucket[char] if bucket else 0
-        total = sum(bucket.values()) if bucket else 0
-        return (count + 1) / (total + v)
+        if bucket is None:
+            return 1 / v
+        return (bucket[char] + 1) / (self._totals[ctx] + v)
 
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:
             raise ValueError("cannot score empty text")
-        full = (context or "") + text
-        offset = len(context or "")
-        logprobs = [
-            math.log(self.prob(full[:t], full[t]))
-            for t in range(offset, len(full))
-        ]
+        self._check_alphabet()
+        context = context or ""
+        n = self.order - 1
+        full = context[max(0, len(context) - n):] + text
+        offset = len(full) - len(text)
+        # position t reads the n-gram ending at t: order chars once t >= n,
+        # the whole prefix before that
+        grams = [full[:t + 1] for t in range(offset, min(n, len(full)))]
+        grams += [full[t - n:t + 1] for t in range(max(offset, n), len(full))]
+        logprobs = list(map(self._logprob.get, grams))
+        if None in logprobs:
+            unseen, floor = self._unseen.get, self._floor
+            logprobs = [
+                unseen(gram[:-1], floor) if lp is None else lp
+                for gram, lp in zip(grams, logprobs)
+            ]
         return ScoredText(
             tokens=tuple(text),
-            logprobs=tuple(min(lp, 0.0) for lp in logprobs),
-            context_len=offset,
+            logprobs=tuple(logprobs),
+            context_len=len(context),
         )
 
 

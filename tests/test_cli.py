@@ -388,6 +388,47 @@ class TestDatasetCommands:
         assert len(errors) == 1 and "line 2" in errors[0], result.output
 
 
+class TestMalformedCorpus:
+    """Every --corpus command answers a bad corpus line with one error line."""
+
+    COMMANDS = {
+        "chunk": ["chunk", "--method", "fixed", "--out", "{tmp}/o.jsonl"],
+        "eval": ["eval", "--chunksets", "{tmp}/cs.jsonl", "--metrics", "bc"],
+        "dataset-windows": ["dataset", "windows", "--out", "{tmp}/o.jsonl"],
+        "dataset-distill": ["dataset", "distill", "--out-dir", "{tmp}/d"],
+        "dataset-clean": ["dataset", "clean", "--generated", "{tmp}/g.jsonl",
+                          "--out", "{tmp}/o.jsonl"],
+        "dataset-rules": ["dataset", "rules", "--chunksets", "{tmp}/cs.jsonl",
+                          "--out", "{tmp}/o.jsonl"],
+        "dataset-label": ["dataset", "label", "--chunksets", "{tmp}/cs.jsonl",
+                          "--out", "{tmp}/o.jsonl"],
+        "dataset-emit": ["dataset", "emit", "--chunksets", "{tmp}/cs.jsonl",
+                         "--out-dir", "{tmp}/e"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_line_is_one_error(self, runner, tmp_path, command):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "d0", "text": "roses are red."})
+                          + "\n{bad\n")
+        (tmp_path / "cs.jsonl").write_text("")
+        (tmp_path / "g.jsonl").write_text("")
+        (tmp_path / "gen.json").write_text(json.dumps({"entries": []}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scorer": {"kind": "ngram", "alphabet": "abc"},
+            "generator": {"kind": "fixture", "table": str(tmp_path / "gen.json")},
+        }))
+        args = [a.format(tmp=tmp_path) for a in self.COMMANDS[command]]
+        result = runner.invoke(main, ["--config", str(config), *args,
+                                      "--corpus", str(corpus)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"error: {corpus}: line 2: invalid JSON: ")
+
+
 class TestReproducibility:
     def test_reports_identical_modulo_header(self, runner, tmp_path,
                                              small_corpus):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chunkkit.errors import FixtureMissingError, UndefinedSimilarityError
@@ -20,6 +21,59 @@ from chunkkit.scoring import (
     ScoredText,
     cosine,
     perplexity,
+)
+
+
+def reference_counts(order: int, texts) -> list[dict[str, Counter]]:
+    """Reference: the per-position count loop the k-gram Counter fit
+    replaced. counts[k][ctx] -> Counter of next char, len(ctx) == k-1."""
+    counts: list[dict[str, Counter]] = [dict() for _ in range(order + 1)]
+    for text in texts:
+        for k in range(1, order + 1):
+            for t in range(len(text) - k + 1):
+                counts[k].setdefault(text[t:t + k - 1], Counter())[text[t + k - 1]] += 1
+    return counts
+
+
+def reference_prob(scorer: NGramScorer, history: str, char: str) -> float:
+    """Reference: add-one probability from the raw counts, re-summing the
+    context's bucket on every call, as the scorer did before it kept rows."""
+    v = scorer.alphabet_size
+    if v == 0:
+        raise ValueError("empty alphabet")
+    k = min(scorer.order, len(history) + 1)
+    ctx = history[len(history) - (k - 1):] if k > 1 else ""
+    bucket = scorer._counts[k].get(ctx)
+    count = bucket[char] if bucket else 0
+    total = sum(bucket.values()) if bucket else 0
+    return (count + 1) / (total + v)
+
+
+def reference_logprobs(scorer: NGramScorer, text: str,
+                       context: str | None) -> list[str]:
+    """Reference: one log(prob(full[:t], full[t])) per text character over
+    the whole context, as float hex strings so equality is bit-equality."""
+    full = (context or "") + text
+    offset = len(context or "")
+    return [min(math.log(reference_prob(scorer, full[:t], full[t])), 0.0).hex()
+            for t in range(offset, len(full))]
+
+
+def hexes(scored: ScoredText) -> list[str]:
+    return [lp.hex() for lp in scored.logprobs]
+
+
+# A small alphabet makes texts share n-grams with the corpus, so seen rows,
+# unseen chars and unseen contexts all occur; st.text() adds any unicode.
+SMALL = "ab é漢\n"
+texts = st.one_of(st.text(alphabet=SMALL, max_size=40), st.text(max_size=40))
+nonempty = st.one_of(st.text(alphabet=SMALL, min_size=1, max_size=30),
+                     st.text(min_size=1, max_size=30))
+scorers = st.builds(
+    NGramScorer,
+    order=st.integers(1, 5),
+    corpus=st.lists(texts, max_size=3),
+    alphabet=st.one_of(st.none(), st.text(alphabet=SMALL + "xyz", min_size=1)),
 )
 
 
@@ -125,6 +179,67 @@ class TestNGramScorer:
         a = NGramScorer(order=2, corpus="banana").score("nan")
         b = NGramScorer(order=2, corpus="banana").score("nan")
         assert a == b
+
+
+class TestNGramScorerTables:
+    """The row tables against the per-character reference path."""
+
+    @given(scorers, nonempty, st.one_of(st.none(), texts))
+    @settings(max_examples=400)
+    def test_score_bit_identical_to_reference(self, scorer, text, context):
+        if scorer.alphabet_size == 0:
+            with pytest.raises(ValueError):
+                scorer.score(text, context)
+            return
+        scored = scorer.score(text, context)
+        assert hexes(scored) == reference_logprobs(scorer, text, context)
+        assert scored.tokens == tuple(text)
+        assert scored.context_len == len(context or "")
+
+    @given(st.integers(1, 5), st.text(alphabet="ab", min_size=1, max_size=20),
+           nonempty, nonempty, st.one_of(st.none(), texts))
+    @settings(max_examples=200)
+    def test_alphabet_only_scorer(self, order, alphabet, text, extra, context):
+        scorer = NGramScorer(order=order, alphabet=alphabet)
+        assert hexes(scorer.score(text, context)) == \
+            reference_logprobs(scorer, text, context)
+        # a later fit must replace the uniform rows
+        scorer.fit([extra])
+        assert hexes(scorer.score(text, context)) == \
+            reference_logprobs(scorer, text, context)
+
+    @given(scorers, texts, nonempty, st.one_of(st.none(), texts))
+    @settings(max_examples=200)
+    def test_second_fit_grows_alphabet(self, scorer, more, text, context):
+        new_char = "\U0010fffd"
+        assume(scorer.alphabet_size and new_char not in scorer._alphabet)
+        before = scorer.alphabet_size
+        scorer.fit([more + new_char])
+        assert scorer.alphabet_size > before  # V changed, so every row did
+        assert hexes(scorer.score(text, context)) == \
+            reference_logprobs(scorer, text, context)
+
+    @given(scorers, texts, st.text(alphabet=SMALL + "q", max_size=1))
+    @settings(max_examples=200)
+    def test_prob_matches_reference(self, scorer, history, char):
+        assume(scorer.alphabet_size and char)
+        assert scorer.prob(history, char) == reference_prob(scorer, history, char)
+
+    @given(scorers, nonempty, texts)
+    @settings(max_examples=200)
+    def test_context_tail_invariance(self, scorer, text, context):
+        assume(scorer.alphabet_size)
+        tail = context[max(0, len(context) - (scorer.order - 1)):]
+        full, cut = scorer.score(text, context), scorer.score(text, tail)
+        assert hexes(full) == hexes(cut)
+        assert full.context_len == len(context)
+        assert cut.context_len == len(tail)
+
+    @given(st.integers(1, 5), st.lists(texts, max_size=4))
+    @settings(max_examples=200)
+    def test_fit_counts_match_reference(self, order, corpus):
+        scorer = NGramScorer(order=order, corpus=corpus[:1]).fit(corpus[1:])
+        assert scorer._counts == reference_counts(order, corpus)
 
 
 class TestFixtures:
