@@ -3,6 +3,13 @@
 All chunkers emit valid chunk sets whose spans re-slice exactly from the
 source document. Oversize single sentences are emitted whole and flagged
 via a warning, never split.
+
+The boundary-aware and semantic chunkers each run in two steps: a
+per-document step that depends only on the document (its sentence spans,
+and for semantic chunking the adjacent-sentence similarities from one
+``embed_many`` call) and a cheap step that cuts those at the size knob.
+Calibration runs the first step once per document and bisects over the
+second, so each sentence is split and embedded once per calibration.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .text import (
     DEFAULT_SENTENCE_POLICY,
     Document,
     SentencePolicy,
+    SentenceSpan,
     split_sentences,
 )
 
@@ -27,11 +35,10 @@ CHUNKER_METHODS = ("fixed", "boundary", "semantic")
 
 @dataclass(frozen=True)
 class ChunkerConfig:
-    """Knobs for the baseline chunkers; length unit defaults to characters."""
+    """Knobs for the baseline chunkers; lengths are in characters."""
 
     method: str
     target_len: int = 178
-    unit: str = "chars"
     overlap: int = 0
     similarity_threshold: float = 0.5
 
@@ -74,7 +81,21 @@ def chunk_boundary_aware(
         raise ValueError("target must be >= 1")
     if not (0 <= overlap < target):
         raise ValueError("overlap must satisfy 0 <= overlap < target")
-    sentences = split_sentences(doc, policy)
+    spans, oversize = _pack_sentences(split_sentences(doc, policy), target, overlap)
+    if oversize:
+        logger.warning(
+            "doc %s: %d oversize single-sentence chunk(s) emitted whole: %s",
+            doc.id, len(oversize), oversize,
+        )
+    return ChunkSet.from_spans(doc, spans, method="boundary")
+
+
+def _pack_sentences(
+    sentences: Sequence[SentenceSpan], target: int, overlap: int = 0
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The packing of :func:`chunk_boundary_aware` over a document's
+    sentence spans: the chunk spans, and the indexes of the oversize
+    single-sentence chunks among them."""
     spans: list[tuple[int, int]] = []
     oversize: list[int] = []
 
@@ -107,13 +128,7 @@ def chunk_boundary_aware(
                 backed -= 1
             next_idx = backed
         start_idx = next_idx
-
-    if oversize:
-        logger.warning(
-            "doc %s: %d oversize single-sentence chunk(s) emitted whole: %s",
-            doc.id, len(oversize), oversize,
-        )
-    return ChunkSet.from_spans(doc, spans, method="boundary")
+    return spans, oversize
 
 
 def chunk_semantic(
@@ -123,22 +138,43 @@ def chunk_semantic(
     policy: SentencePolicy = DEFAULT_SENTENCE_POLICY,
 ) -> ChunkSet:
     """Split between consecutive sentences whose embedding similarity drops
-    below ``threshold``; a chunk is a maximal run of similar sentences."""
+    below ``threshold``; a chunk is a maximal run of similar sentences.
+
+    Embeds the document's sentences once, in one ``embed_many`` call; a
+    one-sentence document is not embedded.
+    """
     if not (-1.0 <= threshold <= 1.0):
         raise ValueError("threshold must be in [-1, 1]")
+    spans = _split_profile(_similarity_profile(doc, embedder, policy), threshold)
+    return ChunkSet.from_spans(doc, spans, method="semantic")
+
+
+# A document's sentence spans and the cosine similarity of each pair of
+# adjacent sentences (one fewer than the sentences).
+_Profile = tuple[list[SentenceSpan], list[float]]
+
+
+def _similarity_profile(
+    doc: Document, embedder: Embedder, policy: SentencePolicy
+) -> _Profile:
     sentences = split_sentences(doc, policy)
     if len(sentences) == 1:
-        return ChunkSet.from_spans(doc, [(sentences[0].start, sentences[0].end)],
-                                   method="semantic")
+        return sentences, []
     vectors = embedder.embed_many([doc.text[s.start:s.end] for s in sentences])
+    return sentences, [cosine(u, v) for u, v in zip(vectors, vectors[1:])]
+
+
+def _split_profile(profile: _Profile, threshold: float) -> list[tuple[int, int]]:
+    """The chunk spans of a profile: a cut wherever similarity < threshold."""
+    sentences, similarities = profile
     spans: list[tuple[int, int]] = []
     run_start = sentences[0].start
-    for i in range(len(sentences) - 1):
-        if cosine(vectors[i], vectors[i + 1]) < threshold:
+    for i, similarity in enumerate(similarities):
+        if similarity < threshold:
             spans.append((run_start, sentences[i].end))
             run_start = sentences[i + 1].start
     spans.append((run_start, sentences[-1].end))
-    return ChunkSet.from_spans(doc, spans, method="semantic")
+    return spans
 
 
 @dataclass(frozen=True)
@@ -152,8 +188,8 @@ class CalibrationResult:
     ok: bool
 
 
-def _corpus_mean_length(chunksets: Iterable[ChunkSet]) -> float:
-    lengths = [len(c) for cs in chunksets for c in cs.chunks]
+def _mean_length(spans: Iterable[tuple[int, int]]) -> float:
+    lengths = [end - start for start, end in spans]
     if not lengths:
         raise ValueError("no chunks produced")
     return sum(lengths) / len(lengths)
@@ -170,7 +206,10 @@ def calibrate_avg_len(
     """Search the method's size knob until the corpus mean chunk length is
     within ``tolerance`` of ``target_avg``, or the knob space is exhausted.
 
-    Fixed-length has the closed form L = target. Unreachable targets yield a
+    Fixed-length has the closed form L = target. The boundary-aware and
+    semantic searches bisect; each splits every document into sentences
+    once (and the semantic one embeds them once) before the first step, so
+    a step only re-cuts the cached spans. Unreachable targets yield a
     best-effort result with ``ok`` False rather than an error.
     """
     if not docs:
@@ -189,16 +228,19 @@ def calibrate_avg_len(
 
     if method == "fixed":
         length = max(1, round(target_avg))
-        achieved = _corpus_mean_length(chunk_fixed(d, length) for d in docs)
+        achieved = _mean_length(
+            (c.start, c.end) for d in docs for c in chunk_fixed(d, length).chunks
+        )
         return result(ChunkerConfig(method="fixed", target_len=length), achieved)
 
     if method == "boundary":
+        sentences = [split_sentences(d, policy) for d in docs]
         lo, hi = 1, max(len(d.text) for d in docs)
         best = None  # (|gap|, knob, achieved)
         while lo <= hi:
             mid = (lo + hi) // 2
-            achieved = _corpus_mean_length(
-                chunk_boundary_aware(d, mid, policy=policy) for d in docs
+            achieved = _mean_length(
+                span for s in sentences for span in _pack_sentences(s, mid)[0]
             )
             gap = achieved - target_avg
             if best is None or abs(gap) < best[0]:
@@ -215,12 +257,13 @@ def calibrate_avg_len(
     # semantic: mean length decreases as the threshold rises (more splits)
     if embedder is None:
         raise ValueError("semantic calibration needs an embedder")
+    profiles = [_similarity_profile(d, embedder, policy) for d in docs]
     lo, hi = -0.999, 0.999
     best = None
     for _ in range(40):
         mid = (lo + hi) / 2
-        achieved = _corpus_mean_length(
-            chunk_semantic(d, embedder, mid, policy=policy) for d in docs
+        achieved = _mean_length(
+            span for p in profiles for span in _split_profile(p, mid)
         )
         gap = achieved - target_avg
         if best is None or abs(gap) < best[0]:

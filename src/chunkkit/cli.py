@@ -158,8 +158,12 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
         if method == "semantic" and embedder is None:
             _echo_error("semantic calibration needs an embedder in config")
             sys.exit(2)
-        result = calibrate_avg_len(method, docs_for_cal, target_avg=calibrate_avg,
-                                   embedder=embedder)
+        try:
+            result = calibrate_avg_len(method, docs_for_cal, target_avg=calibrate_avg,
+                                       embedder=embedder)
+        except ChunkKitError as exc:
+            _echo_error(f"calibration: {exc}")
+            sys.exit(1)
         click.echo(f"calibrated {method}: target_len={result.config.target_len} "
                    f"threshold={result.config.similarity_threshold:.4f} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")

@@ -67,7 +67,6 @@ class ChunkerParams:
     target_len: int = 178
     overlap: int = 0
     threshold: float = 0.5
-    unit: str = "chars"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ at the metrics layer only.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -339,7 +340,10 @@ class HashEmbedder:
 
     Dependency-free stand-in for a sentence embedding model: texts sharing
     character n-grams land near each other. FNV-1a hashes each n-gram into
-    one of ``dim`` buckets; the count vector is L2-normalized.
+    one of ``dim`` buckets; the count vector is L2-normalized. The hash of
+    each n-gram string is memoised in a bounded process-wide cache shared
+    by all instances (see :func:`_gram_hash`), so a repeated n-gram skips
+    the per-byte loop.
     """
 
     def __init__(self, dim: int = 64, ngram: int = 3):
@@ -359,13 +363,22 @@ class HashEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        vec = np.zeros(self.dim, dtype=float)
-        padded = text if len(text) >= self.ngram else text.ljust(self.ngram)
-        for i in range(len(padded) - self.ngram + 1):
-            gram = padded[i:i + self.ngram]
-            vec[self._fnv1a(gram.encode("utf-8")) % self.dim] += 1.0
+        n = self.ngram
+        padded = text if len(text) >= n else text.ljust(n)
+        buckets = [_gram_hash(padded[i:i + n]) % self.dim
+                   for i in range(len(padded) - n + 1)]
+        # integer counts, exact in float64
+        vec = np.bincount(buckets, minlength=self.dim).astype(float)
         norm = float(np.linalg.norm(vec))
         return vec / norm if norm else vec
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         return [self.embed(t) for t in texts]
+
+
+@functools.lru_cache(maxsize=1 << 15)
+def _gram_hash(gram: str) -> int:
+    """FNV-1a of an n-gram's UTF-8 bytes. Natural-language text has a few
+    thousand distinct short n-grams, so this bounded cache catches nearly
+    every repeat and holds at most a few MiB."""
+    return HashEmbedder._fnv1a(gram.encode("utf-8"))

@@ -128,11 +128,6 @@ class ChunkSet:
             raise ValueError("empty chunk set has no mean length")
         return sum(len(c) for c in self.chunks) / len(self.chunks)
 
-    def is_disjoint(self) -> bool:
-        return all(
-            a.end <= b.start for a, b in zip(self.chunks, self.chunks[1:])
-        )
-
     def validate_against(self, doc: Document) -> None:
         """Check every chunk re-slices exactly from ``doc``."""
         if doc.id != self.doc_id:

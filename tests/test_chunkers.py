@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chunkkit import chunkers
 from chunkkit.chunkers import (
     CalibrationResult,
     ChunkerConfig,
@@ -14,10 +18,130 @@ from chunkkit.chunkers import (
     chunk_fixed,
     chunk_semantic,
 )
-from chunkkit.scoring import FixtureEmbedder, HashEmbedder
-from chunkkit.text import split_sentences
+from chunkkit.scoring import FixtureEmbedder, HashEmbedder, cosine
+from chunkkit.text import ChunkSet, split_sentences
 
-from conftest import make_doc, random_text
+from conftest import make_doc, random_sentence, random_text
+
+
+def reference_chunk_semantic(doc, embedder, threshold):
+    """Semantic chunking as one pass that compares each adjacent pair's
+    cosine with the threshold as it goes: the reference for the
+    profile-then-split path."""
+    sentences = split_sentences(doc)
+    if len(sentences) == 1:
+        return ChunkSet.from_spans(doc, [(sentences[0].start, sentences[0].end)],
+                                   method="semantic")
+    vectors = embedder.embed_many([doc.text[s.start:s.end] for s in sentences])
+    spans = []
+    run_start = sentences[0].start
+    for i in range(len(sentences) - 1):
+        if cosine(vectors[i], vectors[i + 1]) < threshold:
+            spans.append((run_start, sentences[i].end))
+            run_start = sentences[i + 1].start
+    spans.append((run_start, sentences[-1].end))
+    return ChunkSet.from_spans(doc, spans, method="semantic")
+
+
+def reference_calibrate(method, docs, target_avg, tolerance, embedder=None):
+    """Calibration that re-runs the chunker over the whole corpus at every
+    bisection step: the reference for the cached-profile search. Returns
+    (knob, achieved, ok, the knobs tried in order)."""
+    def mean(chunksets):
+        lengths = [len(c) for cs in chunksets for c in cs.chunks]
+        return sum(lengths) / len(lengths)
+
+    best, tried = None, []
+    if method == "boundary":
+        lo, hi = 1, max(len(d.text) for d in docs)
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            tried.append(mid)
+            achieved = mean(chunk_boundary_aware(d, mid) for d in docs)
+            gap = achieved - target_avg
+            if best is None or abs(gap) < best[0]:
+                best = (abs(gap), mid, achieved)
+            if abs(gap) <= tolerance:
+                break
+            if gap < 0:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    else:
+        lo, hi = -0.999, 0.999
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            tried.append(mid)
+            achieved = mean(chunk_semantic(d, embedder, mid) for d in docs)
+            gap = achieved - target_avg
+            if best is None or abs(gap) < best[0]:
+                best = (abs(gap), mid, achieved)
+            if abs(gap) <= tolerance:
+                break
+            if gap > 0:
+                lo = mid
+            else:
+                hi = mid
+    _, knob, achieved = best
+    return knob, achieved, abs(achieved - target_avg) <= tolerance, tried
+
+
+def spans_of(chunkset):
+    return [(c.start, c.end) for c in chunkset.chunks]
+
+
+class CountingEmbedder:
+    """Counts the texts an embedder is asked to embed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = 0
+
+    def embed(self, text):
+        self.texts += 1
+        return self.inner.embed(text)
+
+    def embed_many(self, texts):
+        self.texts += len(texts)
+        return self.inner.embed_many(texts)
+
+
+def _bisection_midpoints(depth):
+    """The thresholds the semantic search can try in its first ``depth`` steps."""
+    mids, frontier = [], [(-0.999, 0.999)]
+    for _ in range(depth):
+        next_frontier = []
+        for lo, hi in frontier:
+            mid = (lo + hi) / 2
+            mids.append(mid)
+            next_frontier += [(lo, mid), (mid, hi)]
+        frontier = next_frontier
+    return mids
+
+
+# thresholds m for which cosine([1, 0], [m, sqrt(1 - m^2)]) == m exactly
+EXACT_TIES = [m for m in _bisection_midpoints(7)
+              if cosine([1.0, 0.0], [m, math.sqrt(1 - m * m)]) == m]
+
+
+def tie_corpus(tie, sentence_counts, seed):
+    """Documents whose adjacent sentences all have cosine exactly ``tie``:
+    sentences alternate between [1, 0] and [tie, sqrt(1 - tie^2)]."""
+    rng = random.Random(seed)
+    embedder = FixtureEmbedder()
+    docs = []
+    for d, count in enumerate(sentence_counts):
+        sentences = [random_sentence(rng, words=rng.randint(2, 9)) for _ in range(count)]
+        text = " ".join(sentences)
+        doc = make_doc(text, f"t{d}")
+        for i, s in enumerate(split_sentences(doc)):
+            vector = [1.0, 0.0] if i % 2 == 0 else [tie, math.sqrt(1 - tie * tie)]
+            embedder.add(text[s.start:s.end], vector)
+        docs.append(doc)
+    return docs, embedder
+
+
+GRID = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0], [2.0, -1.0], [0.0, -3.0]]
 
 
 class TestChunkerConfig:
@@ -227,3 +351,115 @@ class TestCalibration:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             calibrate_avg_len("fixed", [], target_avg=178)
+
+
+def _random_corpus(seed, sentence_counts, letters):
+    rng = random.Random(seed)
+    return [make_doc(" ".join(random_sentence(rng, letters, words=rng.randint(1, 12))
+                              for _ in range(count)), f"d{i}")
+            for i, count in enumerate(sentence_counts)]
+
+
+corpora = st.builds(
+    _random_corpus,
+    seed=st.integers(0, 2**32 - 1),
+    sentence_counts=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    letters=st.sampled_from(["ab", "abcdef", "abcdefghijklmnopqrstuvwxyz"]),
+)
+hash_embedders = st.builds(HashEmbedder, dim=st.sampled_from([2, 8, 64]),
+                           ngram=st.integers(1, 4))
+tolerances = st.sampled_from([0.0, 0.5, 3.0, 20.0])
+targets = st.floats(1.0, 400.0)
+
+
+class TestCalibrationPins:
+    """The cached-profile searches against the per-step reference: same
+    knob, same achieved mean, same ``ok``, same spans at the knob. The
+    corpora include one-sentence documents, and the tolerances include 0,
+    at which the semantic search runs all 40 steps unless it hits the
+    target exactly."""
+
+    def assert_semantic_matches(self, docs, embedder, target, tolerance):
+        knob, achieved, ok, tried = reference_calibrate(
+            "semantic", docs, target, tolerance, embedder)
+        result = calibrate_avg_len("semantic", docs, target_avg=target,
+                                   tolerance=tolerance, embedder=embedder)
+        assert result.config.similarity_threshold == knob
+        assert result.achieved_avg == achieved
+        assert result.ok == ok
+        for d in docs:
+            assert spans_of(chunk_semantic(d, embedder, knob)) == \
+                spans_of(reference_chunk_semantic(d, embedder, knob))
+        return tried
+
+    @given(docs=corpora, embedder=hash_embedders, target=targets, tolerance=tolerances)
+    def test_semantic_hash_embedder(self, docs, embedder, target, tolerance):
+        self.assert_semantic_matches(docs, embedder, target, tolerance)
+
+    @given(docs=corpora, vectors=st.lists(st.sampled_from(GRID), min_size=1, max_size=6),
+           target=targets, tolerance=tolerances)
+    def test_semantic_fixture_grid(self, docs, vectors, target, tolerance):
+        # few distinct vectors: many adjacent pairs share one cosine, and
+        # orthogonal pairs tie with the first threshold tried, 0.0
+        embedder = FixtureEmbedder()
+        for d in docs:
+            for i, s in enumerate(split_sentences(d)):
+                embedder.add(d.text[s.start:s.end], vectors[i % len(vectors)])
+        self.assert_semantic_matches(docs, embedder, target, tolerance)
+
+    @pytest.mark.parametrize("tie", EXACT_TIES[::4])
+    def test_semantic_ties_at_the_threshold(self, tie):
+        # every adjacent cosine equals ``tie``, so the mean length jumps
+        # between one chunk per document and one chunk per sentence right
+        # at ``tie``, and a zero-tolerance search for a target between the
+        # two must try ``tie`` itself
+        docs, embedder = tie_corpus(tie, [2, 5, 8], seed=7)
+        whole = sum(len(d.text) for d in docs) / len(docs)
+        split = [len(s) for d in docs for s in split_sentences(d)]
+        target = (whole + sum(split) / len(split)) / 2
+        tried = self.assert_semantic_matches(docs, embedder, target, 0.0)
+        assert tie in tried
+
+    @given(docs=corpora, target=targets, tolerance=tolerances)
+    def test_boundary(self, docs, target, tolerance):
+        knob, achieved, ok, _ = reference_calibrate("boundary", docs, target, tolerance)
+        result = calibrate_avg_len("boundary", docs, target_avg=target, tolerance=tolerance)
+        assert result.config.target_len == knob
+        assert result.achieved_avg == achieved
+        assert result.ok == ok
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(-1.0, 1.0),
+           embedder=hash_embedders)
+    def test_chunk_semantic_matches_one_pass_reference(self, seed, threshold, embedder):
+        doc = make_doc(random_text(random.Random(seed), sentences=12))
+        assert spans_of(chunk_semantic(doc, embedder, threshold)) == \
+            spans_of(reference_chunk_semantic(doc, embedder, threshold))
+
+
+class TestCalibrationCost:
+    """Work counts, never wall time."""
+
+    def test_semantic_embeds_each_sentence_once(self, rng):
+        docs = [make_doc(random_text(rng, sentences=n), f"d{n}") for n in (3, 8, 20)]
+        docs.append(make_doc("one lonely sentence.", "single"))  # never embedded
+        embedder = CountingEmbedder(HashEmbedder())
+        # tolerance 0 on a coarse corpus runs all 40 bisection steps
+        *_, tried = reference_calibrate("semantic", docs, 177.7, 0.0, HashEmbedder())
+        assert len(tried) == 40
+        calibrate_avg_len("semantic", docs, target_avg=177.7, tolerance=0.0,
+                          embedder=embedder)
+        sentences = [len(split_sentences(d)) for d in docs]
+        assert embedder.texts == sum(n for n in sentences if n > 1)
+
+    def test_boundary_splits_each_document_once(self, rng, monkeypatch):
+        docs = [make_doc(random_text(rng, sentences=n), f"d{n}") for n in (3, 8, 20)]
+        calls = []
+
+        def counted(doc, *args, **kwargs):
+            calls.append(doc.id)
+            return split_sentences(doc, *args, **kwargs)
+
+        monkeypatch.setattr(chunkers, "split_sentences", counted)
+        calibrate_avg_len("boundary", docs, target_avg=177.7, tolerance=0.0)
+        assert sorted(calls) == sorted(d.id for d in docs)

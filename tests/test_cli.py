@@ -60,6 +60,27 @@ class TestChunkCommand:
         assert result.exit_code == 0, result.output
         assert "calibrated fixed: target_len=178" in result.output
 
+    def test_calibration_backend_fault_is_one_error(self, runner, tmp_path):
+        doc = make_doc("First sentence here. Second sentence there.", "a")
+        corpus = write_corpus(tmp_path / "corpus.jsonl", [doc])
+        table = tmp_path / "vectors.json"  # no vector for the second sentence
+        table.write_text(json.dumps({"entries": [
+            {"text": "First sentence here.", "vector": [1.0, 0.0]},
+        ]}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedder": {"kind": "fixture",
+                                                   "table": str(table)}}))
+        result = runner.invoke(main, [
+            "--config", str(config), "chunk", "--corpus", corpus,
+            "--out", str(tmp_path / "o.jsonl"), "--method", "semantic",
+            "--calibrate-avg", "20",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith("error: calibration: no fixture for text")
+
     def test_moc_without_backends_is_config_error(self, runner, tmp_path,
                                                   small_corpus):
         corpus, _ = small_corpus

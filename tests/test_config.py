@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from chunkkit.cli import main
 from chunkkit.config import (
     BackendSpec,
     RunConfig,
@@ -65,6 +67,17 @@ class TestLoadConfig:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="unknown keys in 'metrics'"):
             parse_config({"metrics": {"kk": 0.8}})
+
+    def test_removed_chunker_unit_is_unknown(self, tmp_path):
+        # chunk lengths are always characters; the key that named the unit is gone
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"chunker": {"unit": "chars"}}))
+        with pytest.raises(ConfigError, match="unknown keys in 'chunker'"):
+            load_config(path)
+        result = CliRunner().invoke(main, ["--config", str(path), "chunk", "--corpus",
+                                           str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "unknown keys in 'chunker'" in result.output
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError, match="k must be in"):

@@ -314,3 +314,28 @@ class TestHashEmbedder:
         far = cosine(emb.embed("the cat sat on the mat"),
                      emb.embed("zqx vwk prl jmt"))
         assert near > far
+
+    @staticmethod
+    def reference_embed(emb: HashEmbedder, text: str) -> np.ndarray:
+        """One ``_fnv1a`` call per n-gram, counted into the vector in place:
+        the reference for the memoised, bincounted path."""
+        vec = np.zeros(emb.dim, dtype=float)
+        padded = text if len(text) >= emb.ngram else text.ljust(emb.ngram)
+        for i in range(len(padded) - emb.ngram + 1):
+            gram = padded[i:i + emb.ngram]
+            vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += 1.0
+        norm = float(np.linalg.norm(vec))
+        return vec / norm if norm else vec
+
+    @given(texts=st.lists(st.text(min_size=1), min_size=1, max_size=4),
+           dim=st.sampled_from([2, 3, 64, 128, 1000]), ngram=st.integers(1, 6))
+    def test_bit_identical_to_per_gram_reference(self, texts, dim, ngram):
+        # unicode of any plane, texts shorter than ngram (space-padded), and
+        # repeats that the hash cache answers
+        emb = HashEmbedder(dim=dim, ngram=ngram)
+        for text in texts + texts:
+            got, want = emb.embed(text), self.reference_embed(emb, text)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert [v.tobytes() for v in emb.embed_many(texts)] == \
+            [self.reference_embed(emb, t).tobytes() for t in texts]
