@@ -21,7 +21,6 @@ from .dataset import (
     DistillResult,
     RouterSample,
     Window,
-    apply_chunk_buffer,
     build_chunker_samples,
     detect_hallucination,
     distill_document,

@@ -16,6 +16,7 @@ out across threads freely.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -76,7 +77,10 @@ class _HttpClient:
                         url, json=payload, timeout=self.handle.timeout
                     )
                 response.raise_for_status()
-                return response.json()
+                data = response.json()
+                if not isinstance(data, dict):
+                    raise ProtocolError(f"{url}: response is not a JSON object")
+                return data
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 if attempt < attempts:
@@ -113,9 +117,12 @@ class HttpScorer(_HttpClient):
                 f"token/logprob length mismatch: {len(tokens)} vs {len(logprobs)}"
             )
         try:
+            logprobs = tuple(min(float(x), 0.0) for x in logprobs)
+            if any(math.isnan(x) for x in logprobs):
+                raise ValueError("a logprob is NaN")
             return ScoredText(
                 tokens=tuple(str(t) for t in tokens),
-                logprobs=tuple(min(float(x), 0.0) for x in logprobs),
+                logprobs=logprobs,
                 context_len=len(context) if context else 0,
                 truncated=truncated,
             )

@@ -2,20 +2,27 @@
 
 Reports are line-oriented JSON: the first line is a header record (the only
 place timestamps live, so bodies diff cleanly), followed by one record per
-document and one aggregate record.
+document and one aggregate record. Reports and chunk sets are written as the
+run goes into a temporary file beside each one, which replaces it only when
+the command completes: an interrupted run leaves the old output as it was.
 
-Exit codes: 0 success, 1 partial failure or data error, 2 configuration
-error. A malformed corpus or chunk-set line ends any command with one
-``error: <file>: line N: ...`` line and exit code 1.
+``chunk``, ``eval`` and ``dataset distill`` share one per-document driver: a
+document whose work fails gets one ``error: doc <id>: ...`` line, and the
+other documents still reach the output. Exit codes: 0 success; 1 a failed
+document or a data error (a malformed input line, a backend fault); 2 a
+configuration error. Each error is one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import click
 
@@ -42,30 +49,54 @@ from .dataset import (
     sliding_windows,
 )
 from .errors import ChunkKitError, ConfigError, CorpusFormatError
-from .metrics import evaluate_chunksets, pearson
+from .metrics import METRIC_BACKENDS, MetricsReport, evaluate_chunksets, pearson
 from .moc import moc_chunk
-from .text import Document, load_chunksets, load_corpus, save_chunksets
+from .text import Document, load_chunksets, load_corpus, read_jsonl, save_chunksets
 
-_METRIC_CHOICES = ("bc", "cs_c", "cs_i", "ds", "cp")
-
-
-def _echo_error(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+_Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
 
 
-def _write_report(path: str, params: dict, records: list[dict]) -> None:
-    header = {"_header": {
-        "tool": f"chunkkit {__version__}",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        **params,
-    }}
-    lines = [json.dumps(header, ensure_ascii=False, sort_keys=True)]
-    lines += [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        click.echo(text, nl=False)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+@contextmanager
+def _staged(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path`` that replaces it when the block ends
+    normally and is removed on any other exit."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _report(path: str | Path, params: dict) -> Iterator[Callable[[dict], None]]:
+    """Write a report as the run goes: the header record first, then one
+    line per call of the yielded ``write(record)``. ``-`` is stdout."""
+    with (nullcontext() if path == "-" else _staged(path)) as tmp, \
+            (open(tmp, "w", encoding="utf-8") if tmp
+             else nullcontext(sys.stdout)) as fh:
+        def write(record: dict) -> None:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+        write({"_header": {"tool": f"chunkkit {__version__}",
+                           "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                           **params}})
+        yield write
+
+
+def _each_doc(items: Iterable[tuple[str, object]], work: Callable,
+              failures: _Failures) -> Iterator:
+    """The per-document driver: yield ``work(item)`` for each ``(doc_id,
+    item)`` in order. A document whose work raises a ChunkKitError yields
+    nothing; ``(doc_id, message)`` is appended to ``failures`` instead."""
+    for doc_id, item in items:
+        try:
+            result = work(item)
+        except ChunkKitError as exc:
+            failures.append((doc_id, str(exc)))
+            continue
+        yield result
 
 
 def _load_docs(corpus: str) -> dict[str, Document]:
@@ -73,13 +104,19 @@ def _load_docs(corpus: str) -> dict[str, Document]:
 
 
 class _Group(click.Group):
-    """The command group; turns a malformed input line into one error line."""
+    """The command group, and the one place errors become exit codes: a
+    ConfigError exits 2; any other ChunkKitError, and the ``(doc_id,
+    message)`` failures a per-document command returns, exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
-        except CorpusFormatError as exc:
-            _echo_error(str(exc))
+            failures = super().invoke(ctx) or []
+        except ChunkKitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, ConfigError) else 1)
+        for doc_id, message in failures:
+            click.echo(f"error: doc {doc_id}: {message}", err=True)
+        if failures:
             sys.exit(1)
 
 
@@ -88,23 +125,15 @@ class _Group(click.Group):
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,
               help="Overrides the config's backend-call budget.")
-@click.option("--seed", type=int, default=None,
-              help="Overrides the config's root seed.")
 @click.version_option(__version__)
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None,
-         concurrency: int | None, seed: int | None) -> None:
+         concurrency: int | None) -> None:
     """Chunking toolkit: chunk corpora, score chunkings, build datasets."""
-    try:
-        config = load_config(config_path) if config_path else RunConfig()
-        if concurrency is not None:
-            config = replace(config, concurrency=concurrency)
-        if seed is not None:
-            config = replace(config, seed=seed)
-        ctx.obj = config
-    except ConfigError as exc:
-        _echo_error(str(exc))
-        ctx.exit(2)
+    config = load_config(config_path) if config_path else RunConfig()
+    if concurrency is not None:
+        config = replace(config, concurrency=concurrency)
+    ctx.obj = config
 
 
 @main.command("chunk")
@@ -133,7 +162,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
               placeholder: str | None, max_window: int | None,
               router_model: str | None, expert_model_0: str | None,
               expert_model_1: str | None, expert_model_2: str | None,
-              expert_model_3: str | None, report_path: str | None) -> None:
+              expert_model_3: str | None, report_path: str | None) -> _Failures:
     """Chunk every document of a corpus with one method."""
     config = override(
         config,
@@ -142,28 +171,34 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
         dataset={"placeholder": placeholder, "max_window_tokens": max_window},
     )
     method = config.chunker.method
-    expert_models = {0: expert_model_0, 1: expert_model_1,
-                     2: expert_model_2, 3: expert_model_3}
+    # backends first: a config error surfaces before any document is read
+    embedder = router = experts = None
+    if method == "semantic":
+        if config.embedder is None:
+            raise ConfigError("semantic chunking needs an embedder in config")
+        embedder = build_embedder(config.embedder)
+    elif method == "moc":
+        if config.router is None:
+            raise ConfigError("moc chunking needs a router backend in config")
+        router = build_scorer(_override_model(config.router, router_model), "router")
+        specs = dict(config.experts)
+        for label, model in enumerate((expert_model_0, expert_model_1,
+                                       expert_model_2, expert_model_3)):
+            if model is not None:
+                if label not in specs:
+                    raise ConfigError(f"--expert-model-{label} given but config has "
+                                      f"no experts.{label}")
+                specs[label] = _override_model(specs[label], model)
+        experts = build_experts(override(config, experts=specs))
 
-    try:
-        runner = _make_runner(config, method, router_model, expert_models)
-    except ConfigError as exc:
-        _echo_error(str(exc))
-        sys.exit(2)
-
-    if calibrate_avg is not None and method in ("fixed", "boundary", "semantic"):
-        docs_for_cal = list(_load_docs(corpus).values())
-        embedder = (build_embedder(config.embedder)
-                    if config.embedder and method == "semantic" else None)
-        if method == "semantic" and embedder is None:
-            _echo_error("semantic calibration needs an embedder in config")
-            sys.exit(2)
+    docs: Iterable[Document] = load_corpus(corpus)
+    if calibrate_avg is not None and method != "moc":
+        docs = list(docs)
         try:
-            result = calibrate_avg_len(method, docs_for_cal, target_avg=calibrate_avg,
+            result = calibrate_avg_len(method, docs, target_avg=calibrate_avg,
                                        embedder=embedder)
         except ChunkKitError as exc:
-            _echo_error(f"calibration: {exc}")
-            sys.exit(1)
+            raise ChunkKitError(f"calibration: {exc}") from exc
         click.echo(f"calibrated {method}: target_len={result.config.target_len} "
                    f"threshold={result.config.similarity_threshold:.4f} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")
@@ -171,85 +206,45 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
             "target_len": result.config.target_len,
             "threshold": result.config.similarity_threshold,
         })
-        runner = _make_runner(config, method, router_model, expert_models)
 
-    chunksets = []
-    reports = []
-    failures: list[tuple[str, str]] = []
-    for doc in load_corpus(corpus):
-        try:
-            cs, extraction = runner(doc)
-            chunksets.append(cs)
-            reports.extend(extraction)
-        except ChunkKitError as exc:
-            failures.append((doc.id, str(exc)))
+    params, dataset = config.chunker, config.dataset
+    run = {
+        "fixed": lambda doc: (chunk_fixed(doc, params.target_len), []),
+        "boundary": lambda doc: (
+            chunk_boundary_aware(doc, params.target_len, params.overlap), []),
+        "semantic": lambda doc: (
+            chunk_semantic(doc, embedder, params.threshold), []),
+        "moc": lambda doc: moc_chunk(
+            doc, router, experts,
+            max_window_tokens=dataset.max_window_tokens,
+            chars_per_token=dataset.chars_per_token,
+            placeholder=dataset.placeholder,
+        ),
+    }[method]
 
-    save_chunksets(chunksets, out)
-    if report_path:
-        records = [
-            {"doc_id": rep.doc_id,
-             "rules": [
-                 {"rule": m.rule_index, "mode": m.mode, "distance": m.distance,
-                  "span": None if m.start is None else [m.start, m.end]}
-                 for m in rep.matches
-             ]}
-            for rep in reports
-        ]
-        _write_report(report_path, {"method": method}, records)
+    failures: _Failures = []
+    totals = [0, 0]  # chunks, their characters
+    with _staged(out) as out_tmp, \
+            (_report(report_path, {"method": method}) if report_path
+             else nullcontext(lambda record: None)) as write_report:
 
-    total_chunks = sum(len(cs) for cs in chunksets)
-    mean_len = (
-        sum(len(c) for cs in chunksets for c in cs.chunks) / total_chunks
-        if total_chunks else 0.0
-    )
-    click.echo(f"chunked {len(chunksets)} doc(s) with {method}: "
-               f"{total_chunks} chunks, mean length {mean_len:.1f}")
-    for doc_id, message in failures:
-        _echo_error(f"doc {doc_id}: {message}")
-    if failures:
-        sys.exit(1)
+        def chunksets():
+            for cs, extraction in _each_doc(((d.id, d) for d in docs), run, failures):
+                totals[0] += len(cs)
+                totals[1] += sum(len(c) for c in cs.chunks)
+                for rep in extraction:
+                    write_report({"doc_id": rep.doc_id, "rules": [
+                        {"rule": m.rule_index, "mode": m.mode, "distance": m.distance,
+                         "span": None if m.start is None else [m.start, m.end]}
+                        for m in rep.matches
+                    ]})
+                yield cs
 
-
-def _make_runner(config: RunConfig, method: str, router_model: str | None,
-                 expert_models: dict[int, str | None]):
-    """Bind a per-document chunking callable; config errors surface here,
-    before any document is read."""
-    if method == "fixed":
-        return lambda doc: (chunk_fixed(doc, config.chunker.target_len), [])
-    if method == "boundary":
-        return lambda doc: (
-            chunk_boundary_aware(doc, config.chunker.target_len,
-                                 config.chunker.overlap),
-            [],
-        )
-    if method == "semantic":
-        if config.embedder is None:
-            raise ConfigError("semantic chunking needs an embedder in config")
-        embedder = build_embedder(config.embedder)
-        return lambda doc: (
-            chunk_semantic(doc, embedder, config.chunker.threshold),
-            [],
-        )
-    # moc
-    if config.router is None:
-        raise ConfigError("moc chunking needs a router backend in config")
-    router_spec = _override_model(config.router, router_model)
-    router = build_scorer(router_spec, "router")
-    patched = dict(config.experts)
-    for label, model in expert_models.items():
-        if model is not None:
-            if label not in patched:
-                raise ConfigError(f"--expert-model-{label} given but config has "
-                                  f"no experts.{label}")
-            patched[label] = _override_model(patched[label], model)
-    experts = build_experts(override(config, experts=patched))
-    dataset = config.dataset
-    return lambda doc: moc_chunk(
-        doc, router, experts,
-        max_window_tokens=dataset.max_window_tokens,
-        chars_per_token=dataset.chars_per_token,
-        placeholder=dataset.placeholder,
-    )
+        saved = save_chunksets(chunksets(), out_tmp)
+    mean_len = totals[1] / totals[0] if totals[0] else 0.0
+    click.echo(f"chunked {saved} doc(s) with {method}: "
+               f"{totals[0]} chunks, mean length {mean_len:.1f}")
+    return failures
 
 
 def _override_model(spec: BackendSpec, model: str | None) -> BackendSpec:
@@ -276,7 +271,7 @@ def _override_model(spec: BackendSpec, model: str | None) -> BackendSpec:
 @click.pass_obj
 def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
              metrics_csv: str, k: float | None, graph: str | None,
-             delta: int | None, out: str) -> None:
+             delta: int | None, out: str) -> _Failures:
     """Score chunk sets with the requested metrics."""
     config = override(config, metrics={"k": k, "graph": graph, "delta": delta})
     metric_names = tuple(
@@ -285,38 +280,37 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
         if m.strip() == "cs" else m.strip()
         for m in metrics_csv.split(",") if m.strip()
     )
-    bad = [m for m in metric_names if m not in _METRIC_CHOICES]
-    if bad:
-        _echo_error(f"unknown metrics {bad}; choose from {_METRIC_CHOICES}")
-        sys.exit(2)
-
-    needs_scorer = {"bc", "cs_c", "cs_i", "cp"} & set(metric_names)
-    scorer = None
-    if needs_scorer:
-        if config.scorer is None:
-            _echo_error(f"metrics {sorted(needs_scorer)} need a scorer in config")
-            sys.exit(2)
-        scorer = build_scorer(config.scorer)
-    embedder = None
-    if "ds" in metric_names:
-        if config.embedder is None:
-            _echo_error("metric ds needs an embedder in config")
-            sys.exit(2)
-        embedder = build_embedder(config.embedder)
+    unknown = [m for m in metric_names if m not in METRIC_BACKENDS]
+    if unknown:
+        raise ConfigError(f"unknown metrics {unknown}; "
+                          f"choose from {tuple(METRIC_BACKENDS)}")
+    backends = {}
+    for role, build in (("scorer", build_scorer), ("embedder", build_embedder)):
+        needing = [m for m in metric_names if METRIC_BACKENDS[m] == role]
+        if needing:
+            spec = getattr(config, role)
+            if spec is None:
+                raise ConfigError(f"metrics {needing} need a {role} in config")
+            backends[role] = build(spec)
 
     docs = _load_docs(corpus)
-    try:
-        chunksets = load_chunksets(chunksets_path, docs)
-        report = evaluate_chunksets(
-            docs, chunksets, metrics=metric_names, scorer=scorer,
-            embedder=embedder, k=config.metrics.k, delta=config.metrics.delta,
-            max_workers=config.concurrency,
+    chunksets = load_chunksets(chunksets_path, docs)
+
+    def evaluate(some: list) -> MetricsReport:
+        return evaluate_chunksets(
+            docs, some, metrics=metric_names, k=config.metrics.k,
+            delta=config.metrics.delta, max_workers=config.concurrency, **backends,
         )
-    except (ChunkKitError, ValueError) as exc:
-        _echo_error(str(exc))
-        sys.exit(1)
-    params = {**report.params, "graph": config.metrics.graph}
-    _write_report(out, params, report.records())
+
+    report = evaluate([])  # no rows yet: the parameters for the header
+    failures: _Failures = []
+    with _report(out, {**report.params, "graph": config.metrics.graph}) as write:
+        for row in _each_doc(((cs.doc_id, cs) for cs in chunksets),
+                             lambda cs: evaluate([cs]).rows[0], failures):
+            report.rows.append(row)
+            write(row.as_record())
+        write(report.records()[-1])  # the aggregate over the rows written
+    return failures
 
 
 @main.command("pearson")
@@ -328,13 +322,11 @@ def cmd_pearson(table: str, x_col: str, y_col: str) -> None:
     data = json.loads(Path(table).read_text(encoding="utf-8"))
     missing = [c for c in (x_col, y_col) if c not in data]
     if missing:
-        _echo_error(f"table has no column(s) {missing}")
-        sys.exit(1)
+        raise ChunkKitError(f"table has no column(s) {missing}")
     try:
         r = pearson(data[x_col], data[y_col])
-    except (ChunkKitError, ValueError) as exc:
-        _echo_error(str(exc))
-        sys.exit(1)
+    except ValueError as exc:
+        raise ChunkKitError(str(exc)) from exc
     click.echo(f"{r:.4f}")
 
 
@@ -354,79 +346,80 @@ def cmd_windows(config: RunConfig, corpus: str, out: str,
     """Cut documents into token-budget windows."""
     config = override(config, dataset={"max_window_tokens": max_window,
                                        "chars_per_token": chars_per_token})
-    records = []
-    for doc in load_corpus(corpus):
-        for w in sliding_windows(doc,
-                                 max_tokens=config.dataset.max_window_tokens,
-                                 chars_per_token=config.dataset.chars_per_token):
-            records.append({"doc_id": w.doc_id, "start": w.start, "end": w.end})
-    _write_report(out, {"max_window_tokens": config.dataset.max_window_tokens},
-                  records)
-    click.echo(f"wrote {len(records)} windows")
+    count = 0
+    with _report(out, {"max_window_tokens": config.dataset.max_window_tokens}) as write:
+        for doc in load_corpus(corpus):
+            for w in sliding_windows(doc,
+                                     max_tokens=config.dataset.max_window_tokens,
+                                     chars_per_token=config.dataset.chars_per_token):
+                write({"doc_id": w.doc_id, "start": w.start, "end": w.end})
+                count += 1
+    click.echo(f"wrote {count} windows")
+
+
+def _verdict_record(doc_id: str, verdict) -> dict:
+    return {"doc_id": doc_id, "chunk": verdict.chunk_index,
+            "distance": verdict.min_edit_distance, "threshold": verdict.threshold,
+            "flagged": verdict.flagged, "span": [verdict.start, verdict.end]}
 
 
 @dataset_group.command("distill")
 @click.option("--corpus", required=True, type=click.Path(exists=True))
 @click.option("--out-dir", required=True, type=click.Path())
 @click.pass_obj
-def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> None:
+def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
     """Generate raw chunkings for a corpus and clean them."""
     if config.generator is None:
-        _echo_error("distill needs a generator in config")
-        sys.exit(2)
+        raise ConfigError("distill needs a generator in config")
     generator = build_generator(config.generator)
+    params = config.dataset
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    chunksets = []
-    verdict_records = []
-    failures: list[tuple[str, str]] = []
-    doc_count = 0
-    for doc in load_corpus(corpus):
-        doc_count += 1
-        try:
-            result = distill_document(
-                doc, generator,
-                max_window_tokens=config.dataset.max_window_tokens,
-                chars_per_token=config.dataset.chars_per_token,
-                flag_ratio=config.dataset.flag_ratio,
-            )
-        except ChunkKitError as exc:
-            failures.append((doc.id, str(exc)))
-            continue
-        chunksets.append(result.chunkset)
-        verdict_records += [
-            {"doc_id": doc.id, "chunk": v.chunk_index,
-             "distance": v.min_edit_distance, "threshold": v.threshold,
-             "flagged": v.flagged, "span": [v.start, v.end]}
-            for v in result.verdicts
-        ]
+    def distill(doc: Document):
+        return distill_document(
+            doc, generator,
+            max_window_tokens=params.max_window_tokens,
+            chars_per_token=params.chars_per_token,
+            flag_ratio=params.flag_ratio,
+        )
 
-    save_chunksets(chunksets, out / "chunksets.jsonl")
-    _write_report(str(out / "verdicts.jsonl"),
-                  {"flag_ratio": config.dataset.flag_ratio}, verdict_records)
-    flagged = sum(1 for r in verdict_records if r["flagged"])
-    manifest = {
-        "documents": doc_count,
-        "distilled": len(chunksets),
-        "failed": [doc_id for doc_id, _ in failures],
-        "chunks": sum(len(cs) for cs in chunksets),
-        "flagged_chunks": flagged,
-        "flag_rate": flagged / len(verdict_records) if verdict_records else 0.0,
-        "parameters": {
-            "max_window_tokens": config.dataset.max_window_tokens,
-            "flag_ratio": config.dataset.flag_ratio,
-        },
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    click.echo(f"distilled {len(chunksets)}/{doc_count} docs, "
-               f"{flagged} flagged chunk(s)")
-    for doc_id, message in failures:
-        _echo_error(f"doc {doc_id}: {message}")
-    if failures:
-        sys.exit(1)
+    failures: _Failures = []
+    totals = [0, 0, 0]  # chunks, verdicts, flagged verdicts
+    # the manifest is entered first, so it is the last file replaced
+    with _staged(out / "manifest.json") as manifest_tmp, \
+            _staged(out / "chunksets.jsonl") as chunksets_tmp, \
+            _report(out / "verdicts.jsonl",
+                    {"flag_ratio": params.flag_ratio}) as write:
+
+        def chunksets():
+            docs = ((d.id, d) for d in load_corpus(corpus))
+            for result in _each_doc(docs, distill, failures):
+                for v in result.verdicts:
+                    write(_verdict_record(result.chunkset.doc_id, v))
+                totals[0] += len(result.chunkset)
+                totals[1] += len(result.verdicts)
+                totals[2] += result.flagged
+                yield result.chunkset
+
+        distilled = save_chunksets(chunksets(), chunksets_tmp)
+        manifest = {
+            "documents": distilled + len(failures),
+            "distilled": distilled,
+            "failed": [doc_id for doc_id, _ in failures],
+            "chunks": totals[0],
+            "flagged_chunks": totals[2],
+            "flag_rate": totals[2] / totals[1] if totals[1] else 0.0,
+            "parameters": {
+                "max_window_tokens": params.max_window_tokens,
+                "flag_ratio": params.flag_ratio,
+            },
+        }
+        manifest_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                encoding="utf-8")
+    click.echo(f"distilled {distilled}/{manifest['documents']} docs, "
+               f"{totals[2]} flagged chunk(s)")
+    return failures
 
 
 @dataset_group.command("clean")
@@ -438,43 +431,27 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> None:
 def cmd_clean(config: RunConfig, corpus: str, generated: str, out: str) -> None:
     """Flag generated chunks whose edit distance to the source is too large."""
     docs = _load_docs(corpus)
-    records = []
-    flagged = 0
-    with open(generated, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{generated}: line {line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _echo_error(f"{where}: invalid JSON: {exc}")
-                sys.exit(1)
+    count = flagged = 0
+    with _report(out, {"flag_ratio": config.dataset.flag_ratio}) as write:
+        for where, record in read_jsonl(generated):
             if not (isinstance(record, dict) and isinstance(record.get("doc_id"), str)
                     and isinstance(record.get("chunks"), list)):
-                _echo_error(f"{where}: record needs a 'doc_id' and a 'chunks' list")
-                sys.exit(1)
+                raise CorpusFormatError(
+                    f"{where}: record needs a 'doc_id' and a 'chunks' list")
             doc = docs.get(record["doc_id"])
             if doc is None:
-                _echo_error(f"{where}: unknown doc id {record['doc_id']!r}")
-                sys.exit(1)
+                raise CorpusFormatError(f"{where}: unknown doc id {record['doc_id']!r}")
             for i, text in enumerate(record["chunks"]):
                 if not isinstance(text, str) or not text:
-                    _echo_error(f"{where}: chunk {i} is not a non-empty string")
-                    sys.exit(1)
+                    raise CorpusFormatError(
+                        f"{where}: chunk {i} is not a non-empty string")
                 verdict = detect_hallucination(
                     text, doc, index=i, flag_ratio=config.dataset.flag_ratio
                 )
                 flagged += int(verdict.flagged)
-                records.append({
-                    "doc_id": doc.id, "chunk": i,
-                    "distance": verdict.min_edit_distance,
-                    "threshold": verdict.threshold,
-                    "flagged": verdict.flagged,
-                    "span": [verdict.start, verdict.end],
-                })
-    _write_report(out, {"flag_ratio": config.dataset.flag_ratio}, records)
-    click.echo(f"checked {len(records)} chunk(s), {flagged} flagged")
+                count += 1
+                write(_verdict_record(doc.id, verdict))
+    click.echo(f"checked {count} chunk(s), {flagged} flagged")
 
 
 @dataset_group.command("rules")
@@ -490,24 +467,23 @@ def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
     """Turn chunk sets into anchor+placeholder rule lists."""
     config = override(config, dataset={"anchor_len": anchor_len,
                                        "placeholder": placeholder})
-    docs = _load_docs(corpus)
-    records = []
-    for cs in load_chunksets(chunksets_path, docs):
-        rule_list = make_rules(cs, anchor_len=config.dataset.anchor_len,
-                               placeholder=config.dataset.placeholder)
-        records.append({
-            "doc_id": cs.doc_id,
-            "label": label_granularity(cs).value,
-            "rules": [
-                {"prefix": r.prefix, "placeholder": r.placeholder,
-                 "suffix": r.suffix}
-                for r in rule_list.rules
-            ],
-            "raw": rule_list.raw,
-        })
-    _write_report(out, {"anchor_len": config.dataset.anchor_len,
-                        "placeholder": config.dataset.placeholder}, records)
-    click.echo(f"wrote rules for {len(records)} doc(s)")
+    chunksets = load_chunksets(chunksets_path, _load_docs(corpus))
+    with _report(out, {"anchor_len": config.dataset.anchor_len,
+                       "placeholder": config.dataset.placeholder}) as write:
+        for cs in chunksets:
+            rule_list = make_rules(cs, anchor_len=config.dataset.anchor_len,
+                                   placeholder=config.dataset.placeholder)
+            write({
+                "doc_id": cs.doc_id,
+                "label": label_granularity(cs).value,
+                "rules": [
+                    {"prefix": r.prefix, "placeholder": r.placeholder,
+                     "suffix": r.suffix}
+                    for r in rule_list.rules
+                ],
+                "raw": rule_list.raw,
+            })
+    click.echo(f"wrote rules for {len(chunksets)} doc(s)")
 
 
 @dataset_group.command("label")
@@ -517,16 +493,12 @@ def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
 @click.option("--out", required=True, type=click.Path())
 def cmd_label(corpus: str, chunksets_path: str, out: str) -> None:
     """Assign granularity labels from mean chunk lengths."""
-    docs = _load_docs(corpus)
-    records = []
-    for cs in load_chunksets(chunksets_path, docs):
-        records.append({
-            "doc_id": cs.doc_id,
-            "label": label_granularity(cs).value,
-            "mean_length": round(cs.mean_length(), 2),
-        })
-    _write_report(out, {}, records)
-    click.echo(f"labeled {len(records)} doc(s)")
+    chunksets = load_chunksets(chunksets_path, _load_docs(corpus))
+    with _report(out, {}) as write:
+        for cs in chunksets:
+            write({"doc_id": cs.doc_id, "label": label_granularity(cs).value,
+                   "mean_length": round(cs.mean_length(), 2)})
+    click.echo(f"labeled {len(chunksets)} doc(s)")
 
 
 @dataset_group.command("emit")
@@ -557,8 +529,7 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
     try:
         manifest = emit_training_sets(samples, out_dir)
     except ValueError as exc:
-        _echo_error(str(exc))
-        sys.exit(1)
+        raise ChunkKitError(str(exc)) from exc
     click.echo(f"emitted {manifest['total_samples']} sample(s) "
                f"(router {manifest['router_count']}, "
                f"experts {manifest['expert_counts']})")

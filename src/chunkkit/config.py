@@ -2,12 +2,13 @@
 
 JSON or YAML by extension. Every key can be overridden by a CLI flag of the
 same name; only endpoint secrets come from environment variables (via each
-backend's ``api_key_env``). Seeded randomness funnels through one root seed;
-consumers derive child seeds from it.
+backend's ``api_key_env``).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -94,7 +95,6 @@ class RunConfig:
     chunker: ChunkerParams = field(default_factory=ChunkerParams)
     dataset: DatasetParams = field(default_factory=DatasetParams)
     concurrency: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.concurrency < 1:
@@ -124,7 +124,7 @@ def load_config(path: str | Path) -> RunConfig:
 def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     known = {
         "scorer", "generator", "embedder", "router", "experts",
-        "metrics", "chunker", "dataset", "concurrency", "seed",
+        "metrics", "chunker", "dataset", "concurrency",
     }
     unknown = set(raw) - known
     if unknown:
@@ -167,7 +167,6 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         chunker=section("chunker", ChunkerParams),
         dataset=section("dataset", DatasetParams),
         concurrency=int(raw.get("concurrency", 1)),
-        seed=int(raw.get("seed", 0)),
     )
 
 
@@ -180,12 +179,24 @@ def _handle_from(options: Mapping[str, Any], role: str) -> BackendHandle:
     bad = set(options) - allowed
     if bad:
         raise ConfigError(f"unknown http options for {role!r}: {sorted(bad)}")
-    try:
-        return BackendHandle(**options)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid http backend {role!r}: {exc}") from exc
+    return BackendHandle(**options)
 
 
+def _options_checked(build):
+    """Report a backend constructor's ValueError or TypeError (an option of
+    the wrong type or out of range) as a ConfigError."""
+    default_role = inspect.signature(build).parameters["role"].default
+
+    @functools.wraps(build)
+    def checked(spec: BackendSpec, role: str = default_role):
+        try:
+            return build(spec, role)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {spec.kind} backend {role!r}: {exc}") from exc
+    return checked
+
+
+@_options_checked
 def build_scorer(spec: BackendSpec, role: str = "scorer"):
     if spec.kind == "http":
         return HttpScorer(_handle_from(spec.options, role))
@@ -204,11 +215,8 @@ def build_scorer(spec: BackendSpec, role: str = "scorer"):
             )
         return NGramScorer(order=order, corpus=texts, alphabet=alphabet)
     if spec.kind == "fixture":
-        table_path = spec.options.get("table")
-        if not table_path:
-            raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
         scorer = FixtureScorer()
-        for entry in _fixture_entries(table_path, role):
+        for entry in _fixture_entries(spec.options, role):
             scorer.add(
                 entry.get("text", ""),
                 entry.get("context"),
@@ -220,15 +228,13 @@ def build_scorer(spec: BackendSpec, role: str = "scorer"):
                       f"got {spec.kind!r}")
 
 
+@_options_checked
 def build_generator(spec: BackendSpec, role: str = "generator"):
     if spec.kind == "http":
         return HttpGenerator(_handle_from(spec.options, role))
     if spec.kind == "fixture":
-        table_path = spec.options.get("table")
-        if not table_path:
-            raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
         generator = FixtureGenerator(model=str(spec.options.get("model", "fixture")))
-        for entry in _fixture_entries(table_path, role):
+        for entry in _fixture_entries(spec.options, role):
             generator.add(
                 entry["prompt"], entry["response"],
                 entry.get("finish_reason", "stop"),
@@ -238,6 +244,7 @@ def build_generator(spec: BackendSpec, role: str = "generator"):
                       f"got {spec.kind!r}")
 
 
+@_options_checked
 def build_embedder(spec: BackendSpec, role: str = "embedder"):
     if spec.kind == "http":
         return HttpEmbedder(_handle_from(spec.options, role))
@@ -247,19 +254,18 @@ def build_embedder(spec: BackendSpec, role: str = "embedder"):
             ngram=int(spec.options.get("ngram", 3)),
         )
     if spec.kind == "fixture":
-        table_path = spec.options.get("table")
-        if not table_path:
-            raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
         embedder = FixtureEmbedder()
-        for entry in _fixture_entries(table_path, role):
+        for entry in _fixture_entries(spec.options, role):
             embedder.add(entry["text"], entry["vector"])
         return embedder
     raise ConfigError(f"embedder kind must be one of {_EMBEDDER_KINDS}, "
                       f"got {spec.kind!r}")
 
 
-def _fixture_entries(table_path: str, role: str) -> list[dict]:
-    path = Path(table_path)
+def _fixture_entries(options: Mapping[str, Any], role: str) -> list[dict]:
+    if not options.get("table"):
+        raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
+    path = Path(options["table"])
     if not path.exists():
         raise ConfigError(f"fixture table for {role!r} not found: {path}")
     try:

@@ -19,10 +19,10 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import prompts
-from .errors import RuleParseError, ScoringError
+from .errors import ExtractionError, RoutingError, RuleParseError, ScoringError
 from .fuzzy import best_substring_match
 from .rules import (
     DEFAULT_PLACEHOLDER,
@@ -39,6 +39,7 @@ from .text import (
     Document,
     SentencePolicy,
     split_sentences,
+    write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -48,13 +49,11 @@ _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 @dataclass(frozen=True)
 class Window:
-    """One sub-budget slice of a document; ``carried_prefix`` holds text
-    re-offered from the previous window by the chunk buffer."""
+    """One sub-budget slice of a document."""
 
     doc_id: str
     start: int
     end: int
-    carried_prefix: str = ""
 
     def __post_init__(self):
         if not (0 <= self.start < self.end):
@@ -111,27 +110,42 @@ def sliding_windows(
     return windows
 
 
-def apply_chunk_buffer(
-    prev_chunks: ChunkSet, next_window: Window
-) -> tuple[ChunkSet, Window]:
-    """Drop the last chunk of the preceding window and re-offer its text as
-    the next window's prefix. A single-chunk window is left intact (the only
-    chunk cannot be dropped) with a notice."""
-    if not prev_chunks.chunks:
-        raise ValueError("previous chunk set is empty")
-    if len(prev_chunks.chunks) == 1:
-        logger.warning(
-            "doc %s: single-chunk window, chunk buffer skipped",
-            prev_chunks.doc_id,
-        )
-        return prev_chunks, next_window
-    dropped = prev_chunks.chunks[-1]
-    trimmed = ChunkSet(
-        doc_id=prev_chunks.doc_id,
-        chunks=prev_chunks.chunks[:-1],
-        method=prev_chunks.method,
-    )
-    return trimmed, replace(next_window, carried_prefix=dropped.text)
+_WINDOW_FAULTS = (RoutingError, RuleParseError, ExtractionError, ScoringError)
+
+
+def windowed_chunk(
+    doc: Document,
+    windows: Sequence[Window],
+    per_window: Callable[[str, int], list[tuple[int, int]]],
+) -> tuple[list[tuple[int, int]], int]:
+    """Chunk a document window by window, stitched with the chunk buffer.
+
+    ``per_window(region, offset)`` returns the document spans it finds in
+    ``region = doc.text[offset:window.end]``. The first region starts at 0.
+    Unless the window is the last or gave a single span, its last span is
+    dropped and the next region starts where that span began, so the next
+    window sees the dropped text again. A window whose ``per_window`` raises
+    a routing, parse, extraction or backend error contributes no spans, is
+    logged, and the next region starts at its end. Returns the kept spans
+    and the number of failed windows.
+    """
+    spans: list[tuple[int, int]] = []
+    region_start = 0
+    failed = 0
+    for wi, window in enumerate(windows):
+        try:
+            found = per_window(doc.text[region_start:window.end], region_start)
+        except _WINDOW_FAULTS as exc:
+            logger.warning("doc %s window %d failed: %s", doc.id, wi, exc)
+            failed += 1
+            region_start = window.end
+            continue
+        if wi < len(windows) - 1 and len(found) > 1:
+            region_start = found.pop()[0]
+        else:
+            region_start = window.end
+        spans.extend(found)
+    return spans, failed
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +362,14 @@ def emit_training_sets(
 
     expert_counts = {}
     for label in GranularityLabel:
-        bucket = [s for s in chunker if s.label == label]
-        path = out_dir / f"expert_{label.value}.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for s in bucket:
-                fh.write(json.dumps(
-                    {"doc_id": s.doc_id, "prompt": s.prompt, "target": s.target},
-                    ensure_ascii=False, sort_keys=True,
-                ))
-                fh.write("\n")
-        expert_counts[str(label.value)] = len(bucket)
-
-    router_path = out_dir / "router.jsonl"
-    with router_path.open("w", encoding="utf-8") as fh:
-        for s in router:
-            fh.write(json.dumps(
-                {"doc_id": s.doc_id, "text": s.text, "label": s.label.value},
-                ensure_ascii=False, sort_keys=True,
-            ))
-            fh.write("\n")
+        expert_counts[str(label.value)] = write_jsonl((
+            {"doc_id": s.doc_id, "prompt": s.prompt, "target": s.target}
+            for s in chunker if s.label == label
+        ), out_dir / f"expert_{label.value}.jsonl")
+    write_jsonl((
+        {"doc_id": s.doc_id, "text": s.text, "label": s.label.value}
+        for s in router
+    ), out_dir / "router.jsonl")
 
     warnings = [
         f"expert bucket {label} is empty"
@@ -430,48 +433,28 @@ def distill_document(
     order, flag hallucinations, and stitch windows via the chunk buffer."""
     windows = sliding_windows(doc, max_tokens=max_window_tokens,
                               chars_per_token=chars_per_token)
-    spans: list[tuple[int, int]] = []
     verdicts: list[CleaningVerdict] = []
-    region_start = 0
-    failed = 0
-    chunk_counter = 0
-    for wi, window in enumerate(windows):
-        last_window = wi == len(windows) - 1
-        region = doc.text[region_start:window.end]
+
+    def per_window(region: str, offset: int) -> list[tuple[int, int]]:
         prompt = prompts.render(prompt_template, text=region)
-        try:
-            generation = generator.generate(prompt, params or GenerationParams())
-            chunk_texts = parse_tagged_chunks(generation.text)
-        except (ScoringError, RuleParseError) as exc:
-            logger.warning("doc %s window %d failed: %s", doc.id, wi, exc)
-            failed += 1
-            region_start = window.end
-            continue
-        window_spans: list[tuple[int, int]] = []
-        cursor = region_start
-        for text in chunk_texts:
-            text = text.strip()
+        generation = generator.generate(prompt, params or GenerationParams())
+        spans = []
+        cursor = offset
+        for text in parse_tagged_chunks(generation.text):
             verdict = detect_hallucination(
-                text, doc, index=chunk_counter,
+                text.strip(), doc, index=len(verdicts),
                 search_from=min(cursor, len(doc.text) - 1),
                 flag_ratio=flag_ratio,
             )
-            chunk_counter += 1
             verdicts.append(verdict)
-            if verdict.flagged or verdict.start >= verdict.end:
-                continue
-            window_spans.append((verdict.start, verdict.end))
-            cursor = verdict.end
-        if not last_window and len(window_spans) > 1:
-            dropped = window_spans.pop()
-            region_start = dropped[0]
-        else:
-            region_start = window.end
-        spans.extend(window_spans)
+            if not verdict.flagged and verdict.start < verdict.end:
+                spans.append((verdict.start, verdict.end))
+                cursor = verdict.end
+        return spans
 
-    chunkset = ChunkSet.from_spans(doc, spans, method="distilled")
+    spans, failed = windowed_chunk(doc, windows, per_window)
     return DistillResult(
-        chunkset=chunkset,
+        chunkset=ChunkSet.from_spans(doc, spans, method="distilled"),
         verdicts=verdicts,
         window_count=len(windows),
         failed_windows=failed,

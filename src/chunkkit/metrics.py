@@ -244,7 +244,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 # Corpus-level evaluation reports
 # ---------------------------------------------------------------------------
 
-KNOWN_METRICS = ("bc", "cs_c", "cs_i", "ds", "cp")
+#: Each metric and the backend role it needs.
+METRIC_BACKENDS = {"bc": "scorer", "cs_c": "scorer", "cs_i": "scorer",
+                   "ds": "embedder", "cp": "scorer"}
 
 
 @dataclass
@@ -297,15 +299,14 @@ def evaluate_chunksets(
     the reference answer from ``doc.meta[answer_key]`` and scores it against
     the document's own chunks, skipping documents without one.
     """
-    unknown = [m for m in metrics if m not in KNOWN_METRICS]
+    unknown = [m for m in metrics if m not in METRIC_BACKENDS]
     if unknown:
-        raise ValueError(f"unknown metrics: {unknown}; known: {KNOWN_METRICS}")
-    needs_scorer = {"bc", "cs_c", "cs_i", "cp"}
-    if scorer is None and any(m in needs_scorer for m in metrics):
-        raise ValueError("these metrics need a scorer: "
-                         f"{sorted(needs_scorer & set(metrics))}")
-    if embedder is None and "ds" in metrics:
-        raise ValueError("the ds metric needs an embedder")
+        raise ValueError(f"unknown metrics: {unknown}; known: {tuple(METRIC_BACKENDS)}")
+    backends = {"scorer": scorer, "embedder": embedder}
+    missing = {m: METRIC_BACKENDS[m] for m in metrics
+               if backends[METRIC_BACKENDS[m]] is None}
+    if missing:
+        raise ValueError(f"metrics need backends that were not given: {missing}")
     orphans = [cs.doc_id for cs in chunksets if cs.doc_id not in documents]
     if orphans:
         raise ValueError(f"chunk sets reference unknown documents: {orphans}")

@@ -9,12 +9,11 @@ window is dropped and its text re-offered to the next window).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import prompts
-from .dataset import sliding_windows
+from .dataset import sliding_windows, windowed_chunk
 from .errors import (
     AnchorNotFoundError,
     ExtractionError,
@@ -31,8 +30,6 @@ from .rules import (
 )
 from .scoring import GenerationParams, Generator, Scorer
 from .text import ChunkSet, Document
-
-logger = logging.getLogger(__name__)
 
 
 def route(
@@ -221,35 +218,20 @@ def moc_chunk(
     windows = sliding_windows(doc, max_tokens=max_window_tokens,
                               chars_per_token=chars_per_token)
     reports: list[ExtractionReport] = []
-    all_spans: list[tuple[int, int]] = []
-    region_start = 0
-    failures = 0
-    for wi, window in enumerate(windows):
-        last_window = wi == len(windows) - 1
-        region = doc.text[region_start:window.end]
-        try:
-            label = route(region, router, prompt_template=router_prompt)
-            rule_list = generate_rules(
-                region, label, experts[label], placeholder=placeholder,
-                params=params, prompt_template=expert_prompt,
-            )
-            spans, report = _extract_spans(
-                region, rule_list, max_ratio, doc.id, base_offset=region_start
-            )
-        except (RoutingError, RuleParseError, ExtractionError, ScoringError) as exc:
-            logger.warning("doc %s window %d failed: %s", doc.id, wi, exc)
-            failures += 1
-            region_start = window.end
-            continue
-        reports.append(report)
-        if not last_window and len(spans) > 1:
-            # chunk buffer: re-offer the final chunk's text to the next window
-            dropped = spans.pop()
-            region_start = dropped[0]
-        else:
-            region_start = window.end
-        all_spans.extend(spans)
 
-    if failures == len(windows):
+    def per_window(region: str, offset: int) -> list[tuple[int, int]]:
+        label = route(region, router, prompt_template=router_prompt)
+        rule_list = generate_rules(
+            region, label, experts[label], placeholder=placeholder,
+            params=params, prompt_template=expert_prompt,
+        )
+        spans, report = _extract_spans(
+            region, rule_list, max_ratio, doc.id, base_offset=offset
+        )
+        reports.append(report)
+        return spans
+
+    spans, failed = windowed_chunk(doc, windows, per_window)
+    if failed == len(windows):
         raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
-    return ChunkSet.from_spans(doc, all_spans, method="moc"), reports
+    return ChunkSet.from_spans(doc, spans, method="moc"), reports

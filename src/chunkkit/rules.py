@@ -39,8 +39,7 @@ class GranularityLabel(IntEnum):
 
     @property
     def interval(self) -> tuple[float, float]:
-        bounds = _LABEL_BOUNDS[self.value]
-        return bounds
+        return _LABEL_BOUNDS[self.value]
 
 
 _LABEL_BOUNDS = {
@@ -55,13 +54,8 @@ def label_for_mean(mean_len: float) -> GranularityLabel:
     """Map a mean chunk length onto its granularity label (right-closed)."""
     if mean_len <= 0:
         raise ValueError(f"mean length must be positive, got {mean_len}")
-    if mean_len <= 120:
-        return GranularityLabel.FINE
-    if mean_len <= 150:
-        return GranularityLabel.MEDIUM
-    if mean_len <= 180:
-        return GranularityLabel.COARSE
-    return GranularityLabel.BROAD
+    return next((label for label in GranularityLabel
+                 if mean_len <= label.interval[1]), GranularityLabel.BROAD)
 
 
 @dataclass(frozen=True)

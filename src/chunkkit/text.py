@@ -254,6 +254,21 @@ def split_sentences(
 # Corpus and chunk-set IO
 # ---------------------------------------------------------------------------
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
+    """``(where, record)`` for each non-blank line of a JSON-lines file, where
+    ``where`` reads ``<path>: line N``; invalid JSON is a CorpusFormatError."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
+            yield where, record
+
+
 def load_corpus(path: str | Path) -> Iterator[Document]:
     """Stream documents from a JSONL corpus file.
 
@@ -261,78 +276,52 @@ def load_corpus(path: str | Path) -> Iterator[Document]:
     for duplicate detection). Raises :class:`CorpusFormatError` naming the
     offending line on malformed records or duplicate ids.
     """
-    path = Path(path)
+    seen: set[str] = set()
+    for where, record in read_jsonl(Path(path)):
+        if not isinstance(record, dict) or "id" not in record \
+                or "text" not in record:
+            raise CorpusFormatError(f"{where}: record needs 'id' and 'text'")
+        doc_id = record["id"]
+        if doc_id in seen:
+            raise CorpusFormatError(f"{where}: duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        try:
+            yield Document(
+                id=doc_id,
+                text=record["text"],
+                meta=record.get("meta") or {},
+            )
+        except (ValueError, TypeError) as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
 
-    def _records() -> Iterator[Document]:
-        seen: set[str] = set()
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: invalid JSON: {exc}"
-                    ) from exc
-                if not isinstance(record, dict) or "id" not in record \
-                        or "text" not in record:
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: record needs 'id' and 'text'"
-                    )
-                doc_id = record["id"]
-                if doc_id in seen:
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: duplicate document id {doc_id!r}"
-                    )
-                seen.add(doc_id)
-                try:
-                    yield Document(
-                        id=doc_id,
-                        text=record["text"],
-                        meta=record.get("meta") or {},
-                    )
-                except (ValueError, TypeError) as exc:
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: {exc}"
-                    ) from exc
 
-    return _records()
+def write_jsonl(records: Iterable[dict], path: str | Path) -> int:
+    """Write records as JSON lines (keys sorted). Returns how many."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            count += 1
+    return count
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> int:
     """Write documents as JSONL. Returns the number of records written."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            record: dict = {"id": doc.id, "text": doc.text}
-            if doc.meta:
-                record["meta"] = dict(doc.meta)
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl((
+        {"id": doc.id, "text": doc.text,
+         **({"meta": dict(doc.meta)} if doc.meta else {})}
+        for doc in docs
+    ), path)
 
 
 def save_chunksets(chunksets: Iterable[ChunkSet], path: str | Path) -> int:
     """Write chunk sets as JSONL records of offsets (no chunk text)."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for cs in chunksets:
-            record = {
-                "doc_id": cs.doc_id,
-                "method": cs.method,
-                "chunks": [
-                    {"index": c.index, "start": c.start, "end": c.end}
-                    for c in cs.chunks
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_jsonl((
+        {"doc_id": cs.doc_id, "method": cs.method,
+         "chunks": [{"index": c.index, "start": c.start, "end": c.end}
+                    for c in cs.chunks]}
+        for cs in chunksets
+    ), path)
 
 
 def load_chunksets(
@@ -344,35 +333,21 @@ def load_chunksets(
     if not isinstance(documents, Mapping):
         documents = {d.id: d for d in documents}
     out: list[ChunkSet] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: invalid JSON: {exc}"
-                ) from exc
-            try:
-                doc_id = record["doc_id"]
-                method = record["method"]
-                chunk_records = record["chunks"]
-            except (KeyError, TypeError) as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: record needs "
-                    "'doc_id', 'method' and 'chunks'"
-                ) from exc
-            doc = documents.get(doc_id)
-            if doc is None:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: unknown document id {doc_id!r}"
-                )
-            try:
-                spans = [(c["start"], c["end"]) for c in chunk_records]
-                out.append(ChunkSet.from_spans(doc, spans, method))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: {exc}"
-                ) from exc
+    for where, record in read_jsonl(path):
+        try:
+            doc_id = record["doc_id"]
+            method = record["method"]
+            chunk_records = record["chunks"]
+        except (KeyError, TypeError) as exc:
+            raise CorpusFormatError(
+                f"{where}: record needs 'doc_id', 'method' and 'chunks'"
+            ) from exc
+        doc = documents.get(doc_id)
+        if doc is None:
+            raise CorpusFormatError(f"{where}: unknown document id {doc_id!r}")
+        try:
+            spans = [(c["start"], c["end"]) for c in chunk_records]
+            out.append(ChunkSet.from_spans(doc, spans, method))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
     return out

@@ -162,3 +162,51 @@ class TestConcurrencyBound:
             t.join()
         assert not errors
         assert len(results) == 8
+
+
+class _CannedResponse:
+    """What ``requests.Session.post`` returns, reduced to the parts used."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.body
+
+
+def canned(client, body):
+    client._session.post = lambda *args, **kwargs: _CannedResponse(body)
+    return client
+
+
+class TestMalformedReplies:
+    """Replies are checked without a server: ``_session.post`` is stubbed."""
+
+    CALLS = {
+        "score": (HttpScorer, lambda c: c.score("abc")),
+        "generate": (HttpGenerator, lambda c: c.generate("a prompt")),
+        "embed": (HttpEmbedder, lambda c: c.embed_many(["abc"])),
+    }
+
+    @pytest.mark.parametrize("body", [[], "text", 3, None],
+                             ids=["list", "string", "number", "null"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_body_not_an_object_is_protocol_error(self, call, body):
+        cls, invoke = self.CALLS[call]
+        client = canned(cls(handle("http://127.0.0.1:9")), body)
+        with pytest.raises(ProtocolError, match="not a JSON object"):
+            invoke(client)
+
+    def test_nan_logprob_is_protocol_error(self):
+        scorer = canned(HttpScorer(handle("http://127.0.0.1:9")),
+                        {"tokens": ["a", "b"], "logprobs": [-1.0, float("nan")]})
+        with pytest.raises(ProtocolError, match="NaN"):
+            scorer.score("ab")
+
+    def test_well_formed_reply_still_scores(self):
+        scorer = canned(HttpScorer(handle("http://127.0.0.1:9")),
+                        {"tokens": ["a", "b"], "logprobs": [-1.0, 0.5]})
+        assert scorer.score("ab").logprobs == (-1.0, 0.0)

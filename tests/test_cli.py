@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
-from chunkkit import prompts
+from chunkkit import cli, prompts
 from chunkkit.cli import main
-from chunkkit.text import load_chunksets, save_corpus
+from chunkkit.text import ChunkSet, load_chunksets, save_chunksets, save_corpus
 
 from conftest import make_doc, random_text
 
@@ -472,3 +473,130 @@ class TestReproducibility:
             assert result.exit_code == 0, result.output
             bodies.append(out.read_text().splitlines()[1:])
         assert bodies[0] == bodies[1]
+
+
+def two_chunk_docs(tmp_path, ids):
+    """Documents of two sentence chunks each, with their chunk-set file."""
+    docs = [make_doc(f"Alpha {i} opens here. Beta {i} closes there.", i) for i in ids]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+    chunksets = tmp_path / "chunks.jsonl"
+    save_chunksets([ChunkSet.from_spans(d, [(0, 20), (21, len(d.text))], "fixed")
+                    for d in docs], chunksets)
+    return docs, corpus, str(chunksets)
+
+
+def errors_of(result) -> list[str]:
+    return [ln for ln in result.output.splitlines() if ln.startswith("error:")]
+
+
+class TestPerDocumentFailures:
+    def test_eval_writes_the_other_rows_and_the_aggregate(self, runner, tmp_path):
+        docs, corpus, chunksets = two_chunk_docs(tmp_path, ["d0", "d1", "d2"])
+        entries = []
+        for doc in docs:
+            if doc.id == "d1":
+                continue  # scoring d1 fails: no fixture for its chunks
+            first, second = doc.text[:20], doc.text[21:]
+            entries += [{"text": second, "logprobs": [-2.0, -2.0]},
+                        {"text": second, "context": first, "logprobs": [-1.0, -1.0]}]
+        (tmp_path / "scores.json").write_text(json.dumps({"entries": entries}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {
+            "kind": "fixture", "table": str(tmp_path / "scores.json")}}))
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", chunksets, "--metrics", "bc", "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = errors_of(result)
+        assert len(errors) == 1 and errors[0].startswith("error: doc d1: no fixture")
+        _, records = read_report(out)
+        bc = math.exp(1.0) / math.exp(2.0)
+        assert records == [{"doc_id": "d0", "bc": pytest.approx(bc)},
+                           {"doc_id": "d2", "bc": pytest.approx(bc)},
+                           {"doc_id": "__aggregate__", "bc": pytest.approx(bc)}]
+
+
+class TestConfigErrorsExitTwo:
+    @pytest.mark.parametrize("command,config", [
+        ("eval", {"scorer": {"kind": "fixture"}}),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": 0}}),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": "two"}}),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab"},
+                  "embedder": {"kind": "hash", "dim": 1}}),
+        ("distill", {"generator": {"kind": "fixture", "table": "missing.json"}}),
+        ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}),
+    ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
+            "hash-dim-1", "distill-table-missing", "hash-ngram-list"])
+    def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = {
+            "eval": ["eval", "--chunksets", chunksets, "--metrics", "bc,ds"],
+            "distill": ["dataset", "distill", "--out-dir", str(tmp_path / "d")],
+            "semantic": ["chunk", "--method", "semantic",
+                         "--out", str(tmp_path / "o.jsonl")],
+        }[command]
+        result = runner.invoke(main, ["--config", str(path), *args, "--corpus", corpus])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert len(errors_of(result)) == 1, result.output
+
+
+class TestOutputsReplacedWhole:
+    @pytest.fixture
+    def old_outputs(self, tmp_path):
+        out, report = tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        out.write_text("old chunk sets\n")
+        report.write_text("old report\n")
+        return out, report
+
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, RuntimeError])
+    def test_fault_mid_run_keeps_old_outputs(self, runner, tmp_path, monkeypatch,
+                                             old_outputs, fault):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1", "d2"])
+        calls = []
+
+        def chunk_fixed(doc, target_len):
+            calls.append(doc.id)
+            if len(calls) == 2:
+                raise fault("stopped on the second document")
+            return ChunkSet.from_spans(doc, [(0, len(doc.text))], "fixed")
+
+        monkeypatch.setattr("chunkkit.cli.chunk_fixed", chunk_fixed)
+        out, report = old_outputs
+        result = runner.invoke(main, ["chunk", "--corpus", corpus, "--out", str(out),
+                                      "--method", "fixed", "--report", str(report)])
+        assert result.exit_code != 0
+        assert calls == ["d0", "d1"]
+        assert out.read_text() == "old chunk sets\n"
+        assert report.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunks.jsonl", "corpus.jsonl", "out.jsonl", "report.jsonl"]
+
+    def test_unwritable_report_keeps_old_chunk_sets(self, runner, tmp_path,
+                                                    old_outputs):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
+        out, _ = old_outputs
+        result = runner.invoke(main, [
+            "chunk", "--corpus", corpus, "--out", str(out), "--method", "fixed",
+            "--report", str(tmp_path / "no-such-dir" / "report.jsonl"),
+        ])
+        assert result.exit_code != 0
+        assert out.read_text() == "old chunk sets\n"
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_chunk_reads_the_corpus_once(self, runner, tmp_path, monkeypatch):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
+        reads = []
+        real = cli.load_corpus
+        monkeypatch.setattr("chunkkit.cli.load_corpus",
+                            lambda path: reads.append(path) or real(path))
+        result = runner.invoke(main, ["chunk", "--corpus", corpus, "--out",
+                                      str(tmp_path / "o.jsonl"), "--method", "fixed",
+                                      "--calibrate-avg", "20"])
+        assert result.exit_code == 0, result.output
+        assert reads == [corpus]

@@ -37,13 +37,11 @@ class TestLoadConfig:
         path.write_text(json.dumps({
             "metrics": {"k": 0.7, "graph": "sequence", "delta": 1},
             "concurrency": 3,
-            "seed": 9,
         }))
         config = load_config(path)
         assert config.metrics.k == 0.7
         assert config.metrics.graph == "sequence"
         assert config.concurrency == 3
-        assert config.seed == 9
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -78,6 +76,21 @@ class TestLoadConfig:
                                            str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "unknown keys in 'chunker'" in result.output
+
+    def test_removed_seed_is_unknown(self, tmp_path):
+        # nothing is random, so there is no root seed to set
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 9}))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(path)
+        result = CliRunner().invoke(main, ["--config", str(path), "chunk", "--corpus",
+                                           str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: unknown config keys: ['seed']")
+        result = CliRunner().invoke(main, ["--seed", "9", "chunk", "--corpus",
+                                           str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "No such option '--seed'" in result.output
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError, match="k must be in"):

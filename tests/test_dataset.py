@@ -10,7 +10,6 @@ from chunkkit.dataset import (
     ChunkerSample,
     RouterSample,
     Window,
-    apply_chunk_buffer,
     detect_hallucination,
     distill_document,
     emit_training_sets,
@@ -19,8 +18,9 @@ from chunkkit.dataset import (
     parse_tagged_chunks,
     shape_router_texts,
     sliding_windows,
+    windowed_chunk,
 )
-from chunkkit.errors import RuleParseError
+from chunkkit.errors import ExtractionError, RoutingError, RuleParseError, ScoringError
 from chunkkit.moc import extract_chunks
 from chunkkit.rules import GranularityLabel
 from chunkkit.scoring import FixtureGenerator
@@ -82,31 +82,61 @@ class TestSlidingWindows:
         assert max(len(w) for w in windows) <= 200
 
 
-class TestApplyChunkBuffer:
-    def test_last_chunk_moves_to_prefix(self):
-        doc = make_doc("aaa bbb ccc")
-        prev = ChunkSet.from_spans(doc, [(0, 3), (4, 7), (8, 11)], method="t")
-        nxt = Window(doc_id="d", start=11, end=20)
-        trimmed, augmented = apply_chunk_buffer(prev, nxt)
-        assert [c.text for c in trimmed.chunks] == ["aaa", "bbb"]
-        assert augmented.carried_prefix == "ccc"
+class TestWindowedChunk:
+    """The chunk buffer and per-window failures of ``windowed_chunk``."""
 
-    def test_single_chunk_skipped_with_notice(self, caplog):
-        doc = make_doc("only chunk")
-        prev = ChunkSet.from_spans(doc, [(0, 10)], method="t")
-        nxt = Window(doc_id="d", start=10, end=20)
+    DOC = make_doc("aaa bbb ccc ddd eee fff")
+    WINDOWS = [Window("doc", 0, 12), Window("doc", 12, 23)]
+
+    def run(self, answers):
+        calls = []
+
+        def per_window(region, offset):
+            calls.append((region, offset))
+            answer = answers[len(calls) - 1]
+            if isinstance(answer, Exception):
+                raise answer
+            return list(answer)
+
+        spans, failed = windowed_chunk(self.DOC, self.WINDOWS, per_window)
+        return spans, failed, calls
+
+    def test_last_span_re_offered_to_next_window(self):
+        spans, failed, calls = self.run([[(0, 3), (4, 7), (8, 11)],
+                                         [(8, 11), (12, 15)]])
+        assert calls[1] == ("ccc ddd eee fff", 8)
+        assert spans == [(0, 3), (4, 7), (8, 11), (12, 15)]
+        assert failed == 0
+
+    def test_single_span_window_kept_whole(self):
+        spans, _, calls = self.run([[(0, 11)], [(12, 23)]])
+        assert calls[1] == ("ddd eee fff", 12)
+        assert spans == [(0, 11), (12, 23)]
+
+    def test_window_without_spans_advances(self):
+        spans, _, calls = self.run([[], [(12, 23)]])
+        assert calls[1] == ("ddd eee fff", 12)
+        assert spans == [(12, 23)]
+
+    def test_last_window_keeps_all_spans(self):
+        spans, _, _ = self.run([[(0, 11)], [(12, 15), (16, 19), (20, 23)]])
+        assert spans == [(0, 11), (12, 15), (16, 19), (20, 23)]
+
+    @pytest.mark.parametrize("fault", [
+        RoutingError("no label"), RuleParseError("bad list"),
+        ExtractionError("too many misses"), ScoringError("backend down"),
+    ], ids=["routing", "parse", "extraction", "scoring"])
+    def test_failed_window_advances_to_its_end(self, fault, caplog):
         with caplog.at_level("WARNING"):
-            trimmed, augmented = apply_chunk_buffer(prev, nxt)
-        assert trimmed == prev
-        assert augmented.carried_prefix == ""
-        assert "buffer skipped" in caplog.text
+            spans, failed, calls = self.run([fault, [(12, 15), (16, 23)]])
+        assert calls[1] == ("ddd eee fff", 12)
+        assert spans == [(12, 15), (16, 23)]
+        assert failed == 1
+        assert "window 0 failed" in caplog.text
 
-    def test_empty_chunkset_rejected(self):
+    def test_other_errors_propagate(self):
         with pytest.raises(ValueError):
-            apply_chunk_buffer(
-                ChunkSet(doc_id="d", chunks=(), method="t"),
-                Window(doc_id="d", start=0, end=5),
-            )
+            self.run([ValueError("a bug, not a window fault")])
 
 
 class TestDetectHallucination:

@@ -245,6 +245,14 @@ class TestMocChunk:
         with pytest.raises(ExtractionError):
             moc_chunk(doc, router, experts)
 
+    def test_every_window_of_many_failing_raises(self):
+        doc = make_doc(" ".join(f"sentence {i} ends here." for i in range(12)))
+        assert len(sliding_windows(doc, max_tokens=60)) > 2
+        router = FixtureScorer()  # empty: routing fails in every window
+        experts = {lab: FixtureGenerator() for lab in GranularityLabel}
+        with pytest.raises(ExtractionError, match="all .* windows failed"):
+            moc_chunk(doc, router, experts, max_window_tokens=60)
+
     def test_two_window_buffer_no_duplicates(self):
         # straddle: last chunk of window 1 is re-offered to window 2
         sentences = [f"w{i} body text charges ahead plainly." for i in range(8)]

@@ -1,0 +1,273 @@
+"""Pins the shared window loop against the per-pipeline loops it replaced.
+
+``reference_moc_chunk`` and ``reference_distill`` are the window loops that
+``moc_chunk`` and ``distill_document`` each carried before both moved onto
+``dataset.windowed_chunk``. Random documents, window budgets and injected
+window faults (routing, parse, extraction, backend) must give the same
+spans, extraction reports, verdicts and failed-window counts.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chunkkit import prompts
+from chunkkit.dataset import (
+    CleaningVerdict,
+    detect_hallucination,
+    distill_document,
+    parse_tagged_chunks,
+    sliding_windows,
+)
+from chunkkit.errors import (
+    ExtractionError,
+    FixtureMissingError,
+    RoutingError,
+    RuleParseError,
+    ScoringError,
+)
+from chunkkit.moc import (
+    ExtractionReport,
+    _extract_spans,
+    generate_rules,
+    moc_chunk,
+    route,
+)
+from chunkkit.rules import DEFAULT_PLACEHOLDER, GranularityLabel
+from chunkkit.scoring import (
+    FixtureGenerator,
+    FixtureScorer,
+    GenerationParams,
+    GenerationResult,
+    ScoredText,
+)
+from chunkkit.text import ChunkSet, Document, split_sentences
+
+from conftest import random_word
+
+FAULTS = ("routing", "parse", "extraction", "backend")
+
+
+# -- the loops as they were ---------------------------------------------------
+
+def reference_moc_chunk(doc, router, experts, max_window_tokens, max_ratio=0.5):
+    experts = {GranularityLabel(int(k)): v for k, v in experts.items()}
+    windows = sliding_windows(doc, max_tokens=max_window_tokens)
+    reports: list[ExtractionReport] = []
+    all_spans: list[tuple[int, int]] = []
+    region_start = 0
+    failures = 0
+    for wi, window in enumerate(windows):
+        last_window = wi == len(windows) - 1
+        region = doc.text[region_start:window.end]
+        try:
+            label = route(region, router)
+            rule_list = generate_rules(region, label, experts[label])
+            spans, report = _extract_spans(
+                region, rule_list, max_ratio, doc.id, base_offset=region_start
+            )
+        except (RoutingError, RuleParseError, ExtractionError, ScoringError):
+            failures += 1
+            region_start = window.end
+            continue
+        reports.append(report)
+        if not last_window and len(spans) > 1:
+            dropped = spans.pop()
+            region_start = dropped[0]
+        else:
+            region_start = window.end
+        all_spans.extend(spans)
+    if failures == len(windows):
+        raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
+    return ChunkSet.from_spans(doc, all_spans, method="moc"), reports
+
+
+def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
+    windows = sliding_windows(doc, max_tokens=max_window_tokens)
+    spans: list[tuple[int, int]] = []
+    verdicts: list[CleaningVerdict] = []
+    region_start = 0
+    failed = 0
+    chunk_counter = 0
+    for wi, window in enumerate(windows):
+        last_window = wi == len(windows) - 1
+        region = doc.text[region_start:window.end]
+        prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
+        try:
+            generation = generator.generate(prompt, GenerationParams())
+            chunk_texts = parse_tagged_chunks(generation.text)
+        except (ScoringError, RuleParseError):
+            failed += 1
+            region_start = window.end
+            continue
+        window_spans: list[tuple[int, int]] = []
+        cursor = region_start
+        for text in chunk_texts:
+            text = text.strip()
+            verdict = detect_hallucination(
+                text, doc, index=chunk_counter,
+                search_from=min(cursor, len(doc.text) - 1),
+                flag_ratio=flag_ratio,
+            )
+            chunk_counter += 1
+            verdicts.append(verdict)
+            if verdict.flagged or verdict.start >= verdict.end:
+                continue
+            window_spans.append((verdict.start, verdict.end))
+            cursor = verdict.end
+        if not last_window and len(window_spans) > 1:
+            dropped = window_spans.pop()
+            region_start = dropped[0]
+        else:
+            region_start = window.end
+        spans.extend(window_spans)
+    return (ChunkSet.from_spans(doc, spans, method="distilled"), verdicts,
+            len(windows), failed)
+
+
+# -- backends that answer from the region inside the prompt -------------------
+
+def _region_of(prompt: str, template: str, **slots: str) -> str:
+    head, tail = prompts.render(template, **slots).split("{text}")
+    assert prompt.startswith(head) and prompt.endswith(tail)
+    return prompt[len(head):len(prompt) - len(tail)]
+
+
+def _sentences(region: str) -> list[str]:
+    if not region.strip():
+        return []
+    return [region[s.start:s.end] for s in split_sentences(Document("r", region))]
+
+
+class _Faults:
+    """Which window (by its end offset) fails, and how."""
+
+    def __init__(self, doc: Document, windows, faults: dict[int, str]):
+        self.doc = doc
+        self.by_end = {windows[i].end: kind for i, kind in faults.items()
+                       if i < len(windows)}
+
+    def __call__(self, region: str) -> str | None:
+        for end, kind in self.by_end.items():
+            if self.doc.text[end - len(region):end] == region:
+                return kind
+        return None
+
+
+class AnsweringRouter(FixtureScorer):
+    def __init__(self, fault_of):
+        super().__init__()
+        self.fault_of = fault_of
+
+    def score(self, text: str, context: str | None = None) -> ScoredText:
+        region = _region_of(context, prompts.ROUTER_PROMPT)
+        if self.fault_of(region) == "routing":
+            raise FixtureMissingError("no label probabilities")
+        # a label the region's length picks, so experts differ by window
+        probs = {str(lab.value): 0.1 for lab in GranularityLabel}
+        probs[str(len(region) % 4)] = 0.7
+        return ScoredText(tokens=(text,), logprobs=(math.log(probs[text]),))
+
+
+class AnsweringExpert(FixtureGenerator):
+    """Anchor rules for the sentences inside the region."""
+
+    def generate(self, prompt, params=None):
+        region = _region_of(prompt, prompts.RULE_CHUNK_PROMPT,
+                            placeholder=DEFAULT_PLACEHOLDER)
+        kind = self.fault_of(region)
+        if kind == "backend":
+            raise FixtureMissingError("expert unavailable")
+        if kind == "parse":
+            return GenerationResult("no list here")
+        if kind == "extraction":
+            rules = ["qqqq[MASK]zzzz"] * 3
+        else:
+            rules = []
+            for text in map(str.strip, _sentences(region)):
+                rules.append(text if len(text) <= 12
+                             else f"{text[:5]}{DEFAULT_PLACEHOLDER}{text[-5:]}")
+        return GenerationResult(json.dumps(rules))
+
+
+class AnsweringDistiller(FixtureGenerator):
+    """Tagged sentence chunks for the region; every third one is garbled."""
+
+    def generate(self, prompt, params=None):
+        region = _region_of(prompt, prompts.DISTILL_PROMPT)
+        kind = self.fault_of(region)
+        if kind == "backend":
+            raise FixtureMissingError("generator unavailable")
+        if kind == "parse":
+            return GenerationResult("no tags here")
+        pieces = []
+        for i, text in enumerate(_sentences(region)):
+            if i % 3 == 2:
+                text = text.upper()[::-1]
+            pieces.append(f"<chunk>{text}</chunk>")
+        return GenerationResult("".join(pieces))
+
+
+def _document(seed: int, sentences: int, paragraph_every: int) -> Document:
+    rng = random.Random(seed)
+    parts = []
+    for i in range(sentences):
+        words = " ".join(random_word(rng) for _ in range(rng.randint(2, 9)))
+        sep = "\n\n" if paragraph_every and i and i % paragraph_every == 0 else " "
+        parts.append((sep if parts else "") + words.capitalize() + ".")
+    return Document(id=f"doc{seed}", text="".join(parts))
+
+
+cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 10_000),
+    "sentences": st.integers(1, 40),
+    "paragraph_every": st.integers(0, 6),
+    "budget": st.integers(30, 400),
+    "faults": st.dictionaries(st.integers(0, 6), st.sampled_from(FAULTS),
+                              max_size=4),
+})
+
+
+def _setup(case, expert_cls):
+    doc = _document(case["seed"], case["sentences"], case["paragraph_every"])
+    windows = sliding_windows(doc, max_tokens=case["budget"])
+    fault_of = _Faults(doc, windows, case["faults"])
+    backend = expert_cls()
+    backend.fault_of = fault_of
+    return doc, fault_of, backend
+
+
+@settings(max_examples=60)
+@given(case=cases)
+def test_moc_chunk_matches_reference_loop(case):
+    doc, fault_of, expert = _setup(case, AnsweringExpert)
+    experts = {lab: expert for lab in GranularityLabel}
+    router = AnsweringRouter(fault_of)
+    try:
+        expected = reference_moc_chunk(doc, router, experts, case["budget"])
+    except ExtractionError as exc:
+        with pytest.raises(ExtractionError, match=str(exc)):
+            moc_chunk(doc, router, experts, max_window_tokens=case["budget"])
+        return
+    cs, reports = moc_chunk(doc, router, experts, max_window_tokens=case["budget"])
+    assert cs == expected[0]
+    assert reports == expected[1]
+
+
+@settings(max_examples=60)
+@given(case=cases)
+def test_distill_document_matches_reference_loop(case):
+    doc, _, generator = _setup(case, AnsweringDistiller)
+    chunkset, verdicts, window_count, failed = reference_distill(
+        doc, generator, case["budget"])
+    result = distill_document(doc, generator, max_window_tokens=case["budget"])
+    assert result.chunkset == chunkset
+    assert result.verdicts == verdicts
+    assert [v.chunk_index for v in result.verdicts] == list(range(len(verdicts)))
+    assert (result.window_count, result.failed_windows) == (window_count, failed)
