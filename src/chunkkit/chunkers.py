@@ -9,13 +9,16 @@ per-document step that depends only on the document (its sentence spans,
 and for semantic chunking the adjacent-sentence similarities from one
 ``embed_many`` call) and a cheap step that cuts those at the size knob.
 Calibration runs the first step once per document and bisects over the
-second, so each sentence is split and embedded once per calibration.
+second. Its result keeps each document's first step, and
+:meth:`CalibrationResult.cut` cuts it at the chosen knob with the chunkers'
+own cut, so a calibrated run outputs calibration's own chunking: each
+sentence is split and embedded once per command.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .scoring import Embedder, cosine
@@ -55,11 +58,7 @@ class ChunkerConfig:
 
 def chunk_fixed(doc: Document, length: int) -> ChunkSet:
     """Segments of exactly ``length`` characters (last may be shorter)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    n = len(doc.text)
-    spans = [(i, min(i + length, n)) for i in range(0, n, length)]
-    return ChunkSet.from_spans(doc, spans, method="fixed")
+    return _cut(doc, "fixed", None, length)
 
 
 def chunk_boundary_aware(
@@ -77,17 +76,7 @@ def chunk_boundary_aware(
     up to ``overlap`` characters, so spans may overlap while starts stay
     strictly increasing.
     """
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    if not (0 <= overlap < target):
-        raise ValueError("overlap must satisfy 0 <= overlap < target")
-    spans, oversize = _pack_sentences(split_sentences(doc, policy), target, overlap)
-    if oversize:
-        logger.warning(
-            "doc %s: %d oversize single-sentence chunk(s) emitted whole: %s",
-            doc.id, len(oversize), oversize,
-        )
-    return ChunkSet.from_spans(doc, spans, method="boundary")
+    return _cut(doc, "boundary", split_sentences(doc, policy), target, overlap)
 
 
 def _pack_sentences(
@@ -143,10 +132,10 @@ def chunk_semantic(
     Embeds the document's sentences once, in one ``embed_many`` call; a
     one-sentence document is not embedded.
     """
+    # checked here, not in _cut: a bad threshold must cost no embedding
     if not (-1.0 <= threshold <= 1.0):
         raise ValueError("threshold must be in [-1, 1]")
-    spans = _split_profile(_similarity_profile(doc, embedder, policy), threshold)
-    return ChunkSet.from_spans(doc, spans, method="semantic")
+    return _cut(doc, "semantic", _similarity_profile(doc, embedder, policy), threshold)
 
 
 # A document's sentence spans and the cosine similarity of each pair of
@@ -177,15 +166,56 @@ def _split_profile(profile: _Profile, threshold: float) -> list[tuple[int, int]]
     return spans
 
 
+def _cut(doc: Document, method: str, step, knob, overlap: int = 0) -> ChunkSet:
+    """The second step of every chunker: ``doc``'s first ``step`` (None for
+    fixed-length, the sentence spans for boundary-aware, the :data:`_Profile`
+    for semantic chunking) cut at the size ``knob`` (a length in characters,
+    or the similarity threshold for semantic chunking)."""
+    if method == "fixed":
+        if knob < 1:
+            raise ValueError("length must be >= 1")
+        n = len(doc.text)
+        spans = [(i, min(i + knob, n)) for i in range(0, n, knob)]
+    elif method == "boundary":
+        if knob < 1:
+            raise ValueError("target must be >= 1")
+        if not (0 <= overlap < knob):
+            raise ValueError("overlap must satisfy 0 <= overlap < target")
+        spans, oversize = _pack_sentences(step, knob, overlap)
+        if oversize:
+            logger.warning(
+                "doc %s: %d oversize single-sentence chunk(s) emitted whole: %s",
+                doc.id, len(oversize), oversize,
+            )
+    else:
+        spans = _split_profile(step, knob)
+    return ChunkSet.from_spans(doc, spans, method=method)
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of searching a chunker knob for a target mean chunk length."""
+    """Outcome of searching a chunker knob for a target mean chunk length.
+
+    ``steps`` holds each document's first step, in corpus order, for
+    :meth:`cut`.
+    """
 
     config: ChunkerConfig
     achieved_avg: float
     target_avg: float
     tolerance: float
     ok: bool
+    steps: tuple = field(repr=False, compare=False)
+
+    def cut(self, doc: Document, step, overlap: int = 0) -> ChunkSet:
+        """``doc`` chunked from its first ``step`` at the calibrated knob:
+        what the method's chunker outputs at that knob, without running the
+        first step again. ``overlap`` applies to boundary-aware chunking,
+        which calibration searched without it."""
+        config = self.config
+        knob = (config.similarity_threshold if config.method == "semantic"
+                else config.target_len)
+        return _cut(doc, config.method, step, knob, overlap)
 
 
 def _mean_length(spans: Iterable[tuple[int, int]]) -> float:
@@ -209,29 +239,32 @@ def calibrate_avg_len(
     Fixed-length has the closed form L = target. The boundary-aware and
     semantic searches bisect; each splits every document into sentences
     once (and the semantic one embeds them once) before the first step, so
-    a step only re-cuts the cached spans. Unreachable targets yield a
-    best-effort result with ``ok`` False rather than an error.
+    a step only re-cuts the cached spans. The result keeps those spans (and
+    similarities) as its ``steps``. Unreachable targets yield a best-effort
+    result with ``ok`` False rather than an error.
     """
     if not docs:
         raise ValueError("calibration needs a non-empty corpus")
     if method not in CHUNKER_METHODS:
         raise ValueError(f"unknown method {method!r}")
 
-    def result(config: ChunkerConfig, achieved: float) -> CalibrationResult:
+    def result(config: ChunkerConfig, achieved: float, steps) -> CalibrationResult:
         ok = abs(achieved - target_avg) <= tolerance
         if not ok:
             logger.warning(
                 "calibration best-effort: method=%s achieved=%.1f target=%.1f",
                 method, achieved, target_avg,
             )
-        return CalibrationResult(config, achieved, target_avg, tolerance, ok)
+        return CalibrationResult(config, achieved, target_avg, tolerance, ok,
+                                 tuple(steps))
 
     if method == "fixed":
         length = max(1, round(target_avg))
         achieved = _mean_length(
             (c.start, c.end) for d in docs for c in chunk_fixed(d, length).chunks
         )
-        return result(ChunkerConfig(method="fixed", target_len=length), achieved)
+        return result(ChunkerConfig(method="fixed", target_len=length), achieved,
+                      [None] * len(docs))
 
     if method == "boundary":
         sentences = [split_sentences(d, policy) for d in docs]
@@ -252,7 +285,8 @@ def calibrate_avg_len(
             else:
                 hi = mid - 1
         _, knob, achieved = best
-        return result(ChunkerConfig(method="boundary", target_len=knob), achieved)
+        return result(ChunkerConfig(method="boundary", target_len=knob), achieved,
+                      sentences)
 
     # semantic: mean length decreases as the threshold rises (more splits)
     if embedder is None:
@@ -280,4 +314,4 @@ def calibrate_avg_len(
         target_len=max(1, round(target_avg)),
         similarity_threshold=knob,
     )
-    return result(config, achieved)
+    return result(config, achieved, profiles)

@@ -59,12 +59,17 @@ _Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
 @contextmanager
 def _staged(path: str | Path) -> Iterator[Path]:
     """A temporary path beside ``path`` that replaces it when the block ends
-    normally and is removed on any other exit."""
-    path = Path(path)
+    normally and is removed on any other exit. A failure to write or rename
+    the temporary file is a ChunkKitError that names ``path``."""
+    given, path = path, Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != os.fspath(tmp):
+            raise
+        raise ChunkKitError(f"{given}: {exc.strerror}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -191,36 +196,37 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
                 specs[label] = _override_model(specs[label], model)
         experts = build_experts(override(config, experts=specs))
 
+    params, dataset = config.chunker, config.dataset
     docs: Iterable[Document] = load_corpus(corpus)
     if calibrate_avg is not None and method != "moc":
         docs = list(docs)
         try:
             result = calibrate_avg_len(method, docs, target_avg=calibrate_avg,
                                        embedder=embedder)
-        except ChunkKitError as exc:
+        except (ChunkKitError, ValueError) as exc:  # ValueError: an empty corpus
             raise ChunkKitError(f"calibration: {exc}") from exc
         click.echo(f"calibrated {method}: target_len={result.config.target_len} "
                    f"threshold={result.config.similarity_threshold:.4f} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")
-        config = override(config, chunker={
-            "target_len": result.config.target_len,
-            "threshold": result.config.similarity_threshold,
-        })
+        # write calibration's own cut: no document is split or embedded again
+        steps = dict(zip((d.id for d in docs), result.steps))
 
-    params, dataset = config.chunker, config.dataset
-    run = {
-        "fixed": lambda doc: (chunk_fixed(doc, params.target_len), []),
-        "boundary": lambda doc: (
-            chunk_boundary_aware(doc, params.target_len, params.overlap), []),
-        "semantic": lambda doc: (
-            chunk_semantic(doc, embedder, params.threshold), []),
-        "moc": lambda doc: moc_chunk(
-            doc, router, experts,
-            max_window_tokens=dataset.max_window_tokens,
-            chars_per_token=dataset.chars_per_token,
-            placeholder=dataset.placeholder,
-        ),
-    }[method]
+        def run(doc: Document):
+            return result.cut(doc, steps[doc.id], params.overlap), []
+    else:
+        run = {
+            "fixed": lambda doc: (chunk_fixed(doc, params.target_len), []),
+            "boundary": lambda doc: (
+                chunk_boundary_aware(doc, params.target_len, params.overlap), []),
+            "semantic": lambda doc: (
+                chunk_semantic(doc, embedder, params.threshold), []),
+            "moc": lambda doc: moc_chunk(
+                doc, router, experts,
+                max_window_tokens=dataset.max_window_tokens,
+                chars_per_token=dataset.chars_per_token,
+                placeholder=dataset.placeholder,
+            ),
+        }[method]
 
     failures: _Failures = []
     totals = [0, 0]  # chunks, their characters

@@ -51,6 +51,22 @@ def two_topic_doc(rng: random.Random, doc_id: str = "doc",
     return Document(id=doc_id, text=text), len(part_a) + 1
 
 
+class CountingEmbedder:
+    """Counts the texts an embedder is asked to embed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = 0
+
+    def embed(self, text):
+        self.texts += 1
+        return self.inner.embed(text)
+
+    def embed_many(self, texts):
+        self.texts += len(texts)
+        return self.inner.embed_many(texts)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chunkkit import chunkers
 from chunkkit.chunkers import (
@@ -21,7 +21,7 @@ from chunkkit.chunkers import (
 from chunkkit.scoring import FixtureEmbedder, HashEmbedder, cosine
 from chunkkit.text import ChunkSet, split_sentences
 
-from conftest import make_doc, random_sentence, random_text
+from conftest import CountingEmbedder, make_doc, random_sentence, random_text
 
 
 def reference_chunk_semantic(doc, embedder, threshold):
@@ -88,22 +88,6 @@ def reference_calibrate(method, docs, target_avg, tolerance, embedder=None):
 
 def spans_of(chunkset):
     return [(c.start, c.end) for c in chunkset.chunks]
-
-
-class CountingEmbedder:
-    """Counts the texts an embedder is asked to embed."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.texts = 0
-
-    def embed(self, text):
-        self.texts += 1
-        return self.inner.embed(text)
-
-    def embed_many(self, texts):
-        self.texts += len(texts)
-        return self.inner.embed_many(texts)
 
 
 def _bisection_midpoints(depth):
@@ -463,3 +447,54 @@ class TestCalibrationCost:
         monkeypatch.setattr(chunkers, "split_sentences", counted)
         calibrate_avg_len("boundary", docs, target_avg=177.7, tolerance=0.0)
         assert sorted(calls) == sorted(d.id for d in docs)
+
+
+def oversize_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "oversize" in r.getMessage()]
+
+
+class TestCalibratedCut:
+    """A calibrated run outputs calibration's own cut of each document's
+    first step: the same chunk sets, and for boundary-aware chunking the
+    same oversize warnings, as the chunker run again at the knob
+    calibration chose. ``overlap`` is passed to every method, as the CLI
+    passes its config's, and only boundary-aware chunking uses it."""
+
+    @given(docs=corpora, target=targets, tolerance=tolerances,
+           overlap=st.integers(0, 40))
+    def test_fixed(self, docs, target, tolerance, overlap):
+        result = calibrate_avg_len("fixed", docs, target_avg=target, tolerance=tolerance)
+        for doc, step in zip(docs, result.steps, strict=True):
+            assert result.cut(doc, step, overlap) == \
+                chunk_fixed(doc, result.config.target_len)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(docs=corpora, target=targets, tolerance=tolerances,
+           overlap=st.integers(0, 40))
+    def test_boundary(self, docs, target, tolerance, overlap, caplog):
+        result = calibrate_avg_len("boundary", docs, target_avg=target,
+                                   tolerance=tolerance)
+        knob = result.config.target_len
+        overlap = min(overlap, knob - 1)
+        with caplog.at_level("WARNING", logger="chunkkit.chunkers"):
+            caplog.clear()
+            expected = [chunk_boundary_aware(d, knob, overlap) for d in docs]
+            expected_warnings = oversize_warnings(caplog)
+            caplog.clear()
+            cut = [result.cut(d, s, overlap) for d, s in zip(docs, result.steps, strict=True)]
+            warnings = oversize_warnings(caplog)
+        assert cut == expected
+        assert warnings == expected_warnings
+        # one warning per document with a sentence longer than the knob
+        affected = [d.id for d in docs
+                    if any(s.end - s.start > knob for s in split_sentences(d))]
+        assert [w.split(":")[0] for w in warnings] == [f"doc {i}" for i in affected]
+
+    @given(docs=corpora, embedder=hash_embedders, target=targets, tolerance=tolerances,
+           overlap=st.integers(0, 40))
+    def test_semantic(self, docs, embedder, target, tolerance, overlap):
+        result = calibrate_avg_len("semantic", docs, target_avg=target,
+                                   tolerance=tolerance, embedder=embedder)
+        knob = result.config.similarity_threshold
+        for doc, step in zip(docs, result.steps, strict=True):
+            assert result.cut(doc, step, overlap) == chunk_semantic(doc, embedder, knob)

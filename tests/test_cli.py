@@ -9,10 +9,18 @@ import pytest
 from click.testing import CliRunner
 
 from chunkkit import cli, prompts
+from chunkkit.chunkers import calibrate_avg_len, chunk_semantic
 from chunkkit.cli import main
-from chunkkit.text import ChunkSet, load_chunksets, save_chunksets, save_corpus
+from chunkkit.scoring import HashEmbedder
+from chunkkit.text import (
+    ChunkSet,
+    load_chunksets,
+    save_chunksets,
+    save_corpus,
+    split_sentences,
+)
 
-from conftest import make_doc, random_text
+from conftest import CountingEmbedder, make_doc, random_text
 
 
 @pytest.fixture
@@ -60,6 +68,74 @@ class TestChunkCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "calibrated fixed: target_len=178" in result.output
+
+    def test_calibrate_empty_corpus_is_one_error(self, runner, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        result = runner.invoke(main, [
+            "chunk", "--corpus", str(corpus), "--out", str(tmp_path / "o.jsonl"),
+            "--method", "fixed", "--calibrate-avg", "100",
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [
+            "error: calibration: calibration needs a non-empty corpus"]
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("method,overlap", [
+        ("fixed", "0"), ("boundary", "0"), ("boundary", "60")])
+    def test_calibrated_output_is_the_chunker_at_the_knob(self, runner, tmp_path,
+                                                          small_corpus, method, overlap):
+        corpus, _ = small_corpus
+        calibrated, rerun = tmp_path / "calibrated.jsonl", tmp_path / "rerun.jsonl"
+        result = runner.invoke(main, [
+            "chunk", "--corpus", corpus, "--out", str(calibrated), "--method", method,
+            "--calibrate-avg", "150", "--overlap", overlap,
+        ])
+        assert result.exit_code == 0, result.output
+        target_len = result.output.split("target_len=")[1].split()[0]
+        result = runner.invoke(main, [
+            "chunk", "--corpus", corpus, "--out", str(rerun), "--method", method,
+            "--target-len", target_len, "--overlap", overlap,
+        ])
+        assert result.exit_code == 0, result.output
+        assert calibrated.read_text() == rerun.read_text()
+
+    def test_calibrated_semantic_splits_and_embeds_each_sentence_once(
+            self, runner, tmp_path, rng, monkeypatch):
+        docs = [make_doc(random_text(rng, sentences=n), f"d{n}") for n in (3, 8, 20)]
+        docs.append(make_doc("one lonely sentence.", "single"))  # never embedded
+        corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedder": {"kind": "hash", "dim": 64}}))
+        embedders, splits = [], []
+        real_build = cli.build_embedder
+
+        def build_embedder(spec):
+            embedders.append(CountingEmbedder(real_build(spec)))
+            return embedders[-1]
+
+        def counted_split(doc, *args):
+            splits.append(doc.id)
+            return split_sentences(doc, *args)
+
+        monkeypatch.setattr("chunkkit.cli.build_embedder", build_embedder)
+        monkeypatch.setattr("chunkkit.chunkers.split_sentences", counted_split)
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "chunk", "--corpus", corpus, "--out", str(out),
+            "--method", "semantic", "--calibrate-avg", "150",
+        ])
+        assert result.exit_code == 0, result.output
+        sentences = [len(split_sentences(d)) for d in docs]
+        assert [e.texts for e in embedders] == [sum(n for n in sentences if n > 1)]
+        assert sorted(splits) == sorted(d.id for d in docs)
+        # the output is the chunker's at the threshold calibration chose
+        embedder = HashEmbedder(dim=64)
+        threshold = calibrate_avg_len("semantic", docs, target_avg=150,
+                                      embedder=embedder).config.similarity_threshold
+        assert load_chunksets(out, docs) == [chunk_semantic(d, embedder, threshold)
+                                             for d in docs]
 
     def test_calibration_backend_fault_is_one_error(self, runner, tmp_path):
         doc = make_doc("First sentence here. Second sentence there.", "a")
@@ -585,9 +661,37 @@ class TestOutputsReplacedWhole:
             "chunk", "--corpus", corpus, "--out", str(out), "--method", "fixed",
             "--report", str(tmp_path / "no-such-dir" / "report.jsonl"),
         ])
-        assert result.exit_code != 0
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = errors_of(result)
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"error: {tmp_path / 'no-such-dir' / 'report.jsonl'}: ")
         assert out.read_text() == "old chunk sets\n"
         assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", [
+        ["chunk", "--method", "fixed", "--report", "report.jsonl"],
+        ["eval", "--chunksets", "chunks.jsonl", "--metrics", "ds"],
+        ["dataset", "windows"],
+    ], ids=["chunk", "eval", "dataset-windows"])
+    def test_out_in_missing_directory_is_one_error(self, runner, tmp_path,
+                                                   monkeypatch, old_outputs, command):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"embedder": {"kind": "hash", "dim": 16}}))
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["--config", "config.json", *command,
+                                      "--corpus", corpus,
+                                      "--out", "no-such-dir/out.jsonl"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = errors_of(result)
+        assert len(errors) == 1, result.output
+        # the path as given, not the temporary file beside it
+        assert errors[0].startswith("error: no-such-dir/out.jsonl: ")
+        assert (tmp_path / "report.jsonl").read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunks.jsonl", "config.json", "corpus.jsonl", "out.jsonl", "report.jsonl"]
 
     def test_chunk_reads_the_corpus_once(self, runner, tmp_path, monkeypatch):
         _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
