@@ -9,26 +9,51 @@ Wire contract (JSON over HTTP, paths relative to the handle's endpoint):
                     -> {text, finish_reason}
 - POST /v1/embed    {model, texts: [str]} -> {vectors: [[num]]}
 
-Requests retry a bounded number of times on transport failures; each client
-enforces its handle's in-flight limit with a semaphore, so callers may fan
-out across threads freely.
+Requests retry a bounded number of times on transport failures and on 429
+and 5xx replies, honouring a Retry-After header; each client enforces its
+handle's in-flight limit with a semaphore, so callers may fan out across
+threads freely.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
+from email.utils import parsedate_to_datetime
+from typing import TYPE_CHECKING
 
-import numpy as np
 import requests
 
 from .errors import ProtocolError, TransportError
 from .scoring import GenerationParams, GenerationResult, ScoredText
 
-_RETRY_BACKOFF = 0.2  # seconds, multiplied by the attempt number
+if TYPE_CHECKING:
+    import numpy as np
+
+_RETRY_BACKOFF = 0.2  # seconds, times the attempt number, plus up to as much jitter
+_RETRY_WAIT_MAX = 10.0  # seconds: the longest wait between attempts, Retry-After too
+
+
+def _retry_wait(attempt: int, retry_after: str | None) -> float:
+    """Seconds to wait after failed attempt ``attempt``: the server's
+    Retry-After (delta-seconds or an HTTP date) when it sent one, else a
+    jittered backoff that grows with the attempt; at most _RETRY_WAIT_MAX."""
+    wait = None
+    if retry_after:
+        try:
+            wait = float(retry_after)
+        except ValueError:
+            try:
+                wait = parsedate_to_datetime(retry_after).timestamp() - time.time()
+            except (TypeError, ValueError):
+                pass
+    if wait is None or math.isnan(wait):
+        wait = _RETRY_BACKOFF * attempt * (1.0 + random.random())
+    return min(max(wait, 0.0), _RETRY_WAIT_MAX)
 
 
 @dataclass(frozen=True)
@@ -71,6 +96,7 @@ class _HttpClient:
         attempts = self.handle.retries + 1
         last_error: Exception | None = None
         for attempt in range(1, attempts + 1):
+            retry_after = None
             try:
                 with self._slots:
                     response = self._session.post(
@@ -83,12 +109,16 @@ class _HttpClient:
                 return data
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
-                if attempt < attempts:
-                    time.sleep(_RETRY_BACKOFF * attempt)
             except requests.HTTPError as exc:
-                raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
+                status = exc.response.status_code if exc.response is not None else 0
+                if status != 429 and status < 500:  # the request itself is at fault
+                    raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
+                last_error = exc
+                retry_after = exc.response.headers.get("Retry-After")
             except ValueError as exc:  # non-JSON body
                 raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+            if attempt < attempts:
+                time.sleep(_retry_wait(attempt, retry_after))
         raise TransportError(f"{url}: {last_error}", attempts=attempts)
 
 
@@ -164,6 +194,12 @@ class HttpGenerator(_HttpClient):
 class HttpEmbedder(_HttpClient):
     """Embedding against a remote /v1/embed endpoint."""
 
+    def __init__(self, handle: BackendHandle):
+        # load numpy while the command sets up, not on its first document
+        import numpy  # noqa: F401
+
+        super().__init__(handle)
+
     def embed_many(self, texts: list[str]) -> list[np.ndarray]:
         if not texts:
             return []
@@ -177,6 +213,8 @@ class HttpEmbedder(_HttpClient):
             raise ProtocolError(
                 "embed response needs one vector per input text"
             )
+        import numpy as np
+
         try:
             return [np.asarray(v, dtype=float) for v in vectors]
         except (TypeError, ValueError) as exc:

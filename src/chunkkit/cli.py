@@ -208,6 +208,10 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
         click.echo(f"calibrated {method}: target_len={result.config.target_len} "
                    f"threshold={result.config.similarity_threshold:.4f} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")
+        if method == "boundary" and params.overlap >= result.config.target_len:
+            raise ConfigError(
+                f"chunker.overlap={params.overlap} must be below the calibrated "
+                f"target_len={result.config.target_len}")
         # write calibration's own cut: no document is split or embedded again
         steps = dict(zip((d.id for d in docs), result.steps))
 

@@ -12,11 +12,8 @@ import inspect
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import yaml
-
-from .backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
 from .errors import ConfigError
 from .rules import DEFAULT_PLACEHOLDER, PLACEHOLDERS, GranularityLabel
 from .scoring import (
@@ -26,6 +23,9 @@ from .scoring import (
     HashEmbedder,
     NGramScorer,
 )
+
+if TYPE_CHECKING:
+    from .backends import BackendHandle
 
 _SCORER_KINDS = ("http", "ngram", "fixture")
 _GENERATOR_KINDS = ("http", "fixture")
@@ -69,6 +69,17 @@ class ChunkerParams:
     overlap: int = 0
     threshold: float = 0.5
 
+    def __post_init__(self):
+        if self.target_len < 1:
+            raise ConfigError(f"chunker.target_len must be >= 1, got {self.target_len}")
+        if not (0 <= self.overlap < self.target_len):
+            raise ConfigError(
+                f"chunker.overlap must satisfy 0 <= overlap < target_len, got "
+                f"overlap={self.overlap} with target_len={self.target_len}")
+        if not (-1.0 <= self.threshold <= 1.0):
+            raise ConfigError(
+                f"chunker.threshold must be in [-1, 1], got {self.threshold}")
+
 
 @dataclass(frozen=True)
 class DatasetParams:
@@ -108,7 +119,16 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text(encoding="utf-8")
     if path.suffix in (".yaml", ".yml"):
-        raw = yaml.safe_load(text)
+        import yaml  # loaded only for a YAML config
+
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            # one line, like the JSON branch: PyYAML's own message spans several
+            mark = getattr(exc, "problem_mark", None)
+            where = f": line {mark.line + 1} column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}: invalid YAML: {problem}{where}") from exc
     else:
         try:
             raw = json.loads(text)
@@ -172,9 +192,14 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Backend construction
+#
+# Only the http branches import .backends, which imports requests: an
+# offline run never loads it.
 # ---------------------------------------------------------------------------
 
 def _handle_from(options: Mapping[str, Any], role: str) -> BackendHandle:
+    from .backends import BackendHandle
+
     allowed = {f.name for f in fields(BackendHandle)}
     bad = set(options) - allowed
     if bad:
@@ -199,6 +224,8 @@ def _options_checked(build):
 @_options_checked
 def build_scorer(spec: BackendSpec, role: str = "scorer"):
     if spec.kind == "http":
+        from .backends import HttpScorer
+
         return HttpScorer(_handle_from(spec.options, role))
     if spec.kind == "ngram":
         order = int(spec.options.get("order", 2))
@@ -231,6 +258,8 @@ def build_scorer(spec: BackendSpec, role: str = "scorer"):
 @_options_checked
 def build_generator(spec: BackendSpec, role: str = "generator"):
     if spec.kind == "http":
+        from .backends import HttpGenerator
+
         return HttpGenerator(_handle_from(spec.options, role))
     if spec.kind == "fixture":
         generator = FixtureGenerator(model=str(spec.options.get("model", "fixture")))
@@ -247,6 +276,8 @@ def build_generator(spec: BackendSpec, role: str = "generator"):
 @_options_checked
 def build_embedder(spec: BackendSpec, role: str = "embedder"):
     if spec.kind == "http":
+        from .backends import HttpEmbedder
+
         return HttpEmbedder(_handle_from(spec.options, role))
     if spec.kind == "hash":
         return HashEmbedder(

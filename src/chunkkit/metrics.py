@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import GraphBuildError, UndefinedCorrelationError
 from .scoring import Embedder, Scorer, cosine, perplexity
 from .text import Chunk, ChunkSet, Document
@@ -226,6 +224,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("correlation needs at least two points")
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     xd = xa - xa.mean()

@@ -16,11 +16,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, runtime_checkable,
+)
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class Embedder(Protocol):
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; zero vectors have no defined similarity."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -315,11 +320,16 @@ class FixtureEmbedder:
     """Embedder returning preset vectors for exact texts."""
 
     def __init__(self, table: Mapping[str, Sequence[float]] | None = None):
+        # load numpy while the command sets up, not on its first document
+        import numpy  # noqa: F401
+
         self._table: dict[str, np.ndarray] = {}
         for text, vector in (table or {}).items():
             self.add(text, vector)
 
     def add(self, text: str, vector: Sequence[float]) -> "FixtureEmbedder":
+        import numpy as np
+
         self._table[text] = np.asarray(vector, dtype=float)
         return self
 
@@ -349,6 +359,9 @@ class HashEmbedder:
     def __init__(self, dim: int = 64, ngram: int = 3):
         if dim < 2 or ngram < 1:
             raise ValueError("dim must be >= 2 and ngram >= 1")
+        # load numpy while the command sets up, not on its first document
+        import numpy  # noqa: F401
+
         self.dim = dim
         self.ngram = ngram
 
@@ -361,6 +374,8 @@ class HashEmbedder:
         return h
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         if not text:
             raise ValueError("cannot embed empty text")
         n = self.ngram

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from chunkkit import backends
 from chunkkit.backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
 from chunkkit.errors import ProtocolError, TransportError
 from chunkkit.scoring import GenerationParams, perplexity
@@ -210,3 +211,96 @@ class TestMalformedReplies:
         scorer = canned(HttpScorer(handle("http://127.0.0.1:9")),
                         {"tokens": ["a", "b"], "logprobs": [-1.0, 0.5]})
         assert scorer.score("ab").logprobs == (-1.0, 0.0)
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each request with the next ``(status, headers)`` of the
+    server's script; a 200 is a uniform score."""
+
+    def log_message(self, *args):  # quiet test output
+        pass
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen += 1
+        status, headers = self.server.script.pop(0)
+        tokens = list(payload["text"])
+        body = json.dumps({"tokens": tokens, "logprobs": [-1.0] * len(tokens)}
+                          if status == 200 else {"error": status}).encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def scripted_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.seen, server.script = 0, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The seconds each retry waited; nothing actually sleeps."""
+    recorded: list[float] = []
+    monkeypatch.setattr(backends.time, "sleep", recorded.append)
+    return recorded
+
+
+def scripted_scorer(server, retries: int) -> HttpScorer:
+    return HttpScorer(handle(f"http://127.0.0.1:{server.server_address[1]}",
+                             retries=retries))
+
+
+class TestRetries:
+    def test_429_and_503_are_retried_within_the_budget(self, scripted_server, waits):
+        scripted_server.script = [(429, {"Retry-After": "1.5"}), (503, {}), (200, {})]
+        scored = scripted_scorer(scripted_server, retries=2).score("abc")
+        assert scored.logprobs == (-1.0, -1.0, -1.0)
+        assert scripted_server.seen == 3
+        # Retry-After is honoured; without it the second wait is the jittered
+        # backoff of attempt 2
+        assert waits[0] == 1.5
+        assert 2 * backends._RETRY_BACKOFF <= waits[1] <= 4 * backends._RETRY_BACKOFF
+
+    def test_exhausted_budget_is_transport_error(self, scripted_server, waits):
+        scripted_server.script = [(503, {}), (500, {}), (200, {})]
+        with pytest.raises(TransportError, match="500") as err:
+            scripted_scorer(scripted_server, retries=1).score("abc")
+        assert err.value.attempts == 2
+        assert scripted_server.seen == 2
+        assert len(waits) == 1
+
+    def test_client_error_is_not_retried(self, scripted_server, waits):
+        scripted_server.script = [(400, {}), (200, {})]
+        with pytest.raises(TransportError) as err:
+            scripted_scorer(scripted_server, retries=2).score("abc")
+        assert err.value.attempts == 1
+        assert scripted_server.seen == 1
+        assert waits == []
+
+    @pytest.mark.parametrize("retry_after,expected", [
+        ("0", 0.0),
+        ("-3", 0.0),
+        ("2.5", 2.5),
+        ("86400", backends._RETRY_WAIT_MAX),
+        ("Thu, 01 Jan 1970 00:00:00 GMT", 0.0),  # a date in the past
+        ("Fri, 01 Jan 9999 00:00:00 GMT", backends._RETRY_WAIT_MAX),
+    ])
+    def test_retry_after_is_honoured_up_to_the_cap(self, retry_after, expected):
+        assert backends._retry_wait(1, retry_after) == expected
+
+    @pytest.mark.parametrize("retry_after", [None, "", "soon", "nan"])
+    def test_unusable_retry_after_backs_off_with_jitter(self, retry_after):
+        for attempt in (1, 2):
+            wait = backends._retry_wait(attempt, retry_after)
+            assert (attempt * backends._RETRY_BACKOFF <= wait
+                    <= 2 * attempt * backends._RETRY_BACKOFF)

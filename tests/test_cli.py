@@ -622,6 +622,39 @@ class TestConfigErrorsExitTwo:
         assert len(errors_of(result)) == 1, result.output
 
 
+    @pytest.mark.parametrize("args", [
+        ["--method", "boundary", "--target-len", "5", "--overlap", "30"],
+        ["--method", "boundary", "--calibrate-avg", "5", "--overlap", "30"],
+        ["--method", "fixed", "--target-len", "0"],
+    ], ids=["overlap-above-target", "overlap-above-calibrated-target",
+            "target-len-0"])
+    def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0"])
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, ["chunk", "--corpus", corpus, "--out", str(out),
+                                      *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        errors = errors_of(result)
+        assert len(errors) == 1 and "chunker." in errors[0], result.output
+        assert not out.exists()
+
+    def test_malformed_yaml_config_is_one_error(self, runner, tmp_path):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0"])
+        config = tmp_path / "config.yaml"
+        config.write_text("chunker: {method: fixed, target_len: [1, 2\n")
+        result = runner.invoke(main, ["--config", str(config), "chunk", "--corpus",
+                                      corpus, "--out", str(tmp_path / "o.jsonl")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        errors = errors_of(result)
+        assert errors == result.output.splitlines(), result.output  # one line
+        assert errors[0].endswith("invalid YAML: expected ',' or ']', but got "
+                                  "'<stream end>': line 2 column 1"), errors
+
+
 class TestOutputsReplacedWhole:
     @pytest.fixture
     def old_outputs(self, tmp_path):

@@ -54,6 +54,12 @@ class TestLoadConfig:
         assert config.chunker.method == "boundary"
         assert config.chunker.overlap == 10
 
+    def test_malformed_yaml(self, tmp_path):
+        path = tmp_path / "c.yml"
+        path.write_text("metrics: [k\n")
+        with pytest.raises(ConfigError, match=r"c\.yml: invalid YAML"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -95,6 +101,25 @@ class TestLoadConfig:
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError, match="k must be in"):
             parse_config({"metrics": {"k": 1.5}})
+
+    @pytest.mark.parametrize("chunker,message", [
+        ({"target_len": 0}, "target_len must be >= 1"),
+        ({"target_len": 5, "overlap": 30}, "overlap must satisfy"),
+        ({"target_len": 5, "overlap": 5}, "overlap must satisfy"),
+        ({"overlap": -1}, "overlap must satisfy"),
+        ({"threshold": 1.5}, r"threshold must be in \[-1, 1\]"),
+        ({"threshold": float("nan")}, "threshold must be in"),
+    ])
+    def test_chunker_size_out_of_range(self, chunker, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"chunker": chunker})
+
+    def test_chunker_size_edges_accepted(self):
+        config = parse_config({"chunker": {"target_len": 1, "overlap": 0,
+                                           "threshold": -1.0}})
+        assert override(config, chunker={"threshold": 1.0}).chunker.threshold == 1.0
+        with pytest.raises(ConfigError, match="overlap must satisfy"):
+            override(config, chunker={"overlap": 1})
 
     def test_bad_expert_label(self):
         with pytest.raises(ConfigError, match="invalid expert label"):
