@@ -9,7 +9,6 @@ spans with edit-distance recovery.
 
 from .chunkers import (
     CalibrationResult,
-    ChunkerConfig,
     calibrate_avg_len,
     chunk_boundary_aware,
     chunk_fixed,
@@ -68,9 +67,7 @@ from .scoring import (
 from .text import (
     Chunk,
     ChunkSet,
-    DEFAULT_SENTENCE_POLICY,
     Document,
-    SentencePolicy,
     SentenceSpan,
     load_chunksets,
     load_corpus,

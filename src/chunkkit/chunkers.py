@@ -22,38 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .scoring import Embedder, cosine
-from .text import (
-    ChunkSet,
-    DEFAULT_SENTENCE_POLICY,
-    Document,
-    SentencePolicy,
-    SentenceSpan,
-    split_sentences,
-)
+from .text import ChunkSet, Document, SentenceSpan, split_sentences
 
 logger = logging.getLogger(__name__)
 
 CHUNKER_METHODS = ("fixed", "boundary", "semantic")
-
-
-@dataclass(frozen=True)
-class ChunkerConfig:
-    """Knobs for the baseline chunkers; lengths are in characters."""
-
-    method: str
-    target_len: int = 178
-    overlap: int = 0
-    similarity_threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.method not in CHUNKER_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.target_len <= 0:
-            raise ValueError("target_len must be positive")
-        if not (0 <= self.overlap < self.target_len):
-            raise ValueError("overlap must satisfy 0 <= overlap < target_len")
-        if not (-1.0 < self.similarity_threshold < 1.0):
-            raise ValueError("similarity_threshold must be in (-1, 1)")
 
 
 def chunk_fixed(doc: Document, length: int) -> ChunkSet:
@@ -61,12 +34,7 @@ def chunk_fixed(doc: Document, length: int) -> ChunkSet:
     return _cut(doc, "fixed", None, length)
 
 
-def chunk_boundary_aware(
-    doc: Document,
-    target: int,
-    overlap: int = 0,
-    policy: SentencePolicy = DEFAULT_SENTENCE_POLICY,
-) -> ChunkSet:
+def chunk_boundary_aware(doc: Document, target: int, overlap: int = 0) -> ChunkSet:
     """Greedy whole-sentence packing up to ``target`` characters.
 
     Chunks are concatenations of consecutive sentence spans; a chunk never
@@ -76,7 +44,7 @@ def chunk_boundary_aware(
     up to ``overlap`` characters, so spans may overlap while starts stay
     strictly increasing.
     """
-    return _cut(doc, "boundary", split_sentences(doc, policy), target, overlap)
+    return _cut(doc, "boundary", split_sentences(doc), target, overlap)
 
 
 def _pack_sentences(
@@ -120,12 +88,7 @@ def _pack_sentences(
     return spans, oversize
 
 
-def chunk_semantic(
-    doc: Document,
-    embedder: Embedder,
-    threshold: float,
-    policy: SentencePolicy = DEFAULT_SENTENCE_POLICY,
-) -> ChunkSet:
+def chunk_semantic(doc: Document, embedder: Embedder, threshold: float) -> ChunkSet:
     """Split between consecutive sentences whose embedding similarity drops
     below ``threshold``; a chunk is a maximal run of similar sentences.
 
@@ -135,7 +98,7 @@ def chunk_semantic(
     # checked here, not in _cut: a bad threshold must cost no embedding
     if not (-1.0 <= threshold <= 1.0):
         raise ValueError("threshold must be in [-1, 1]")
-    return _cut(doc, "semantic", _similarity_profile(doc, embedder, policy), threshold)
+    return _cut(doc, "semantic", _similarity_profile(doc, embedder), threshold)
 
 
 # A document's sentence spans and the cosine similarity of each pair of
@@ -143,10 +106,8 @@ def chunk_semantic(
 _Profile = tuple[list[SentenceSpan], list[float]]
 
 
-def _similarity_profile(
-    doc: Document, embedder: Embedder, policy: SentencePolicy
-) -> _Profile:
-    sentences = split_sentences(doc, policy)
+def _similarity_profile(doc: Document, embedder: Embedder) -> _Profile:
+    sentences = split_sentences(doc)
     if len(sentences) == 1:
         return sentences, []
     vectors = embedder.embed_many([doc.text[s.start:s.end] for s in sentences])
@@ -196,14 +157,17 @@ def _cut(doc: Document, method: str, step, knob, overlap: int = 0) -> ChunkSet:
 class CalibrationResult:
     """Outcome of searching a chunker knob for a target mean chunk length.
 
+    The knob is ``target_len`` (in characters) for fixed-length and
+    boundary-aware chunking, where ``threshold`` is 0.5, and ``threshold``
+    for semantic chunking, where ``target_len`` is the rounded target mean.
     ``steps`` holds each document's first step, in corpus order, for
     :meth:`cut`.
     """
 
-    config: ChunkerConfig
+    method: str
+    target_len: int
+    threshold: float
     achieved_avg: float
-    target_avg: float
-    tolerance: float
     ok: bool
     steps: tuple = field(repr=False, compare=False)
 
@@ -212,10 +176,8 @@ class CalibrationResult:
         what the method's chunker outputs at that knob, without running the
         first step again. ``overlap`` applies to boundary-aware chunking,
         which calibration searched without it."""
-        config = self.config
-        knob = (config.similarity_threshold if config.method == "semantic"
-                else config.target_len)
-        return _cut(doc, config.method, step, knob, overlap)
+        knob = self.threshold if self.method == "semantic" else self.target_len
+        return _cut(doc, self.method, step, knob, overlap)
 
 
 def _mean_length(spans: Iterable[tuple[int, int]]) -> float:
@@ -231,7 +193,6 @@ def calibrate_avg_len(
     target_avg: float = 178,
     tolerance: float = 5,
     embedder: Embedder | None = None,
-    policy: SentencePolicy = DEFAULT_SENTENCE_POLICY,
 ) -> CalibrationResult:
     """Search the method's size knob until the corpus mean chunk length is
     within ``tolerance`` of ``target_avg``, or the knob space is exhausted.
@@ -248,14 +209,18 @@ def calibrate_avg_len(
     if method not in CHUNKER_METHODS:
         raise ValueError(f"unknown method {method!r}")
 
-    def result(config: ChunkerConfig, achieved: float, steps) -> CalibrationResult:
+    def result(knob: int | float, achieved: float, steps) -> CalibrationResult:
         ok = abs(achieved - target_avg) <= tolerance
         if not ok:
             logger.warning(
                 "calibration best-effort: method=%s achieved=%.1f target=%.1f",
                 method, achieved, target_avg,
             )
-        return CalibrationResult(config, achieved, target_avg, tolerance, ok,
+        if method == "semantic":
+            target_len, threshold = max(1, round(target_avg)), knob
+        else:
+            target_len, threshold = knob, 0.5
+        return CalibrationResult(method, target_len, threshold, achieved, ok,
                                  tuple(steps))
 
     if method == "fixed":
@@ -263,11 +228,10 @@ def calibrate_avg_len(
         achieved = _mean_length(
             (c.start, c.end) for d in docs for c in chunk_fixed(d, length).chunks
         )
-        return result(ChunkerConfig(method="fixed", target_len=length), achieved,
-                      [None] * len(docs))
+        return result(length, achieved, [None] * len(docs))
 
     if method == "boundary":
-        sentences = [split_sentences(d, policy) for d in docs]
+        sentences = [split_sentences(d) for d in docs]
         lo, hi = 1, max(len(d.text) for d in docs)
         best = None  # (|gap|, knob, achieved)
         while lo <= hi:
@@ -285,13 +249,12 @@ def calibrate_avg_len(
             else:
                 hi = mid - 1
         _, knob, achieved = best
-        return result(ChunkerConfig(method="boundary", target_len=knob), achieved,
-                      sentences)
+        return result(knob, achieved, sentences)
 
     # semantic: mean length decreases as the threshold rises (more splits)
     if embedder is None:
         raise ValueError("semantic calibration needs an embedder")
-    profiles = [_similarity_profile(d, embedder, policy) for d in docs]
+    profiles = [_similarity_profile(d, embedder) for d in docs]
     lo, hi = -0.999, 0.999
     best = None
     for _ in range(40):
@@ -309,9 +272,4 @@ def calibrate_avg_len(
         else:
             hi = mid
     _, knob, achieved = best
-    config = ChunkerConfig(
-        method="semantic",
-        target_len=max(1, round(target_avg)),
-        similarity_threshold=knob,
-    )
-    return result(config, achieved, profiles)
+    return result(knob, achieved, profiles)

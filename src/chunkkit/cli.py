@@ -29,7 +29,6 @@ import click
 from . import __version__
 from .chunkers import calibrate_avg_len, chunk_boundary_aware, chunk_fixed, chunk_semantic
 from .config import (
-    BackendSpec,
     RunConfig,
     build_embedder,
     build_experts,
@@ -153,11 +152,6 @@ def main(ctx: click.Context, config_path: str | None,
               help="Calibrate the size knob to this corpus mean chunk length.")
 @click.option("--placeholder", default=None)
 @click.option("--max-window", type=int, default=None)
-@click.option("--router-model", default=None)
-@click.option("--expert-model-0", default=None)
-@click.option("--expert-model-1", default=None)
-@click.option("--expert-model-2", default=None)
-@click.option("--expert-model-3", default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Where to write per-rule extraction reports (moc only).")
 @click.pass_obj
@@ -165,9 +159,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
               target_len: int | None, overlap: int | None,
               threshold: float | None, calibrate_avg: float | None,
               placeholder: str | None, max_window: int | None,
-              router_model: str | None, expert_model_0: str | None,
-              expert_model_1: str | None, expert_model_2: str | None,
-              expert_model_3: str | None, report_path: str | None) -> _Failures:
+              report_path: str | None) -> _Failures:
     """Chunk every document of a corpus with one method."""
     config = override(
         config,
@@ -185,16 +177,8 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
     elif method == "moc":
         if config.router is None:
             raise ConfigError("moc chunking needs a router backend in config")
-        router = build_scorer(_override_model(config.router, router_model), "router")
-        specs = dict(config.experts)
-        for label, model in enumerate((expert_model_0, expert_model_1,
-                                       expert_model_2, expert_model_3)):
-            if model is not None:
-                if label not in specs:
-                    raise ConfigError(f"--expert-model-{label} given but config has "
-                                      f"no experts.{label}")
-                specs[label] = _override_model(specs[label], model)
-        experts = build_experts(override(config, experts=specs))
+        router = build_scorer(config.router, "router")
+        experts = build_experts(config)
 
     params, dataset = config.chunker, config.dataset
     docs: Iterable[Document] = load_corpus(corpus)
@@ -205,13 +189,13 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
                                        embedder=embedder)
         except (ChunkKitError, ValueError) as exc:  # ValueError: an empty corpus
             raise ChunkKitError(f"calibration: {exc}") from exc
-        click.echo(f"calibrated {method}: target_len={result.config.target_len} "
-                   f"threshold={result.config.similarity_threshold:.4f} "
+        click.echo(f"calibrated {method}: target_len={result.target_len} "
+                   f"threshold={result.threshold:.4f} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")
-        if method == "boundary" and params.overlap >= result.config.target_len:
+        if method == "boundary" and params.overlap >= result.target_len:
             raise ConfigError(
                 f"chunker.overlap={params.overlap} must be below the calibrated "
-                f"target_len={result.config.target_len}")
+                f"target_len={result.target_len}")
         # write calibration's own cut: no document is split or embedded again
         steps = dict(zip((d.id for d in docs), result.steps))
 
@@ -255,16 +239,6 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
     click.echo(f"chunked {saved} doc(s) with {method}: "
                f"{totals[0]} chunks, mean length {mean_len:.1f}")
     return failures
-
-
-def _override_model(spec: BackendSpec, model: str | None) -> BackendSpec:
-    if model is None:
-        return spec
-    if spec.kind != "http":
-        raise ConfigError(
-            f"model override only applies to http backends, not {spec.kind!r}"
-        )
-    return BackendSpec(kind=spec.kind, options={**spec.options, "model": model})
 
 
 @main.command("eval")
@@ -329,10 +303,19 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
 @click.option("--y", "y_col", required=True, help="Column name for y.")
 def cmd_pearson(table: str, x_col: str, y_col: str) -> None:
     """Pearson correlation between two columns of a JSON table file."""
-    data = json.loads(Path(table).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(table).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ChunkKitError(f"{table}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ChunkKitError(f"{table}: table must be an object of columns")
     missing = [c for c in (x_col, y_col) if c not in data]
     if missing:
         raise ChunkKitError(f"table has no column(s) {missing}")
+    bad = [c for c in (x_col, y_col) if not (
+        isinstance(data[c], list) and all(isinstance(v, (int, float)) for v in data[c]))]
+    if bad:
+        raise ChunkKitError(f"{table}: column(s) {bad} must be lists of numbers")
     try:
         r = pearson(data[x_col], data[y_col])
     except ValueError as exc:

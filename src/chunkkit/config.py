@@ -1,8 +1,13 @@
 """Run configuration: one structured file wiring backends and parameters.
 
-JSON or YAML by extension. Every key can be overridden by a CLI flag of the
-same name; only endpoint secrets come from environment variables (via each
-backend's ``api_key_env``).
+JSON or YAML by extension. Some keys can also be set by a flag of the
+command that reads them, and the flag wins: ``--concurrency``, the
+``chunker`` keys on ``chunk``, the ``metrics`` keys on ``eval``, and all
+``dataset`` keys but ``flag_ratio`` on some commands, not always under the
+key's name (``--max-window`` sets ``max_window_tokens``,
+``--router-target`` sets ``router_target_chars``). Backends and
+``dataset.flag_ratio`` come only from the file. Only endpoint secrets come
+from environment variables (via each backend's ``api_key_env``).
 """
 
 from __future__ import annotations
@@ -91,8 +96,21 @@ class DatasetParams:
     flag_ratio: float = 0.10
 
     def __post_init__(self):
+        if self.max_window_tokens < 1:
+            raise ConfigError(f"dataset.max_window_tokens must be >= 1, "
+                              f"got {self.max_window_tokens}")
+        if not self.chars_per_token > 0:
+            raise ConfigError(f"dataset.chars_per_token must be > 0, "
+                              f"got {self.chars_per_token}")
+        if self.anchor_len < 1:
+            raise ConfigError(f"dataset.anchor_len must be >= 1, got {self.anchor_len}")
         if self.placeholder not in PLACEHOLDERS:
             raise ConfigError(f"unknown placeholder {self.placeholder!r}")
+        if self.router_target_chars < 1:
+            raise ConfigError(f"dataset.router_target_chars must be >= 1, "
+                              f"got {self.router_target_chars}")
+        if not self.flag_ratio >= 0:
+            raise ConfigError(f"dataset.flag_ratio must be >= 0, got {self.flag_ratio}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +193,11 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"invalid expert label {key!r}") from exc
         experts[label] = BackendSpec.parse(value, f"experts.{key}")
 
+    try:
+        concurrency = int(raw.get("concurrency", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"concurrency must be an integer, "
+                          f"got {raw['concurrency']!r}") from exc
     return RunConfig(
         scorer=BackendSpec.parse(raw["scorer"], "scorer") if "scorer" in raw else None,
         generator=(BackendSpec.parse(raw["generator"], "generator")
@@ -186,7 +209,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         metrics=section("metrics", MetricsParams),
         chunker=section("chunker", ChunkerParams),
         dataset=section("dataset", DatasetParams),
-        concurrency=int(raw.get("concurrency", 1)),
+        concurrency=concurrency,
     )
 
 
@@ -329,9 +352,5 @@ def override(config: RunConfig, **section_updates: Mapping[str, Any]) -> RunConf
         patch = {k: v for k, v in patch.items() if v is not None}
         if not patch:
             continue
-        current = getattr(config, name)
-        if isinstance(current, (MetricsParams, ChunkerParams, DatasetParams)):
-            updates[name] = replace(current, **patch)
-        else:
-            updates[name] = patch
+        updates[name] = replace(getattr(config, name), **patch)
     return replace(config, **updates) if updates else config

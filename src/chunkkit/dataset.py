@@ -32,15 +32,8 @@ from .rules import (
     label_for_mean,
     render_rule_targets,
 )
-from .scoring import GenerationParams, Generator
-from .text import (
-    ChunkSet,
-    DEFAULT_SENTENCE_POLICY,
-    Document,
-    SentencePolicy,
-    split_sentences,
-    write_jsonl,
-)
+from .scoring import Generator
+from .text import ChunkSet, Document, split_sentences, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +60,6 @@ def sliding_windows(
     doc: Document,
     max_tokens: int = 1024,
     chars_per_token: float = 1.0,
-    policy: SentencePolicy = DEFAULT_SENTENCE_POLICY,
 ) -> list[Window]:
     """Tile the document into windows of at most ``max_tokens``.
 
@@ -83,7 +75,7 @@ def sliding_windows(
     n = len(text)
 
     sentence_ends = [
-        s.end for s in split_sentences(doc, policy) if s.terminal is not None
+        s.end for s in split_sentences(doc) if s.terminal is not None
     ]
 
     windows: list[Window] = []
@@ -298,7 +290,6 @@ def build_chunker_samples(
     placeholder: str = DEFAULT_PLACEHOLDER,
     max_window_tokens: int = 1024,
     chars_per_token: float = 1.0,
-    prompt_template: str = prompts.RULE_CHUNK_PROMPT,
 ) -> list[ChunkerSample]:
     """Expert training pairs: per window, the rule-chunking prompt over the
     window text and the rule list of the chunks falling inside it."""
@@ -325,7 +316,7 @@ def build_chunker_samples(
             doc_id=doc.id,
             label=label,
             prompt=prompts.render(
-                prompt_template,
+                prompts.RULE_CHUNK_PROMPT,
                 text=doc.text[window.start:window.end],
                 placeholder=placeholder,
             ),
@@ -423,11 +414,9 @@ class DistillResult:
 def distill_document(
     doc: Document,
     generator: Generator,
-    prompt_template: str = prompts.DISTILL_PROMPT,
     max_window_tokens: int = 1024,
     chars_per_token: float = 1.0,
     flag_ratio: float = 0.10,
-    params: GenerationParams | None = None,
 ) -> DistillResult:
     """Generate raw chunk texts per window, anchor them to source spans in
     order, flag hallucinations, and stitch windows via the chunk buffer."""
@@ -436,8 +425,8 @@ def distill_document(
     verdicts: list[CleaningVerdict] = []
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
-        prompt = prompts.render(prompt_template, text=region)
-        generation = generator.generate(prompt, params or GenerationParams())
+        prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
+        generation = generator.generate(prompt)
         spans = []
         cursor = offset
         for text in parse_tagged_chunks(generation.text):

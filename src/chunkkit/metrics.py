@@ -205,15 +205,15 @@ def conditional_support(
     answer: str,
     retrieved: Sequence[Chunk | str],
     scorer: Scorer,
-    joiner: str = "\n",
 ) -> float:
-    """Mean negative log-probability of the answer given retrieved chunks.
+    """Mean negative log-probability of the answer given the retrieved
+    chunks, joined by newlines.
 
     Lower means the retrieved context supports the answer more strongly.
     """
     if not answer:
         raise ValueError("answer must be non-empty")
-    context = joiner.join(_text_of(c) for c in retrieved)
+    context = "\n".join(_text_of(c) for c in retrieved)
     scored = scorer.score(answer, context=context if context else None)
     return -fmean(scored.logprobs)
 
@@ -290,13 +290,12 @@ def evaluate_chunksets(
     embedder: Embedder | None = None,
     k: float = 0.8,
     delta: int = 0,
-    answer_key: str = "answer",
     max_workers: int = 1,
 ) -> MetricsReport:
     """Compute the requested metrics for every chunk set.
 
     BC is the mean over adjacent pairs (later chunk given earlier); CP reads
-    the reference answer from ``doc.meta[answer_key]`` and scores it against
+    the reference answer from ``doc.meta["answer"]`` and scores it against
     the document's own chunks, skipping documents without one.
     """
     unknown = [m for m in metrics if m not in METRIC_BACKENDS]
@@ -334,12 +333,12 @@ def evaluate_chunksets(
         if "ds" in metrics:
             values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None
         if "cp" in metrics:
-            answer = doc.meta.get(answer_key)
+            answer = doc.meta.get("answer")
             if answer:
                 values["cp"] = conditional_support(answer, cs.chunks, scorer)
             else:
                 values["cp"] = None
-                logger.warning("doc %s has no %r meta; cp skipped", doc.id, answer_key)
+                logger.warning("doc %s has no 'answer' meta; cp skipped", doc.id)
         rows.append(DocMetrics(doc_id=cs.doc_id, values=values))
 
     params = {

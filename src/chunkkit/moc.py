@@ -28,20 +28,16 @@ from .rules import (
     RuleList,
     parse_rule_list,
 )
-from .scoring import GenerationParams, Generator, Scorer
+from .scoring import Generator, Scorer
 from .text import ChunkSet, Document
 
 
-def route(
-    text: str,
-    scorer: Scorer,
-    prompt_template: str = prompts.ROUTER_PROMPT,
-) -> GranularityLabel:
+def route(text: str, scorer: Scorer) -> GranularityLabel:
     """Pick the granularity label whose token is most probable at the end
     of the routing prompt; ties break toward the smaller (finer) label."""
     if not text:
         raise ValueError("cannot route empty text")
-    prompt = prompts.render(prompt_template, text=text)
+    prompt = prompts.render(prompts.ROUTER_PROMPT, text=text)
     best: tuple[float, GranularityLabel] | None = None
     errors = []
     for label in GranularityLabel:
@@ -65,8 +61,6 @@ def generate_rules(
     label: GranularityLabel,
     generator: Generator,
     placeholder: str = DEFAULT_PLACEHOLDER,
-    params: GenerationParams | None = None,
-    prompt_template: str = prompts.RULE_CHUNK_PROMPT,
 ) -> RuleList:
     """Ask the expert for a rule list over ``text`` and parse it.
 
@@ -76,8 +70,9 @@ def generate_rules(
     """
     if not text:
         raise ValueError("cannot chunk empty text")
-    prompt = prompts.render(prompt_template, text=text, placeholder=placeholder)
-    result = generator.generate(prompt, params or GenerationParams())
+    prompt = prompts.render(prompts.RULE_CHUNK_PROMPT, text=text,
+                            placeholder=placeholder)
+    result = generator.generate(prompt)
     source = getattr(generator, "model", type(generator).__name__)
     rule_list = parse_rule_list(result.text, source=f"{source}/label{label.value}")
     if not rule_list.rules:
@@ -109,6 +104,11 @@ class ExtractionReport:
     @property
     def recovered(self) -> int:
         return sum(1 for m in self.matches if m.mode == "recovered")
+
+
+# An anchor is recovered when its edit distance is at most this share of its
+# length (rounded up); see fuzzy.recover_anchor.
+_MAX_RATIO = 0.5
 
 
 def _locate(
@@ -174,12 +174,7 @@ def _extract_spans(
     return spans, report
 
 
-def extract_chunks(
-    doc: Document,
-    rules: RuleList,
-    max_ratio: float = 0.5,
-    method: str = "moc",
-) -> tuple[ChunkSet, ExtractionReport]:
+def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, ExtractionReport]:
     """Turn a rule list into document chunk spans.
 
     For each rule the prefix anchor is located from the cursor (exact
@@ -188,8 +183,8 @@ def extract_chunks(
     """
     if not rules.rules:
         raise ValueError("rule list is empty")
-    spans, report = _extract_spans(doc.text, rules, max_ratio, doc.id)
-    return ChunkSet.from_spans(doc, spans, method=method), report
+    spans, report = _extract_spans(doc.text, rules, _MAX_RATIO, doc.id)
+    return ChunkSet.from_spans(doc, spans, method="moc"), report
 
 
 def moc_chunk(
@@ -199,10 +194,6 @@ def moc_chunk(
     max_window_tokens: int = 1024,
     chars_per_token: float = 1.0,
     placeholder: str = DEFAULT_PLACEHOLDER,
-    params: GenerationParams | None = None,
-    max_ratio: float = 0.5,
-    router_prompt: str = prompts.ROUTER_PROMPT,
-    expert_prompt: str = prompts.RULE_CHUNK_PROMPT,
 ) -> tuple[ChunkSet, list[ExtractionReport]]:
     """Route, generate, and extract per window; stitch with the chunk buffer.
 
@@ -220,13 +211,11 @@ def moc_chunk(
     reports: list[ExtractionReport] = []
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
-        label = route(region, router, prompt_template=router_prompt)
-        rule_list = generate_rules(
-            region, label, experts[label], placeholder=placeholder,
-            params=params, prompt_template=expert_prompt,
-        )
+        label = route(region, router)
+        rule_list = generate_rules(region, label, experts[label],
+                                   placeholder=placeholder)
         spans, report = _extract_spans(
-            region, rule_list, max_ratio, doc.id, base_offset=offset
+            region, rule_list, _MAX_RATIO, doc.id, base_offset=offset
         )
         reports.append(report)
         return spans

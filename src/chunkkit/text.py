@@ -35,8 +35,12 @@ class Document:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("document id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("document id must be a non-empty string")
+        if not isinstance(self.text, str):
+            raise TypeError(f"document {self.id!r}: text must be a string")
+        if not isinstance(self.meta, Mapping):
+            raise TypeError(f"document {self.id!r}: meta must be an object")
         if not self.text.strip():
             raise ValueError(f"document {self.id!r}: text is empty")
 
@@ -144,58 +148,14 @@ class ChunkSet:
                 )
 
 
-def skipped_runs(doc: Document, chunkset: ChunkSet) -> list[tuple[int, int]]:
-    """Spans of the document not covered by any chunk (separator runs)."""
-    gaps = []
-    pos = 0
-    for chunk in chunkset.chunks:
-        if chunk.start > pos:
-            gaps.append((pos, chunk.start))
-        pos = max(pos, chunk.end)
-    if pos < len(doc.text):
-        gaps.append((pos, len(doc.text)))
-    return gaps
-
-
-def reassemble(doc: Document, chunkset: ChunkSet) -> str:
-    """Interleave chunk texts with the skipped separator runs.
-
-    For a disjoint chunk set this reconstructs ``doc.text`` exactly.
-    """
-    pieces = []
-    pos = 0
-    for chunk in chunkset.chunks:
-        if chunk.start > pos:
-            pieces.append(doc.text[pos:chunk.start])
-        pieces.append(chunk.text)
-        pos = max(pos, chunk.end)
-    if pos < len(doc.text):
-        pieces.append(doc.text[pos:])
-    return "".join(pieces)
-
-
 # ---------------------------------------------------------------------------
 # Sentence splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SentencePolicy:
-    """Which characters close a sentence.
-
-    ``terminals`` end a sentence; any directly following ``closers`` (quotes,
-    brackets) stay attached to it. Newline runs also split when
-    ``split_newline_runs`` is set, with the run attached to the span it ends.
-    """
-
-    terminals: frozenset[str]
-    closers: frozenset[str]
-    split_newline_runs: bool = True
-
-
-DEFAULT_SENTENCE_POLICY = SentencePolicy(
-    terminals=frozenset(".!?;。！？；"),
-    closers=frozenset("\"'”’』」》〉〕】)]"),
-)
+# A terminal ends a sentence; closers (quotes, brackets) directly after it
+# stay attached to that sentence.
+_TERMINALS = frozenset(".!?;。！？；")
+_CLOSERS = frozenset("\"'”’』」》〉〕】)]")
 
 
 @dataclass(frozen=True)
@@ -210,14 +170,13 @@ class SentenceSpan:
         return self.end - self.start
 
 
-def split_sentences(
-    doc: Document | str, policy: SentencePolicy = DEFAULT_SENTENCE_POLICY
-) -> list[SentenceSpan]:
+def split_sentences(doc: Document | str) -> list[SentenceSpan]:
     """Split a document into sentence spans that tile its text.
 
     Splits occur only after a terminal (plus trailing closers) or at newline
-    runs; a text with no terminals yields a single span. Deterministic, and
-    idempotent on its own output boundaries.
+    runs, with the run attached to the span it ends; a text with neither
+    yields a single span. Deterministic, and idempotent on its own output
+    boundaries.
     """
     text = doc.text if isinstance(doc, Document) else doc
     n = len(text)
@@ -226,14 +185,14 @@ def split_sentences(
     i = 0
     while i < n:
         ch = text[i]
-        if ch in policy.terminals:
+        if ch in _TERMINALS:
             j = i + 1
-            while j < n and text[j] in policy.closers:
+            while j < n and text[j] in _CLOSERS:
                 j += 1
             spans.append(SentenceSpan(start, j, ch))
             start = j
             i = j
-        elif policy.split_newline_runs and ch in _NEWLINES:
+        elif ch in _NEWLINES:
             j = i + 1
             while j < n and text[j] in _NEWLINES:
                 j += 1
@@ -281,18 +240,18 @@ def load_corpus(path: str | Path) -> Iterator[Document]:
         if not isinstance(record, dict) or "id" not in record \
                 or "text" not in record:
             raise CorpusFormatError(f"{where}: record needs 'id' and 'text'")
-        doc_id = record["id"]
-        if doc_id in seen:
-            raise CorpusFormatError(f"{where}: duplicate document id {doc_id!r}")
-        seen.add(doc_id)
         try:
-            yield Document(
-                id=doc_id,
+            doc = Document(
+                id=record["id"],
                 text=record["text"],
                 meta=record.get("meta") or {},
             )
         except (ValueError, TypeError) as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc
+        if doc.id in seen:
+            raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        yield doc
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> int:

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chunkkit import chunkers
 from chunkkit.chunkers import (
     CalibrationResult,
-    ChunkerConfig,
     calibrate_avg_len,
     chunk_boundary_aware,
     chunk_fixed,
@@ -126,16 +125,6 @@ def tie_corpus(tie, sentence_counts, seed):
 
 
 GRID = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0], [2.0, -1.0], [0.0, -3.0]]
-
-
-class TestChunkerConfig:
-    def test_overlap_must_be_smaller_than_target(self):
-        with pytest.raises(ValueError):
-            ChunkerConfig(method="boundary", target_len=100, overlap=100)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            ChunkerConfig(method="semantic", similarity_threshold=1.0)
 
 
 class TestChunkFixed:
@@ -303,7 +292,7 @@ class TestCalibration:
         docs = [make_doc(random_text(rng, sentences=40), f"d{i}")
                 for i in range(3)]
         result = calibrate_avg_len("fixed", docs, target_avg=178)
-        assert result.config.target_len == 178
+        assert result.target_len == 178
 
     def test_boundary_search_reaches_target(self, rng):
         docs = [make_doc(random_text(rng, sentences=60), f"d{i}")
@@ -368,7 +357,7 @@ class TestCalibrationPins:
             "semantic", docs, target, tolerance, embedder)
         result = calibrate_avg_len("semantic", docs, target_avg=target,
                                    tolerance=tolerance, embedder=embedder)
-        assert result.config.similarity_threshold == knob
+        assert result.threshold == knob
         assert result.achieved_avg == achieved
         assert result.ok == ok
         for d in docs:
@@ -408,7 +397,7 @@ class TestCalibrationPins:
     def test_boundary(self, docs, target, tolerance):
         knob, achieved, ok, _ = reference_calibrate("boundary", docs, target, tolerance)
         result = calibrate_avg_len("boundary", docs, target_avg=target, tolerance=tolerance)
-        assert result.config.target_len == knob
+        assert result.target_len == knob
         assert result.achieved_avg == achieved
         assert result.ok == ok
 
@@ -466,7 +455,7 @@ class TestCalibratedCut:
         result = calibrate_avg_len("fixed", docs, target_avg=target, tolerance=tolerance)
         for doc, step in zip(docs, result.steps, strict=True):
             assert result.cut(doc, step, overlap) == \
-                chunk_fixed(doc, result.config.target_len)
+                chunk_fixed(doc, result.target_len)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(docs=corpora, target=targets, tolerance=tolerances,
@@ -474,7 +463,7 @@ class TestCalibratedCut:
     def test_boundary(self, docs, target, tolerance, overlap, caplog):
         result = calibrate_avg_len("boundary", docs, target_avg=target,
                                    tolerance=tolerance)
-        knob = result.config.target_len
+        knob = result.target_len
         overlap = min(overlap, knob - 1)
         with caplog.at_level("WARNING", logger="chunkkit.chunkers"):
             caplog.clear()
@@ -495,6 +484,6 @@ class TestCalibratedCut:
     def test_semantic(self, docs, embedder, target, tolerance, overlap):
         result = calibrate_avg_len("semantic", docs, target_avg=target,
                                    tolerance=tolerance, embedder=embedder)
-        knob = result.config.similarity_threshold
+        knob = result.threshold
         for doc, step in zip(docs, result.steps, strict=True):
             assert result.cut(doc, step, overlap) == chunk_semantic(doc, embedder, knob)

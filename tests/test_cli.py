@@ -133,7 +133,7 @@ class TestChunkCommand:
         # the output is the chunker's at the threshold calibration chose
         embedder = HashEmbedder(dim=64)
         threshold = calibrate_avg_len("semantic", docs, target_avg=150,
-                                      embedder=embedder).config.similarity_threshold
+                                      embedder=embedder).threshold
         assert load_chunksets(out, docs) == [chunk_semantic(d, embedder, threshold)
                                              for d in docs]
 
@@ -213,27 +213,6 @@ class TestChunkCommand:
         _, extraction = read_report(report_path)
         assert extraction[0]["doc_id"] == "d0"
         assert [r["mode"] for r in extraction[0]["rules"]] == ["exact", "exact"]
-
-
-    def test_model_override_rejected_for_fixture_backend(self, runner,
-                                                         tmp_path, rng):
-        doc = make_doc(random_text(rng, sentences=4), "d0")
-        corpus = write_corpus(tmp_path / "c.jsonl", [doc])
-        table = tmp_path / "t.json"
-        table.write_text(json.dumps({"entries": []}))
-        config = {
-            "router": {"kind": "fixture", "table": str(table)},
-            "experts": {str(i): {"kind": "fixture", "table": str(table)}
-                        for i in range(4)},
-        }
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        result = runner.invoke(main, [
-            "--config", str(tmp_path / "config.json"),
-            "chunk", "--corpus", corpus, "--out", str(tmp_path / "o.jsonl"),
-            "--method", "moc", "--expert-model-2", "better-model",
-        ])
-        assert result.exit_code == 2
-        assert "http" in result.output
 
 
 class TestEvalCommand:
@@ -361,6 +340,24 @@ class TestPearsonCommand:
         result = runner.invoke(main, ["pearson", str(path),
                                       "--x", "a", "--y", "b"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("content,message", [
+        ('{"a": [1, 2', "invalid JSON: "),
+        ('{"a": 1, "b": 2}', "column(s) ['a', 'b'] must be lists of numbers"),
+        ('{"a": [1, {}], "b": [2, 3]}', "column(s) ['a'] must be lists of numbers"),
+        ("[[1, 2], [3, 4]]", "table must be an object of columns"),
+    ], ids=["invalid-json", "scalar-columns", "non-number-entry", "not-an-object"])
+    def test_malformed_table_is_one_error(self, runner, tmp_path, content, message):
+        path = tmp_path / "table.json"
+        path.write_text(content)
+        result = runner.invoke(main, ["pearson", str(path), "--x", "a", "--y", "b"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        errors = errors_of(result)
+        assert len(errors) == 1 and errors[0].startswith(f"error: {path}: "), \
+            result.output
+        assert message in errors[0]
 
 
 class TestDatasetCommands:
@@ -526,6 +523,33 @@ class TestMalformedCorpus:
         assert len(errors) == 1, result.output
         assert errors[0].startswith(f"error: {corpus}: line 2: invalid JSON: ")
 
+    @pytest.mark.parametrize("record,args,message", [
+        ({"id": "b", "text": 5}, ["dataset", "windows", "--out", "{tmp}/o.jsonl"],
+         "document 'b': text must be a string"),
+        ({"id": ["b"], "text": "roses are red."},
+         ["dataset", "windows", "--out", "{tmp}/o.jsonl"],
+         "document id must be a non-empty string"),
+        ({"id": "d0", "text": "roses are red. violets are blue.", "meta": ["x"]},
+         ["eval", "--chunksets", "{tmp}/cs.jsonl", "--metrics", "cp"],
+         "document 'd0': meta must be an object"),
+    ], ids=["text-not-string", "id-not-string", "meta-not-object"])
+    def test_bad_field_type_is_one_error(self, runner, tmp_path, record, args,
+                                         message):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "a", "text": "roses are red."}) + "\n"
+                          + json.dumps(record) + "\n")
+        (tmp_path / "cs.jsonl").write_text("")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {"kind": "ngram", "alphabet": "abc"}}))
+        args = [a.format(tmp=tmp_path) for a in args]
+        result = runner.invoke(main, ["--config", str(config), *args,
+                                      "--corpus", str(corpus)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert errors_of(result) == [f"error: {corpus}: line 2: {message}"], \
+            result.output
+
 
 class TestReproducibility:
     def test_reports_identical_modulo_header(self, runner, tmp_path,
@@ -604,8 +628,11 @@ class TestConfigErrorsExitTwo:
                   "embedder": {"kind": "hash", "dim": 1}}),
         ("distill", {"generator": {"kind": "fixture", "table": "missing.json"}}),
         ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}),
+        ("eval", {"concurrency": "x"}),
+        ("eval", {"concurrency": None}),
     ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
-            "hash-dim-1", "distill-table-missing", "hash-ngram-list"])
+            "hash-dim-1", "distill-table-missing", "hash-ngram-list",
+            "concurrency-not-int", "concurrency-null"])
     def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
         path = tmp_path / "config.json"
@@ -622,22 +649,40 @@ class TestConfigErrorsExitTwo:
         assert len(errors_of(result)) == 1, result.output
 
 
-    @pytest.mark.parametrize("args", [
-        ["--method", "boundary", "--target-len", "5", "--overlap", "30"],
-        ["--method", "boundary", "--calibrate-avg", "5", "--overlap", "30"],
-        ["--method", "fixed", "--target-len", "0"],
+    @pytest.mark.parametrize("args,config,key", [
+        (["chunk", "--out", "{out}", "--method", "boundary", "--target-len", "5",
+          "--overlap", "30"], {}, "chunker.overlap"),
+        (["chunk", "--out", "{out}", "--method", "boundary", "--calibrate-avg", "5",
+          "--overlap", "30"], {}, "chunker.overlap"),
+        (["chunk", "--out", "{out}", "--method", "fixed", "--target-len", "0"], {},
+         "chunker.target_len"),
+        (["chunk", "--out", "{out}", "--method", "moc", "--max-window", "0"], {},
+         "dataset.max_window_tokens"),
+        (["dataset", "windows", "--out", "{out}", "--max-window", "0"], {},
+         "dataset.max_window_tokens"),
+        (["dataset", "windows", "--out", "{out}"],
+         {"dataset": {"max_window_tokens": 0}}, "dataset.max_window_tokens"),
+        (["dataset", "rules", "--chunksets", "{cs}", "--out", "{out}"],
+         {"dataset": {"anchor_len": 0}}, "dataset.anchor_len"),
+        (["dataset", "emit", "--chunksets", "{cs}", "--out-dir", "{out}",
+          "--router-target", "0"], {}, "dataset.router_target_chars"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
-            "target-len-0"])
-    def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args):
-        _, corpus, _ = two_chunk_docs(tmp_path, ["d0"])
-        out = tmp_path / "o.jsonl"
-        result = runner.invoke(main, ["chunk", "--corpus", corpus, "--out", str(out),
-                                      *args])
+            "target-len-0", "moc-max-window-0", "windows-max-window-0",
+            "config-max-window-0", "config-anchor-len-0", "emit-router-target-0"])
+    def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args,
+                                                  config, key):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        args = [a.format(out=out, cs=chunksets) for a in args]
+        result = runner.invoke(main, ["--config", str(path), *args,
+                                      "--corpus", corpus])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Traceback" not in result.output
         errors = errors_of(result)
-        assert len(errors) == 1 and "chunker." in errors[0], result.output
+        assert len(errors) == 1 and key in errors[0], result.output
         assert not out.exists()
 
     def test_malformed_yaml_config_is_one_error(self, runner, tmp_path):

@@ -114,6 +114,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config({"chunker": chunker})
 
+    @pytest.mark.parametrize("dataset,message", [
+        ({"max_window_tokens": 0}, "max_window_tokens must be >= 1"),
+        ({"chars_per_token": 0}, "chars_per_token must be > 0"),
+        ({"chars_per_token": float("nan")}, "chars_per_token must be > 0"),
+        ({"anchor_len": 0}, "anchor_len must be >= 1"),
+        ({"router_target_chars": 0}, "router_target_chars must be >= 1"),
+        ({"flag_ratio": -0.1}, "flag_ratio must be >= 0"),
+        ({"flag_ratio": float("nan")}, "flag_ratio must be >= 0"),
+    ])
+    def test_dataset_knob_out_of_range(self, dataset, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"dataset": dataset})
+
+    def test_dataset_knob_edges_accepted(self):
+        params = parse_config({"dataset": {
+            "max_window_tokens": 1, "chars_per_token": 0.01, "anchor_len": 1,
+            "router_target_chars": 1, "flag_ratio": 0.0}}).dataset
+        assert (params.max_window_tokens, params.anchor_len) == (1, 1)
+        assert (params.router_target_chars, params.flag_ratio) == (1, 0.0)
+
     def test_chunker_size_edges_accepted(self):
         config = parse_config({"chunker": {"target_len": 1, "overlap": 0,
                                            "threshold": -1.0}})
@@ -190,11 +210,9 @@ class TestBuildBackends:
             {"prompt": "p", "response": "r"},
         ]}))
         spec = BackendSpec("fixture", {"table": str(table)})
-        config = parse_config({})
         with pytest.raises(ConfigError, match="missing for labels"):
-            build_experts(override(config, experts={0: spec}))
-        full = override(config, experts={i: spec for i in range(4)})
-        experts = build_experts(full)
+            build_experts(RunConfig(experts={0: spec}))
+        experts = build_experts(RunConfig(experts={i: spec for i in range(4)}))
         assert set(experts) == set(GranularityLabel)
 
 

@@ -16,11 +16,8 @@ from chunkkit.text import (
     Chunk,
     ChunkSet,
     Document,
-    skipped_runs,
-    SentencePolicy,
     load_chunksets,
     load_corpus,
-    reassemble,
     save_chunksets,
     save_corpus,
     split_sentences,
@@ -67,16 +64,6 @@ class TestChunkSetInvariants:
         good = ChunkSet.from_spans(doc, [(0, 3), (3, 6)], method="t")
         with pytest.raises(ValueError):
             ChunkSet(doc_id=doc.id, chunks=(good.chunks[1],), method="t")
-
-    def test_reassemble_with_gaps(self):
-        doc = make_doc("aa  bb  cc")
-        cs = ChunkSet.from_spans(doc, [(0, 2), (4, 6), (8, 10)], method="t")
-        assert reassemble(doc, cs) == doc.text
-
-    def test_skipped_runs_report_gaps(self):
-        doc = make_doc("aa  bb  cc")
-        cs = ChunkSet.from_spans(doc, [(0, 2), (4, 6)], method="t")
-        assert skipped_runs(doc, cs) == [(2, 4), (6, 10)]
 
     def test_validate_against_detects_mismatch(self):
         doc = make_doc("abcdef")
@@ -150,18 +137,6 @@ class TestSplitSentences:
             piece = text[span.start:span.end]
             again = split_sentences(piece)
             assert [(s.start, s.end) for s in again] == [(0, len(piece))]
-
-    def test_policy_is_configurable(self):
-        policy = SentencePolicy(terminals=frozenset("|"), closers=frozenset())
-        spans = split_sentences("a|b|c", policy)
-        assert len(spans) == 3
-
-    def test_newline_splitting_can_be_disabled(self):
-        policy = SentencePolicy(terminals=frozenset("."),
-                                closers=frozenset(),
-                                split_newline_runs=False)
-        spans = split_sentences("para one\n\npara two", policy)
-        assert len(spans) == 1
 
 
 class TestCorpusIO:
