@@ -56,7 +56,6 @@ from .scoring import (
     FixtureEmbedder,
     FixtureGenerator,
     FixtureScorer,
-    GenerationParams,
     GenerationResult,
     HashEmbedder,
     NGramScorer,

@@ -5,8 +5,9 @@ Wire contract (JSON over HTTP, paths relative to the handle's endpoint):
 - POST /v1/score    {model, text, context?} -> {tokens: [str], logprobs: [num]}
   (logprobs cover the text only; context tokens are conditioned on but
   excluded)
-- POST /v1/generate {model, prompt, temperature, top_p, top_k?, max_tokens}
+- POST /v1/generate {model, prompt, temperature, top_p, max_tokens}
                     -> {text, finish_reason}
+  (near-greedy: temperature 0.1, top_p 0.1, max_tokens 1024 on every call)
 - POST /v1/embed    {model, texts: [str]} -> {vectors: [[num]]}
 
 Requests retry a bounded number of times on transport failures and on 429
@@ -29,13 +30,14 @@ from typing import TYPE_CHECKING
 import requests
 
 from .errors import ProtocolError, TransportError
-from .scoring import GenerationParams, GenerationResult, ScoredText
+from .scoring import GenerationResult, ScoredText
 
 if TYPE_CHECKING:
     import numpy as np
 
 _RETRY_BACKOFF = 0.2  # seconds, times the attempt number, plus up to as much jitter
 _RETRY_WAIT_MAX = 10.0  # seconds: the longest wait between attempts, Retry-After too
+_DECODING = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}  # near-greedy
 
 
 def _retry_wait(attempt: int, retry_after: str | None) -> float:
@@ -153,7 +155,6 @@ class HttpScorer(_HttpClient):
             return ScoredText(
                 tokens=tuple(str(t) for t in tokens),
                 logprobs=logprobs,
-                context_len=len(context) if context else 0,
                 truncated=truncated,
             )
         except (TypeError, ValueError) as exc:
@@ -167,22 +168,12 @@ class HttpGenerator(_HttpClient):
     def model(self) -> str:
         return self.handle.model
 
-    def generate(
-        self, prompt: str, params: GenerationParams | None = None
-    ) -> GenerationResult:
+    def generate(self, prompt: str) -> GenerationResult:
         if not prompt:
             raise ValueError("cannot generate from an empty prompt")
-        params = params or GenerationParams()
-        payload: dict = {
-            "model": self.handle.model,
-            "prompt": prompt,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
-            "max_tokens": params.max_tokens,
-        }
-        if params.top_k is not None:
-            payload["top_k"] = params.top_k
-        data = self._post("/v1/generate", payload)
+        data = self._post(
+            "/v1/generate", {"model": self.handle.model, "prompt": prompt, **_DECODING}
+        )
         if "text" not in data:
             raise ProtocolError("generate response needs 'text'")
         return GenerationResult(

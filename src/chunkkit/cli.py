@@ -53,6 +53,8 @@ from .moc import moc_chunk
 from .text import Document, load_chunksets, load_corpus, read_jsonl, save_chunksets
 
 _Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
+# an input file: a missing path or a directory is a usage error (exit 2)
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @contextmanager
@@ -141,7 +143,7 @@ def main(ctx: click.Context, config_path: str | None,
 
 
 @main.command("chunk")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--method", type=click.Choice(["fixed", "boundary", "semantic", "moc"]),
               default=None, help="Overrides chunker.method from config.")
@@ -149,7 +151,7 @@ def main(ctx: click.Context, config_path: str | None,
 @click.option("--overlap", type=int, default=None)
 @click.option("--threshold", type=float, default=None)
 @click.option("--calibrate-avg", type=float, default=None,
-              help="Calibrate the size knob to this corpus mean chunk length.")
+              help="Calibrate the size knob (not moc) to this corpus mean chunk length.")
 @click.option("--placeholder", default=None)
 @click.option("--max-window", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None,
@@ -168,6 +170,8 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
         dataset={"placeholder": placeholder, "max_window_tokens": max_window},
     )
     method = config.chunker.method
+    if calibrate_avg is not None and method == "moc":
+        raise ConfigError("--calibrate-avg does not apply to moc: it has no size knob")
     # backends first: a config error surfaces before any document is read
     embedder = router = experts = None
     if method == "semantic":
@@ -182,7 +186,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
 
     params, dataset = config.chunker, config.dataset
     docs: Iterable[Document] = load_corpus(corpus)
-    if calibrate_avg is not None and method != "moc":
+    if calibrate_avg is not None:
         docs = list(docs)
         try:
             result = calibrate_avg_len(method, docs, target_avg=calibrate_avg,
@@ -242,28 +246,20 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
 
 
 @main.command("eval")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--chunksets", "chunksets_path", required=True,
-              type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
+@click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--metrics", "metrics_csv", default="bc,cs_c,cs_i",
-              help="Comma-separated subset of bc,cs_c,cs_i,ds,cp "
-                   "(plus cs, resolved by --graph).")
+              help="Comma-separated subset of bc,cs_c,cs_i,ds,cp.")
 @click.option("--k", type=float, default=None)
-@click.option("--graph", type=click.Choice(["complete", "sequence"]), default=None)
 @click.option("--delta", type=int, default=None)
 @click.option("--out", default="-", help="Report path, or - for stdout.")
 @click.pass_obj
 def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
-             metrics_csv: str, k: float | None, graph: str | None,
-             delta: int | None, out: str) -> _Failures:
+             metrics_csv: str, k: float | None, delta: int | None,
+             out: str) -> _Failures:
     """Score chunk sets with the requested metrics."""
-    config = override(config, metrics={"k": k, "graph": graph, "delta": delta})
-    metric_names = tuple(
-        # bare "cs" picks the stickiness variant from --graph
-        ("cs_c" if config.metrics.graph == "complete" else "cs_i")
-        if m.strip() == "cs" else m.strip()
-        for m in metrics_csv.split(",") if m.strip()
-    )
+    config = override(config, metrics={"k": k, "delta": delta})
+    metric_names = tuple(m.strip() for m in metrics_csv.split(",") if m.strip())
     unknown = [m for m in metric_names if m not in METRIC_BACKENDS]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; "
@@ -288,7 +284,7 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
 
     report = evaluate([])  # no rows yet: the parameters for the header
     failures: _Failures = []
-    with _report(out, {**report.params, "graph": config.metrics.graph}) as write:
+    with _report(out, report.params) as write:
         for row in _each_doc(((cs.doc_id, cs) for cs in chunksets),
                              lambda cs: evaluate([cs]).rows[0], failures):
             report.rows.append(row)
@@ -298,7 +294,7 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
 
 
 @main.command("pearson")
-@click.argument("table", type=click.Path(exists=True))
+@click.argument("table", type=_INPUT_FILE)
 @click.option("--x", "x_col", required=True, help="Column name for x.")
 @click.option("--y", "y_col", required=True, help="Column name for y.")
 def cmd_pearson(table: str, x_col: str, y_col: str) -> None:
@@ -329,7 +325,7 @@ def dataset_group() -> None:
 
 
 @dataset_group.command("windows")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--max-window", type=int, default=None)
 @click.option("--chars-per-token", type=float, default=None)
@@ -357,7 +353,7 @@ def _verdict_record(doc_id: str, verdict) -> dict:
 
 
 @dataset_group.command("distill")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out-dir", required=True, type=click.Path())
 @click.pass_obj
 def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
@@ -416,8 +412,8 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
 
 
 @dataset_group.command("clean")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--generated", required=True, type=click.Path(exists=True),
+@click.option("--corpus", required=True, type=_INPUT_FILE)
+@click.option("--generated", required=True, type=_INPUT_FILE,
               help="JSONL of {doc_id, chunks: [text, ...]} records.")
 @click.option("--out", required=True, type=click.Path())
 @click.pass_obj
@@ -448,9 +444,8 @@ def cmd_clean(config: RunConfig, corpus: str, generated: str, out: str) -> None:
 
 
 @dataset_group.command("rules")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--chunksets", "chunksets_path", required=True,
-              type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
+@click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--anchor-len", type=int, default=None)
 @click.option("--placeholder", default=None)
@@ -480,9 +475,8 @@ def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
 
 
 @dataset_group.command("label")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--chunksets", "chunksets_path", required=True,
-              type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
+@click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 def cmd_label(corpus: str, chunksets_path: str, out: str) -> None:
     """Assign granularity labels from mean chunk lengths."""
@@ -495,9 +489,8 @@ def cmd_label(corpus: str, chunksets_path: str, out: str) -> None:
 
 
 @dataset_group.command("emit")
-@click.option("--corpus", required=True, type=click.Path(exists=True))
-@click.option("--chunksets", "chunksets_path", required=True,
-              type=click.Path(exists=True))
+@click.option("--corpus", required=True, type=_INPUT_FILE)
+@click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--router-target", type=int, default=None)
 @click.pass_obj

@@ -55,14 +55,11 @@ class BackendSpec:
 @dataclass(frozen=True)
 class MetricsParams:
     k: float = 0.8
-    graph: str = "complete"
     delta: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.k < 1.0):
             raise ConfigError(f"metrics.k must be in (0, 1), got {self.k}")
-        if self.graph not in ("complete", "sequence"):
-            raise ConfigError(f"metrics.graph must be complete|sequence")
         if self.delta < 0:
             raise ConfigError("metrics.delta must be >= 0")
 
@@ -133,7 +130,7 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse a JSON or YAML config file into a validated RunConfig."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text(encoding="utf-8")
     if path.suffix in (".yaml", ".yml"):

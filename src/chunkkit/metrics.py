@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Mapping, Sequence
 
-from .errors import GraphBuildError, UndefinedCorrelationError
+from .errors import CorpusFormatError, GraphBuildError, UndefinedCorrelationError
 from .scoring import Embedder, Scorer, cosine, perplexity
 from .text import Chunk, ChunkSet, Document
 
@@ -31,13 +31,17 @@ def _text_of(piece: Chunk | str) -> str:
     return piece.text if isinstance(piece, Chunk) else piece
 
 
-def boundary_clarity(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> float:
-    """ppl(q|d) / ppl(q); > 0, near 1 means q is independent of d."""
+def _pair_ppl(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> tuple[float, float]:
+    """(ppl(q), ppl(q|d)) of two non-empty chunks."""
     qt, dt = _text_of(q), _text_of(d)
     if not qt or not dt:
-        raise ValueError("boundary clarity needs two non-empty chunks")
-    ppl_q = perplexity(scorer.score(qt))
-    ppl_q_given_d = perplexity(scorer.score(qt, context=dt))
+        raise ValueError("a chunk pair needs two non-empty chunks")
+    return perplexity(scorer.score(qt)), perplexity(scorer.score(qt, context=dt))
+
+
+def boundary_clarity(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> float:
+    """ppl(q|d) / ppl(q); > 0, near 1 means q is independent of d."""
+    ppl_q, ppl_q_given_d = _pair_ppl(q, d, scorer)
     return ppl_q_given_d / ppl_q
 
 
@@ -47,12 +51,7 @@ def _edge_from_ppl(ppl_q: float, ppl_q_given_d: float) -> float:
 
 def edge_weight(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> float:
     """Normalized perplexity reduction of q given d, clamped into [0, 1]."""
-    qt, dt = _text_of(q), _text_of(d)
-    if not qt or not dt:
-        raise ValueError("edge weight needs two non-empty chunks")
-    ppl_q = perplexity(scorer.score(qt))
-    ppl_q_given_d = perplexity(scorer.score(qt, context=dt))
-    return _edge_from_ppl(ppl_q, ppl_q_given_d)
+    return _edge_from_ppl(*_pair_ppl(q, d, scorer))
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class SemanticGraph:
     edges: tuple[tuple[int, int, float], ...]
     variant: str = "complete"
     delta: int = 0
-    threshold: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -138,37 +136,25 @@ def build_graph(
         lambda t: perplexity(scorer.score(t)), texts, max_workers
     )
 
+    def edge(q: int, d: int) -> float:
+        """Edge weight of chunk q given chunk d."""
+        return _edge_from_ppl(
+            ppl_plain[q], perplexity(scorer.score(texts[q], context=texts[d]))
+        )
+
     if variant == "complete":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-        def weigh(pair: tuple[int, int]) -> float:
-            i, j = pair
-            # q conditioned on d, both directions; keep the stronger pull
-            w_ij = _edge_from_ppl(
-                ppl_plain[i], perplexity(scorer.score(texts[i], context=texts[j]))
-            )
-            w_ji = _edge_from_ppl(
-                ppl_plain[j], perplexity(scorer.score(texts[j], context=texts[i]))
-            )
-            return max(w_ij, w_ji)
-
+        # q conditioned on d, both directions; keep the stronger pull
+        weights = _parallel_map(lambda p: max(edge(p[0], p[1]), edge(p[1], p[0])),
+                                pairs, max_workers)
     else:
-        pairs = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if j - i > delta
-        ]
-
-        def weigh(pair: tuple[int, int]) -> float:
-            i, j = pair
-            # reading order: the later chunk is scored given the earlier one
-            return _edge_from_ppl(
-                ppl_plain[j], perplexity(scorer.score(texts[j], context=texts[i]))
-            )
-
-    weights = _parallel_map(weigh, pairs, max_workers)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1 + delta, n)]
+        # reading order: the later chunk is scored given the earlier one
+        weights = _parallel_map(lambda p: edge(p[1], p[0]), pairs, max_workers)
     edges = tuple(
         (i, j, w) for (i, j), w in zip(pairs, weights) if w > k
     )
-    return SemanticGraph(n=n, edges=edges, variant=variant, delta=delta, threshold=k)
+    return SemanticGraph(n=n, edges=edges, variant=variant, delta=delta)
 
 
 def chunk_stickiness(graph: SemanticGraph) -> float:
@@ -296,7 +282,8 @@ def evaluate_chunksets(
 
     BC is the mean over adjacent pairs (later chunk given earlier); CP reads
     the reference answer from ``doc.meta["answer"]`` and scores it against
-    the document's own chunks, skipping documents without one.
+    the document's own chunks, skipping documents without one; an answer
+    that is not a string is a CorpusFormatError.
     """
     unknown = [m for m in metrics if m not in METRIC_BACKENDS]
     if unknown:
@@ -334,6 +321,9 @@ def evaluate_chunksets(
             values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None
         if "cp" in metrics:
             answer = doc.meta.get("answer")
+            if answer is not None and not isinstance(answer, str):
+                raise CorpusFormatError(f"meta 'answer' must be a string, "
+                                        f"got {type(answer).__name__}")
             if answer:
                 values["cp"] = conditional_support(answer, cs.chunks, scorer)
             else:

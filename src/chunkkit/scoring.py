@@ -16,9 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
-from typing import (
-    TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, runtime_checkable,
-)
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
 
@@ -30,44 +28,31 @@ if TYPE_CHECKING:
 class ScoredText:
     """Per-token log-probabilities of a text, excluding any context tokens.
 
-    ``context_len`` counts conditioning tokens that were scored over but
-    excluded from ``logprobs``; ``truncated`` is set when the context had to
-    be left-truncated to fit a backend limit.
+    ``truncated`` is set when the context had to be left-truncated to fit a
+    backend limit.
     """
 
     tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
-    context_len: int = 0
     truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "logprobs", tuple(float(x) for x in self.logprobs))
+        object.__setattr__(self, "logprobs", tuple(map(float, self.logprobs)))
         if len(self.tokens) != len(self.logprobs):
             raise ValueError(
                 f"{len(self.tokens)} tokens vs {len(self.logprobs)} logprobs"
             )
         if not self.tokens:
             raise ValueError("scored text must contain at least one token")
-        if any(lp > 0.0 for lp in self.logprobs):
+        # 0.0 < lp, like lp > 0.0, is false for NaN: NaN passes
+        if any(map((0.0).__lt__, self.logprobs)):
             raise ValueError("logprobs must be <= 0")
-        if self.context_len < 0:
-            raise ValueError("context_len must be >= 0")
 
 
 def perplexity(scored: ScoredText) -> float:
     """exp(-mean logprob); >= 1 for any valid ScoredText."""
     return math.exp(-fmean(scored.logprobs))
-
-
-@dataclass(frozen=True)
-class GenerationParams:
-    """Decoding parameters; chunking calls default to near-greedy sampling."""
-
-    temperature: float = 0.1
-    top_p: float = 0.1
-    top_k: int | None = None
-    max_tokens: int = 1024
 
 
 @dataclass(frozen=True)
@@ -80,19 +65,14 @@ class GenerationResult:
         return self.finish_reason == "length"
 
 
-@runtime_checkable
 class Scorer(Protocol):
     def score(self, text: str, context: str | None = None) -> ScoredText: ...
 
 
-@runtime_checkable
 class Generator(Protocol):
-    def generate(
-        self, prompt: str, params: GenerationParams | None = None
-    ) -> GenerationResult: ...
+    def generate(self, prompt: str) -> GenerationResult: ...
 
 
-@runtime_checkable
 class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -226,11 +206,7 @@ class NGramScorer:
                 unseen(gram[:-1], floor) if lp is None else lp
                 for gram, lp in zip(grams, logprobs)
             ]
-        return ScoredText(
-            tokens=tuple(text),
-            logprobs=tuple(logprobs),
-            context_len=len(context),
-        )
+        return ScoredText(tokens=tuple(text), logprobs=tuple(logprobs))
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +226,15 @@ class FixtureScorer:
         *,
         logprobs: Sequence[float] | None = None,
         probs: Sequence[float] | None = None,
-        tokens: Sequence[str] | None = None,
     ) -> "FixtureScorer":
         if (logprobs is None) == (probs is None):
             raise ValueError("provide exactly one of logprobs or probs")
         if probs is not None:
             logprobs = [math.log(p) for p in probs]
-        toks = tuple(tokens) if tokens is not None else tuple(text)
+        toks = tuple(text)
         if len(toks) != len(logprobs):
             toks = tuple(f"t{i}" for i in range(len(logprobs)))
-        self._table[(text, context)] = ScoredText(
-            tokens=toks,
-            logprobs=tuple(logprobs),
-            context_len=len(context) if context else 0,
-        )
+        self._table[(text, context)] = ScoredText(tokens=toks, logprobs=tuple(logprobs))
         return self
 
     def add_ppl(
@@ -302,9 +273,7 @@ class FixtureGenerator:
         self._table[prompt] = GenerationResult(response, finish_reason)
         return self
 
-    def generate(
-        self, prompt: str, params: GenerationParams | None = None
-    ) -> GenerationResult:
+    def generate(self, prompt: str) -> GenerationResult:
         if not prompt:
             raise ValueError("cannot generate from an empty prompt")
         self.calls.append(prompt)

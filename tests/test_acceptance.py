@@ -324,7 +324,7 @@ class _ScriptedExpert:
 
     model = "scripted"
 
-    def generate(self, prompt: str, params=None) -> GenerationResult:
+    def generate(self, prompt: str) -> GenerationResult:
         region = prompt.split("Document content: ", 1)[1]
         if region.endswith("\n"):
             region = region[:-1]

@@ -12,18 +12,22 @@ import pytest
 from chunkkit import backends
 from chunkkit.backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
 from chunkkit.errors import ProtocolError, TransportError
-from chunkkit.scoring import GenerationParams, perplexity
+from chunkkit.scoring import perplexity
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Uniform scorer, echo generator, and length-based embedder."""
+    """Uniform scorer, echo generator, and length-based embedder. The path
+    and raw body of each request are appended to ``received``."""
+
+    received: list[tuple[str, bytes]] = []
 
     def log_message(self, *args):  # quiet test output
         pass
 
     def _payload(self) -> dict:
-        length = int(self.headers["Content-Length"])
-        return json.loads(self.rfile.read(length))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.received.append((self.path, body))
+        return json.loads(body)
 
     def _reply(self, data: dict, status: int = 200) -> None:
         body = json.dumps(data).encode("utf-8")
@@ -96,7 +100,7 @@ class TestHttpScorer:
         scorer = HttpScorer(handle(stub_server, max_context_chars=5))
         scored = scorer.score("ab", context="0123456789")
         assert scored.truncated
-        assert scored.context_len == 5
+        assert json.loads(StubHandler.received[-1][1])["context"] == "56789"
 
     def test_http_error_status_is_transport_error(self, stub_server):
         scorer = HttpScorer(handle(stub_server))
@@ -126,8 +130,17 @@ class TestHttpGenerator:
 
     def test_length_stop_flagged(self, stub_server):
         gen = HttpGenerator(handle(stub_server))
-        result = gen.generate("anything else", GenerationParams(max_tokens=4))
+        result = gen.generate("anything else")
         assert result.truncated
+
+    def test_request_body_is_pinned(self, stub_server):
+        # every call decodes near-greedily; the body is pinned byte for byte
+        HttpGenerator(handle(stub_server)).generate("repeat after me: zq81x")
+        assert StubHandler.received[-1] == (
+            "/v1/generate",
+            b'{"model": "stub", "prompt": "repeat after me: zq81x", '
+            b'"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}',
+        )
 
 
 class TestHttpEmbedder:

@@ -14,6 +14,7 @@ from chunkkit.cli import main
 from chunkkit.scoring import HashEmbedder
 from chunkkit.text import (
     ChunkSet,
+    Document,
     load_chunksets,
     save_chunksets,
     save_corpus,
@@ -267,23 +268,32 @@ class TestEvalCommand:
                 values = [row[metric] for row in rows]
                 assert values[0] >= values[1] >= values[2], (doc_id, values)
 
-    def test_cs_alias_resolved_by_graph_flag(self, runner, tmp_path,
-                                             small_corpus):
+    @pytest.mark.parametrize("metrics,config,message", [
+        ("cs", {}, "error: unknown metrics ['cs']"),
+        ("cs_c", {"metrics": {"graph": "sequence"}},
+         "error: unknown keys in 'metrics': ['graph']"),
+    ], ids=["bare-cs", "metrics-graph-key"])
+    def test_removed_cs_alias_is_one_error(self, runner, tmp_path, small_corpus,
+                                           metrics, config, message):
+        # cs_c and cs_i name both stickiness variants; nothing picks one for "cs"
         corpus, _ = small_corpus
         chunks_out = tmp_path / "chunks.jsonl"
         runner.invoke(main, ["chunk", "--corpus", corpus, "--out",
-                             str(chunks_out), "--method", "fixed",
-                             "--target-len", "40"])
+                             str(chunks_out), "--method", "fixed"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"scorer": {"kind": "ngram", "order": 2, "corpus": corpus}, **config}))
         out = tmp_path / "report.jsonl"
         result = runner.invoke(main, [
-            "--config", self._config(tmp_path, corpus),
-            "eval", "--corpus", corpus, "--chunksets", str(chunks_out),
-            "--metrics", "cs", "--graph", "sequence", "--out", str(out),
+            "--config", str(path), "eval", "--corpus", corpus,
+            "--chunksets", str(chunks_out), "--metrics", metrics, "--out", str(out),
         ])
-        assert result.exit_code == 0, result.output
-        header, records = read_report(out)
-        assert header["graph"] == "sequence"
-        assert "cs_i" in records[0] and "cs_c" not in records[0]
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        errors = errors_of(result)
+        assert len(errors) == 1 and errors[0].startswith(message), result.output
+        assert not out.exists()
 
     def test_bc_without_scorer_is_config_error(self, runner, tmp_path,
                                                small_corpus):
@@ -551,6 +561,45 @@ class TestMalformedCorpus:
             result.output
 
 
+class TestDirectoryInputs:
+    """A directory given where an input file belongs is one usage error."""
+
+    CASES = {
+        **{f"{name}-corpus": [*args, "--corpus", "{dir}"]
+           for name, args in TestMalformedCorpus.COMMANDS.items()},
+        "eval-chunksets": ["eval", "--corpus", "{corpus}", "--chunksets", "{dir}"],
+        "dataset-rules-chunksets": ["dataset", "rules", "--corpus", "{corpus}",
+                                    "--chunksets", "{dir}", "--out", "{tmp}/o"],
+        "dataset-label-chunksets": ["dataset", "label", "--corpus", "{corpus}",
+                                    "--chunksets", "{dir}", "--out", "{tmp}/o"],
+        "dataset-emit-chunksets": ["dataset", "emit", "--corpus", "{corpus}",
+                                   "--chunksets", "{dir}", "--out-dir", "{tmp}/e"],
+        "dataset-clean-generated": ["dataset", "clean", "--corpus", "{corpus}",
+                                    "--generated", "{dir}", "--out", "{tmp}/o"],
+        "pearson-table": ["pearson", "{dir}", "--x", "a", "--y", "b"],
+        "config": ["--config", "{dir}", "dataset", "windows", "--corpus", "{corpus}",
+                   "--out", "{tmp}/o"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_directory_is_one_usage_error(self, runner, tmp_path, case):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0"])
+        (tmp_path / "cs.jsonl").write_text("")
+        (tmp_path / "g.jsonl").write_text("")
+        (tmp_path / "in").mkdir()
+        args = [a.format(tmp=tmp_path, corpus=corpus, dir=tmp_path / "in")
+                for a in self.CASES[case]]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        # click's usage error says "Error:", the program's own "error:"
+        errors = [ln for ln in result.output.splitlines()
+                  if ln.lower().startswith("error:")]
+        assert len(errors) == 1, result.output
+        assert "directory" in errors[0] or "not found" in errors[0], errors
+
+
 class TestReproducibility:
     def test_reports_identical_modulo_header(self, runner, tmp_path,
                                              small_corpus):
@@ -618,6 +667,30 @@ class TestPerDocumentFailures:
                            {"doc_id": "d2", "bc": pytest.approx(bc)},
                            {"doc_id": "__aggregate__", "bc": pytest.approx(bc)}]
 
+    def test_eval_answer_not_a_string_fails_its_document(self, runner, tmp_path):
+        docs = [Document(id=doc_id, text=f"Alpha {doc_id} opens. Beta {doc_id} closes.",
+                         meta={"answer": answer})
+                for doc_id, answer in (("d0", "Beta"), ("d1", 5), ("d2", "Beta"))]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+        chunksets = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(d, [(0, 15), (16, len(d.text))], "fixed")
+                        for d in docs], chunksets)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {"kind": "ngram", "corpus": corpus}}))
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", str(chunksets), "--metrics", "bc,cp", "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert errors_of(result) == [
+            "error: doc d1: meta 'answer' must be a string, got int"], result.output
+        _, records = read_report(out)
+        assert [r["doc_id"] for r in records] == ["d0", "d2", "__aggregate__"]
+        assert all(r["cp"] is not None for r in records)
+
 
 class TestConfigErrorsExitTwo:
     @pytest.mark.parametrize("command,config", [
@@ -658,6 +731,8 @@ class TestConfigErrorsExitTwo:
          "chunker.target_len"),
         (["chunk", "--out", "{out}", "--method", "moc", "--max-window", "0"], {},
          "dataset.max_window_tokens"),
+        (["chunk", "--out", "{out}", "--method", "moc", "--calibrate-avg", "150"], {},
+         "--calibrate-avg does not apply to moc"),
         (["dataset", "windows", "--out", "{out}", "--max-window", "0"], {},
          "dataset.max_window_tokens"),
         (["dataset", "windows", "--out", "{out}"],
@@ -667,8 +742,9 @@ class TestConfigErrorsExitTwo:
         (["dataset", "emit", "--chunksets", "{cs}", "--out-dir", "{out}",
           "--router-target", "0"], {}, "dataset.router_target_chars"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
-            "target-len-0", "moc-max-window-0", "windows-max-window-0",
-            "config-max-window-0", "config-anchor-len-0", "emit-router-target-0"])
+            "target-len-0", "moc-max-window-0", "moc-calibrate-avg",
+            "windows-max-window-0", "config-max-window-0", "config-anchor-len-0",
+            "emit-router-target-0"])
     def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args,
                                                   config, key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])

@@ -35,12 +35,11 @@ class TestLoadConfig:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
-            "metrics": {"k": 0.7, "graph": "sequence", "delta": 1},
+            "metrics": {"k": 0.7, "delta": 1},
             "concurrency": 3,
         }))
         config = load_config(path)
         assert config.metrics.k == 0.7
-        assert config.metrics.graph == "sequence"
         assert config.concurrency == 3
 
     def test_yaml_round_trip(self, tmp_path):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chunkkit.errors import FixtureMissingError, UndefinedSimilarityError
@@ -77,7 +78,50 @@ scorers = st.builds(
 )
 
 
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+def reference_check(tokens, logprobs):
+    """Reference: the ScoredText check as it was, one generator expression
+    per element. The stored logprobs as raw bits, or the exception type."""
+    try:
+        lps = tuple(float(x) for x in logprobs)
+        if len(tokens) != len(lps) or not tokens or any(lp > 0.0 for lp in lps):
+            raise ValueError("rejected")
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return bits(lps)
+
+
+# everything float() takes or refuses: NaN of either sign, ±inf, -0.0, ints
+# beyond the float range (OverflowError), numeric strings and None
+logprob_values = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                     5e-324, -5e-324, 1.7976931348623157e308]),
+    st.integers(-3, 3),
+    st.integers(-10**400, 10**400),
+    st.sampled_from(["-1.5", "nan", "x", None]),
+)
+
+
 class TestScoredText:
+    @given(st.lists(logprob_values, max_size=6), st.booleans())
+    @example([math.nan, -1.0], False)
+    @example([-math.inf, -0.0], False)
+    @example([math.inf], False)
+    @example([-(10**400)], False)
+    @example([-2, 0], False)
+    @settings(max_examples=500)
+    def test_check_matches_generator_expression_form(self, logprobs, extra_token):
+        tokens = tuple(f"t{i}" for i in range(len(logprobs) + extra_token))
+        try:
+            outcome = bits(ScoredText(tokens=tokens, logprobs=logprobs).logprobs)
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            outcome = type(exc)
+        assert outcome == reference_check(tokens, logprobs)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ScoredText(tokens=("a", "b"), logprobs=(-1.0,))
@@ -155,7 +199,6 @@ class TestNGramScorer:
         conditional = scorer.score(text, context=context)
         joint = scorer.score(context + text)
         assert conditional.logprobs == joint.logprobs[len(context):]
-        assert conditional.context_len == len(context)
 
     def test_unseen_char_gets_smoothed_floor(self):
         scorer = NGramScorer(order=2, corpus="abab")
@@ -194,7 +237,6 @@ class TestNGramScorerTables:
         scored = scorer.score(text, context)
         assert hexes(scored) == reference_logprobs(scorer, text, context)
         assert scored.tokens == tuple(text)
-        assert scored.context_len == len(context or "")
 
     @given(st.integers(1, 5), st.text(alphabet="ab", min_size=1, max_size=20),
            nonempty, nonempty, st.one_of(st.none(), texts))
@@ -232,8 +274,6 @@ class TestNGramScorerTables:
         tail = context[max(0, len(context) - (scorer.order - 1)):]
         full, cut = scorer.score(text, context), scorer.score(text, tail)
         assert hexes(full) == hexes(cut)
-        assert full.context_len == len(context)
-        assert cut.context_len == len(tail)
 
     @given(st.integers(1, 5), st.lists(texts, max_size=4))
     @settings(max_examples=200)

@@ -43,7 +43,6 @@ from chunkkit.rules import DEFAULT_PLACEHOLDER, GranularityLabel
 from chunkkit.scoring import (
     FixtureGenerator,
     FixtureScorer,
-    GenerationParams,
     GenerationResult,
     ScoredText,
 )
@@ -100,7 +99,7 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
         region = doc.text[region_start:window.end]
         prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
         try:
-            generation = generator.generate(prompt, GenerationParams())
+            generation = generator.generate(prompt)
             chunk_texts = parse_tagged_chunks(generation.text)
         except (ScoringError, RuleParseError):
             failed += 1
@@ -178,7 +177,7 @@ class AnsweringRouter(FixtureScorer):
 class AnsweringExpert(FixtureGenerator):
     """Anchor rules for the sentences inside the region."""
 
-    def generate(self, prompt, params=None):
+    def generate(self, prompt):
         region = _region_of(prompt, prompts.RULE_CHUNK_PROMPT,
                             placeholder=DEFAULT_PLACEHOLDER)
         kind = self.fault_of(region)
@@ -199,7 +198,7 @@ class AnsweringExpert(FixtureGenerator):
 class AnsweringDistiller(FixtureGenerator):
     """Tagged sentence chunks for the region; every third one is garbled."""
 
-    def generate(self, prompt, params=None):
+    def generate(self, prompt):
         region = _region_of(prompt, prompts.DISTILL_PROMPT)
         kind = self.fault_of(region)
         if kind == "backend":
