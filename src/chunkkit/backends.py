@@ -21,19 +21,16 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
-from typing import TYPE_CHECKING
 
 import requests
 
 from .errors import ProtocolError, TransportError
 from .scoring import GenerationResult, ScoredText
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _RETRY_BACKOFF = 0.2  # seconds, times the attempt number, plus up to as much jitter
 _RETRY_WAIT_MAX = 10.0  # seconds: the longest wait between attempts, Retry-After too
@@ -56,6 +53,12 @@ def _retry_wait(attempt: int, retry_after: str | None) -> float:
     if wait is None or math.isnan(wait):
         wait = _RETRY_BACKOFF * attempt * (1.0 + random.random())
     return min(max(wait, 0.0), _RETRY_WAIT_MAX)
+
+
+def _finite_real(x) -> bool:
+    """A JSON number that converts to a finite float: no bool, string, NaN,
+    infinity, or integer beyond the float range."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,6 @@ class HttpScorer(_HttpClient):
 class HttpGenerator(_HttpClient):
     """Text generation against a remote /v1/generate endpoint."""
 
-    @property
-    def model(self) -> str:
-        return self.handle.model
-
     def generate(self, prompt: str) -> GenerationResult:
         if not prompt:
             raise ValueError("cannot generate from an empty prompt")
@@ -185,13 +184,7 @@ class HttpGenerator(_HttpClient):
 class HttpEmbedder(_HttpClient):
     """Embedding against a remote /v1/embed endpoint."""
 
-    def __init__(self, handle: BackendHandle):
-        # load numpy while the command sets up, not on its first document
-        import numpy  # noqa: F401
-
-        super().__init__(handle)
-
-    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
+    def embed_many(self, texts: list[str]) -> list[tuple[float, ...]]:
         if not texts:
             return []
         if any(not t for t in texts):
@@ -204,12 +197,11 @@ class HttpEmbedder(_HttpClient):
             raise ProtocolError(
                 "embed response needs one vector per input text"
             )
-        import numpy as np
+        if not all(isinstance(v, list) and all(map(_finite_real, v)) for v in vectors):
+            raise ProtocolError("embed vectors must be lists of finite numbers")
+        if len(set(map(len, vectors))) > 1:
+            raise ProtocolError("embed vectors differ in length")
+        return [tuple(map(float, v)) for v in vectors]
 
-        try:
-            return [np.asarray(v, dtype=float) for v in vectors]
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid embed response: {exc}") from exc
-
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> tuple[float, ...]:
         return self.embed_many([text])[0]

@@ -6,11 +6,12 @@ document and one aggregate record. Reports and chunk sets are written as the
 run goes into a temporary file beside each one, which replaces it only when
 the command completes: an interrupted run leaves the old output as it was.
 
-``chunk``, ``eval`` and ``dataset distill`` share one per-document driver: a
-document whose work fails gets one ``error: doc <id>: ...`` line, and the
-other documents still reach the output. Exit codes: 0 success; 1 a failed
-document or a data error (a malformed input line, a backend fault); 2 a
-configuration error. Each error is one ``error:`` line.
+``chunk``, ``eval`` and ``dataset distill/rules/label/emit`` share one
+per-document driver: a document whose work fails gets one ``error: doc
+<id>: ...`` line, and the other documents still reach the output. Exit
+codes: 0 success; 1 a failed document or a data error (a malformed input
+line, a backend fault); 2 a configuration error. Each error is one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from .dataset import (
 from .errors import ChunkKitError, ConfigError, CorpusFormatError
 from .metrics import METRIC_BACKENDS, MetricsReport, evaluate_chunksets, pearson
 from .moc import moc_chunk
-from .text import Document, load_chunksets, load_corpus, read_jsonl, save_chunksets
+from .rules import GranularityLabel
+from .text import ChunkSet, Document, load_chunksets, load_corpus, read_jsonl, save_chunksets
 
 _Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
 # an input file: a missing path or a directory is a usage error (exit 2)
@@ -107,6 +109,20 @@ def _each_doc(items: Iterable[tuple[str, object]], work: Callable,
 
 def _load_docs(corpus: str) -> dict[str, Document]:
     return {d.id: d for d in load_corpus(corpus)}
+
+
+def _labeled(chunksets: Iterable[ChunkSet],
+             failures: _Failures) -> Iterator[tuple[ChunkSet, GranularityLabel]]:
+    """Each chunk set with its granularity label. An empty chunk set, which
+    ``dataset distill`` writes when every window of a document fails, has
+    none: it fails its document."""
+    def label(cs: ChunkSet) -> tuple[ChunkSet, GranularityLabel]:
+        try:
+            return cs, label_granularity(cs)
+        except ValueError as exc:
+            raise ChunkKitError(str(exc)) from exc
+
+    return _each_doc(((cs.doc_id, cs) for cs in chunksets), label, failures)
 
 
 class _Group(click.Group):
@@ -261,9 +277,9 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
     config = override(config, metrics={"k": k, "delta": delta})
     metric_names = tuple(m.strip() for m in metrics_csv.split(",") if m.strip())
     unknown = [m for m in metric_names if m not in METRIC_BACKENDS]
-    if unknown:
-        raise ConfigError(f"unknown metrics {unknown}; "
-                          f"choose from {tuple(METRIC_BACKENDS)}")
+    if unknown or not metric_names:
+        what = f"unknown metrics {unknown}" if unknown else "no metrics given"
+        raise ConfigError(f"{what}; choose from {tuple(METRIC_BACKENDS)}")
     backends = {}
     for role, build in (("scorer", build_scorer), ("embedder", build_embedder)):
         needing = [m for m in metric_names if METRIC_BACKENDS[m] == role]
@@ -451,19 +467,20 @@ def cmd_clean(config: RunConfig, corpus: str, generated: str, out: str) -> None:
 @click.option("--placeholder", default=None)
 @click.pass_obj
 def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
-              anchor_len: int | None, placeholder: str | None) -> None:
+              anchor_len: int | None, placeholder: str | None) -> _Failures:
     """Turn chunk sets into anchor+placeholder rule lists."""
     config = override(config, dataset={"anchor_len": anchor_len,
                                        "placeholder": placeholder})
     chunksets = load_chunksets(chunksets_path, _load_docs(corpus))
+    failures: _Failures = []
     with _report(out, {"anchor_len": config.dataset.anchor_len,
                        "placeholder": config.dataset.placeholder}) as write:
-        for cs in chunksets:
+        for cs, label in _labeled(chunksets, failures):
             rule_list = make_rules(cs, anchor_len=config.dataset.anchor_len,
                                    placeholder=config.dataset.placeholder)
             write({
                 "doc_id": cs.doc_id,
-                "label": label_granularity(cs).value,
+                "label": label.value,
                 "rules": [
                     {"prefix": r.prefix, "placeholder": r.placeholder,
                      "suffix": r.suffix}
@@ -471,21 +488,24 @@ def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
                 ],
                 "raw": rule_list.raw,
             })
-    click.echo(f"wrote rules for {len(chunksets)} doc(s)")
+    click.echo(f"wrote rules for {len(chunksets) - len(failures)} doc(s)")
+    return failures
 
 
 @dataset_group.command("label")
 @click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
-def cmd_label(corpus: str, chunksets_path: str, out: str) -> None:
+def cmd_label(corpus: str, chunksets_path: str, out: str) -> _Failures:
     """Assign granularity labels from mean chunk lengths."""
     chunksets = load_chunksets(chunksets_path, _load_docs(corpus))
+    failures: _Failures = []
     with _report(out, {}) as write:
-        for cs in chunksets:
-            write({"doc_id": cs.doc_id, "label": label_granularity(cs).value,
+        for cs, label in _labeled(chunksets, failures):
+            write({"doc_id": cs.doc_id, "label": label.value,
                    "mean_length": round(cs.mean_length(), 2)})
-    click.echo(f"labeled {len(chunksets)} doc(s)")
+    click.echo(f"labeled {len(chunksets) - len(failures)} doc(s)")
+    return failures
 
 
 @dataset_group.command("emit")
@@ -495,12 +515,13 @@ def cmd_label(corpus: str, chunksets_path: str, out: str) -> None:
 @click.option("--router-target", type=int, default=None)
 @click.pass_obj
 def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
-             out_dir: str, router_target: int | None) -> None:
+             out_dir: str, router_target: int | None) -> _Failures:
     """Emit per-label expert files plus the router file and manifest."""
     config = override(config, dataset={"router_target_chars": router_target})
     docs = _load_docs(corpus)
     chunksets = load_chunksets(chunksets_path, docs)
-    pairs = [(docs[cs.doc_id], cs) for cs in chunksets]
+    failures: _Failures = []
+    pairs = [(docs[cs.doc_id], cs) for cs, _ in _labeled(chunksets, failures)]
     samples: list = shape_router_texts(
         pairs, target_chars=config.dataset.router_target_chars
     )
@@ -521,6 +542,7 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
                f"experts {manifest['expert_counts']})")
     for warning in manifest["warnings"]:
         click.echo(f"warning: {warning}", err=True)
+    return failures
 
 
 if __name__ == "__main__":

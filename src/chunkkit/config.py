@@ -282,7 +282,7 @@ def build_generator(spec: BackendSpec, role: str = "generator"):
 
         return HttpGenerator(_handle_from(spec.options, role))
     if spec.kind == "fixture":
-        generator = FixtureGenerator(model=str(spec.options.get("model", "fixture")))
+        generator = FixtureGenerator()
         for entry in _fixture_entries(spec.options, role):
             generator.add(
                 entry["prompt"], entry["response"],

@@ -211,7 +211,7 @@ def make_rules(
                 placeholder=placeholder,
                 suffix=text[-anchor_len:],
             ))
-    return RuleList(rules=tuple(rules), source="anchors")
+    return RuleList(rules=tuple(rules))
 
 
 def label_granularity(chunks: ChunkSet) -> GranularityLabel:

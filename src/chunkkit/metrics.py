@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean
@@ -210,19 +211,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("correlation needs at least two points")
-    import numpy as np
-
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    xd = xa - xa.mean()
-    yd = ya - ya.mean()
-    sx = float(np.dot(xd, xd))
-    sy = float(np.dot(yd, yd))
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    xd = [a - mx for a in x]
+    yd = [b - my for b in y]
+    sx = math.fsum(map(operator.mul, xd, xd))
+    sy = math.fsum(map(operator.mul, yd, yd))
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError(
             "correlation undefined for a zero-variance sequence"
         )
-    r = float(np.dot(xd, yd) / math.sqrt(sx * sy))
+    r = math.fsum(map(operator.mul, xd, yd)) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
 
 

@@ -58,7 +58,6 @@ def route(text: str, scorer: Scorer) -> GranularityLabel:
 
 def generate_rules(
     text: str,
-    label: GranularityLabel,
     generator: Generator,
     placeholder: str = DEFAULT_PLACEHOLDER,
 ) -> RuleList:
@@ -73,8 +72,7 @@ def generate_rules(
     prompt = prompts.render(prompts.RULE_CHUNK_PROMPT, text=text,
                             placeholder=placeholder)
     result = generator.generate(prompt)
-    source = getattr(generator, "model", type(generator).__name__)
-    rule_list = parse_rule_list(result.text, source=f"{source}/label{label.value}")
+    rule_list = parse_rule_list(result.text)
     if not rule_list.rules:
         raise RuleParseError("generation produced an empty rule list",
                              raw=result.text)
@@ -111,15 +109,13 @@ class ExtractionReport:
 _MAX_RATIO = 0.5
 
 
-def _locate(
-    needle: str, text: str, start: int, max_ratio: float
-) -> tuple[int, int, int] | None:
+def _locate(needle: str, text: str, start: int) -> tuple[int, int, int] | None:
     """(start, end, distance) of the earliest acceptable occurrence of
     ``needle`` at or after ``start``; None when nothing qualifies."""
     if start >= len(text):
         return None
     try:
-        match = recover_anchor(needle, text, search_from=start, max_ratio=max_ratio)
+        match = recover_anchor(needle, text, search_from=start, max_ratio=_MAX_RATIO)
     except AnchorNotFoundError:
         return None
     return match.start, match.end, match.distance
@@ -128,7 +124,6 @@ def _locate(
 def _extract_spans(
     text: str,
     rules: RuleList,
-    max_ratio: float,
     doc_id: str,
     base_offset: int = 0,
 ) -> tuple[list[tuple[int, int]], ExtractionReport]:
@@ -144,17 +139,17 @@ def _extract_spans(
     cursor = 0
     for idx, rule in enumerate(rules.rules):
         if rule.literal:
-            hit = _locate(rule.prefix, text, cursor, max_ratio)
+            hit = _locate(rule.prefix, text, cursor)
             if hit is None:
                 report.matches.append(RuleMatch(idx, "failed"))
                 continue
             start, end, distance = hit
         else:
-            head = _locate(rule.prefix, text, cursor, max_ratio)
+            head = _locate(rule.prefix, text, cursor)
             if head is None:
                 report.matches.append(RuleMatch(idx, "failed"))
                 continue
-            tail = _locate(rule.suffix, text, head[1], max_ratio)
+            tail = _locate(rule.suffix, text, head[1])
             if tail is None:
                 report.matches.append(RuleMatch(idx, "failed"))
                 continue
@@ -183,7 +178,7 @@ def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, Extraction
     """
     if not rules.rules:
         raise ValueError("rule list is empty")
-    spans, report = _extract_spans(doc.text, rules, _MAX_RATIO, doc.id)
+    spans, report = _extract_spans(doc.text, rules, doc.id)
     return ChunkSet.from_spans(doc, spans, method="moc"), report
 
 
@@ -212,11 +207,8 @@ def moc_chunk(
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
         label = route(region, router)
-        rule_list = generate_rules(region, label, experts[label],
-                                   placeholder=placeholder)
-        spans, report = _extract_spans(
-            region, rule_list, _MAX_RATIO, doc.id, base_offset=offset
-        )
+        rule_list = generate_rules(region, experts[label], placeholder=placeholder)
+        spans, report = _extract_spans(region, rule_list, doc.id, base_offset=offset)
         reports.append(report)
         return spans
 

@@ -94,10 +94,10 @@ class ChunkRule:
 
 @dataclass(frozen=True)
 class RuleList:
-    """Ordered rules for one document plus provenance for auditing."""
+    """Ordered rules for one document, plus the generation they were parsed
+    from for auditing."""
 
     rules: tuple[ChunkRule, ...]
-    source: str = ""
     raw: str = ""
 
     def __post_init__(self):
@@ -166,11 +166,11 @@ def parse_rule_elements(text: str) -> list[str]:
     return elements
 
 
-def parse_rule_list(generated: str, source: str = "") -> RuleList:
+def parse_rule_list(generated: str) -> RuleList:
     """Parse a generation into an ordered ``RuleList``."""
     elements = parse_rule_elements(generated)
     rules = tuple(split_rule_element(el) for el in elements)
-    return RuleList(rules=rules, source=source, raw=generated)
+    return RuleList(rules=rules, raw=generated)
 
 
 def render_rule_targets(rules: Iterable[ChunkRule]) -> str:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -74,24 +72,23 @@ class Generator(Protocol):
 
 
 class Embedder(Protocol):
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed(self, text: str) -> tuple[float, ...]: ...
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed_many(self, texts: Sequence[str]) -> list[tuple[float, ...]]: ...
 
 
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors have no defined similarity."""
-    import numpy as np
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine similarity in [-1, 1]; zero vectors have no defined similarity.
 
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    The dot product is summed with ``math.fsum``, which rounds correctly, so
+    the value does not depend on summation order or on the CPU.
+    """
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
+    nu, nv = math.hypot(*u), math.hypot(*v)
     if nu == 0.0 or nv == 0.0:
         raise UndefinedSimilarityError("similarity with a zero vector is undefined")
-    value = float(np.dot(u, v) / (nu * nv))
+    value = math.fsum(map(operator.mul, u, v)) / (nu * nv)
     return max(-1.0, min(1.0, value))
 
 
@@ -154,13 +151,12 @@ class NGramScorer:
     def _build_rows(self) -> None:
         # A context's length k-1 tells its order, so one dict holds all orders.
         v = len(self._alphabet)
-        self._totals: dict[str, int] = {}
         self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
         self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
         self._floor = math.log(1 / v) if v else 0.0
         for table in self._counts[1:]:
             for ctx, bucket in table.items():
-                total = self._totals[ctx] = sum(bucket.values())
+                total = sum(bucket.values())
                 self._unseen[ctx] = math.log(1 / (total + v))
                 for char, count in bucket.items():
                     self._logprob[ctx + char] = min(
@@ -171,26 +167,11 @@ class NGramScorer:
     def alphabet_size(self) -> int:
         return len(self._alphabet)
 
-    def _check_alphabet(self) -> int:
-        v = len(self._alphabet)
-        if v == 0:
-            raise ValueError("scorer has an empty alphabet; fit it or pass one")
-        return v
-
-    def prob(self, history: str, char: str) -> float:
-        """Smoothed probability of ``char`` after ``history``."""
-        v = self._check_alphabet()
-        k = min(self.order, len(history) + 1)
-        ctx = history[len(history) - (k - 1):] if k > 1 else ""
-        bucket = self._counts[k].get(ctx)
-        if bucket is None:
-            return 1 / v
-        return (bucket[char] + 1) / (self._totals[ctx] + v)
-
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:
             raise ValueError("cannot score empty text")
-        self._check_alphabet()
+        if not self._alphabet:
+            raise ValueError("scorer has an empty alphabet; fit it or pass one")
         context = context or ""
         n = self.order - 1
         full = context[max(0, len(context) - n):] + text
@@ -260,9 +241,8 @@ class FixtureScorer:
 class FixtureGenerator:
     """Generator returning canned responses for exact prompts."""
 
-    def __init__(self, table: Mapping[str, str] | None = None, model: str = "fixture"):
+    def __init__(self, table: Mapping[str, str] | None = None):
         self._table: dict[str, GenerationResult] = {}
-        self.model = model
         self.calls: list[str] = []
         for prompt, response in (table or {}).items():
             self.add(prompt, response)
@@ -289,20 +269,15 @@ class FixtureEmbedder:
     """Embedder returning preset vectors for exact texts."""
 
     def __init__(self, table: Mapping[str, Sequence[float]] | None = None):
-        # load numpy while the command sets up, not on its first document
-        import numpy  # noqa: F401
-
-        self._table: dict[str, np.ndarray] = {}
+        self._table: dict[str, tuple[float, ...]] = {}
         for text, vector in (table or {}).items():
             self.add(text, vector)
 
     def add(self, text: str, vector: Sequence[float]) -> "FixtureEmbedder":
-        import numpy as np
-
-        self._table[text] = np.asarray(vector, dtype=float)
+        self._table[text] = tuple(map(float, vector))
         return self
 
-    def embed(self, text: str) -> np.ndarray:
+    def embed(self, text: str) -> tuple[float, ...]:
         if not text:
             raise ValueError("cannot embed empty text")
         try:
@@ -310,7 +285,7 @@ class FixtureEmbedder:
         except KeyError:
             raise FixtureMissingError(f"no fixture for text {text[:40]!r}") from None
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_many(self, texts: Sequence[str]) -> list[tuple[float, ...]]:
         return [self.embed(t) for t in texts]
 
 
@@ -319,18 +294,17 @@ class HashEmbedder:
 
     Dependency-free stand-in for a sentence embedding model: texts sharing
     character n-grams land near each other. FNV-1a hashes each n-gram into
-    one of ``dim`` buckets; the count vector is L2-normalized. The hash of
-    each n-gram string is memoised in a bounded process-wide cache shared
-    by all instances (see :func:`_gram_hash`), so a repeated n-gram skips
-    the per-byte loop.
+    one of ``dim`` buckets, and the vector is the integer count of n-grams
+    per bucket (feature hashing). It is not normalised: :func:`cosine`,
+    its only reader, does not depend on scale. The hash of each n-gram
+    string is memoised in a bounded process-wide cache shared by all
+    instances (see :func:`_gram_hash`), so a repeated n-gram skips the
+    per-byte loop.
     """
 
     def __init__(self, dim: int = 64, ngram: int = 3):
         if dim < 2 or ngram < 1:
             raise ValueError("dim must be >= 2 and ngram >= 1")
-        # load numpy while the command sets up, not on its first document
-        import numpy  # noqa: F401
-
         self.dim = dim
         self.ngram = ngram
 
@@ -342,21 +316,19 @@ class HashEmbedder:
             h = (h * 0x01000193) & 0xFFFFFFFF
         return h
 
-    def embed(self, text: str) -> np.ndarray:
-        import numpy as np
-
+    def embed(self, text: str) -> tuple[int, ...]:
         if not text:
             raise ValueError("cannot embed empty text")
         n = self.ngram
         padded = text if len(text) >= n else text.ljust(n)
-        buckets = [_gram_hash(padded[i:i + n]) % self.dim
-                   for i in range(len(padded) - n + 1)]
-        # integer counts, exact in float64
-        vec = np.bincount(buckets, minlength=self.dim).astype(float)
-        norm = float(np.linalg.norm(vec))
-        return vec / norm if norm else vec
+        counts = Counter(_gram_hash(padded[i:i + n]) % self.dim
+                         for i in range(len(padded) - n + 1))
+        vec = [0] * self.dim
+        for bucket, count in counts.items():
+            vec[bucket] = count
+        return tuple(vec)
 
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_many(self, texts: Sequence[str]) -> list[tuple[int, ...]]:
         return [self.embed(t) for t in texts]
 
 

@@ -306,6 +306,8 @@ def load_chunksets(
             raise CorpusFormatError(f"{where}: unknown document id {doc_id!r}")
         try:
             spans = [(c["start"], c["end"]) for c in chunk_records]
+            if not all(type(x) is int for span in spans for x in span):
+                raise ValueError("chunk offsets must be integers")
             out.append(ChunkSet.from_spans(doc, spans, method))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc

@@ -17,9 +17,20 @@ from chunkkit.scoring import perplexity
 
 class StubHandler(BaseHTTPRequestHandler):
     """Uniform scorer, echo generator, and length-based embedder. The path
-    and raw body of each request are appended to ``received``."""
+    and raw body of each request are appended to ``received``. A text in
+    ``VECTORS`` is embedded as the malformed value given there."""
 
     received: list[tuple[str, bytes]] = []
+    VECTORS = {
+        "__nan__": [float("nan"), 1.0],
+        "__inf__": [1.0, float("-inf")],
+        "__huge__": [10 ** 400, 1.0],
+        "__bool__": [True, 1.0],
+        "__string__": ["1.0", 1.0],
+        "__nested__": [[1.0], 1.0],
+        "__null__": None,
+        "__short__": [1.0],
+    }
 
     def log_message(self, *args):  # quiet test output
         pass
@@ -56,7 +67,8 @@ class StubHandler(BaseHTTPRequestHandler):
             else:
                 self._reply({"text": "ok", "finish_reason": "length"})
         elif self.path == "/v1/embed":
-            vectors = [[float(len(t)), 1.0] for t in payload["texts"]]
+            vectors = [self.VECTORS.get(t, [float(len(t)), 1.0])
+                       for t in payload["texts"]]
             self._reply({"vectors": vectors})
         else:
             self._reply({"error": "no such path"}, status=404)
@@ -155,6 +167,26 @@ class TestHttpEmbedder:
         emb = HttpEmbedder(handle(stub_server))
         with pytest.raises(ValueError):
             emb.embed_many(["ok", ""])
+
+    def test_vectors_are_float_tuples(self, stub_server):
+        (vector,) = HttpEmbedder(handle(stub_server)).embed_many(["abc"])
+        assert vector == (3.0, 1.0) and all(type(x) is float for x in vector)
+
+    @pytest.mark.parametrize("text", [
+        "__nan__", "__inf__", "__huge__", "__bool__", "__string__", "__nested__",
+        "__null__",
+    ])
+    def test_non_finite_or_non_number_component_is_protocol_error(
+            self, stub_server, text):
+        # a NaN component made cosine return 1.0: min(1.0, nan) is 1.0
+        emb = HttpEmbedder(handle(stub_server))
+        with pytest.raises(ProtocolError, match="lists of finite numbers"):
+            emb.embed_many(["ok", text])
+
+    def test_vectors_of_two_lengths_are_protocol_error(self, stub_server):
+        emb = HttpEmbedder(handle(stub_server))
+        with pytest.raises(ProtocolError, match="differ in length"):
+            emb.embed_many(["ok", "__short__"])
 
 
 class TestConcurrencyBound:

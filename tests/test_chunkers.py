@@ -380,7 +380,7 @@ class TestCalibrationPins:
                 embedder.add(d.text[s.start:s.end], vectors[i % len(vectors)])
         self.assert_semantic_matches(docs, embedder, target, tolerance)
 
-    @pytest.mark.parametrize("tie", EXACT_TIES[::4])
+    @pytest.mark.parametrize("tie", EXACT_TIES)
     def test_semantic_ties_at_the_threshold(self, tie):
         # every adjacent cosine equals ``tie``, so the mean length jumps
         # between one chunk per document and one chunk per sentence right

@@ -272,7 +272,8 @@ class TestEvalCommand:
         ("cs", {}, "error: unknown metrics ['cs']"),
         ("cs_c", {"metrics": {"graph": "sequence"}},
          "error: unknown keys in 'metrics': ['graph']"),
-    ], ids=["bare-cs", "metrics-graph-key"])
+        ("", {}, "error: no metrics given"),
+    ], ids=["bare-cs", "metrics-graph-key", "empty-metrics"])
     def test_removed_cs_alias_is_one_error(self, runner, tmp_path, small_corpus,
                                            metrics, config, message):
         # cs_c and cs_i name both stickiness variants; nothing picks one for "cs"
@@ -690,6 +691,27 @@ class TestPerDocumentFailures:
         _, records = read_report(out)
         assert [r["doc_id"] for r in records] == ["d0", "d2", "__aggregate__"]
         assert all(r["cp"] is not None for r in records)
+
+    @pytest.mark.parametrize("command", ["rules", "label", "emit"])
+    def test_empty_chunk_set_fails_its_document(self, runner, tmp_path, command):
+        # dataset distill writes a chunk set with no chunks when every window
+        # of a document fails
+        (d0, _), corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
+        chunksets = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(d0, [(0, 20)], "fixed"),
+                        ChunkSet(doc_id="d1", chunks=(), method="moc")], chunksets)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "dataset", command, "--corpus", corpus, "--chunksets", str(chunksets),
+            "--out-dir" if command == "emit" else "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [
+            "error: doc d1: cannot label an empty chunk set"], result.output
+        if command != "emit":
+            _, records = read_report(out)
+            assert [r["doc_id"] for r in records] == ["d0"]
 
 
 class TestConfigErrorsExitTwo:

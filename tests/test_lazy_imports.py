@@ -1,9 +1,10 @@
 """Heavy third-party modules load only on a path that uses them.
 
-``requests`` serves only the HTTP backends, ``numpy`` only the embedders,
-``cosine`` and ``pearson``, and ``yaml`` only a YAML config. Each check runs
-in a fresh interpreter and asserts which modules are loaded, never how long
-loading takes.
+``requests`` serves only the HTTP backends and ``yaml`` only a YAML config.
+No path loads ``numpy``: the embedders, ``cosine`` and ``pearson`` use the
+standard library, and numpy stays in HEAVY so that an import of it added
+back fails here. Each check runs in a fresh interpreter and asserts which
+modules are loaded, never how long loading takes.
 """
 
 from __future__ import annotations
@@ -36,16 +37,33 @@ def test_cli_import_loads_none_of_them():
 
 
 @pytest.mark.parametrize("code,expected", [
-    ("config.build_embedder(config.BackendSpec('hash'))", {"numpy"}),
+    ("config.build_embedder(config.BackendSpec('hash'))", set()),
     ("config.build_scorer(config.BackendSpec("
      "'http', {'endpoint': 'http://127.0.0.1:9', 'model': 'm'}))", {"requests"}),
     ("config.build_scorer(config.BackendSpec('ngram', {'alphabet': 'ab'}))", set()),
-], ids=["hash-embedder-loads-numpy", "http-scorer-loads-requests",
+], ids=["hash-embedder-loads-none", "http-scorer-loads-requests",
         "ngram-scorer-loads-neither"])
 def test_building_a_backend_loads_what_it_uses(code, expected):
     loaded = loaded_after(f"from chunkkit import config\n{code}")
     assert expected <= loaded
     assert not ({"requests", "numpy"} - expected) & loaded
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "{tmp}/config.json", "chunk", "--method", "semantic",
+     "--corpus", "{tmp}/corpus.jsonl", "--out", "{tmp}/chunks.jsonl"],
+    ["pearson", "{tmp}/table.json", "--x", "a", "--y", "b"],
+], ids=["chunk-semantic", "pearson"])
+def test_offline_command_loads_none_of_them(tmp_path, args):
+    (tmp_path / "config.json").write_text(json.dumps({"embedder": {"kind": "hash"}}))
+    (tmp_path / "corpus.jsonl").write_text(json.dumps(
+        {"id": "d0", "text": "Roses are red. Violets are blue. Sugar is sweet."}) + "\n")
+    (tmp_path / "table.json").write_text(json.dumps({"a": [1, 2, 3], "b": [2, 1, 4]}))
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert loaded_after(
+        "from chunkkit.cli import main\n"
+        f"try:\n    main({args!r})\nexcept SystemExit as exc:\n    assert not exc.code\n"
+    ) == set()
 
 
 def test_yaml_config_loads_yaml(tmp_path):

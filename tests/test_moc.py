@@ -57,7 +57,7 @@ class TestGenerateRules:
                 placeholder: str = "[MASK]") -> FixtureGenerator:
         prompt = prompts.render(prompts.RULE_CHUNK_PROMPT, text=text,
                                 placeholder=placeholder)
-        return FixtureGenerator({prompt: response}, model="expert-1")
+        return FixtureGenerator({prompt: response})
 
     def test_five_element_round_trip(self):
         paragraphs = [f"paragraph {i} text body {i} tail." for i in range(5)]
@@ -66,27 +66,26 @@ class TestGenerateRules:
             [f"paragraph {i} [MASK] {i} tail." for i in range(5)]
         )
         expert = self._expert(text, response)
-        rules = generate_rules(text, GranularityLabel(1), expert)
+        rules = generate_rules(text, expert)
         assert len(rules) == 5
         assert [r.prefix for r in rules] == \
             [f"paragraph {i} " for i in range(5)]
-        assert rules.source == "expert-1/label1"
         assert rules.raw == response
 
     def test_unparseable_generation_raises_with_raw(self):
         expert = self._expert("text", "I refuse to answer.")
         with pytest.raises(RuleParseError) as err:
-            generate_rules("text", GranularityLabel(0), expert)
+            generate_rules("text", expert)
         assert err.value.raw == "I refuse to answer."
 
     def test_empty_list_generation_rejected(self):
         expert = self._expert("text", "[]")
         with pytest.raises(RuleParseError):
-            generate_rules("text", GranularityLabel(0), expert)
+            generate_rules("text", expert)
 
     def test_uses_near_greedy_params_by_default(self):
         expert = self._expert("text", '["a [MASK] b"]')
-        generate_rules("text", GranularityLabel(0), expert)
+        generate_rules("text", expert)
         assert len(expert.calls) == 1
 
 
@@ -182,7 +181,7 @@ def build_moc_fixtures(doc: Document, label: int, chunk_texts: list[str],
     """Router + expert fixtures that reproduce a known segmentation."""
     windows = windows or sliding_windows(doc)
     router = FixtureScorer()
-    expert = FixtureGenerator(model="expert")
+    expert = FixtureGenerator()
     region_start = 0
     for wi, window in enumerate(windows):
         region = doc.text[region_start:window.end]
@@ -264,7 +263,7 @@ class TestMocChunk:
         assert len(windows) == 2
 
         router = FixtureScorer()
-        expert = FixtureGenerator(model="expert")
+        expert = FixtureGenerator()
 
         # window 1 covers some whole sentences; its final chunk gets dropped
         # and re-offered, so window 2's region starts at that chunk's start

@@ -63,13 +63,12 @@ class TestParseRuleList:
             '[\n "The sun rose [MASK] over the bay.",\n'
             ' "Then the [MASK] ended."\n]'
         )
-        rules = parse_rule_list(generation, source="m")
+        rules = parse_rule_list(generation)
         assert len(rules) == 2
         assert rules.rules[0].prefix == "The sun rose "
         assert rules.rules[0].suffix == " over the bay."
         assert rules.rules[1].prefix == "Then the "
         assert rules.raw == generation
-        assert rules.source == "m"
 
     def test_prose_preamble_tolerated(self):
         generation = 'Sure! Here is the list:\n["alpha [MASK] omega"]\nDone.'

@@ -7,7 +7,6 @@ import random
 import struct
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -209,13 +208,16 @@ class TestNGramScorer:
         assert math.exp(scored.logprobs[0]) == pytest.approx(1 / 6)  # unigram
 
     def test_distribution_sums_to_one_each_step(self, rng):
+        # by the conditioning contract, score(ch, context=history) is
+        # log P(ch | history)
         corpus = "to be or not to be, that is the question."
         scorer = NGramScorer(order=3, corpus=corpus)
         alphabet = sorted(set(corpus))
         text = "that is"
         for t in range(len(text)):
             history = text[:t]
-            total = sum(scorer.prob(history, ch) for ch in alphabet)
+            total = math.fsum(math.exp(scorer.score(ch, context=history).logprobs[0])
+                              for ch in alphabet)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic(self):
@@ -260,12 +262,6 @@ class TestNGramScorerTables:
         assert scorer.alphabet_size > before  # V changed, so every row did
         assert hexes(scorer.score(text, context)) == \
             reference_logprobs(scorer, text, context)
-
-    @given(scorers, texts, st.text(alphabet=SMALL + "q", max_size=1))
-    @settings(max_examples=200)
-    def test_prob_matches_reference(self, scorer, history, char):
-        assume(scorer.alphabet_size and char)
-        assert scorer.prob(history, char) == reference_prob(scorer, history, char)
 
     @given(scorers, nonempty, texts)
     @settings(max_examples=200)
@@ -340,12 +336,11 @@ class TestCosine:
 
 
 class TestHashEmbedder:
-    def test_deterministic_and_normalized(self):
+    def test_deterministic_and_self_cosine_one(self):
         emb = HashEmbedder(dim=32)
         a = emb.embed("some text here")
-        b = emb.embed("some text here")
-        assert np.allclose(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
+        assert emb.embed("some text here") == a
+        assert cosine(a, a) == pytest.approx(1.0, abs=1e-15)
 
     def test_shared_ngrams_raise_similarity(self):
         emb = HashEmbedder(dim=64)
@@ -356,16 +351,15 @@ class TestHashEmbedder:
         assert near > far
 
     @staticmethod
-    def reference_embed(emb: HashEmbedder, text: str) -> np.ndarray:
+    def reference_embed(emb: HashEmbedder, text: str) -> list[int]:
         """One ``_fnv1a`` call per n-gram, counted into the vector in place:
-        the reference for the memoised, bincounted path."""
-        vec = np.zeros(emb.dim, dtype=float)
+        the reference for the memoised, Counter-filled path."""
+        vec = [0] * emb.dim
         padded = text if len(text) >= emb.ngram else text.ljust(emb.ngram)
         for i in range(len(padded) - emb.ngram + 1):
             gram = padded[i:i + emb.ngram]
-            vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += 1.0
-        norm = float(np.linalg.norm(vec))
-        return vec / norm if norm else vec
+            vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += 1
+        return vec
 
     @given(texts=st.lists(st.text(min_size=1), min_size=1, max_size=4),
            dim=st.sampled_from([2, 3, 64, 128, 1000]), ngram=st.integers(1, 6))
@@ -374,8 +368,8 @@ class TestHashEmbedder:
         # repeats that the hash cache answers
         emb = HashEmbedder(dim=dim, ngram=ngram)
         for text in texts + texts:
-            got, want = emb.embed(text), self.reference_embed(emb, text)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert [v.tobytes() for v in emb.embed_many(texts)] == \
-            [self.reference_embed(emb, t).tobytes() for t in texts]
+            got = emb.embed(text)
+            assert all(type(x) is int for x in got)
+            assert list(got) == self.reference_embed(emb, text)
+        assert [list(v) for v in emb.embed_many(texts)] == \
+            [self.reference_embed(emb, t) for t in texts]

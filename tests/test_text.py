@@ -203,6 +203,19 @@ class TestCorpusIO:
         raw = path.read_text()
         assert "alpha" not in raw  # text never duplicated on disk
 
+    @pytest.mark.parametrize("start", [True, 1.0, "1"],
+                             ids=["bool", "float", "string"])
+    def test_chunkset_offset_not_an_integer_names_line(self, tmp_path, start):
+        # JSON true is a Python bool, which is an int: it must not read as 1
+        doc = make_doc("alpha beta", doc_id="d1")
+        path = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(doc, [(0, 5)], method="fixed")], path)
+        with path.open("a") as fh:
+            fh.write(json.dumps({"doc_id": "d1", "method": "fixed",
+                                 "chunks": [{"index": 0, "start": start, "end": 5}]}))
+        with pytest.raises(CorpusFormatError, match="line 2: chunk offsets must be"):
+            load_chunksets(path, {"d1": doc})
+
     def test_chunkset_load_requires_document(self, tmp_path):
         doc = make_doc("alpha beta", doc_id="d1")
         cs = ChunkSet.from_spans(doc, [(0, 5)], method="fixed")

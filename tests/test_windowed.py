@@ -55,7 +55,7 @@ FAULTS = ("routing", "parse", "extraction", "backend")
 
 # -- the loops as they were ---------------------------------------------------
 
-def reference_moc_chunk(doc, router, experts, max_window_tokens, max_ratio=0.5):
+def reference_moc_chunk(doc, router, experts, max_window_tokens):
     experts = {GranularityLabel(int(k)): v for k, v in experts.items()}
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
     reports: list[ExtractionReport] = []
@@ -67,9 +67,9 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens, max_ratio=0.5):
         region = doc.text[region_start:window.end]
         try:
             label = route(region, router)
-            rule_list = generate_rules(region, label, experts[label])
+            rule_list = generate_rules(region, experts[label])
             spans, report = _extract_spans(
-                region, rule_list, max_ratio, doc.id, base_offset=region_start
+                region, rule_list, doc.id, base_offset=region_start
             )
         except (RoutingError, RuleParseError, ExtractionError, ScoringError):
             failures += 1
