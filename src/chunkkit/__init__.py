@@ -15,18 +15,15 @@ from .chunkers import (
     chunk_semantic,
 )
 from .dataset import (
-    ChunkerSample,
     CleaningVerdict,
     DistillResult,
-    RouterSample,
     Window,
-    build_chunker_samples,
     detect_hallucination,
     distill_document,
-    emit_training_sets,
+    expert_samples,
     label_granularity,
     make_rules,
-    shape_router_texts,
+    router_text,
     sliding_windows,
 )
 from .fuzzy import SpanMatch, best_substring_match, edit_distance, recover_anchor

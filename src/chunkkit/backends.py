@@ -151,6 +151,8 @@ class HttpScorer(_HttpClient):
             raise ProtocolError(
                 f"token/logprob length mismatch: {len(tokens)} vs {len(logprobs)}"
             )
+        if not all(type(x) in (int, float) for x in logprobs):
+            raise ProtocolError("invalid score response: logprobs must be numbers")
         try:
             logprobs = tuple(min(float(x), 0.0) for x in logprobs)
             if any(math.isnan(x) for x in logprobs):
@@ -160,7 +162,7 @@ class HttpScorer(_HttpClient):
                 logprobs=logprobs,
                 truncated=truncated,
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:  # NaN, huge int, no tokens
             raise ProtocolError(f"invalid score response: {exc}") from exc
 
 

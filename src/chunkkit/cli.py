@@ -5,6 +5,8 @@ place timestamps live, so bodies diff cleanly), followed by one record per
 document and one aggregate record. Reports and chunk sets are written as the
 run goes into a temporary file beside each one, which replaces it only when
 the command completes: an interrupted run leaves the old output as it was.
+``dataset emit`` holds its training samples in memory and stages its files
+the same way at the end. Only this module and ``text`` write files.
 
 ``chunk``, ``eval`` and ``dataset distill/rules/label/emit`` share one
 per-document driver: a document whose work fails gets one ``error: doc
@@ -20,7 +22,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -39,24 +41,33 @@ from .config import (
     override,
 )
 from .dataset import (
-    build_chunker_samples,
     detect_hallucination,
     distill_document,
-    emit_training_sets,
+    expert_samples,
     label_granularity,
     make_rules,
-    shape_router_texts,
+    router_text,
     sliding_windows,
 )
 from .errors import ChunkKitError, ConfigError, CorpusFormatError
 from .metrics import METRIC_BACKENDS, MetricsReport, evaluate_chunksets, pearson
 from .moc import moc_chunk
 from .rules import GranularityLabel
-from .text import ChunkSet, Document, load_chunksets, load_corpus, read_jsonl, save_chunksets
+from .text import (
+    ChunkSet,
+    Document,
+    load_chunksets,
+    load_corpus,
+    read_jsonl,
+    save_chunksets,
+    write_jsonl,
+)
 
 _Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
 # an input file: a missing path or a directory is a usage error (exit 2)
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
+# an output directory: an existing file there is a usage error (exit 2)
+_OUTPUT_DIR = click.Path(file_okay=False)
 
 
 @contextmanager
@@ -146,7 +157,8 @@ class _Group(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,
-              help="Overrides the config's backend-call budget.")
+              help="Overrides the config's concurrency: the threads eval "
+                   "scores chunk pairs on. Other commands ignore it.")
 @click.version_option(__version__)
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None,
@@ -370,7 +382,7 @@ def _verdict_record(doc_id: str, verdict) -> dict:
 
 @dataset_group.command("distill")
 @click.option("--corpus", required=True, type=_INPUT_FILE)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", required=True, type=_OUTPUT_DIR)
 @click.pass_obj
 def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
     """Generate raw chunkings for a corpus and clean them."""
@@ -511,36 +523,64 @@ def cmd_label(corpus: str, chunksets_path: str, out: str) -> _Failures:
 @dataset_group.command("emit")
 @click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", required=True, type=_OUTPUT_DIR)
 @click.option("--router-target", type=int, default=None)
 @click.pass_obj
 def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
              out_dir: str, router_target: int | None) -> _Failures:
     """Emit per-label expert files plus the router file and manifest."""
     config = override(config, dataset={"router_target_chars": router_target})
+    params = config.dataset
     docs = _load_docs(corpus)
     chunksets = load_chunksets(chunksets_path, docs)
     failures: _Failures = []
-    pairs = [(docs[cs.doc_id], cs) for cs, _ in _labeled(chunksets, failures)]
-    samples: list = shape_router_texts(
-        pairs, target_chars=config.dataset.router_target_chars
-    )
-    for doc, cs in pairs:
-        samples += build_chunker_samples(
+    router: list[dict] = []
+    experts: dict[int, list[dict]] = {label.value: [] for label in GranularityLabel}
+    doc_labels: dict[str, GranularityLabel] = {}
+    for cs, label in _labeled(chunksets, failures):
+        doc = docs[cs.doc_id]
+        text = router_text(doc, cs, target_chars=params.router_target_chars)
+        if text is not None:
+            router.append({"doc_id": doc.id, "text": text, "label": label.value})
+        samples = expert_samples(
             doc, cs,
-            anchor_len=config.dataset.anchor_len,
-            placeholder=config.dataset.placeholder,
-            max_window_tokens=config.dataset.max_window_tokens,
-            chars_per_token=config.dataset.chars_per_token,
+            anchor_len=params.anchor_len,
+            placeholder=params.placeholder,
+            max_window_tokens=params.max_window_tokens,
+            chars_per_token=params.chars_per_token,
         )
-    try:
-        manifest = emit_training_sets(samples, out_dir)
-    except ValueError as exc:
-        raise ChunkKitError(str(exc)) from exc
+        # label buckets must be independent: no document in two of them
+        if samples and doc_labels.setdefault(doc.id, label) != label:
+            raise ChunkKitError(f"doc {doc.id!r} appears under labels "
+                                f"{doc_labels[doc.id].value} and {label.value}")
+        experts[label.value] += (
+            {"doc_id": doc.id, "prompt": prompt, "target": target}
+            for prompt, target in samples)
+
+    expert_counts = {str(label): len(records) for label, records in experts.items()}
+    warnings = [f"expert bucket {label} is empty"
+                for label, count in expert_counts.items() if count == 0]
+    manifest = {
+        "expert_counts": expert_counts,
+        "router_count": len(router),
+        "total_samples": len(router) + sum(expert_counts.values()),
+        "warnings": warnings,
+    }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # every file is written before any is replaced; the last entered is the
+    # first replaced, so router.jsonl goes first and the manifest last
+    with ExitStack() as staged:
+        manifest_tmp = staged.enter_context(_staged(out / "manifest.json"))
+        for name, records in [*((f"expert_{label}.jsonl", records)
+                                for label, records in experts.items()),
+                              ("router.jsonl", router)]:
+            write_jsonl(records, staged.enter_context(_staged(out / name)))
+        manifest_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                encoding="utf-8")
     click.echo(f"emitted {manifest['total_samples']} sample(s) "
-               f"(router {manifest['router_count']}, "
-               f"experts {manifest['expert_counts']})")
-    for warning in manifest["warnings"]:
+               f"(router {len(router)}, experts {expert_counts})")
+    for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
     return failures
 

@@ -112,6 +112,9 @@ class DatasetParams:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Backends and parameters of one run. ``concurrency`` is how many
+    threads ``eval`` scores chunk pairs on; other commands ignore it."""
+
     scorer: BackendSpec | None = None
     generator: BackendSpec | None = None
     embedder: BackendSpec | None = None

@@ -3,8 +3,10 @@
 A long document is cut into sub-token-budget windows (preferring paragraph
 breaks, then sentence ends, then hard cuts), a generator proposes chunk
 texts per window, hallucinated chunks are flagged by minimum edit distance
-against the source, surviving chunks become anchor rules and granularity
-labels, and router/expert training files are emitted per label.
+against the source, and surviving chunks become anchor rules and
+granularity labels. A chunking also yields training samples: one router
+text per document and one expert prompt/target pair per window. Nothing
+here writes a file; the CLI decides where samples go.
 
 Token counting uses a character proxy (chars / chars_per_token) since the
 backend tokenizer is remote; windows only need to respect a budget.
@@ -13,13 +15,11 @@ backend tokenizer is remote; windows only need to respect a budget.
 from __future__ import annotations
 
 import bisect
-import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from . import prompts
 from .errors import ExtractionError, RoutingError, RuleParseError, ScoringError
@@ -33,7 +33,7 @@ from .rules import (
     render_rule_targets,
 )
 from .scoring import Generator
-from .text import ChunkSet, Document, split_sentences, write_jsonl
+from .text import Chunk, ChunkSet, Document, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ def detect_hallucination(
 # ---------------------------------------------------------------------------
 
 def make_rules(
-    chunks: ChunkSet,
+    chunks: ChunkSet | Sequence[Chunk],
     anchor_len: int = 10,
     placeholder: str = DEFAULT_PLACEHOLDER,
 ) -> RuleList:
@@ -201,7 +201,7 @@ def make_rules(
     if anchor_len < 1:
         raise ValueError("anchor_len must be >= 1")
     rules = []
-    for chunk in chunks.chunks:
+    for chunk in chunks:
         text = chunk.text
         if len(text) <= 2 * anchor_len:
             rules.append(ChunkRule(prefix=text, placeholder=None))
@@ -225,159 +225,52 @@ def label_granularity(chunks: ChunkSet) -> GranularityLabel:
 # Training samples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RouterSample:
-    """A ~target-length text with the granularity label of its source doc."""
-
-    doc_id: str
-    text: str
-    label: GranularityLabel
-
-
-@dataclass(frozen=True)
-class ChunkerSample:
-    """A prompt/target pair for one granularity expert."""
-
-    doc_id: str
-    label: GranularityLabel
-    prompt: str
-    target: str
-
-
-def shape_router_texts(
-    pairs: Iterable[tuple[Document, ChunkSet]],
+def router_text(
+    doc: Document,
+    chunks: ChunkSet,
     target_chars: int = 1024,
-) -> list[RouterSample]:
-    """Build router samples by keeping whole-chunk prefixes closest to the
-    target length (never splitting a chunk; ties go to fewer chunks).
-
-    Documents whose smallest chunk exceeds twice the target are skipped
-    with a notice.
-    """
+) -> str | None:
+    """A router training text: the whole-chunk prefix of a non-empty
+    chunking closest to the target length (never splitting a chunk; ties go
+    to fewer chunks). None, with a notice, when the smallest chunk exceeds
+    twice the target."""
     if target_chars < 1:
         raise ValueError("target_chars must be >= 1")
-    samples: list[RouterSample] = []
-    for doc, chunkset in pairs:
-        if not chunkset.chunks:
-            logger.warning("doc %s: empty chunk set skipped", doc.id)
-            continue
-        if min(len(c) for c in chunkset.chunks) > 2 * target_chars:
-            logger.warning(
-                "doc %s: smallest chunk exceeds 2x target (%d), skipped",
-                doc.id, 2 * target_chars,
-            )
-            continue
-        first = chunkset.chunks[0].start
-        best_k = 1
-        best_gap = abs((chunkset.chunks[0].end - first) - target_chars)
-        for k in range(2, len(chunkset.chunks) + 1):
-            gap = abs((chunkset.chunks[k - 1].end - first) - target_chars)
-            if gap < best_gap:
-                best_k, best_gap = k, gap
-        end = chunkset.chunks[best_k - 1].end
-        samples.append(RouterSample(
-            doc_id=doc.id,
-            text=doc.text[first:end],
-            label=label_granularity(chunkset),
-        ))
-    return samples
+    if min(len(c) for c in chunks) > 2 * target_chars:
+        logger.warning(
+            "doc %s: smallest chunk exceeds 2x target (%d), skipped",
+            doc.id, 2 * target_chars,
+        )
+        return None
+    first = chunks.chunks[0].start
+    end = min((c.end for c in chunks), key=lambda end: abs(end - first - target_chars))
+    return doc.text[first:end]
 
 
-def build_chunker_samples(
+def expert_samples(
     doc: Document,
-    chunkset: ChunkSet,
+    chunks: ChunkSet,
     anchor_len: int = 10,
     placeholder: str = DEFAULT_PLACEHOLDER,
     max_window_tokens: int = 1024,
     chars_per_token: float = 1.0,
-) -> list[ChunkerSample]:
-    """Expert training pairs: per window, the rule-chunking prompt over the
-    window text and the rule list of the chunks falling inside it."""
-    label = label_granularity(chunkset)
+) -> list[tuple[str, str]]:
+    """Expert training pairs ``(prompt, target)``: per window, the
+    rule-chunking prompt over the window text and the rule list of the
+    chunks falling inside it."""
     samples = []
     for window in sliding_windows(doc, max_tokens=max_window_tokens,
                                   chars_per_token=chars_per_token):
-        inside = [
-            c for c in chunkset.chunks
-            if c.start >= window.start and c.end <= window.end
-        ]
-        if not inside:
-            continue
-        window_rules = make_rules(
-            ChunkSet(doc_id=doc.id,
-                     chunks=tuple(
-                         replace(c, index=i) for i, c in enumerate(inside)
-                     ),
-                     method=chunkset.method),
-            anchor_len=anchor_len,
-            placeholder=placeholder,
-        )
-        samples.append(ChunkerSample(
-            doc_id=doc.id,
-            label=label,
-            prompt=prompts.render(
-                prompts.RULE_CHUNK_PROMPT,
-                text=doc.text[window.start:window.end],
-                placeholder=placeholder,
-            ),
-            target=render_rule_targets(window_rules),
-        ))
+        inside = [c for c in chunks
+                  if c.start >= window.start and c.end <= window.end]
+        if inside:
+            samples.append((
+                prompts.render(prompts.RULE_CHUNK_PROMPT,
+                               text=doc.text[window.start:window.end],
+                               placeholder=placeholder),
+                render_rule_targets(make_rules(inside, anchor_len, placeholder)),
+            ))
     return samples
-
-
-def emit_training_sets(
-    samples: Sequence[RouterSample | ChunkerSample],
-    out_dir: str | Path,
-) -> dict:
-    """Partition samples into per-label expert files plus one router file.
-
-    Writes ``expert_<label>.jsonl`` for each granularity label, plus
-    ``router.jsonl`` and ``manifest.json``. A document id appearing under
-    two different labels is an error (label buckets must be independent);
-    empty buckets produce manifest warnings.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    chunker = [s for s in samples if isinstance(s, ChunkerSample)]
-    router = [s for s in samples if isinstance(s, RouterSample)]
-
-    doc_labels: dict[str, GranularityLabel] = {}
-    for sample in chunker:
-        prior = doc_labels.setdefault(sample.doc_id, sample.label)
-        if prior != sample.label:
-            raise ValueError(
-                f"doc {sample.doc_id!r} appears under labels "
-                f"{prior.value} and {sample.label.value}"
-            )
-
-    expert_counts = {}
-    for label in GranularityLabel:
-        expert_counts[str(label.value)] = write_jsonl((
-            {"doc_id": s.doc_id, "prompt": s.prompt, "target": s.target}
-            for s in chunker if s.label == label
-        ), out_dir / f"expert_{label.value}.jsonl")
-    write_jsonl((
-        {"doc_id": s.doc_id, "text": s.text, "label": s.label.value}
-        for s in router
-    ), out_dir / "router.jsonl")
-
-    warnings = [
-        f"expert bucket {label} is empty"
-        for label, count in expert_counts.items() if count == 0
-    ]
-    manifest = {
-        "expert_counts": expert_counts,
-        "router_count": len(router),
-        "total_samples": len(samples),
-        "warnings": warnings,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    for warning in warnings:
-        logger.warning("%s", warning)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +320,9 @@ def distill_document(
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
         prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
         generation = generator.generate(prompt)
+        if generation.truncated:
+            raise RuleParseError("generation cut off at max_tokens",
+                                 raw=generation.text)
         spans = []
         cursor = offset
         for text in parse_tagged_chunks(generation.text):

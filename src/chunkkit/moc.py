@@ -65,13 +65,15 @@ def generate_rules(
 
     The prompt requests one placeholder, but parsing accepts any of the
     known set. Raises :class:`RuleParseError` (raw generation attached) on
-    unparseable or empty output.
+    a generation cut off at max_tokens, and on unparseable or empty output.
     """
     if not text:
         raise ValueError("cannot chunk empty text")
     prompt = prompts.render(prompts.RULE_CHUNK_PROMPT, text=text,
                             placeholder=placeholder)
     result = generator.generate(prompt)
+    if result.truncated:
+        raise RuleParseError("generation cut off at max_tokens", raw=result.text)
     rule_list = parse_rule_list(result.text)
     if not rule_list.rules:
         raise RuleParseError("generation produced an empty rule list",

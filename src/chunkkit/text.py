@@ -14,14 +14,11 @@ from the source document on load.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CorpusFormatError
-
-logger = logging.getLogger(__name__)
 
 _NEWLINES = frozenset("\n\r")
 

@@ -18,7 +18,8 @@ from chunkkit.scoring import perplexity
 class StubHandler(BaseHTTPRequestHandler):
     """Uniform scorer, echo generator, and length-based embedder. The path
     and raw body of each request are appended to ``received``. A text in
-    ``VECTORS`` is embedded as the malformed value given there."""
+    ``VECTORS`` is embedded as the malformed value given there; a text
+    scored in a context in ``LOGPROBS`` gets that value for each token."""
 
     received: list[tuple[str, bytes]] = []
     VECTORS = {
@@ -31,6 +32,8 @@ class StubHandler(BaseHTTPRequestHandler):
         "__null__": None,
         "__short__": [1.0],
     }
+    LOGPROBS = {"__bool__": True, "__string__": "-1.5", "__null__": None,
+                "__huge__": -10 ** 400}
 
     def log_message(self, *args):  # quiet test output
         pass
@@ -54,6 +57,10 @@ class StubHandler(BaseHTTPRequestHandler):
             tokens = list(payload["text"])
             if payload.get("context") == "__mismatch__":
                 self._reply({"tokens": tokens, "logprobs": [-1.0]})
+                return
+            if payload.get("context") in self.LOGPROBS:
+                value = self.LOGPROBS[payload["context"]]
+                self._reply({"tokens": tokens, "logprobs": [value] * len(tokens)})
                 return
             self._reply({
                 "tokens": tokens,
@@ -98,6 +105,17 @@ class TestHttpScorer:
         scorer = HttpScorer(handle(stub_server))
         with pytest.raises(ProtocolError, match="mismatch"):
             scorer.score("abcd", context="__mismatch__")
+
+    @pytest.mark.parametrize("context,message", [
+        ("__bool__", "must be numbers"), ("__string__", "must be numbers"),
+        ("__null__", "must be numbers"), ("__huge__", "too large"),
+    ])
+    def test_logprob_not_a_float_is_protocol_error(self, stub_server, context,
+                                                   message):
+        # float() read true as 1.0 (clamped to 0.0) and "-1.5" as -1.5
+        scorer = HttpScorer(handle(stub_server))
+        with pytest.raises(ProtocolError, match=message):
+            scorer.score("ab", context=context)
 
     def test_unreachable_backend_reports_attempts(self):
         scorer = HttpScorer(

@@ -169,9 +169,13 @@ class TestChunkCommand:
         assert result.exit_code == 2
         assert "router" in result.output
 
-    def test_moc_with_fixture_backends(self, runner, tmp_path, rng):
-        doc = make_doc("First span sentence alpha. Second span sentence beta.",
-                       "d0")
+    MOC_DOC = make_doc("First span sentence alpha. Second span sentence beta.", "d0")
+    MOC_RULES = json.dumps(["First [MASK]alpha.", "Second [MASK]beta."])
+
+    def _moc_fixtures(self, tmp_path, finish_reason="stop") -> str:
+        """A one-window corpus, and a config whose router picks label 1 and
+        whose experts answer MOC_RULES; returns the corpus path."""
+        doc = self.MOC_DOC
         corpus = write_corpus(tmp_path / "c.jsonl", [doc])
 
         router_prompt = prompts.render(prompts.ROUTER_PROMPT, text=doc.text)
@@ -182,11 +186,8 @@ class TestChunkCommand:
 
         expert_prompt = prompts.render(prompts.RULE_CHUNK_PROMPT,
                                        text=doc.text, placeholder="[MASK]")
-        generation = json.dumps([
-            "First [MASK]alpha.", "Second [MASK]beta.",
-        ])
-        gen_table = {"entries": [{"prompt": expert_prompt,
-                                  "response": generation}]}
+        gen_table = {"entries": [{"prompt": expert_prompt, "response": self.MOC_RULES,
+                                  "finish_reason": finish_reason}]}
         (tmp_path / "expert.json").write_text(json.dumps(gen_table))
 
         config = {
@@ -198,7 +199,11 @@ class TestChunkCommand:
             },
         }
         (tmp_path / "config.json").write_text(json.dumps(config))
+        return corpus
 
+    def test_moc_with_fixture_backends(self, runner, tmp_path):
+        doc = self.MOC_DOC
+        corpus = self._moc_fixtures(tmp_path)
         out = tmp_path / "chunks.jsonl"
         report_path = tmp_path / "extraction.jsonl"
         result = runner.invoke(main, [
@@ -214,6 +219,19 @@ class TestChunkCommand:
         _, extraction = read_report(report_path)
         assert extraction[0]["doc_id"] == "d0"
         assert [r["mode"] for r in extraction[0]["rules"]] == ["exact", "exact"]
+
+    def test_moc_cut_off_generation_fails_its_document(self, runner, tmp_path):
+        # the same rules, but the expert stopped at max_tokens: its one
+        # window fails, so the document does
+        corpus = self._moc_fixtures(tmp_path, finish_reason="length")
+        out = tmp_path / "chunks.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(tmp_path / "config.json"),
+            "chunk", "--corpus", corpus, "--out", str(out), "--method", "moc",
+        ])
+        assert result.exit_code == 1, result.output
+        assert errors_of(result) == ["error: doc d0: all 1 windows failed for doc d0"]
+        assert load_chunksets(out, {"d0": self.MOC_DOC}) == []
 
 
 class TestEvalCommand:
@@ -494,6 +512,104 @@ class TestDatasetCommands:
         assert len(errors) == 1 and "line 2" in errors[0], result.output
 
 
+class TestEmitCommand:
+    """``dataset emit``: one router record per document and one expert
+    record per window, in the bucket of the document's label."""
+
+    CHUNK_LEN = (100, 130, 170, 300)  # a chunk length with label 0, 1, 2, 3
+
+    def emit(self, runner, tmp_path, labels, out=None):
+        """Emit documents of four chunks each, document i with label
+        ``labels[i]``: one window and one expert sample each."""
+        docs, chunksets = [], []
+        for i, label in enumerate(labels):
+            n = self.CHUNK_LEN[label]
+            doc = make_doc("x" * (4 * n), f"d{i}")
+            docs.append(doc)
+            chunksets.append(ChunkSet.from_spans(
+                doc, [(k * n, (k + 1) * n) for k in range(4)], "t"))
+        save_chunksets(chunksets, tmp_path / "cs.jsonl")
+        return runner.invoke(main, [
+            "dataset", "emit", "--corpus", write_corpus(tmp_path / "c.jsonl", docs),
+            "--chunksets", str(tmp_path / "cs.jsonl"),
+            "--out-dir", str(out or tmp_path / "out"),
+        ])
+
+    @staticmethod
+    def records(path):
+        return [json.loads(ln) for ln in path.read_text().splitlines()]
+
+    def test_router_label_counts(self, runner, tmp_path):
+        result = self.emit(runner, tmp_path, [0, 1, 2, 3])
+        assert result.exit_code == 0, result.output
+        router = self.records(tmp_path / "out" / "router.jsonl")
+        assert [(r["doc_id"], r["label"]) for r in router] == [
+            ("d0", 0), ("d1", 1), ("d2", 2), ("d3", 3)]
+
+    def test_partition_by_label(self, runner, tmp_path):
+        labels = [i % 4 for i in range(20)]
+        result = self.emit(runner, tmp_path, labels)
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["expert_counts"] == {"0": 5, "1": 5, "2": 5, "3": 5}
+        assert manifest["router_count"] == 20
+        assert manifest["warnings"] == []
+        for label in range(4):
+            doc_ids = [r["doc_id"] for r in self.records(out / f"expert_{label}.jsonl")]
+            assert doc_ids == [f"d{i}" for i in range(label, 20, 4)]
+
+    def test_counts_match_inputs(self, runner, tmp_path, rng):
+        labels = [rng.randint(0, 3) for _ in range(57)]
+        result = self.emit(runner, tmp_path, labels)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["expert_counts"] == {
+            str(label): labels.count(label) for label in range(4)}
+        assert (manifest["router_count"], manifest["total_samples"]) == (57, 114)
+        assert result.stdout.startswith("emitted 114 sample(s) (router 57, ")
+
+    def test_empty_bucket_warned_once(self, runner, tmp_path, caplog):
+        result = self.emit(runner, tmp_path, [0, 0])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["warnings"] == [f"expert bucket {label} is empty"
+                                        for label in (1, 2, 3)]
+        assert result.stderr.splitlines() == [f"warning: expert bucket {label} is empty"
+                                              for label in (1, 2, 3)]
+        assert "bucket" not in caplog.text  # not logged as well
+
+    def test_doc_in_two_label_buckets_rejected(self, runner, tmp_path):
+        doc = make_doc("x" * 680, "same-doc")
+        corpus = write_corpus(tmp_path / "c.jsonl", [doc])
+        save_chunksets([ChunkSet.from_spans(doc, [(k, k + n) for k in range(0, 600, n)], "t")
+                        for n in (100, 170)], tmp_path / "cs.jsonl")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "expert_0.jsonl").write_text("old\n")
+        result = runner.invoke(main, [
+            "dataset", "emit", "--corpus", corpus, "--chunksets",
+            str(tmp_path / "cs.jsonl"), "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert errors_of(result) == [
+            "error: doc 'same-doc' appears under labels 0 and 2"], result.output
+        assert [p.name for p in out.iterdir()] == ["expert_0.jsonl"]
+        assert (out / "expert_0.jsonl").read_text() == "old\n"
+
+    def test_unwritable_router_keeps_old_outputs(self, runner, tmp_path):
+        out = tmp_path / "out"
+        (out / "router.jsonl").mkdir(parents=True)
+        (out / "expert_0.jsonl").write_text("old\n")
+        result = self.emit(runner, tmp_path, [0, 1], out=out)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = errors_of(result)
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"error: {out / 'router.jsonl'}: "), errors
+        assert (out / "expert_0.jsonl").read_text() == "old\n"
+        assert sorted(p.name for p in out.iterdir()) == ["expert_0.jsonl", "router.jsonl"]
+
+
 class TestMalformedCorpus:
     """Every --corpus command answers a bad corpus line with one error line."""
 
@@ -563,7 +679,8 @@ class TestMalformedCorpus:
 
 
 class TestDirectoryInputs:
-    """A directory given where an input file belongs is one usage error."""
+    """A directory given where an input file belongs, or a file where an
+    output directory belongs, is one usage error."""
 
     CASES = {
         **{f"{name}-corpus": [*args, "--corpus", "{dir}"]
@@ -580,6 +697,11 @@ class TestDirectoryInputs:
         "pearson-table": ["pearson", "{dir}", "--x", "a", "--y", "b"],
         "config": ["--config", "{dir}", "dataset", "windows", "--corpus", "{corpus}",
                    "--out", "{tmp}/o"],
+        "dataset-distill-out-dir": ["dataset", "distill", "--corpus", "{corpus}",
+                                    "--out-dir", "{tmp}/g.jsonl"],
+        "dataset-emit-out-dir": ["dataset", "emit", "--corpus", "{corpus}",
+                                 "--chunksets", "{tmp}/cs.jsonl",
+                                 "--out-dir", "{tmp}/g.jsonl"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -598,7 +720,10 @@ class TestDirectoryInputs:
         errors = [ln for ln in result.output.splitlines()
                   if ln.lower().startswith("error:")]
         assert len(errors) == 1, result.output
-        assert "directory" in errors[0] or "not found" in errors[0], errors
+        if case.endswith("-out-dir"):
+            assert errors[0].endswith("g.jsonl' is a file."), errors
+        else:
+            assert "directory" in errors[0] or "not found" in errors[0], errors
 
 
 class TestReproducibility:

@@ -2,27 +2,23 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from chunkkit.dataset import (
-    ChunkerSample,
-    RouterSample,
     Window,
     detect_hallucination,
     distill_document,
-    emit_training_sets,
+    expert_samples,
     label_granularity,
     make_rules,
     parse_tagged_chunks,
-    shape_router_texts,
+    router_text,
     sliding_windows,
     windowed_chunk,
 )
 from chunkkit.errors import ExtractionError, RoutingError, RuleParseError, ScoringError
 from chunkkit.moc import extract_chunks
-from chunkkit.rules import GranularityLabel
+from chunkkit.rules import GranularityLabel, parse_rule_list
 from chunkkit.scoring import FixtureGenerator
 from chunkkit.text import ChunkSet, Document
 from chunkkit import prompts
@@ -237,75 +233,44 @@ class TestLabelGranularity:
             label_granularity(ChunkSet(doc_id="d", chunks=(), method="t"))
 
 
-class TestShapeRouterTexts:
-    def _uniform_chunkset(self, chunk_len: int, n: int, doc_id: str = "d"):
-        doc = make_doc("x" * (chunk_len * n), doc_id=doc_id)
-        spans = [(i * chunk_len, (i + 1) * chunk_len) for i in range(n)]
-        return doc, ChunkSet.from_spans(doc, spans, method="t")
+def uniform_chunkset(chunk_len: int, n: int, doc_id: str = "d"):
+    doc = make_doc("x" * (chunk_len * n), doc_id=doc_id)
+    spans = [(i * chunk_len, (i + 1) * chunk_len) for i in range(n)]
+    return doc, ChunkSet.from_spans(doc, spans, method="t")
 
+
+class TestRouterText:
     def test_closest_prefix_selected(self):
         # 300-char chunks: 3 of them (900) beat 4 (1200) for target 1024
-        doc, cs = self._uniform_chunkset(300, 6)
-        (sample,) = shape_router_texts([(doc, cs)], target_chars=1024)
-        assert len(sample.text) == 900
-        assert sample.label == label_granularity(cs)
+        doc, cs = uniform_chunkset(300, 6)
+        assert router_text(doc, cs, target_chars=1024) == doc.text[:900]
+
+    def test_tie_goes_to_fewer_chunks(self):
+        # 200 and 400 characters are both 100 from the target
+        doc, cs = uniform_chunkset(200, 3)
+        assert router_text(doc, cs, target_chars=300) == doc.text[:200]
 
     def test_oversize_single_chunk_skipped(self, caplog):
-        doc, cs = self._uniform_chunkset(5000, 1)
+        doc, cs = uniform_chunkset(5000, 1)
         with caplog.at_level("WARNING"):
-            samples = shape_router_texts([(doc, cs)], target_chars=1024)
-        assert samples == []
-        assert "skipped" in caplog.text
-
-    def test_label_counts_reportable(self, rng):
-        pairs = []
-        for i, chunk_len in enumerate((100, 130, 170, 300)):
-            doc, cs = self._uniform_chunkset(chunk_len, 8, doc_id=f"d{i}")
-            pairs.append((doc, cs))
-        samples = shape_router_texts(pairs, target_chars=1024)
-        counts = {}
-        for s in samples:
-            counts[s.label.value] = counts.get(s.label.value, 0) + 1
-        assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
+            assert router_text(doc, cs, target_chars=1024) is None
+        assert "smallest chunk exceeds 2x target (2048), skipped" in caplog.text
 
 
-class TestEmitTrainingSets:
-    def _sample(self, doc_id: str, label: int) -> ChunkerSample:
-        return ChunkerSample(doc_id=doc_id, label=GranularityLabel(label),
-                             prompt=f"prompt {doc_id}", target="[]")
-
-    def test_partition_by_label(self, tmp_path):
-        samples = [self._sample(f"d{i}", i % 4) for i in range(100)]
-        samples += [RouterSample(doc_id=f"d{i}", text="t" * 10,
-                                 label=GranularityLabel(i % 4))
-                    for i in range(100)]
-        manifest = emit_training_sets(samples, tmp_path)
-        assert manifest["expert_counts"] == {"0": 25, "1": 25, "2": 25, "3": 25}
-        assert manifest["router_count"] == 100
-        for label in range(4):
-            lines = (tmp_path / f"expert_{label}.jsonl").read_text().splitlines()
-            assert len(lines) == 25
-            assert all(json.loads(ln)["doc_id"] for ln in lines)
-        written = json.loads((tmp_path / "manifest.json").read_text())
-        assert written["expert_counts"] == manifest["expert_counts"]
-        assert manifest["warnings"] == []
-
-    def test_doc_in_two_label_buckets_rejected(self, tmp_path):
-        samples = [self._sample("same-doc", 0), self._sample("same-doc", 2)]
-        with pytest.raises(ValueError, match="same-doc"):
-            emit_training_sets(samples, tmp_path)
-
-    def test_empty_bucket_warned(self, tmp_path):
-        samples = [self._sample("d0", 0)]
-        manifest = emit_training_sets(samples, tmp_path)
-        assert any("bucket 1" in w for w in manifest["warnings"])
-
-    def test_counts_match_inputs(self, tmp_path, rng):
-        labels = [rng.randint(0, 3) for _ in range(57)]
-        samples = [self._sample(f"d{i}", lab) for i, lab in enumerate(labels)]
-        manifest = emit_training_sets(samples, tmp_path)
-        assert sum(manifest["expert_counts"].values()) == 57
-        assert manifest["total_samples"] == 57
+class TestExpertSamples:
+    def test_one_pair_per_window_with_the_chunks_inside(self):
+        doc = make_doc("alpha beta gamma delta. " * 8 + "\n\n" + "omega psi chi. " * 8)
+        cut = doc.text.index("\n\n") + 2  # the one window boundary
+        end = len(doc.text)
+        cs = ChunkSet.from_spans(doc, [(0, 96), (96, cut), (cut, end)], "t")
+        samples = expert_samples(doc, cs, anchor_len=5, max_window_tokens=cut)
+        windows = [((0, cut), cs.chunks[:2]), ((cut, end), cs.chunks[2:])]
+        assert len(samples) == len(windows)
+        for (prompt, target), ((start, stop), inside) in zip(samples, windows):
+            assert prompt == prompts.render(prompts.RULE_CHUNK_PROMPT,
+                                            text=doc.text[start:stop],
+                                            placeholder="[MASK]")
+            assert parse_rule_list(target).rules == make_rules(inside, 5).rules
 
 
 class TestParseTaggedChunks:
@@ -356,6 +321,18 @@ class TestDistillDocument:
         # window 1 kept its first chunk; its last was re-offered and lost
         # with the failed window
         assert [c.text for c in result.chunkset.chunks] == [doc.text[:half]]
+
+    def test_cut_off_generation_fails_its_window(self, caplog):
+        doc = make_doc("Alpha one here. Beta two here. Gamma 3 here.")  # 44 chars
+        prompt = prompts.render(prompts.DISTILL_PROMPT, text=doc.text)
+        generator = FixtureGenerator().add(
+            prompt, "<chunk>Alpha one here.</chunk><chunk>Beta two",
+            finish_reason="length")
+        with caplog.at_level("WARNING"):
+            result = distill_document(doc, generator)
+        assert (result.window_count, result.failed_windows) == (1, 1)
+        assert result.chunkset.chunks == () and result.verdicts == []
+        assert "generation cut off at max_tokens" in caplog.text
 
     def test_hallucinated_chunk_flagged_and_dropped(self, rng):
         doc = make_doc(random_text(rng, sentences=6).lower())
