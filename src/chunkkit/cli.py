@@ -88,6 +88,17 @@ def _staged(path: str | Path) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
 
 
+def _out_dir(path: str) -> Path:
+    """Create an output directory and its parents. A failure, such as a
+    file where a parent should be, is a ChunkKitError that names ``path``."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ChunkKitError(f"{path}: {exc.strerror}") from exc
+    return out
+
+
 @contextmanager
 def _report(path: str | Path, params: dict) -> Iterator[Callable[[dict], None]]:
     """Write a report as the run goes: the header record first, then one
@@ -390,8 +401,7 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
         raise ConfigError("distill needs a generator in config")
     generator = build_generator(config.generator)
     params = config.dataset
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
 
     def distill(doc: Document):
         return distill_document(
@@ -535,8 +545,9 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
     chunksets = load_chunksets(chunksets_path, docs)
     failures: _Failures = []
     router: list[dict] = []
+    # load_chunksets rejects a repeated doc_id, so no document reaches two
+    # label buckets
     experts: dict[int, list[dict]] = {label.value: [] for label in GranularityLabel}
-    doc_labels: dict[str, GranularityLabel] = {}
     for cs, label in _labeled(chunksets, failures):
         doc = docs[cs.doc_id]
         text = router_text(doc, cs, target_chars=params.router_target_chars)
@@ -549,10 +560,6 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
             max_window_tokens=params.max_window_tokens,
             chars_per_token=params.chars_per_token,
         )
-        # label buckets must be independent: no document in two of them
-        if samples and doc_labels.setdefault(doc.id, label) != label:
-            raise ChunkKitError(f"doc {doc.id!r} appears under labels "
-                                f"{doc_labels[doc.id].value} and {label.value}")
         experts[label.value] += (
             {"doc_id": doc.id, "prompt": prompt, "target": target}
             for prompt, target in samples)
@@ -566,8 +573,7 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
         "total_samples": len(router) + sum(expert_counts.values()),
         "warnings": warnings,
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     # every file is written before any is replaced; the last entered is the
     # first replaced, so router.jsonl goes first and the manifest last
     with ExitStack() as staged:

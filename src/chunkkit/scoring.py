@@ -96,6 +96,11 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
 # Character n-gram scorer
 # ---------------------------------------------------------------------------
 
+# Texts whose context-free logprobs NGramScorer keeps. Pair metrics rescore
+# the chunks of one document, and a document rarely has this many chunks.
+_TAIL_CACHE_TEXTS = 1024
+
+
 class NGramScorer:
     """Character-level n-gram scorer with add-one smoothing.
 
@@ -113,10 +118,19 @@ class NGramScorer:
     Scoring reads the rows: one dict look-up per character, two when the
     n-gram is unseen. Only the last ``order - 1`` context characters reach
     any row, so :meth:`score` keeps just those and costs O(len(text)),
-    however long the context. Every :meth:`fit` rebuilds the rows, since a
-    larger alphabet changes V.
+    however long the context.
 
-    Read-only after :meth:`fit`; safe to share across threads.
+    Only a text's first ``order - 1`` positions can see the context; each
+    later position reads an n-gram wholly inside the text. :meth:`score`
+    keeps those context-free logprobs per text, for up to
+    ``_TAIL_CACHE_TEXTS`` texts (emptied when full), so scoring a text
+    again, under any context, looks up ``order - 1`` n-grams instead of
+    ``len(text)``. A cached text costs one 8-byte reference per position
+    and keeps the text alive. Every :meth:`fit` rebuilds the rows and
+    empties the cache, since a larger alphabet changes V.
+
+    Read-only after :meth:`fit`; safe to share across threads: the cached
+    tails are immutable tuples, and a race only recomputes one.
     """
 
     def __init__(
@@ -154,6 +168,7 @@ class NGramScorer:
         self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
         self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
         self._floor = math.log(1 / v) if v else 0.0
+        self._tails: dict[str, tuple[float, ...]] = {}  # text -> positions >= order-1
         for table in self._counts[1:]:
             for ctx, bucket in table.items():
                 total = sum(bucket.values())
@@ -167,27 +182,43 @@ class NGramScorer:
     def alphabet_size(self) -> int:
         return len(self._alphabet)
 
+    def _lookup(self, grams: list[str]) -> tuple[float, ...]:
+        """log P(last char | the rest) of each n-gram, from the rows."""
+        logprobs = tuple(map(self._logprob.get, grams))
+        if None in logprobs:
+            unseen, floor = self._unseen.get, self._floor
+            logprobs = tuple(
+                unseen(gram[:-1], floor) if lp is None else lp
+                for gram, lp in zip(grams, logprobs)
+            )
+        return logprobs
+
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:
             raise ValueError("cannot score empty text")
         if not self._alphabet:
             raise ValueError("scorer has an empty alphabet; fit it or pass one")
-        context = context or ""
         n = self.order - 1
-        full = context[max(0, len(context) - n):] + text
-        offset = len(full) - len(text)
-        # position t reads the n-gram ending at t: order chars once t >= n,
-        # the whole prefix before that
-        grams = [full[:t + 1] for t in range(offset, min(n, len(full)))]
-        grams += [full[t - n:t + 1] for t in range(max(offset, n), len(full))]
-        logprobs = list(map(self._logprob.get, grams))
-        if None in logprobs:
-            unseen, floor = self._unseen.get, self._floor
-            logprobs = [
-                unseen(gram[:-1], floor) if lp is None else lp
-                for gram, lp in zip(grams, logprobs)
-            ]
-        return ScoredText(tokens=tuple(text), logprobs=tuple(logprobs))
+        tail = ()
+        if len(text) > n:
+            tails = self._tails
+            tail = tails.get(text)
+            if tail is None:
+                # text positions t >= n read the n-gram text[t-n:t+1],
+                # whatever the context
+                tail = self._lookup([text[t - n:t + 1]
+                                     for t in range(n, len(text))])
+                if len(tails) >= _TAIL_CACHE_TEXTS:
+                    tails.clear()
+                tails[text] = tail
+        context = context or ""
+        context = context[max(0, len(context) - n):]
+        full = context + text[:n]
+        # a head position reads its order chars, or the whole prefix when
+        # fewer precede it
+        head = self._lookup([full[max(0, t - n):t + 1]
+                             for t in range(len(context), len(full))])
+        return ScoredText(tokens=tuple(text), logprobs=head + tail)
 
 
 # ---------------------------------------------------------------------------

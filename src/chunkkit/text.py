@@ -284,11 +284,16 @@ def load_chunksets(
     path: str | Path,
     documents: Mapping[str, Document] | Iterable[Document],
 ) -> list[ChunkSet]:
-    """Load chunk sets, re-slicing chunk text from the source documents."""
+    """Load chunk sets, re-slicing chunk text from the source documents.
+
+    Raises :class:`CorpusFormatError` naming the offending line on malformed
+    records, unknown document ids or a document id seen before.
+    """
     path = Path(path)
     if not isinstance(documents, Mapping):
         documents = {d.id: d for d in documents}
     out: list[ChunkSet] = []
+    seen: set[str] = set()
     for where, record in read_jsonl(path):
         try:
             doc_id = record["doc_id"]
@@ -305,7 +310,11 @@ def load_chunksets(
             spans = [(c["start"], c["end"]) for c in chunk_records]
             if not all(type(x) is int for span in spans for x in span):
                 raise ValueError("chunk offsets must be integers")
-            out.append(ChunkSet.from_spans(doc, spans, method))
+            chunkset = ChunkSet.from_spans(doc, spans, method)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc
+        if doc.id in seen:
+            raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        out.append(chunkset)
     return out

@@ -580,6 +580,8 @@ class TestEmitCommand:
         assert "bucket" not in caplog.text  # not logged as well
 
     def test_doc_in_two_label_buckets_rejected(self, runner, tmp_path):
+        # the second chunking of the document is a repeated doc_id, rejected
+        # when the chunk sets load
         doc = make_doc("x" * 680, "same-doc")
         corpus = write_corpus(tmp_path / "c.jsonl", [doc])
         save_chunksets([ChunkSet.from_spans(doc, [(k, k + n) for k in range(0, 600, n)], "t")
@@ -592,7 +594,8 @@ class TestEmitCommand:
             str(tmp_path / "cs.jsonl"), "--out-dir", str(out)])
         assert result.exit_code == 1, result.output
         assert errors_of(result) == [
-            "error: doc 'same-doc' appears under labels 0 and 2"], result.output
+            f"error: {tmp_path / 'cs.jsonl'}: line 2: duplicate document id "
+            "'same-doc'"], result.output
         assert [p.name for p in out.iterdir()] == ["expert_0.jsonl"]
         assert (out / "expert_0.jsonl").read_text() == "old\n"
 
@@ -724,6 +727,52 @@ class TestDirectoryInputs:
             assert errors[0].endswith("g.jsonl' is a file."), errors
         else:
             assert "directory" in errors[0] or "not found" in errors[0], errors
+
+
+class TestOutDirBelowAFile:
+    """An --out-dir whose parent is a file cannot be created: one error line
+    naming it, exit 1, no traceback."""
+
+    @pytest.mark.parametrize("command", ["distill", "emit"])
+    def test_out_dir_below_a_file_is_one_error(self, runner, tmp_path, command):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "gen.json").write_text(json.dumps({"entries": []}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generator": {
+            "kind": "fixture", "table": str(tmp_path / "gen.json")}}))
+        out_dir = tmp_path / "afile" / "sub"
+        extra = ["--chunksets", chunksets] if command == "emit" else []
+        result = runner.invoke(main, [
+            "--config", str(config), "dataset", command, "--corpus", corpus,
+            *extra, "--out-dir", str(out_dir)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert errors_of(result) == [f"error: {out_dir}: Not a directory"], \
+            result.output
+
+
+class TestDuplicateChunkSets:
+    def test_eval_repeated_doc_id_is_one_error(self, runner, tmp_path):
+        # a repeat would write two rows for one document and count it twice
+        # in the aggregate
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0", "d1"])
+        with open(chunksets, encoding="utf-8") as fh:
+            first = fh.readline()
+        with open(chunksets, "a", encoding="utf-8") as fh:
+            fh.write(first)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {"kind": "ngram", "corpus": corpus}}))
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", chunksets, "--metrics", "bc", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [
+            f"error: {chunksets}: line 3: duplicate document id 'd0'"], result.output
+        assert not out.exists()
 
 
 class TestReproducibility:

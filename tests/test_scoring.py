@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chunkkit import scoring
 from chunkkit.errors import FixtureMissingError, UndefinedSimilarityError
 from chunkkit.scoring import (
     FixtureEmbedder,
@@ -276,6 +279,73 @@ class TestNGramScorerTables:
     def test_fit_counts_match_reference(self, order, corpus):
         scorer = NGramScorer(order=order, corpus=corpus[:1]).fit(corpus[1:])
         assert scorer._counts == reference_counts(order, corpus)
+
+
+class TestNGramScorerTailCache:
+    """Scores that reuse a text's cached context-free positions against the
+    per-character reference."""
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    @given(base=st.text(alphabet=SMALL, min_size=9, max_size=14),
+           more_texts=st.lists(nonempty, max_size=2),
+           more_contexts=st.lists(st.one_of(st.none(), texts), max_size=2),
+           corpus=st.lists(texts, max_size=2), refit=texts)
+    @settings(max_examples=60)
+    def test_warm_cache_bit_identical_to_reference(
+            self, order, base, more_texts, more_contexts, corpus, refit):
+        n = order - 1
+        scorer = NGramScorer(order=order, corpus=corpus, alphabet=SMALL)
+        # shorter than, equal to and longer than order - 1 (where not empty)
+        texts_ = [base[:max(1, n - 1)], base[:max(1, n)], base[:n + 1], base,
+                  *more_texts]
+        contexts = [None, "", base * 3, *more_contexts]
+
+        def check_all():
+            # each text is scored under every context, so all but its first
+            # score read the cache
+            for context in contexts:
+                for text in texts_:
+                    assert hexes(scorer.score(text, context)) == \
+                        reference_logprobs(scorer, text, context)
+            assert set(scorer._tails) == {t for t in texts_ if len(t) > n}
+
+        check_all()
+        before = scorer.alphabet_size
+        scorer.fit([refit + "\U0010fffd"])  # a new char: V grows, every row moves
+        assert scorer.alphabet_size > before
+        check_all()
+
+    def test_threads_sharing_a_scorer_match_serial(self, monkeypatch):
+        # a bound of 3 texts makes threads empty the cache under each other
+        monkeypatch.setattr(scoring, "_TAIL_CACHE_TEXTS", 3)
+        rng = random.Random(7)
+        corpus = "".join(rng.choice("abcde ") for _ in range(400))
+        texts_ = [corpus[i:i + rng.randint(1, 40)] for i in range(0, 400, 37)]
+        contexts = [None, "", "a", corpus[:50], corpus[200:203]]
+        jobs = [(t, c) for t in texts_ for c in contexts]
+        serial = [hexes(NGramScorer(order=3, corpus=corpus).score(t, c))
+                  for t, c in jobs]
+        shared = NGramScorer(order=3, corpus=corpus)
+
+        def run(shift: int) -> int:
+            """How many scores, over five rounds, differ from the serial ones."""
+            wrong = 0
+            for _ in range(5):
+                for i in range(shift, shift + len(jobs)):
+                    t, c = jobs[i % len(jobs)]
+                    wrong += hexes(shared.score(t, c)) != serial[i % len(jobs)]
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, shift * 7) for shift in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [0] * 4
+        assert len(shared._tails) <= 3
 
 
 class TestFixtures:

@@ -216,6 +216,16 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 2: chunk offsets must be"):
             load_chunksets(path, {"d1": doc})
 
+    def test_chunkset_duplicate_doc_id_names_line(self, tmp_path):
+        # a repeat would be scored, counted and emitted twice
+        doc = make_doc("alpha beta", doc_id="d1")
+        cs = ChunkSet.from_spans(doc, [(0, 5)], method="fixed")
+        path = tmp_path / "chunks.jsonl"
+        save_chunksets([cs, cs], path)
+        with pytest.raises(CorpusFormatError,
+                           match="line 2: duplicate document id 'd1'"):
+            load_chunksets(path, {"d1": doc})
+
     def test_chunkset_load_requires_document(self, tmp_path):
         doc = make_doc("alpha beta", doc_id="d1")
         cs = ChunkSet.from_spans(doc, [(0, 5)], method="fixed")
