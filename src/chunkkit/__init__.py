@@ -28,7 +28,6 @@ from .dataset import (
 )
 from .fuzzy import SpanMatch, best_substring_match, edit_distance, recover_anchor
 from .metrics import (
-    MetricsReport,
     SemanticGraph,
     boundary_clarity,
     build_graph,

@@ -6,7 +6,9 @@ document and one aggregate record. Reports and chunk sets are written as the
 run goes into a temporary file beside each one, which replaces it only when
 the command completes: an interrupted run leaves the old output as it was.
 ``dataset emit`` holds its training samples in memory and stages its files
-the same way at the end. Only this module and ``text`` write files.
+the same way at the end. Only this module and ``text`` write files, and
+only this module makes a thread pool: at a ``concurrency`` above 1,
+``eval`` opens one for the whole command and runs every pair score on it.
 
 ``chunk``, ``eval`` and ``dataset distill/rules/label/emit`` share one
 per-document driver: a document whose work fails gets one ``error: doc
@@ -22,9 +24,11 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
+from statistics import fmean
 from typing import Callable, Iterable, Iterator
 
 import click
@@ -32,6 +36,7 @@ import click
 from . import __version__
 from .chunkers import calibrate_avg_len, chunk_boundary_aware, chunk_fixed, chunk_semantic
 from .config import (
+    CHUNK_METHODS,
     RunConfig,
     build_embedder,
     build_experts,
@@ -50,7 +55,7 @@ from .dataset import (
     sliding_windows,
 )
 from .errors import ChunkKitError, ConfigError, CorpusFormatError
-from .metrics import METRIC_BACKENDS, MetricsReport, evaluate_chunksets, pearson
+from .metrics import METRIC_BACKENDS, evaluate_chunksets, pearson
 from .moc import moc_chunk
 from .rules import GranularityLabel
 from .text import (
@@ -133,6 +138,16 @@ def _load_docs(corpus: str) -> dict[str, Document]:
     return {d.id: d for d in load_corpus(corpus)}
 
 
+def _backend_name(backend) -> str | None:
+    """Class name, plus the remote model id when the backend has one."""
+    if backend is None:
+        return None
+    handle = getattr(backend, "handle", None)
+    model = getattr(handle, "model", None) or getattr(backend, "model", None)
+    name = type(backend).__name__
+    return f"{name}:{model}" if model else name
+
+
 def _labeled(chunksets: Iterable[ChunkSet],
              failures: _Failures) -> Iterator[tuple[ChunkSet, GranularityLabel]]:
     """Each chunk set with its granularity label. An empty chunk set, which
@@ -168,8 +183,9 @@ class _Group(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,
-              help="Overrides the config's concurrency: the threads eval "
-                   "scores chunk pairs on. Other commands ignore it.")
+              help="Overrides the config's concurrency: the threads of the "
+                   "one pool that runs all of eval's pair scores, BC's "
+                   "included. Other commands ignore it.")
 @click.version_option(__version__)
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None,
@@ -184,7 +200,7 @@ def main(ctx: click.Context, config_path: str | None,
 @main.command("chunk")
 @click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--method", type=click.Choice(["fixed", "boundary", "semantic", "moc"]),
+@click.option("--method", type=click.Choice(CHUNK_METHODS),
               default=None, help="Overrides chunker.method from config.")
 @click.option("--target-len", type=int, default=None)
 @click.option("--overlap", type=int, default=None)
@@ -314,21 +330,31 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
 
     docs = _load_docs(corpus)
     chunksets = load_chunksets(chunksets_path, docs)
-
-    def evaluate(some: list) -> MetricsReport:
-        return evaluate_chunksets(
-            docs, some, metrics=metric_names, k=config.metrics.k,
-            delta=config.metrics.delta, max_workers=config.concurrency, **backends,
-        )
-
-    report = evaluate([])  # no rows yet: the parameters for the header
+    params = {"metrics": list(metric_names), "k": config.metrics.k,
+              "delta": config.metrics.delta,
+              **{role: _backend_name(backends.get(role))
+                 for role in ("scorer", "embedder")}}
     failures: _Failures = []
-    with _report(out, report.params) as write:
-        for row in _each_doc(((cs.doc_id, cs) for cs in chunksets),
-                             lambda cs: evaluate([cs]).rows[0], failures):
-            report.rows.append(row)
-            write(row.as_record())
-        write(report.records()[-1])  # the aggregate over the rows written
+    columns: dict[str, list[float]] = {}  # each metric's non-null values
+    with (ThreadPoolExecutor(config.concurrency) if config.concurrency > 1
+          else nullcontext()) as pool, _report(out, params) as write:
+
+        def evaluate(cs: ChunkSet) -> tuple[str, dict]:
+            return cs.doc_id, evaluate_chunksets(
+                docs[cs.doc_id], cs, metric_names, k=config.metrics.k,
+                delta=config.metrics.delta, each=pool.map if pool else map,
+                **backends)
+
+        for doc_id, values in _each_doc(((cs.doc_id, cs) for cs in chunksets),
+                                        evaluate, failures):
+            write({"doc_id": doc_id, **values})
+            for key, value in values.items():
+                column = columns.setdefault(key, [])
+                if value is not None:
+                    column.append(value)
+        write({"doc_id": "__aggregate__",
+               **{key: fmean(column) if column else None
+                  for key, column in columns.items()}})
     return failures
 
 

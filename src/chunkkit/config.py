@@ -15,10 +15,12 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
+from .chunkers import CHUNKER_METHODS
 from .errors import ConfigError
 from .rules import DEFAULT_PLACEHOLDER, PLACEHOLDERS, GranularityLabel
 from .scoring import (
@@ -35,6 +37,8 @@ if TYPE_CHECKING:
 _SCORER_KINDS = ("http", "ngram", "fixture")
 _GENERATOR_KINDS = ("http", "fixture")
 _EMBEDDER_KINDS = ("http", "hash", "fixture")
+#: Every ``chunk --method``: the size-knob baselines, then the MoC pipeline.
+CHUNK_METHODS = (*CHUNKER_METHODS, "moc")
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,9 @@ class ChunkerParams:
     threshold: float = 0.5
 
     def __post_init__(self):
+        if self.method not in CHUNK_METHODS:
+            raise ConfigError(f"chunker.method must be one of {CHUNK_METHODS}, "
+                              f"got {self.method!r}")
         if self.target_len < 1:
             raise ConfigError(f"chunker.target_len must be >= 1, got {self.target_len}")
         if not (0 <= self.overlap < self.target_len):
@@ -112,8 +119,9 @@ class DatasetParams:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Backends and parameters of one run. ``concurrency`` is how many
-    threads ``eval`` scores chunk pairs on; other commands ignore it."""
+    """Backends and parameters of one run. ``concurrency`` is the size of
+    the one thread pool that runs all of ``eval``'s pair scores, BC's
+    included; at 1 no thread starts. Other commands ignore it."""
 
     scorer: BackendSpec | None = None
     generator: BackendSpec | None = None
@@ -230,6 +238,16 @@ def _handle_from(options: Mapping[str, Any], role: str) -> BackendHandle:
     return BackendHandle(**options)
 
 
+@contextmanager
+def _reading(what: str, role: str, path) -> Iterator[None]:
+    """Report an OSError while reading a backend's option file (a missing
+    file, a directory) as a ConfigError naming the role and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{what} for {role!r}: {path}: {exc.strerror}") from exc
+
+
 def _options_checked(build):
     """Report a backend constructor's ValueError or TypeError (an option of
     the wrong type or out of range) as a ConfigError."""
@@ -257,7 +275,8 @@ def build_scorer(spec: BackendSpec, role: str = "scorer"):
         if corpus_path:
             from .text import load_corpus  # local import avoids a cycle
 
-            texts = [d.text for d in load_corpus(corpus_path)]
+            with _reading("ngram corpus", role, corpus_path):
+                texts = [d.text for d in load_corpus(corpus_path)]
         alphabet = spec.options.get("alphabet")
         if not texts and not alphabet:
             raise ConfigError(
@@ -320,10 +339,10 @@ def _fixture_entries(options: Mapping[str, Any], role: str) -> list[dict]:
     if not options.get("table"):
         raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
     path = Path(options["table"])
-    if not path.exists():
-        raise ConfigError(f"fixture table for {role!r} not found: {path}")
+    with _reading("fixture table", role, path):
+        text = path.read_text(encoding="utf-8")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"fixture table {path}: invalid JSON: {exc}") from exc
     entries = data.get("entries") if isinstance(data, dict) else None

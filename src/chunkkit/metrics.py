@@ -14,10 +14,9 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorpusFormatError, GraphBuildError, UndefinedCorrelationError
 from .scoring import Embedder, Scorer, cosine, perplexity
@@ -26,6 +25,10 @@ from .text import Chunk, ChunkSet, Document
 logger = logging.getLogger(__name__)
 
 GRAPH_VARIANTS = ("complete", "sequence")
+
+#: A ``map``-shaped callable that runs pair scores: the builtin ``map``, or a
+#: thread pool's ``map`` to score them concurrently. Either yields in order.
+Each = Callable[[Callable, Iterable], Iterator]
 
 
 def _text_of(piece: Chunk | str) -> str:
@@ -102,25 +105,18 @@ class SemanticGraph:
         return degs
 
 
-def _parallel_map(fn: Callable, items: Sequence, max_workers: int) -> list:
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def build_graph(
     chunks: ChunkSet | Sequence[Chunk | str],
     scorer: Scorer,
     k: float = 0.8,
     variant: str = "complete",
     delta: int = 0,
-    max_workers: int = 1,
+    each: Each = map,
 ) -> SemanticGraph:
     """Score pairwise edges and keep those strictly above the threshold ``k``.
 
-    Pair scoring is a pure map and runs on up to ``max_workers`` threads;
-    graph assembly is a single-threaded reduction.
+    Pair scoring is a pure map run through ``each``; graph assembly is a
+    single-threaded reduction.
     """
     texts = [_text_of(c) for c in chunks]
     n = len(texts)
@@ -133,9 +129,7 @@ def build_graph(
     if delta < 0:
         raise ValueError("delta must be >= 0")
 
-    ppl_plain = _parallel_map(
-        lambda t: perplexity(scorer.score(t)), texts, max_workers
-    )
+    ppl_plain = list(each(lambda t: perplexity(scorer.score(t)), texts))
 
     def edge(q: int, d: int) -> float:
         """Edge weight of chunk q given chunk d."""
@@ -146,12 +140,11 @@ def build_graph(
     if variant == "complete":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         # q conditioned on d, both directions; keep the stronger pull
-        weights = _parallel_map(lambda p: max(edge(p[0], p[1]), edge(p[1], p[0])),
-                                pairs, max_workers)
+        weights = each(lambda p: max(edge(p[0], p[1]), edge(p[1], p[0])), pairs)
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1 + delta, n)]
         # reading order: the later chunk is scored given the earlier one
-        weights = _parallel_map(lambda p: edge(p[1], p[0]), pairs, max_workers)
+        weights = each(lambda p: edge(p[1], p[0]), pairs)
     edges = tuple(
         (i, j, w) for (i, j), w in zip(pairs, weights) if w > k
     )
@@ -225,7 +218,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Corpus-level evaluation reports
+# All requested metrics of one chunk set
 # ---------------------------------------------------------------------------
 
 #: Each metric and the backend role it needs.
@@ -233,55 +226,23 @@ METRIC_BACKENDS = {"bc": "scorer", "cs_c": "scorer", "cs_i": "scorer",
                    "ds": "embedder", "cp": "scorer"}
 
 
-@dataclass
-class DocMetrics:
-    doc_id: str
-    values: dict[str, float | None] = field(default_factory=dict)
-
-    def as_record(self) -> dict:
-        return {"doc_id": self.doc_id, **self.values}
-
-
-@dataclass
-class MetricsReport:
-    """Per-document metric rows plus corpus aggregates and the parameters used."""
-
-    params: dict
-    rows: list[DocMetrics]
-
-    def aggregate(self) -> dict[str, float | None]:
-        out: dict[str, float | None] = {}
-        keys = sorted({k for row in self.rows for k in row.values})
-        for key in keys:
-            present = [
-                row.values[key] for row in self.rows
-                if row.values.get(key) is not None
-            ]
-            out[key] = fmean(present) if present else None
-        return out
-
-    def records(self) -> list[dict]:
-        body = [row.as_record() for row in self.rows]
-        body.append({"doc_id": "__aggregate__", **self.aggregate()})
-        return body
-
-
 def evaluate_chunksets(
-    documents: Mapping[str, Document],
-    chunksets: Sequence[ChunkSet],
+    doc: Document,
+    cs: ChunkSet,
     metrics: Sequence[str] = ("bc", "cs_c", "cs_i"),
     scorer: Scorer | None = None,
     embedder: Embedder | None = None,
     k: float = 0.8,
     delta: int = 0,
-    max_workers: int = 1,
-) -> MetricsReport:
-    """Compute the requested metrics for every chunk set.
+    each: Each = map,
+) -> dict[str, float | None]:
+    """The requested metrics of one chunk set of ``doc``, by name; a metric
+    that does not apply to it is None.
 
     BC is the mean over adjacent pairs (later chunk given earlier); CP reads
     the reference answer from ``doc.meta["answer"]`` and scores it against
-    the document's own chunks, skipping documents without one; an answer
-    that is not a string is a CorpusFormatError.
+    the document's own chunks, and is None without one; an answer that is
+    not a string is a CorpusFormatError. Pair scores run through ``each``.
     """
     unknown = [m for m in metrics if m not in METRIC_BACKENDS]
     if unknown:
@@ -291,59 +252,31 @@ def evaluate_chunksets(
                if backends[METRIC_BACKENDS[m]] is None}
     if missing:
         raise ValueError(f"metrics need backends that were not given: {missing}")
-    orphans = [cs.doc_id for cs in chunksets if cs.doc_id not in documents]
-    if orphans:
-        raise ValueError(f"chunk sets reference unknown documents: {orphans}")
 
-    rows = []
-    for cs in chunksets:
-        doc = documents[cs.doc_id]
-        values: dict[str, float | None] = {}
-        if "bc" in metrics:
-            pairs = list(zip(cs.chunks, cs.chunks[1:]))
-            values["bc"] = (
-                fmean(boundary_clarity(b, a, scorer) for a, b in pairs)
-                if pairs else None
-            )
-        if "cs_c" in metrics:
-            values["cs_c"] = chunk_stickiness(
-                build_graph(cs, scorer, k=k, variant="complete",
-                            max_workers=max_workers)
-            ) if len(cs) >= 2 else None
-        if "cs_i" in metrics:
-            values["cs_i"] = chunk_stickiness(
-                build_graph(cs, scorer, k=k, variant="sequence", delta=delta,
-                            max_workers=max_workers)
-            ) if len(cs) >= 2 else None
-        if "ds" in metrics:
-            values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None
-        if "cp" in metrics:
-            answer = doc.meta.get("answer")
-            if answer is not None and not isinstance(answer, str):
-                raise CorpusFormatError(f"meta 'answer' must be a string, "
-                                        f"got {type(answer).__name__}")
-            if answer:
-                values["cp"] = conditional_support(answer, cs.chunks, scorer)
-            else:
-                values["cp"] = None
-                logger.warning("doc %s has no 'answer' meta; cp skipped", doc.id)
-        rows.append(DocMetrics(doc_id=cs.doc_id, values=values))
-
-    params = {
-        "metrics": list(metrics),
-        "k": k,
-        "delta": delta,
-        "scorer": _backend_name(scorer),
-        "embedder": _backend_name(embedder),
-    }
-    return MetricsReport(params=params, rows=rows)
-
-
-def _backend_name(backend) -> str | None:
-    """Class name, plus the remote model id when the backend has one."""
-    if backend is None:
-        return None
-    handle = getattr(backend, "handle", None)
-    model = getattr(handle, "model", None) or getattr(backend, "model", None)
-    name = type(backend).__name__
-    return f"{name}:{model}" if model else name
+    values: dict[str, float | None] = {}
+    if "bc" in metrics:
+        pairs = list(zip(cs.chunks, cs.chunks[1:]))
+        values["bc"] = fmean(
+            each(lambda p: boundary_clarity(p[1], p[0], scorer), pairs)
+        ) if pairs else None
+    if "cs_c" in metrics:
+        values["cs_c"] = chunk_stickiness(
+            build_graph(cs, scorer, k=k, variant="complete", each=each)
+        ) if len(cs) >= 2 else None
+    if "cs_i" in metrics:
+        values["cs_i"] = chunk_stickiness(
+            build_graph(cs, scorer, k=k, variant="sequence", delta=delta, each=each)
+        ) if len(cs) >= 2 else None
+    if "ds" in metrics:
+        values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None
+    if "cp" in metrics:
+        answer = doc.meta.get("answer")
+        if answer is not None and not isinstance(answer, str):
+            raise CorpusFormatError(f"meta 'answer' must be a string, "
+                                    f"got {type(answer).__name__}")
+        if answer:
+            values["cp"] = conditional_support(answer, cs.chunks, scorer)
+        else:
+            values["cp"] = None
+            logger.warning("doc %s has no 'answer' meta; cp skipped", doc.id)
+    return values

@@ -303,6 +303,8 @@ def load_chunksets(
             raise CorpusFormatError(
                 f"{where}: record needs 'doc_id', 'method' and 'chunks'"
             ) from exc
+        if not (isinstance(doc_id, str) and isinstance(method, str)):
+            raise CorpusFormatError(f"{where}: 'doc_id' and 'method' must be strings")
         doc = documents.get(doc_id)
         if doc is None:
             raise CorpusFormatError(f"{where}: unknown document id {doc_id!r}")

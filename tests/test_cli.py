@@ -261,6 +261,101 @@ class TestEvalCommand:
         assert len(records) == 4  # 3 docs + aggregate
         assert records[-1]["doc_id"] == "__aggregate__"
 
+    def test_report_rows_and_aggregate(self, runner, tmp_path):
+        # d1 has one chunk: no pairs, so its metrics are null, and the
+        # aggregate averages only the rows that have a value
+        docs = [make_doc("aaaa bbbb cccc dddd", "d0"), make_doc("aaaa bbbb", "d1"),
+                make_doc("dddd cccc bbbb aaaa", "d2")]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+        chunksets = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(docs[0], [(0, 9), (10, 19)], "fixed"),
+                        ChunkSet.from_spans(docs[1], [(0, 9)], "fixed"),
+                        ChunkSet.from_spans(docs[2], [(0, 4), (5, 14), (15, 19)],
+                                            "fixed")], chunksets)
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", self._config(tmp_path, corpus), "eval", "--corpus", corpus,
+            "--chunksets", str(chunksets), "--metrics", "bc,cs_c,cs_i",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header, records = read_report(out)
+        assert {key: header[key] for key in
+                ("metrics", "k", "delta", "scorer", "embedder")} == {
+            "metrics": ["bc", "cs_c", "cs_i"], "k": 0.8, "delta": 0,
+            "scorer": "NGramScorer", "embedder": None}
+        assert [r["doc_id"] for r in records] == ["d0", "d1", "d2", "__aggregate__"]
+        assert records[1] == {"doc_id": "d1", "bc": None, "cs_c": None, "cs_i": None}
+        for key in ("bc", "cs_c", "cs_i"):
+            assert records[3][key] == pytest.approx(
+                (records[0][key] + records[2][key]) / 2)
+
+    def test_cp_skipped_rows_leave_the_aggregate(self, runner, tmp_path, caplog):
+        docs = [Document(id="d0", text="context. answer words.",
+                         meta={"answer": "answer words."}),
+                Document(id="d1", text="just context, nothing else.")]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+        chunksets = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(docs[0], [(0, 8), (9, 22)], "f"),
+                        ChunkSet.from_spans(docs[1], [(0, 12), (13, 27)], "f")],
+                       chunksets)
+        out = tmp_path / "report.jsonl"
+        with caplog.at_level("WARNING"):
+            result = runner.invoke(main, [
+                "--config", self._config(tmp_path, corpus), "eval", "--corpus",
+                corpus, "--chunksets", str(chunksets), "--metrics", "cp",
+                "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "doc d1 has no 'answer' meta; cp skipped" in caplog.text
+        _, records = read_report(out)
+        assert records[1] == {"doc_id": "d1", "cp": None}
+        assert records[0]["cp"] > 0
+        assert records[2] == {"doc_id": "__aggregate__", "cp": records[0]["cp"]}
+
+    def test_concurrency_two_writes_the_same_body(self, runner, tmp_path,
+                                                 small_corpus):
+        corpus, _ = small_corpus
+        chunks_out = tmp_path / "chunks.jsonl"
+        runner.invoke(main, ["chunk", "--corpus", corpus, "--out",
+                             str(chunks_out), "--method", "fixed",
+                             "--target-len", "40"])
+        bodies = []
+        for concurrency in ("1", "2"):
+            out = tmp_path / f"report{concurrency}.jsonl"
+            result = runner.invoke(main, [
+                "--config", self._config(tmp_path, corpus),
+                "--concurrency", concurrency, "eval", "--corpus", corpus,
+                "--chunksets", str(chunks_out), "--metrics", "bc,cs_c,cs_i",
+                "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            bodies.append(out.read_bytes().split(b"\n", 1)[1])
+        assert len(bodies[0].splitlines()) == 4  # 3 docs + aggregate
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("concurrency, pools", [("1", []), ("2", [2])])
+    def test_one_pool_per_command(self, runner, tmp_path, small_corpus,
+                                  monkeypatch, concurrency, pools):
+        # every pair score of the command, BC's included, runs on one pool;
+        # at concurrency 1 none is made and no thread starts
+        corpus, _ = small_corpus
+        chunks_out = tmp_path / "chunks.jsonl"
+        runner.invoke(main, ["chunk", "--corpus", corpus, "--out",
+                             str(chunks_out), "--method", "fixed",
+                             "--target-len", "60"])
+        made = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        result = runner.invoke(main, [
+            "--config", self._config(tmp_path, corpus), "--concurrency", concurrency,
+            "eval", "--corpus", corpus, "--chunksets", str(chunks_out),
+            "--metrics", "bc,cs_c,cs_i", "--out", str(tmp_path / "r.jsonl")])
+        assert result.exit_code == 0, result.output
+        assert made == pools
+
     def test_k_sweep_monotone_per_document(self, runner, tmp_path, small_corpus):
         corpus, _ = small_corpus
         chunks_out = tmp_path / "chunks.jsonl"
@@ -775,6 +870,27 @@ class TestDuplicateChunkSets:
         assert not out.exists()
 
 
+class TestMalformedChunkSets:
+    @pytest.mark.parametrize("record", [
+        {"doc_id": ["d0"], "method": "fixed", "chunks": []},
+        {"doc_id": "d0", "method": 5, "chunks": []},
+    ], ids=["doc-id-list", "method-int"])
+    def test_label_field_not_a_string_is_one_error(self, runner, tmp_path, record):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        with open(chunksets, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        out = tmp_path / "labels.jsonl"
+        result = runner.invoke(main, ["dataset", "label", "--corpus", corpus,
+                                      "--chunksets", chunksets, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert errors_of(result) == [
+            f"error: {chunksets}: line 2: 'doc_id' and 'method' must be strings"
+        ], result.output
+        assert not out.exists()
+
+
 class TestReproducibility:
     def test_reports_identical_modulo_header(self, runner, tmp_path,
                                              small_corpus):
@@ -899,13 +1015,17 @@ class TestConfigErrorsExitTwo:
         ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}),
         ("eval", {"concurrency": "x"}),
         ("eval", {"concurrency": None}),
+        ("eval", {"scorer": {"kind": "ngram", "corpus": "missing.jsonl"}}),
+        ("eval", {"scorer": {"kind": "ngram", "corpus": "{tmp}"}}),
+        ("distill", {"generator": {"kind": "fixture", "table": "{tmp}"}}),
     ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
             "hash-dim-1", "distill-table-missing", "hash-ngram-list",
-            "concurrency-not-int", "concurrency-null"])
+            "concurrency-not-int", "concurrency-null", "ngram-corpus-missing",
+            "ngram-corpus-directory", "fixture-table-directory"])
     def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)))
         args = {
             "eval": ["eval", "--chunksets", chunksets, "--metrics", "bc,ds"],
             "distill": ["dataset", "distill", "--out-dir", str(tmp_path / "d")],
@@ -915,8 +1035,8 @@ class TestConfigErrorsExitTwo:
         result = runner.invoke(main, ["--config", str(path), *args, "--corpus", corpus])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
         assert len(errors_of(result)) == 1, result.output
-
 
     @pytest.mark.parametrize("args,config,key", [
         (["chunk", "--out", "{out}", "--method", "boundary", "--target-len", "5",
@@ -937,10 +1057,12 @@ class TestConfigErrorsExitTwo:
          {"dataset": {"anchor_len": 0}}, "dataset.anchor_len"),
         (["dataset", "emit", "--chunksets", "{cs}", "--out-dir", "{out}",
           "--router-target", "0"], {}, "dataset.router_target_chars"),
+        (["chunk", "--out", "{out}"], {"chunker": {"method": "bogus"}},
+         "chunker.method"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
             "target-len-0", "moc-max-window-0", "moc-calibrate-avg",
             "windows-max-window-0", "config-max-window-0", "config-anchor-len-0",
-            "emit-router-target-0"])
+            "emit-router-target-0", "config-method-bogus"])
     def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args,
                                                   config, key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])

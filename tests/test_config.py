@@ -108,6 +108,7 @@ class TestLoadConfig:
         ({"overlap": -1}, "overlap must satisfy"),
         ({"threshold": 1.5}, r"threshold must be in \[-1, 1\]"),
         ({"threshold": float("nan")}, "threshold must be in"),
+        ({"method": "bogus"}, "chunker.method must be one of"),
     ])
     def test_chunker_size_out_of_range(self, chunker, message):
         with pytest.raises(ConfigError, match=message):
@@ -161,6 +162,18 @@ class TestBuildBackends:
     def test_ngram_requires_corpus_or_alphabet(self):
         with pytest.raises(ConfigError, match="corpus"):
             build_scorer(BackendSpec("ngram", {"order": 2}))
+
+    @pytest.mark.parametrize("kind, key, name, strerror", [
+        ("ngram", "corpus", "missing.jsonl", "No such file or directory"),
+        ("ngram", "corpus", "", "Is a directory"),
+        ("fixture", "table", "", "Is a directory"),
+    ], ids=["ngram-corpus-missing", "ngram-corpus-directory",
+            "fixture-table-directory"])
+    def test_unreadable_option_file(self, tmp_path, kind, key, name, strerror):
+        path = tmp_path / name
+        with pytest.raises(ConfigError) as info:
+            build_scorer(BackendSpec(kind, {key: str(path)}))
+        assert str(info.value) == f"{kind} {key} for 'scorer': {path}: {strerror}"
 
     def test_fixture_scorer_from_table(self, tmp_path):
         table = tmp_path / "t.json"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
+from statistics import fmean
 
 import pytest
 
@@ -144,9 +146,10 @@ class TestBuildGraph:
         texts = [f"chunk {i} body" for i in range(8)]
         corpus = " ".join(texts)
         serial = build_graph(texts, NGramScorer(order=3, corpus=corpus),
-                             k=0.01, variant="complete", max_workers=1)
-        threaded = build_graph(texts, NGramScorer(order=3, corpus=corpus),
-                               k=0.01, variant="complete", max_workers=4)
+                             k=0.01, variant="complete", each=map)
+        with ThreadPoolExecutor(4) as pool:
+            threaded = build_graph(texts, NGramScorer(order=3, corpus=corpus),
+                                   k=0.01, variant="complete", each=pool.map)
         assert serial.edges == threaded.edges
 
     def test_increasing_k_never_adds_edges(self):
@@ -307,20 +310,18 @@ class TestPearson:
 
 
 class TestEvaluateChunksets:
-    def test_report_rows_and_aggregate(self):
+    def test_values_of_one_chunkset(self):
         doc = make_doc("aaaa bbbb cccc dddd", doc_id="d1")
         cs = ChunkSet.from_spans(doc, [(0, 4), (5, 9), (10, 14), (15, 19)],
                                  method="fixed")
         scorer = NGramScorer(order=2, corpus=doc.text)
-        report = evaluate_chunksets(
-            {"d1": doc}, [cs], metrics=("bc", "cs_c", "cs_i"), scorer=scorer
-        )
-        assert len(report.rows) == 1
-        row = report.rows[0].values
-        assert set(row) == {"bc", "cs_c", "cs_i"}
-        agg = report.aggregate()
-        assert agg["bc"] == pytest.approx(row["bc"])
-        assert report.params["k"] == 0.8
+        values = evaluate_chunksets(doc, cs, ("bc", "cs_c", "cs_i"), scorer=scorer)
+        assert set(values) == {"bc", "cs_c", "cs_i"}
+        assert values["bc"] == pytest.approx(fmean(
+            boundary_clarity(b, a, scorer) for a, b in zip(cs.chunks, cs.chunks[1:])))
+        single = ChunkSet.from_spans(doc, [(0, 19)], method="fixed")
+        assert evaluate_chunksets(doc, single, ("bc", "cs_c", "cs_i"),
+                                  scorer=scorer) == dict.fromkeys(values)
 
     @pytest.mark.parametrize("metric, budget", [
         ("bc", lambda n: 2 * (n - 1)),
@@ -342,20 +343,42 @@ class TestEvaluateChunksets:
         sets = [chunk_fixed(d, len(d.text) // n + 1) for d, n in zip(docs, (2, 3, 6))]
         assert [len(cs) for cs in sets] == [2, 3, 6]
         scorer = CountingScorer(NGramScorer(order=3, corpus=[d.text for d in docs]))
-        evaluate_chunksets({d.id: d for d in docs}, sets, metrics=(metric,),
-                           scorer=scorer, delta=0)
+        for doc, cs in zip(docs, sets):
+            evaluate_chunksets(doc, cs, (metric,), scorer=scorer, delta=0)
         assert scorer.calls == sum(budget(len(cs)) for cs in sets)
 
-    def test_orphan_chunksets_rejected(self):
-        doc = make_doc("aaaa bbbb", doc_id="d1")
-        cs = ChunkSet.from_spans(doc, [(0, 4)], method="fixed")
-        with pytest.raises(ValueError, match="d1"):
-            evaluate_chunksets({}, [cs], metrics=("bc",),
-                               scorer=NGramScorer(order=1, alphabet="ab"))
+    @pytest.mark.parametrize("metric, mapped", [
+        ("bc", [3]), ("cs_c", [4, 6]), ("cs_i", [4, 6]),
+    ])
+    def test_pair_scores_go_through_each(self, metric, mapped):
+        # the caller's map runs every pair score: BC's adjacent pairs, and
+        # each graph's plain perplexities, then its pairs
+        doc = make_doc("aaaa bbbb cccc dddd", doc_id="d1")
+        cs = ChunkSet.from_spans(doc, [(0, 4), (5, 9), (10, 14), (15, 19)],
+                                 method="fixed")
+        scorer = NGramScorer(order=2, corpus=doc.text)
+        sizes = []
+
+        def each(fn, items):
+            items = list(items)
+            sizes.append(len(items))
+            return map(fn, items)
+
+        values = evaluate_chunksets(doc, cs, (metric,), scorer=scorer, each=each)
+        assert values == evaluate_chunksets(doc, cs, (metric,), scorer=scorer)
+        assert sizes == mapped
 
     def test_scorer_required_for_bc(self):
+        doc = make_doc("aaaa bbbb", doc_id="d1")
+        cs = ChunkSet.from_spans(doc, [(0, 4), (5, 9)], method="fixed")
         with pytest.raises(ValueError, match="scorer"):
-            evaluate_chunksets({}, [], metrics=("bc",))
+            evaluate_chunksets(doc, cs, ("bc",))
+
+    def test_unknown_metric_rejected(self):
+        doc = make_doc("aaaa bbbb", doc_id="d1")
+        cs = ChunkSet.from_spans(doc, [(0, 4), (5, 9)], method="fixed")
+        with pytest.raises(ValueError, match="unknown metrics"):
+            evaluate_chunksets(doc, cs, ("cs",), scorer=FixtureScorer())
 
     def test_cp_uses_answer_meta(self):
         from chunkkit.text import Document
@@ -363,28 +386,14 @@ class TestEvaluateChunksets:
                        meta={"answer": "answer words."})
         cs = ChunkSet.from_spans(doc, [(0, 18), (19, 32)], method="fixed")
         scorer = NGramScorer(order=2, corpus=doc.text)
-        report = evaluate_chunksets({"d1": doc}, [cs], metrics=("cp",),
-                                    scorer=scorer)
-        assert report.rows[0].values["cp"] > 0
+        assert evaluate_chunksets(doc, cs, ("cp",), scorer=scorer)["cp"] > 0
 
     def test_cp_skips_docs_without_answer(self, caplog):
         from chunkkit.text import Document
-        with_answer = Document(id="d1", text="context. answer words.",
-                               meta={"answer": "answer words."})
         without = Document(id="d2", text="just context, nothing else.")
-        sets = [
-            ChunkSet.from_spans(with_answer, [(0, 8), (9, 22)], method="f"),
-            ChunkSet.from_spans(without, [(0, 12), (13, 27)], method="f"),
-        ]
-        scorer = NGramScorer(order=2, corpus=with_answer.text + without.text)
+        cs = ChunkSet.from_spans(without, [(0, 12), (13, 27)], method="f")
+        scorer = NGramScorer(order=2, corpus=without.text)
         with caplog.at_level("WARNING"):
-            report = evaluate_chunksets(
-                {"d1": with_answer, "d2": without}, sets,
-                metrics=("cp",), scorer=scorer,
-            )
-        assert report.rows[1].values["cp"] is None
+            values = evaluate_chunksets(without, cs, ("cp",), scorer=scorer)
+        assert values == {"cp": None}
         assert "cp skipped" in caplog.text
-        # the aggregate averages only documents that have the metric
-        assert report.aggregate()["cp"] == pytest.approx(
-            report.rows[0].values["cp"]
-        )

@@ -216,6 +216,22 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 2: chunk offsets must be"):
             load_chunksets(path, {"d1": doc})
 
+    @pytest.mark.parametrize("record", [
+        {"doc_id": ["d1"], "method": "fixed", "chunks": []},
+        {"doc_id": {"id": "d1"}, "method": "fixed", "chunks": []},
+        {"doc_id": "d1", "method": ["fixed"], "chunks": []},
+    ], ids=["doc-id-list", "doc-id-object", "method-list"])
+    def test_chunkset_field_not_a_string_names_line(self, tmp_path, record):
+        # an unhashable doc_id must not reach the document look-up
+        doc = make_doc("alpha beta", doc_id="d1")
+        path = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(doc, [(0, 5)], method="fixed")], path)
+        with path.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="line 2: 'doc_id' and 'method' must be strings"):
+            load_chunksets(path, {"d1": doc})
+
     def test_chunkset_duplicate_doc_id_names_line(self, tmp_path):
         # a repeat would be scored, counted and emitted twice
         doc = make_doc("alpha beta", doc_id="d1")
