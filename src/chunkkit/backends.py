@@ -26,6 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
+from urllib.parse import urlsplit
 
 import requests
 
@@ -78,8 +79,13 @@ class BackendHandle:
     api_key_env: str | None = None
 
     def __post_init__(self):
-        if not self.endpoint:
-            raise ValueError("endpoint must be non-empty")
+        url = urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a "
+                             f"host, got {self.endpoint!r}")
+        url.port  # raises ValueError for a port that is no number in 0-65535
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retries < 0:
@@ -108,10 +114,6 @@ class _HttpClient:
                         url, json=payload, timeout=self.handle.timeout
                     )
                 response.raise_for_status()
-                data = response.json()
-                if not isinstance(data, dict):
-                    raise ProtocolError(f"{url}: response is not a JSON object")
-                return data
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
             except requests.HTTPError as exc:
@@ -120,8 +122,16 @@ class _HttpClient:
                     raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
                 last_error = exc
                 retry_after = exc.response.headers.get("Retry-After")
-            except ValueError as exc:  # non-JSON body
-                raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+            except requests.RequestException as exc:  # the request cannot be sent
+                raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
+            else:
+                try:
+                    data = response.json()
+                except ValueError as exc:  # requests' JSONDecodeError
+                    raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+                if not isinstance(data, dict):
+                    raise ProtocolError(f"{url}: response is not a JSON object")
+                return data
             if attempt < attempts:
                 time.sleep(_retry_wait(attempt, retry_after))
         raise TransportError(f"{url}: {last_error}", attempts=attempts)

@@ -8,17 +8,22 @@ key's name (``--max-window`` sets ``max_window_tokens``,
 ``--router-target`` sets ``router_target_chars``). Backends and
 ``dataset.flag_ratio`` come only from the file. Only endpoint secrets come
 from environment variables (via each backend's ``api_key_env``).
+
+Each value must have its JSON type: an integer key takes no float, string
+or ``true``, and a float key also takes an integer. An unknown key is an
+error, except among a fixture backend's options, which are not checked.
+Every fault is one ConfigError naming the key or the backend's role, such
+as ``metrics.delta must be an integer, got 1.5`` or ``invalid http backend
+'scorer': ...``; the CLI prints it as one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .chunkers import CHUNKER_METHODS
 from .errors import ConfigError
@@ -31,12 +36,8 @@ from .scoring import (
     NGramScorer,
 )
 
-if TYPE_CHECKING:
-    from .backends import BackendHandle
-
-_SCORER_KINDS = ("http", "ngram", "fixture")
-_GENERATOR_KINDS = ("http", "fixture")
-_EMBEDDER_KINDS = ("http", "hash", "fixture")
+#: The top-level keys that each name one backend (``experts`` maps labels).
+_ROLES = ("scorer", "generator", "embedder", "router")
 #: Every ``chunk --method``: the size-knob baselines, then the MoC pipeline.
 CHUNK_METHODS = (*CHUNKER_METHODS, "moc")
 
@@ -168,75 +169,65 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def parse_config(raw: Mapping[str, Any]) -> RunConfig:
-    known = {
-        "scorer", "generator", "embedder", "router", "experts",
-        "metrics", "chunker", "dataset", "concurrency",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def section(name: str, cls):
-        data = raw.get(name, {})
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        allowed = {f.name for f in fields(cls)}
-        bad = set(data) - allowed
-        if bad:
-            raise ConfigError(f"unknown keys in {name!r}: {sorted(bad)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"invalid section {name!r}: {exc}") from exc
-
     experts_raw = raw.get("experts", {}) or {}
     if not isinstance(experts_raw, Mapping):
         raise ConfigError("'experts' must map labels 0-3 to backends")
     experts = {}
     for key, value in experts_raw.items():
         try:
-            label = int(key)
+            label = int(str(key))  # a YAML key may be an int, never a float
             GranularityLabel(label)
         except ValueError as exc:
             raise ConfigError(f"invalid expert label {key!r}") from exc
         experts[label] = BackendSpec.parse(value, f"experts.{key}")
-
-    try:
-        concurrency = int(raw.get("concurrency", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"concurrency must be an integer, "
-                          f"got {raw['concurrency']!r}") from exc
     return RunConfig(
-        scorer=BackendSpec.parse(raw["scorer"], "scorer") if "scorer" in raw else None,
-        generator=(BackendSpec.parse(raw["generator"], "generator")
-                   if "generator" in raw else None),
-        embedder=(BackendSpec.parse(raw["embedder"], "embedder")
-                  if "embedder" in raw else None),
-        router=BackendSpec.parse(raw["router"], "router") if "router" in raw else None,
+        **{role: BackendSpec.parse(raw[role], role) for role in _ROLES if role in raw},
         experts=experts,
-        metrics=section("metrics", MetricsParams),
-        chunker=section("chunker", ChunkerParams),
-        dataset=section("dataset", DatasetParams),
-        concurrency=concurrency,
+        metrics=read_record(MetricsParams, raw.get("metrics", {}), "metrics"),
+        chunker=read_record(ChunkerParams, raw.get("chunker", {}), "chunker"),
+        dataset=read_record(DatasetParams, raw.get("dataset", {}), "dataset"),
+        concurrency=_typed("concurrency", raw.get("concurrency", 1), "int"),
     )
 
 
+#: The JSON types a config field of each annotation takes; a bool is no number.
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string")}
+
+
+def _typed(name: str, value: Any, annotation: str) -> Any:
+    """``value`` when its JSON type fits ``annotation`` ("int", "float" or
+    "str", each optionally "| None"); else a ConfigError naming ``name``."""
+    base, _, none = annotation.partition(" | ")
+    types, noun = _JSON_TYPES[base]
+    if type(value) in types or (none == "None" and value is None):
+        return value
+    raise ConfigError(f"{name} must be {noun}{' or null' if none else ''}, "
+                      f"got {value!r}")
+
+
+def read_record(cls: type, data: Any, name: str):
+    """The config record ``cls`` (a dataclass) built from the mapping
+    ``data``: no unknown key, and every value of its field's JSON type. The
+    class's own ``__post_init__`` then checks ranges."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    known = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    return cls(**{key: _typed(f"{name}.{key}", value, known[key])
+                  for key, value in data.items()})
+
+
 # ---------------------------------------------------------------------------
-# Backend construction
-#
-# Only the http branches import .backends, which imports requests: an
-# offline run never loads it.
+# Backend construction: one table of kind -> builder per role. Each builder
+# takes a backend's options and role; only the http builders import
+# .backends, which imports requests, so an offline run never loads it.
 # ---------------------------------------------------------------------------
-
-def _handle_from(options: Mapping[str, Any], role: str) -> BackendHandle:
-    from .backends import BackendHandle
-
-    allowed = {f.name for f in fields(BackendHandle)}
-    bad = set(options) - allowed
-    if bad:
-        raise ConfigError(f"unknown http options for {role!r}: {sorted(bad)}")
-    return BackendHandle(**options)
-
 
 @contextmanager
 def _reading(what: str, role: str, path) -> Iterator[None]:
@@ -248,94 +239,61 @@ def _reading(what: str, role: str, path) -> Iterator[None]:
         raise ConfigError(f"{what} for {role!r}: {path}: {exc.strerror}") from exc
 
 
-def _options_checked(build):
-    """Report a backend constructor's ValueError or TypeError (an option of
-    the wrong type or out of range) as a ConfigError."""
-    default_role = inspect.signature(build).parameters["role"].default
+def _http(client: str):
+    """The builder of the client class ``client`` of .backends."""
+    def build(options: Mapping[str, Any], role: str):
+        from . import backends
 
-    @functools.wraps(build)
-    def checked(spec: BackendSpec, role: str = default_role):
-        try:
-            return build(spec, role)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {spec.kind} backend {role!r}: {exc}") from exc
-    return checked
+        handle = read_record(backends.BackendHandle, options, role)
+        return getattr(backends, client)(handle)
+    return build
 
 
-@_options_checked
-def build_scorer(spec: BackendSpec, role: str = "scorer"):
-    if spec.kind == "http":
-        from .backends import HttpScorer
+def _ngram_scorer(options: Mapping[str, Any], role: str) -> NGramScorer:
+    texts: list[str] = []
+    if options.get("corpus"):
+        from .text import load_corpus  # local import avoids a cycle
 
-        return HttpScorer(_handle_from(spec.options, role))
-    if spec.kind == "ngram":
-        order = int(spec.options.get("order", 2))
-        corpus_path = spec.options.get("corpus")
-        texts: list[str] = []
-        if corpus_path:
-            from .text import load_corpus  # local import avoids a cycle
-
-            with _reading("ngram corpus", role, corpus_path):
-                texts = [d.text for d in load_corpus(corpus_path)]
-        alphabet = spec.options.get("alphabet")
-        if not texts and not alphabet:
-            raise ConfigError(
-                f"ngram backend {role!r} needs 'corpus' and/or 'alphabet'"
-            )
-        return NGramScorer(order=order, corpus=texts, alphabet=alphabet)
-    if spec.kind == "fixture":
-        scorer = FixtureScorer()
-        for entry in _fixture_entries(spec.options, role):
-            scorer.add(
-                entry.get("text", ""),
-                entry.get("context"),
-                logprobs=entry.get("logprobs"),
-                probs=entry.get("probs"),
-            )
-        return scorer
-    raise ConfigError(f"scorer kind must be one of {_SCORER_KINDS}, "
-                      f"got {spec.kind!r}")
+        with _reading("ngram corpus", role, options["corpus"]):
+            texts = [d.text for d in load_corpus(options["corpus"])]
+    alphabet = options.get("alphabet")
+    if not texts and not alphabet:
+        raise ConfigError(f"ngram backend {role!r} needs 'corpus' and/or 'alphabet'")
+    return NGramScorer(order=_typed(f"{role}.order", options.get("order", 2), "int"),
+                       corpus=texts, alphabet=alphabet)
 
 
-@_options_checked
-def build_generator(spec: BackendSpec, role: str = "generator"):
-    if spec.kind == "http":
-        from .backends import HttpGenerator
-
-        return HttpGenerator(_handle_from(spec.options, role))
-    if spec.kind == "fixture":
-        generator = FixtureGenerator()
-        for entry in _fixture_entries(spec.options, role):
-            generator.add(
-                entry["prompt"], entry["response"],
-                entry.get("finish_reason", "stop"),
-            )
-        return generator
-    raise ConfigError(f"generator kind must be one of {_GENERATOR_KINDS}, "
-                      f"got {spec.kind!r}")
+def _fixture_scorer(options: Mapping[str, Any], role: str) -> FixtureScorer:
+    scorer = FixtureScorer()
+    for entry in _fixture_entries(options, role):
+        scorer.add(entry.get("text", ""), entry.get("context"),
+                   logprobs=entry.get("logprobs"), probs=entry.get("probs"))
+    return scorer
 
 
-@_options_checked
-def build_embedder(spec: BackendSpec, role: str = "embedder"):
-    if spec.kind == "http":
-        from .backends import HttpEmbedder
-
-        return HttpEmbedder(_handle_from(spec.options, role))
-    if spec.kind == "hash":
-        return HashEmbedder(
-            dim=int(spec.options.get("dim", 64)),
-            ngram=int(spec.options.get("ngram", 3)),
-        )
-    if spec.kind == "fixture":
-        embedder = FixtureEmbedder()
-        for entry in _fixture_entries(spec.options, role):
-            embedder.add(entry["text"], entry["vector"])
-        return embedder
-    raise ConfigError(f"embedder kind must be one of {_EMBEDDER_KINDS}, "
-                      f"got {spec.kind!r}")
+def _fixture_generator(options: Mapping[str, Any], role: str) -> FixtureGenerator:
+    generator = FixtureGenerator()
+    for entry in _fixture_entries(options, role):
+        generator.add(entry["prompt"], entry["response"],
+                      entry.get("finish_reason", "stop"))
+    return generator
 
 
-def _fixture_entries(options: Mapping[str, Any], role: str) -> list[dict]:
+def _hash_embedder(options: Mapping[str, Any], role: str) -> HashEmbedder:
+    return HashEmbedder(dim=_typed(f"{role}.dim", options.get("dim", 64), "int"),
+                        ngram=_typed(f"{role}.ngram", options.get("ngram", 3), "int"))
+
+
+def _fixture_embedder(options: Mapping[str, Any], role: str) -> FixtureEmbedder:
+    embedder = FixtureEmbedder()
+    for entry in _fixture_entries(options, role):
+        embedder.add(entry["text"], entry["vector"])
+    return embedder
+
+
+def _fixture_entries(options: Mapping[str, Any], role: str) -> list[Mapping]:
+    """The entries of a fixture backend's table file. Fixture options are
+    open: keys other than ``table`` (a ``model`` name, say) are ignored."""
     if not options.get("table"):
         raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
     path = Path(options["table"])
@@ -346,9 +304,45 @@ def _fixture_entries(options: Mapping[str, Any], role: str) -> list[dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"fixture table {path}: invalid JSON: {exc}") from exc
     entries = data.get("entries") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise ConfigError(f"fixture table {path} needs an 'entries' list")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"fixture table {path} needs an 'entries' list of objects")
     return entries
+
+
+_BUILDERS = {
+    "scorer": {"http": _http("HttpScorer"), "ngram": _ngram_scorer,
+               "fixture": _fixture_scorer},
+    "generator": {"http": _http("HttpGenerator"), "fixture": _fixture_generator},
+    "embedder": {"http": _http("HttpEmbedder"), "hash": _hash_embedder,
+                 "fixture": _fixture_embedder},
+}
+
+
+def _build(what: str, spec: BackendSpec, role: str):
+    """Build ``spec`` as a ``what`` (a key of _BUILDERS) for ``role``. A
+    builder's KeyError (a missing fixture field), TypeError or ValueError
+    (an option of the wrong type or out of range) becomes a ConfigError."""
+    builders = _BUILDERS[what]
+    if spec.kind not in builders:
+        raise ConfigError(f"{what} kind must be one of {tuple(builders)}, "
+                          f"got {spec.kind!r}")
+    try:
+        return builders[spec.kind](spec.options, role)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"invalid {spec.kind} backend {role!r}: {detail}") from exc
+
+
+def build_scorer(spec: BackendSpec, role: str = "scorer"):
+    return _build("scorer", spec, role)
+
+
+def build_generator(spec: BackendSpec, role: str = "generator"):
+    return _build("generator", spec, role)
+
+
+def build_embedder(spec: BackendSpec, role: str = "embedder"):
+    return _build("embedder", spec, role)
 
 
 def build_experts(config: RunConfig) -> dict[GranularityLabel, Any]:

@@ -101,10 +101,6 @@ class ExtractionReport:
     def failed(self) -> int:
         return sum(1 for m in self.matches if m.mode == "failed")
 
-    @property
-    def recovered(self) -> int:
-        return sum(1 for m in self.matches if m.mode == "recovered")
-
 
 # An anchor is recovered when its edit distance is at most this share of its
 # length (rounded up); see fuzzy.recover_anchor.

@@ -274,7 +274,6 @@ class FixtureGenerator:
 
     def __init__(self, table: Mapping[str, str] | None = None):
         self._table: dict[str, GenerationResult] = {}
-        self.calls: list[str] = []
         for prompt, response in (table or {}).items():
             self.add(prompt, response)
 
@@ -287,7 +286,6 @@ class FixtureGenerator:
     def generate(self, prompt: str) -> GenerationResult:
         if not prompt:
             raise ValueError("cannot generate from an empty prompt")
-        self.calls.append(prompt)
         try:
             return self._table[prompt]
         except KeyError:

@@ -67,6 +67,18 @@ class CountingEmbedder:
         return self.inner.embed_many(texts)
 
 
+class CountingGenerator:
+    """Counts the prompts a generator is asked to complete."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = 0
+
+    def generate(self, prompt):
+        self.prompts += 1
+        return self.inner.generate(prompt)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -8,6 +8,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from chunkkit import backends
 from chunkkit.backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
@@ -144,11 +145,19 @@ class TestHttpScorer:
         scorer = HttpScorer(handle(stub_server, api_key_env="STUB_TOKEN"))
         assert scorer._session.headers["Authorization"] == "Bearer sekrit"
 
+    @pytest.mark.parametrize("endpoint", [
+        "", "127.0.0.1:9", "ftp://127.0.0.1:9", "http://", "http://127.0.0.1:abc",
+        "http://127.0.0.1:99999"])
+    def test_endpoint_must_be_an_http_url_with_a_host(self, endpoint):
+        with pytest.raises(ValueError):
+            BackendHandle(endpoint=endpoint, model="m")
+
     def test_handle_validation(self):
         with pytest.raises(ValueError):
-            BackendHandle(endpoint="", model="m")
-        with pytest.raises(ValueError):
             BackendHandle(endpoint="http://x", model="m", max_in_flight=0)
+        for timeout in (0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="timeout must be > 0"):
+                BackendHandle(endpoint="http://x", model="m", timeout=timeout)
 
 
 class TestHttpGenerator:
@@ -238,6 +247,8 @@ class _CannedResponse:
         pass
 
     def json(self):
+        if isinstance(self.body, Exception):
+            raise self.body
         return self.body
 
 
@@ -263,6 +274,25 @@ class TestMalformedReplies:
         client = canned(cls(handle("http://127.0.0.1:9")), body)
         with pytest.raises(ProtocolError, match="not a JSON object"):
             invoke(client)
+
+    def test_body_not_json_is_protocol_error(self):
+        scorer = canned(HttpScorer(handle("http://127.0.0.1:9")),
+                        requests.JSONDecodeError("Expecting value", "<html>", 0))
+        with pytest.raises(ProtocolError, match="response is not JSON"):
+            scorer.score("ab")
+
+    def test_request_that_cannot_be_sent_is_transport_error(self):
+        scorer = HttpScorer(handle("http://127.0.0.1:9"))
+        calls = []
+
+        def post(*args, **kwargs):
+            calls.append(args)
+            raise requests.exceptions.InvalidURL("Failed to parse")
+
+        scorer._session.post = post
+        with pytest.raises(TransportError, match="Failed to parse") as err:
+            scorer.score("ab")
+        assert err.value.attempts == 1 and len(calls) == 1  # not retried
 
     def test_nan_logprob_is_protocol_error(self):
         scorer = canned(HttpScorer(handle("http://127.0.0.1:9")),

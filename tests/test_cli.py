@@ -1004,26 +1004,63 @@ class TestPerDocumentFailures:
             assert [r["doc_id"] for r in records] == ["d0"]
 
 
+def http_scorer(**options) -> dict:
+    """A config with an http scorer (never reached: each case fails at
+    build) and the embedder that eval's ds needs."""
+    scorer = {"kind": "http", "endpoint": "http://127.0.0.1:9", "model": "m"}
+    return {"scorer": {**scorer, **options}, "embedder": {"kind": "hash"}}
+
+
 class TestConfigErrorsExitTwo:
-    @pytest.mark.parametrize("command,config", [
-        ("eval", {"scorer": {"kind": "fixture"}}),
-        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": 0}}),
-        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": "two"}}),
+    @pytest.mark.parametrize("command,config,key", [
+        ("eval", {"scorer": {"kind": "fixture"}}, "'scorer'"),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": 0}},
+         "'scorer'"),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": "two"}},
+         "scorer.order"),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab", "order": "3"}},
+         "scorer.order"),
         ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab"},
-                  "embedder": {"kind": "hash", "dim": 1}}),
-        ("distill", {"generator": {"kind": "fixture", "table": "missing.json"}}),
-        ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}),
-        ("eval", {"concurrency": "x"}),
-        ("eval", {"concurrency": None}),
-        ("eval", {"scorer": {"kind": "ngram", "corpus": "missing.jsonl"}}),
-        ("eval", {"scorer": {"kind": "ngram", "corpus": "{tmp}"}}),
-        ("distill", {"generator": {"kind": "fixture", "table": "{tmp}"}}),
+                  "embedder": {"kind": "hash", "dim": 1}}, "'embedder'"),
+        ("eval", {"scorer": {"kind": "ngram", "alphabet": "ab"},
+                  "embedder": {"kind": "hash", "dim": 2.5}}, "embedder.dim"),
+        ("distill", {"generator": {"kind": "fixture", "table": "missing.json"}},
+         "'generator'"),
+        ("distill", {"generator": {"kind": "fixture", "table": "{tmp}/partial.json"}},
+         "'generator': missing key 'response'"),
+        ("semantic", {"embedder": {"kind": "fixture", "table": "{tmp}/partial.json"}},
+         "'embedder': missing key 'vector'"),
+        ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}, "embedder.ngram"),
+        ("eval", {"concurrency": "x"}, "concurrency"),
+        ("eval", {"concurrency": None}, "concurrency"),
+        ("eval", {"concurrency": 2.7}, "concurrency"),
+        ("eval", {"scorer": {"kind": "ngram", "corpus": "missing.jsonl"}}, "'scorer'"),
+        ("eval", {"scorer": {"kind": "ngram", "corpus": "{tmp}"}}, "'scorer'"),
+        ("distill", {"generator": {"kind": "fixture", "table": "{tmp}"}}, "'generator'"),
+        ("eval", http_scorer(retries=1.5), "scorer.retries"),
+        ("eval", http_scorer(endpoint=5), "scorer.endpoint"),
+        ("eval", http_scorer(timeout="x"), "scorer.timeout"),
+        ("eval", http_scorer(timeout=0), "'scorer': timeout"),
+        ("eval", http_scorer(endpoint="127.0.0.1:9"), "'scorer': endpoint"),
+        ("eval", http_scorer(endpoint="ftp://127.0.0.1:9"), "'scorer': endpoint"),
+        ("eval", http_scorer(endpoint="http://"), "'scorer': endpoint"),
+        ("eval", http_scorer(endpoint="http://127.0.0.1:abc"), "'scorer': Port"),
     ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
-            "hash-dim-1", "distill-table-missing", "hash-ngram-list",
-            "concurrency-not-int", "concurrency-null", "ngram-corpus-missing",
-            "ngram-corpus-directory", "fixture-table-directory"])
-    def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config):
+            "ngram-order-string", "hash-dim-1", "hash-dim-float",
+            "distill-table-missing", "fixture-generator-no-response",
+            "fixture-embedder-no-vector", "hash-ngram-list",
+            "concurrency-not-int", "concurrency-null", "concurrency-float",
+            "ngram-corpus-missing", "ngram-corpus-directory", "fixture-table-directory",
+            "http-retries-float", "http-endpoint-int", "http-timeout-string",
+            "http-timeout-0",
+            "http-endpoint-no-scheme", "http-endpoint-ftp", "http-endpoint-no-host",
+            "http-endpoint-bad-port"])
+    def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config,
+                                           key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        # a fixture entry with neither a generator's response nor a vector
+        (tmp_path / "partial.json").write_text(json.dumps(
+            {"entries": [{"prompt": "p", "text": "x"}]}))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)))
         args = {
@@ -1036,7 +1073,8 @@ class TestConfigErrorsExitTwo:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "Traceback" not in result.output
-        assert len(errors_of(result)) == 1, result.output
+        errors = errors_of(result)
+        assert len(errors) == 1 and key in errors[0], result.output
 
     @pytest.mark.parametrize("args,config,key", [
         (["chunk", "--out", "{out}", "--method", "boundary", "--target-len", "5",
@@ -1059,10 +1097,21 @@ class TestConfigErrorsExitTwo:
           "--router-target", "0"], {}, "dataset.router_target_chars"),
         (["chunk", "--out", "{out}"], {"chunker": {"method": "bogus"}},
          "chunker.method"),
+        (["chunk", "--out", "{out}"], {"chunker": {"target_len": 1.5}},
+         "chunker.target_len"),
+        (["chunk", "--out", "{out}"], {"chunker": {"target_len": True}},
+         "chunker.target_len"),
+        (["dataset", "rules", "--chunksets", "{cs}", "--out", "{out}"],
+         {"dataset": {"anchor_len": 2.5}}, "dataset.anchor_len"),
+        (["eval", "--chunksets", "{cs}", "--metrics", "cs_i", "--out", "{out}"],
+         {"metrics": {"delta": 1.5}, "scorer": {"kind": "ngram", "alphabet": "ab"}},
+         "metrics.delta"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
             "target-len-0", "moc-max-window-0", "moc-calibrate-avg",
             "windows-max-window-0", "config-max-window-0", "config-anchor-len-0",
-            "emit-router-target-0", "config-method-bogus"])
+            "emit-router-target-0", "config-method-bogus", "config-target-len-float",
+            "config-target-len-true", "config-anchor-len-float",
+            "config-delta-float"])
     def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args,
                                                   config, key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])

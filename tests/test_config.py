@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
 
 from chunkkit.cli import main
+from chunkkit.backends import BackendHandle
 from chunkkit.config import (
     BackendSpec,
+    ChunkerParams,
+    DatasetParams,
+    MetricsParams,
     RunConfig,
     build_embedder,
     build_experts,
@@ -18,6 +23,7 @@ from chunkkit.config import (
     load_config,
     override,
     parse_config,
+    read_record,
 )
 from chunkkit.errors import ConfigError
 from chunkkit.rules import GranularityLabel
@@ -145,9 +151,50 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid expert label"):
             parse_config({"experts": {"7": {"kind": "http"}}})
 
+    @pytest.mark.parametrize("label", [1.5, True])
+    def test_bad_expert_label_not_a_string(self, label):
+        with pytest.raises(ConfigError, match="invalid expert label"):
+            parse_config({"experts": {label: {"kind": "http"}}})
+
     def test_bad_placeholder(self):
         with pytest.raises(ConfigError, match="placeholder"):
             parse_config({"dataset": {"placeholder": "<nope>"}})
+
+
+class TestReadRecord:
+    # Every field is read once, so an annotation the reader's type table
+    # does not know fails here rather than in a run.
+    @pytest.mark.parametrize("cls", [MetricsParams, ChunkerParams, DatasetParams])
+    def test_section_reads_its_own_defaults(self, cls):
+        assert read_record(cls, asdict(cls()), "section") == cls()
+
+    def test_backend_handle_reads_a_minimal_mapping(self):
+        handle = read_record(BackendHandle, {"endpoint": "http://x", "model": "m"},
+                             "scorer")
+        assert read_record(BackendHandle, asdict(handle), "scorer") == handle
+
+    @pytest.mark.parametrize("section,message", [
+        ({"chunker": {"target_len": True}},
+         "chunker.target_len must be an integer, got True"),
+        ({"chunker": {"threshold": "0.5"}},
+         "chunker.threshold must be a number, got '0.5'"),
+        ({"chunker": {"method": None}}, "chunker.method must be a string, got None"),
+        ({"metrics": {"k": False}}, "metrics.k must be a number, got False"),
+    ])
+    def test_value_of_the_wrong_json_type(self, section, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(section)
+        assert str(info.value) == message
+
+    def test_float_key_takes_an_integer_and_optional_key_null(self):
+        assert parse_config({"chunker": {"threshold": 1}}).chunker.threshold == 1
+        handle = read_record(BackendHandle, {"endpoint": "https://x", "model": "m",
+                                             "max_context_chars": None}, "scorer")
+        assert handle.max_context_chars is None
+        with pytest.raises(ConfigError, match=r"^scorer\.max_context_chars must be an "
+                                              r"integer or null, got 1\.5$"):
+            read_record(BackendHandle, {"endpoint": "https://x", "model": "m",
+                                        "max_context_chars": 1.5}, "scorer")
 
 
 class TestBuildBackends:
@@ -202,6 +249,12 @@ class TestBuildBackends:
         assert isinstance(emb, FixtureEmbedder)
         assert list(emb.embed("x")) == [1.0, 0.0]
 
+    def test_fixture_entry_not_an_object(self, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"entries": [["ab", [0.5, 0.5]]]}))
+        with pytest.raises(ConfigError, match="'entries' list of objects"):
+            build_scorer(BackendSpec("fixture", {"table": str(table)}))
+
     def test_hash_embedder(self):
         emb = build_embedder(BackendSpec("hash", {"dim": 16}))
         assert isinstance(emb, HashEmbedder)
@@ -212,7 +265,7 @@ class TestBuildBackends:
             build_scorer(BackendSpec("quantum", {}))
 
     def test_http_options_validated(self):
-        with pytest.raises(ConfigError, match="unknown http options"):
+        with pytest.raises(ConfigError, match=r"unknown keys in 'scorer': \['portt'\]"):
             build_scorer(BackendSpec("http", {"endpoint": "http://x",
                                               "model": "m", "portt": 1}))
 

@@ -15,7 +15,7 @@ from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, parse_rule_lis
 from chunkkit.scoring import FixtureGenerator, FixtureScorer
 from chunkkit.text import ChunkSet, Document
 
-from conftest import make_doc
+from conftest import CountingGenerator, make_doc
 
 
 def router_fixture(text: str, probs: dict[int, float]) -> FixtureScorer:
@@ -84,9 +84,9 @@ class TestGenerateRules:
             generate_rules("text", expert)
 
     def test_uses_near_greedy_params_by_default(self):
-        expert = self._expert("text", '["a [MASK] b"]')
+        expert = CountingGenerator(self._expert("text", '["a [MASK] b"]'))
         generate_rules("text", expert)
-        assert len(expert.calls) == 1
+        assert expert.prompts == 1
 
 
 def anchored(prefix: str, suffix: str) -> ChunkRule:
@@ -211,11 +211,12 @@ class TestMocChunk:
         doc = make_doc("First chunk sentence one. Second chunk sentence two.")
         chunk_texts = ["First chunk sentence one.", " Second chunk sentence two."]
         router, experts = build_moc_fixtures(doc, 1, chunk_texts)
-        cs, reports = moc_chunk(doc, router, experts)
+        expert = CountingGenerator(experts[GranularityLabel(0)])
+        cs, reports = moc_chunk(doc, router, dict.fromkeys(experts, expert))
         assert [c.text for c in cs.chunks] == chunk_texts
         assert cs.method == "moc"
         # exactly one routing call and one expert call for one window
-        assert len(experts[GranularityLabel(0)].calls) == 1
+        assert expert.prompts == 1
 
     def test_fixture_end_to_end_matches_intended_segmentation(self):
         body = " ".join(f"sentence number {i} speaks plainly." for i in range(4))

@@ -364,7 +364,6 @@ class TestFixtures:
     def test_fixture_generator_round_trip(self):
         gen = FixtureGenerator({"ping": "pong"})
         assert gen.generate("ping").text == "pong"
-        assert gen.calls == ["ping"]
 
     def test_fixture_generator_fails_closed(self):
         gen = FixtureGenerator()
