@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -30,12 +29,16 @@ from urllib.parse import urlsplit
 
 import requests
 
+from .config import finite_number
 from .errors import ProtocolError, TransportError
 from .scoring import GenerationResult, ScoredText
 
 _RETRY_BACKOFF = 0.2  # seconds, times the attempt number, plus up to as much jitter
 _RETRY_WAIT_MAX = 10.0  # seconds: the longest wait between attempts, Retry-After too
 _DECODING = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}  # near-greedy
+# seconds: a day, far inside what requests and the platform's time_t take
+# (about 9.2e9 s, 2**63 ns, overflows)
+_TIMEOUT_MAX = 86400.0
 
 
 def _retry_wait(attempt: int, retry_after: str | None) -> float:
@@ -56,18 +59,15 @@ def _retry_wait(attempt: int, retry_after: str | None) -> float:
     return min(max(wait, 0.0), _RETRY_WAIT_MAX)
 
 
-def _finite_real(x) -> bool:
-    """A JSON number that converts to a finite float: no bool, string, NaN,
-    infinity, or integer beyond the float range."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class BackendHandle:
     """Where and how to reach one model endpoint.
 
     ``api_key_env`` names an environment variable holding a bearer token;
-    secrets never live in config files.
+    secrets never live in config files. ``max_context_chars`` keeps the last
+    that many characters of a context (at least 1; null keeps it whole): a
+    limit of 0 would send every context empty, so every conditional score
+    would equal the unconditional one.
     """
 
     endpoint: str
@@ -84,12 +84,16 @@ class BackendHandle:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a "
                              f"host, got {self.endpoint!r}")
         url.port  # raises ValueError for a port that is no number in 0-65535
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout <= _TIMEOUT_MAX:
+            raise ValueError(f"timeout must be > 0 and <= {_TIMEOUT_MAX:g} s, "
+                             f"got {self.timeout}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if self.max_context_chars is not None and self.max_context_chars < 1:
+            raise ValueError(f"max_context_chars must be >= 1 or null, "
+                             f"got {self.max_context_chars}")
 
 
 class _HttpClient:
@@ -209,7 +213,7 @@ class HttpEmbedder(_HttpClient):
             raise ProtocolError(
                 "embed response needs one vector per input text"
             )
-        if not all(isinstance(v, list) and all(map(_finite_real, v)) for v in vectors):
+        if not all(isinstance(v, list) and all(map(finite_number, v)) for v in vectors):
             raise ProtocolError("embed vectors must be lists of finite numbers")
         if len(set(map(len, vectors))) > 1:
             raise ProtocolError("embed vectors differ in length")

@@ -21,6 +21,7 @@ line, a backend fault); 2 a configuration error. Each error is one
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -42,6 +43,7 @@ from .config import (
     build_experts,
     build_generator,
     build_scorer,
+    finite_number,
     load_config,
     override,
 )
@@ -73,6 +75,19 @@ _Failures = list[tuple[str, str]]  # (doc_id, message) of each failed document
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 # an output directory: an existing file there is a usage error (exit 2)
 _OUTPUT_DIR = click.Path(file_okay=False)
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that takes no NaN or infinity (a usage error, exit 2)."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
+_FINITE = _FiniteFloat()
 
 
 @contextmanager
@@ -204,8 +219,8 @@ def main(ctx: click.Context, config_path: str | None,
               default=None, help="Overrides chunker.method from config.")
 @click.option("--target-len", type=int, default=None)
 @click.option("--overlap", type=int, default=None)
-@click.option("--threshold", type=float, default=None)
-@click.option("--calibrate-avg", type=float, default=None,
+@click.option("--threshold", type=_FINITE, default=None)
+@click.option("--calibrate-avg", type=_FINITE, default=None,
               help="Calibrate the size knob (not moc) to this corpus mean chunk length.")
 @click.option("--placeholder", default=None)
 @click.option("--max-window", type=int, default=None)
@@ -305,7 +320,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
 @click.option("--chunksets", "chunksets_path", required=True, type=_INPUT_FILE)
 @click.option("--metrics", "metrics_csv", default="bc,cs_c,cs_i",
               help="Comma-separated subset of bc,cs_c,cs_i,ds,cp.")
-@click.option("--k", type=float, default=None)
+@click.option("--k", type=_FINITE, default=None)
 @click.option("--delta", type=int, default=None)
 @click.option("--out", default="-", help="Report path, or - for stdout.")
 @click.pass_obj
@@ -374,9 +389,10 @@ def cmd_pearson(table: str, x_col: str, y_col: str) -> None:
     if missing:
         raise ChunkKitError(f"table has no column(s) {missing}")
     bad = [c for c in (x_col, y_col) if not (
-        isinstance(data[c], list) and all(isinstance(v, (int, float)) for v in data[c]))]
+        isinstance(data[c], list) and all(map(finite_number, data[c])))]
     if bad:
-        raise ChunkKitError(f"{table}: column(s) {bad} must be lists of numbers")
+        raise ChunkKitError(f"{table}: column(s) {bad} must be lists of numbers, "
+                            f"each finite and not a bool")
     try:
         r = pearson(data[x_col], data[y_col])
     except ValueError as exc:
@@ -393,7 +409,7 @@ def dataset_group() -> None:
 @click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--max-window", type=int, default=None)
-@click.option("--chars-per-token", type=float, default=None)
+@click.option("--chars-per-token", type=_FINITE, default=None)
 @click.pass_obj
 def cmd_windows(config: RunConfig, corpus: str, out: str,
                 max_window: int | None, chars_per_token: float | None) -> None:

@@ -10,16 +10,18 @@ key's name (``--max-window`` sets ``max_window_tokens``,
 from environment variables (via each backend's ``api_key_env``).
 
 Each value must have its JSON type: an integer key takes no float, string
-or ``true``, and a float key also takes an integer. An unknown key is an
-error, except among a fixture backend's options, which are not checked.
-Every fault is one ConfigError naming the key or the backend's role, such
-as ``metrics.delta must be an integer, got 1.5`` or ``invalid http backend
-'scorer': ...``; the CLI prints it as one ``error:`` line and exits 2.
+or ``true``, and a float key also takes an integer but no NaN, infinity or
+integer beyond the float range. An unknown key is an error, except among a
+fixture backend's options, which are not checked. Every fault is one
+ConfigError naming the key or the backend's role, such as ``metrics.delta
+must be an integer, got 1.5`` or ``invalid http backend 'scorer': ...``;
+the CLI prints it as one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -114,8 +116,9 @@ class DatasetParams:
         if self.router_target_chars < 1:
             raise ConfigError(f"dataset.router_target_chars must be >= 1, "
                               f"got {self.router_target_chars}")
-        if not self.flag_ratio >= 0:
-            raise ConfigError(f"dataset.flag_ratio must be >= 0, got {self.flag_ratio}")
+        if not 0 <= self.flag_ratio <= 1:
+            raise ConfigError(f"dataset.flag_ratio must be >= 0 and <= 1, "
+                              f"got {self.flag_ratio}")
 
 
 @dataclass(frozen=True)
@@ -209,18 +212,31 @@ def _typed(name: str, value: Any, annotation: str) -> Any:
                       f"got {value!r}")
 
 
+def finite_number(value: Any) -> bool:
+    """A JSON number that converts to a finite float: no bool, string, NaN,
+    infinity, or integer beyond the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def read_record(cls: type, data: Any, name: str):
     """The config record ``cls`` (a dataclass) built from the mapping
     ``data``: no unknown key, and every value of its field's JSON type. The
-    class's own ``__post_init__`` then checks ranges."""
+    class's own ``__post_init__`` then checks ranges, and last every float
+    value must be a finite number; NaN fails every range check first, so it
+    keeps the range's message."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"config section {name!r} must be a mapping")
     known = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    return cls(**{key: _typed(f"{name}.{key}", value, known[key])
-                  for key, value in data.items()})
+    record = cls(**{key: _typed(f"{name}.{key}", value, known[key])
+                    for key, value in data.items()})
+    for key, value in data.items():
+        if known[key].startswith("float") and not (value is None
+                                                   or finite_number(value)):
+            raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
+    return record
 
 
 # ---------------------------------------------------------------------------

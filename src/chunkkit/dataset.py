@@ -64,15 +64,17 @@ def sliding_windows(
     """Tile the document into windows of at most ``max_tokens``.
 
     Cut points are chosen at the last paragraph break within budget, else
-    the last sentence end, else a hard cut exactly at the budget.
+    the last sentence end, else a hard cut exactly at the budget. A budget
+    of the whole text or more is one window, so the budget is clamped to
+    the text's length: no product of two large numbers reaches ``int``.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    if chars_per_token <= 0:
+    if not chars_per_token > 0:
         raise ValueError("chars_per_token must be positive")
-    budget = max(1, int(max_tokens * chars_per_token))
     text = doc.text
     n = len(text)
+    budget = max(1, int(min(max_tokens * chars_per_token, n)))
 
     sentence_ends = [
         s.end for s in split_sentences(doc) if s.terminal is not None
@@ -171,9 +173,15 @@ def detect_hallucination(
     search_from: int = 0,
     flag_ratio: float = 0.10,
 ) -> CleaningVerdict:
-    """Compare a generated chunk against the closest span of the source."""
+    """Compare a generated chunk against the closest span of the source.
+
+    ``flag_ratio`` is a share of the chunk's length, in [0, 1]: no edit
+    distance exceeds the length, so a larger ratio could flag nothing.
+    """
     if not generated_chunk:
         raise ValueError("chunk must be non-empty")
+    if not 0 <= flag_ratio <= 1:
+        raise ValueError(f"flag_ratio must be >= 0 and <= 1, got {flag_ratio}")
     match = best_substring_match(generated_chunk, doc.text, search_from)
     threshold = math.ceil(flag_ratio * len(generated_chunk))
     return CleaningVerdict(

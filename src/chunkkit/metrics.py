@@ -199,11 +199,13 @@ def conditional_support(
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation in [-1, 1]."""
+    """Sample Pearson correlation in [-1, 1] of two sequences of finite
+    numbers; a NaN or an infinity is a ValueError."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("correlation needs at least two points")
+    x, y = _unit_scaled(x), _unit_scaled(y)
     mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
     xd = [a - mx for a in x]
     yd = [b - my for b in y]
@@ -215,6 +217,18 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         )
     r = math.fsum(map(operator.mul, xd, yd)) / math.sqrt(sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    """``values`` as floats times the one power of two that puts the largest
+    magnitude in [0.5, 1). The scaling is exact and r does not depend on
+    scale, but no sum of squares can then overflow to infinity or underflow
+    to 0."""
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("correlation needs finite values")
+    shift = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -shift) for v in values]
 
 
 # ---------------------------------------------------------------------------

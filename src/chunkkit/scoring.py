@@ -28,6 +28,12 @@ class ScoredText:
 
     ``truncated`` is set when the context had to be left-truncated to fit a
     backend limit.
+
+    Logprobs are checked where they enter: this constructor checks every
+    value (a float, not above 0, one per token), so fixtures and library
+    callers go through it; ``HttpScorer`` checks the wire reply before it;
+    and :class:`NGramScorer` checks its rows once per ``fit``, then builds
+    each result with :meth:`_trusted`, which skips the check.
     """
 
     tokens: tuple[str, ...]
@@ -46,6 +52,15 @@ class ScoredText:
         # 0.0 < lp, like lp > 0.0, is false for NaN: NaN passes
         if any(map((0.0).__lt__, self.logprobs)):
             raise ValueError("logprobs must be <= 0")
+
+    @classmethod
+    def _trusted(cls, tokens: tuple[str, ...],
+                 logprobs: tuple[float, ...]) -> "ScoredText":
+        """A ScoredText of values checked where they were made, built
+        without ``__post_init__``. Only ``NGramScorer.score`` calls it."""
+        scored = object.__new__(cls)
+        scored.__dict__.update(tokens=tokens, logprobs=logprobs, truncated=False)
+        return scored
 
 
 def perplexity(scored: ScoredText) -> float:
@@ -129,6 +144,12 @@ class NGramScorer:
     and keeps the text alive. Every :meth:`fit` rebuilds the rows and
     empties the cache, since a larger alphabet changes V.
 
+    :meth:`fit` checks every row value once: each is a float, and none is
+    above 0 (the clamp keeps a rounded-up ``log`` at 0). Every value
+    :meth:`score` returns is one of them, one per character of a non-empty
+    text, so its result skips the per-call check of the public
+    :class:`ScoredText` constructor.
+
     Read-only after :meth:`fit`; safe to share across threads: the cached
     tails are immutable tuples, and a race only recomputes one.
     """
@@ -177,10 +198,10 @@ class NGramScorer:
                     self._logprob[ctx + char] = min(
                         math.log((count + 1) / (total + v)), 0.0
                     )
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self._alphabet)
+        rows = (*self._logprob.values(), *self._unseen.values(), self._floor)
+        # the ScoredText check, once per fit: 0.0 < lp is false for NaN too
+        if {*map(type, rows)} - {float} or any(map((0.0).__lt__, rows)):
+            raise ValueError("n-gram logprob rows must be floats <= 0")
 
     def _lookup(self, grams: list[str]) -> tuple[float, ...]:
         """log P(last char | the rest) of each n-gram, from the rows."""
@@ -218,7 +239,7 @@ class NGramScorer:
         # fewer precede it
         head = self._lookup([full[max(0, t - n):t + 1]
                              for t in range(len(context), len(full))])
-        return ScoredText(tokens=tuple(text), logprobs=head + tail)
+        return ScoredText._trusted(tuple(text), head + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,26 @@ def test_c1_pearson_cs_sequence():
     _criterion1("cs_i", -0.6663, exact=-0.666559)
 
 
+def test_c1_pearson_non_finite_and_extreme_inputs():
+    """A NaN or an infinity in either column raises (a NaN used to be
+    clamped to 1.0); the bc column scaled to the ends of the float range
+    still agrees with the exact oracle."""
+    x, y = REFERENCE_TABLE["bc"], REFERENCE_TABLE["rouge_l"]
+    raised = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for xs, ys in (([*x[:-1], bad], y), (x, [bad, *y[1:]])):
+            try:
+                pearson(xs, ys)
+            except ValueError:
+                raised.append(bad)
+    gaps = [abs(pearson([v * s for v in x], y) - _exact_pearson([v * s for v in x], y))
+            for s in (1e-310, 1e-200, 1e200, 1e305)]
+    report("1-non-finite", len(raised) == 6 and max(gaps) <= 1e-12,
+           f"{len(raised)}/6 non-finite inputs raised ValueError; largest "
+           f"|pearson - exact oracle| over bc scaled by 1e-310..1e305 = "
+           f"{max(gaps):.1e} (<= 1e-12)")
+
+
 # -- criterion 2: structural entropy identities ------------------------------
 
 def test_c2_structural_entropy_identities():

@@ -470,7 +470,15 @@ class TestPearsonCommand:
         ('{"a": 1, "b": 2}', "column(s) ['a', 'b'] must be lists of numbers"),
         ('{"a": [1, {}], "b": [2, 3]}', "column(s) ['a'] must be lists of numbers"),
         ("[[1, 2], [3, 4]]", "table must be an object of columns"),
-    ], ids=["invalid-json", "scalar-columns", "non-number-entry", "not-an-object"])
+        # Python's json reads NaN, Infinity and any integer; a NaN printed 1.0000
+        ('{"a": [1, 2, NaN], "b": [3, 1, 2]}', "['a'] must be lists of numbers, each "
+         "finite and not a bool"),
+        ('{"a": [1, 2, 3], "b": [3, -Infinity, 2]}', "['b'] must be lists of numbers"),
+        ('{"a": [1, 2, 1' + "0" * 400 + '], "b": [3, 1, 2]}',
+         "['a'] must be lists of numbers"),
+        ('{"a": [true, false, true], "b": [3, 1, 2]}', "['a'] must be lists of numbers"),
+    ], ids=["invalid-json", "scalar-columns", "non-number-entry", "not-an-object",
+            "nan-entry", "infinity-entry", "int-beyond-floats", "bool-entries"])
     def test_malformed_table_is_one_error(self, runner, tmp_path, content, message):
         path = tmp_path / "table.json"
         path.write_text(content)
@@ -1045,6 +1053,10 @@ class TestConfigErrorsExitTwo:
         ("eval", http_scorer(endpoint="ftp://127.0.0.1:9"), "'scorer': endpoint"),
         ("eval", http_scorer(endpoint="http://"), "'scorer': endpoint"),
         ("eval", http_scorer(endpoint="http://127.0.0.1:abc"), "'scorer': Port"),
+        ("eval", http_scorer(max_context_chars=-3), "'scorer': max_context_chars"),
+        ("eval", http_scorer(max_context_chars=0), "'scorer': max_context_chars"),
+        ("eval", http_scorer(timeout=1e10), "'scorer': timeout"),
+        ("eval", http_scorer(timeout=float("inf")), "'scorer': timeout"),
     ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
             "ngram-order-string", "hash-dim-1", "hash-dim-float",
             "distill-table-missing", "fixture-generator-no-response",
@@ -1054,7 +1066,8 @@ class TestConfigErrorsExitTwo:
             "http-retries-float", "http-endpoint-int", "http-timeout-string",
             "http-timeout-0",
             "http-endpoint-no-scheme", "http-endpoint-ftp", "http-endpoint-no-host",
-            "http-endpoint-bad-port"])
+            "http-endpoint-bad-port", "http-max-context-negative", "http-max-context-0",
+            "http-timeout-beyond-a-day", "http-timeout-infinite"])
     def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config,
                                            key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
@@ -1106,12 +1119,19 @@ class TestConfigErrorsExitTwo:
         (["eval", "--chunksets", "{cs}", "--metrics", "cs_i", "--out", "{out}"],
          {"metrics": {"delta": 1.5}, "scorer": {"kind": "ngram", "alphabet": "ab"}},
          "metrics.delta"),
+        (["dataset", "windows", "--out", "{out}"],
+         {"dataset": {"chars_per_token": float("inf")}}, "dataset.chars_per_token"),
+        (["dataset", "distill", "--out-dir", "{out}"],
+         {"dataset": {"flag_ratio": float("inf")}}, "dataset.flag_ratio"),
+        (["dataset", "distill", "--out-dir", "{out}"],
+         {"dataset": {"flag_ratio": 1e308}}, "dataset.flag_ratio"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
             "target-len-0", "moc-max-window-0", "moc-calibrate-avg",
             "windows-max-window-0", "config-max-window-0", "config-anchor-len-0",
             "emit-router-target-0", "config-method-bogus", "config-target-len-float",
             "config-target-len-true", "config-anchor-len-float",
-            "config-delta-float"])
+            "config-delta-float", "config-chars-per-token-infinite",
+            "config-flag-ratio-infinite", "config-flag-ratio-above-1"])
     def test_out_of_range_chunk_size_is_one_error(self, runner, tmp_path, args,
                                                   config, key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
@@ -1126,6 +1146,25 @@ class TestConfigErrorsExitTwo:
         assert "Traceback" not in result.output
         errors = errors_of(result)
         assert len(errors) == 1 and key in errors[0], result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["chunk", "--out", "{out}", "--method", "fixed", "--calibrate-avg"],
+        ["chunk", "--out", "{out}", "--method", "semantic", "--threshold"],
+        ["eval", "--chunksets", "{cs}", "--out", "{out}", "--k"],
+        ["dataset", "windows", "--out", "{out}", "--chars-per-token"],
+    ], ids=["calibrate-avg", "threshold", "k", "chars-per-token"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_flag_is_a_usage_error(self, runner, tmp_path, args,
+                                                    value):
+        # inf reached round() and int() as OverflowError tracebacks
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        out = tmp_path / "out"
+        args = [a.format(out=out, cs=chunksets) for a in args]
+        result = runner.invoke(main, [*args, value, "--corpus", corpus])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"{value!r} is not a finite number" in result.output
         assert not out.exists()
 
     def test_malformed_yaml_config_is_one_error(self, runner, tmp_path):

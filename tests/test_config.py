@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import pytest
 from click.testing import CliRunner
@@ -196,6 +196,34 @@ class TestReadRecord:
             read_record(BackendHandle, {"endpoint": "https://x", "model": "m",
                                         "max_context_chars": 1.5}, "scorer")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                       10**400],
+                             ids=["inf", "minus-inf", "nan", "int-beyond-floats"])
+    def test_float_field_takes_only_a_finite_number(self, value):
+        # a record with no range checks: every float field inherits the rule
+        @dataclass(frozen=True)
+        class Knobs:
+            ratio: float = 0.5
+            limit: float | None = None
+
+        for key in ("ratio", "limit"):
+            with pytest.raises(ConfigError) as info:
+                read_record(Knobs, {key: value}, "knobs")
+            assert str(info.value) == \
+                f"knobs.{key} must be a finite number, got {value!r}"
+        assert read_record(Knobs, {"ratio": 10**300, "limit": None}, "knobs") == \
+            Knobs(10**300, None)
+
+    @pytest.mark.parametrize("section,key", [
+        ("metrics", "k"), ("chunker", "threshold"), ("dataset", "chars_per_token"),
+        ("dataset", "flag_ratio"),
+    ])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_config_value_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be"):
+            parse_config({section: {key: value}})
+
 
 class TestBuildBackends:
     def test_ngram_scorer_from_corpus_file(self, tmp_path):
@@ -204,7 +232,7 @@ class TestBuildBackends:
         scorer = build_scorer(BackendSpec("ngram", {"order": 1,
                                                     "corpus": str(corpus)}))
         assert isinstance(scorer, NGramScorer)
-        assert scorer.alphabet_size == 2
+        assert len(scorer._alphabet) == 2
 
     def test_ngram_requires_corpus_or_alphabet(self):
         with pytest.raises(ConfigError, match="corpus"):

@@ -77,6 +77,19 @@ class TestSlidingWindows:
         windows = sliding_windows(doc, max_tokens=100, chars_per_token=2.0)
         assert max(len(w) for w in windows) <= 200
 
+    @pytest.mark.parametrize("chars_per_token", [1e6, 1e308, float("inf")])
+    def test_budget_beyond_the_text_is_one_window(self, chars_per_token):
+        # 1024 * 1e308 is inf: the budget is clamped to the text, not int()ed
+        doc = make_doc("y" * 1000)
+        windows = sliding_windows(doc, max_tokens=1024,
+                                  chars_per_token=chars_per_token)
+        assert [(w.start, w.end) for w in windows] == [(0, 1000)]
+
+    @pytest.mark.parametrize("chars_per_token", [0.0, -1.0, float("nan")])
+    def test_chars_per_token_must_be_positive(self, chars_per_token):
+        with pytest.raises(ValueError, match="chars_per_token"):
+            sliding_windows(make_doc("y" * 10), chars_per_token=chars_per_token)
+
 
 class TestWindowedChunk:
     """The chunk buffer and per-window failures of ``windowed_chunk``."""
@@ -172,6 +185,18 @@ class TestDetectHallucination:
         assert verdict.min_edit_distance == 10
         assert verdict.threshold == 10
         assert not verdict.flagged
+
+    @pytest.mark.parametrize("flag_ratio", [-0.1, 1.5, float("inf"), float("nan")])
+    def test_flag_ratio_outside_zero_one_rejected(self, flag_ratio):
+        # inf * len(chunk) made math.ceil raise OverflowError
+        doc = make_doc("alpha beta gamma")
+        with pytest.raises(ValueError, match="flag_ratio"):
+            detect_hallucination("alpha", doc, flag_ratio=flag_ratio)
+
+    def test_flag_ratio_one_flags_nothing(self):
+        doc = make_doc("alpha beta gamma")
+        verdict = detect_hallucination("ZZZZZZ", doc, flag_ratio=1.0)
+        assert verdict.threshold == 6 and not verdict.flagged
 
     def test_appending_noise_never_decreases_distance(self, rng):
         doc = make_doc(random_text(rng, sentences=8).lower())

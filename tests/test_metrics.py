@@ -308,6 +308,23 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # min(1.0, nan) is 1.0: a NaN must not reach the clamp
+        for x, y in (([1, 2, bad], [3, 1, 2]), ([1, 2, 3], [bad, 1, 2])):
+            with pytest.raises(ValueError, match="finite"):
+                pearson(x, y)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-160, 1e154, 1e200, 1e307])
+    def test_any_magnitude_gives_the_unit_scale_value(self, scale):
+        # without scaling, squares overflow to inf (r = 0) or underflow to 0
+        xs, ys = [1.0, 2.0, 4.0, 3.0], [2.0, 1.0, 4.0, 5.0]
+        expected = pearson(xs, ys)
+        assert pearson([x * scale for x in xs], ys) == pytest.approx(expected,
+                                                                     rel=1e-12)
+        assert pearson(xs, [-y * scale for y in ys]) == pytest.approx(-expected,
+                                                                      rel=1e-12)
+
 
 class TestEvaluateChunksets:
     def test_values_of_one_chunkset(self):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 import struct
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,7 +44,7 @@ def reference_counts(order: int, texts) -> list[dict[str, Counter]]:
 def reference_prob(scorer: NGramScorer, history: str, char: str) -> float:
     """Reference: add-one probability from the raw counts, re-summing the
     context's bucket on every call, as the scorer did before it kept rows."""
-    v = scorer.alphabet_size
+    v = len(scorer._alphabet)
     if v == 0:
         raise ValueError("empty alphabet")
     k = min(scorer.order, len(history) + 1)
@@ -205,7 +208,7 @@ class TestNGramScorer:
     def test_unseen_char_gets_smoothed_floor(self):
         scorer = NGramScorer(order=2, corpus="abab")
         # (count + 1) / (total + V) with count 0 is at most 1/V
-        floor = 1 / scorer.alphabet_size
+        floor = 1 / len(scorer._alphabet)
         scored = scorer.score("zqzq")
         assert all(math.exp(lp) <= floor + 1e-12 for lp in scored.logprobs)
         assert math.exp(scored.logprobs[0]) == pytest.approx(1 / 6)  # unigram
@@ -235,7 +238,7 @@ class TestNGramScorerTables:
     @given(scorers, nonempty, st.one_of(st.none(), texts))
     @settings(max_examples=400)
     def test_score_bit_identical_to_reference(self, scorer, text, context):
-        if scorer.alphabet_size == 0:
+        if len(scorer._alphabet) == 0:
             with pytest.raises(ValueError):
                 scorer.score(text, context)
             return
@@ -259,17 +262,17 @@ class TestNGramScorerTables:
     @settings(max_examples=200)
     def test_second_fit_grows_alphabet(self, scorer, more, text, context):
         new_char = "\U0010fffd"
-        assume(scorer.alphabet_size and new_char not in scorer._alphabet)
-        before = scorer.alphabet_size
+        assume(len(scorer._alphabet) and new_char not in scorer._alphabet)
+        before = len(scorer._alphabet)
         scorer.fit([more + new_char])
-        assert scorer.alphabet_size > before  # V changed, so every row did
+        assert len(scorer._alphabet) > before  # V changed, so every row did
         assert hexes(scorer.score(text, context)) == \
             reference_logprobs(scorer, text, context)
 
     @given(scorers, nonempty, texts)
     @settings(max_examples=200)
     def test_context_tail_invariance(self, scorer, text, context):
-        assume(scorer.alphabet_size)
+        assume(len(scorer._alphabet))
         tail = context[max(0, len(context) - (scorer.order - 1)):]
         full, cut = scorer.score(text, context), scorer.score(text, tail)
         assert hexes(full) == hexes(cut)
@@ -310,9 +313,9 @@ class TestNGramScorerTailCache:
             assert set(scorer._tails) == {t for t in texts_ if len(t) > n}
 
         check_all()
-        before = scorer.alphabet_size
+        before = len(scorer._alphabet)
         scorer.fit([refit + "\U0010fffd"])  # a new char: V grows, every row moves
-        assert scorer.alphabet_size > before
+        assert len(scorer._alphabet) > before
         check_all()
 
     def test_threads_sharing_a_scorer_match_serial(self, monkeypatch):
@@ -346,6 +349,75 @@ class TestNGramScorerTailCache:
             sys.setswitchinterval(interval)
         assert results == [0] * 4
         assert len(shared._tails) <= 3
+
+
+def trusted_callers(tree: ast.AST) -> list[str]:
+    """Where ``tree`` names ``_trusted`` (a call or a bare reference), as the
+    dotted class and function path around it."""
+    found, scope = [], []
+
+    def visit(node: ast.AST) -> None:
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if named:
+            scope.append(node.name)
+        if (isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                or isinstance(node, ast.Name) and node.id == "_trusted"):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            scope.pop()
+
+    visit(tree)
+    return found
+
+
+class TestTrustedScores:
+    """NGramScorer.score builds its results without the ScoredText check,
+    because fit checks every row value once."""
+
+    @given(scorers, nonempty, st.lists(st.one_of(st.none(), texts), min_size=1,
+                                       max_size=3))
+    @settings(max_examples=300)
+    def test_every_score_passes_the_public_check(self, scorer, text, contexts):
+        assume(scorer._alphabet)
+        for context in contexts:  # the first call fills the tail cache
+            scored = scorer.score(text, context)
+            checked = ScoredText(tokens=scored.tokens, logprobs=scored.logprobs)
+            assert bits(checked.logprobs) == bits(scored.logprobs)
+            assert checked == scored and not scored.truncated
+
+    def test_clamp_keeps_a_log_rounded_above_zero_at_zero(self, monkeypatch):
+        # order 1 over "aaaa" with V = 2: the row of "a" is log(5/6), the
+        # only argument above 1/2; a log that rounds it above 0 is clamped
+        scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
+        monkeypatch.setattr(scoring, "math", SimpleNamespace(
+            log=lambda x: 1e-300 if x > 0.5 else math.log(x)))
+        scorer.fit([])
+        assert scorer.score("ab").logprobs == (0.0, math.log(1 / 6))
+
+    @pytest.mark.parametrize("argument,value", [
+        (1 / 6, 1e-300),  # the unseen row of the empty context
+        (1 / 2, 0.5),  # the floor of a context never seen
+        (1 / 6, 0),  # an int, not a float
+    ], ids=["unseen-positive", "floor-positive", "unseen-not-a-float"])
+    def test_fit_rejects_a_row_the_check_would(self, monkeypatch, argument, value):
+        scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
+        monkeypatch.setattr(scoring, "math", SimpleNamespace(
+            log=lambda x: value if x == argument else math.log(x)))
+        with pytest.raises(ValueError, match="rows must be floats <= 0"):
+            scorer.fit([])
+
+    def test_only_ngram_score_builds_trusted_results(self):
+        package = Path(scoring.__file__).parent
+        callers = [f"{path.name}: {caller}" for path in sorted(package.glob("*.py"))
+                   for caller in trusted_callers(ast.parse(path.read_text("utf-8")))]
+        assert callers == ["scoring.py: NGramScorer.score"]
+
+    def test_the_guard_sees_each_reference(self):
+        tree = ast.parse("class A:\n    def f(self):\n        return S._trusted(1, 2)\n"
+                         "def g():\n    make = S._trusted\n_trusted()\n")
+        assert trusted_callers(tree) == ["A.f", "g", "<module>"]
 
 
 class TestFixtures:
