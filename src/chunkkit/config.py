@@ -103,9 +103,10 @@ class DatasetParams:
     flag_ratio: float = 0.10
 
     def __post_init__(self):
-        if self.max_window_tokens < 1:
-            raise ConfigError(f"dataset.max_window_tokens must be >= 1, "
-                              f"got {self.max_window_tokens}")
+        # no text is longer than sys.maxsize, and float() takes any count up to it
+        if not 1 <= self.max_window_tokens <= sys.maxsize:
+            raise ConfigError(f"dataset.max_window_tokens must be >= 1 and "
+                              f"<= {sys.maxsize}, got {self.max_window_tokens}")
         if not self.chars_per_token > 0:
             raise ConfigError(f"dataset.chars_per_token must be > 0, "
                               f"got {self.chars_per_token}")

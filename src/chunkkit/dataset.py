@@ -18,6 +18,7 @@ import bisect
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,6 +68,8 @@ def sliding_windows(
     the last sentence end, else a hard cut exactly at the budget. A budget
     of the whole text or more is one window, so the budget is clamped to
     the text's length: no product of two large numbers reaches ``int``.
+    ``max_tokens`` is clamped to the float range before the product, so an
+    integer too large for ``float`` never reaches one.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
@@ -74,7 +77,8 @@ def sliding_windows(
         raise ValueError("chars_per_token must be positive")
     text = doc.text
     n = len(text)
-    budget = max(1, int(min(max_tokens * chars_per_token, n)))
+    tokens = min(max_tokens, sys.float_info.max)
+    budget = max(1, int(min(tokens * chars_per_token, n)))
 
     sentence_ends = [
         s.end for s in split_sentences(doc) if s.terminal is not None

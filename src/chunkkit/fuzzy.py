@@ -13,6 +13,13 @@ position, and a global row over the reversed window before each candidate
 end recovers its start. Ties are resolved smallest distance, then smallest
 start, then span length closest to the needle's (a one-substitution match
 beats a one-deletion match), then smallest end.
+
+A miss of ``str.find`` proves every distance is at least 1, so the
+free-start row stops at its floor: once it reaches 1 at some end e1, the
+best distance is 1, and no end past e1 + 2 can start at or before the
+span found at e1, so the row stops there. A best distance of 2 or more
+never reaches the floor, and the row spans the whole haystack. Either way
+the distance is exact; there is no cap.
 """
 
 from __future__ import annotations
@@ -23,12 +30,17 @@ from dataclasses import dataclass
 from .errors import AnchorNotFoundError
 
 
-def _last_row(pattern: str, text: str, free_start: bool) -> list[int]:
+def _last_row(pattern: str, text: str, free_start: bool,
+              floor: int | None = None) -> list[int]:
     """Last DP row: entry j is the edit distance of ``pattern`` to
     ``text[:j]``, or to its best suffix when ``free_start`` is true.
 
     Bit i of pv/mv flags D[i+1][j] - D[i][j] = +1/-1. The bit shifted into
     ph is DP row 0's horizontal delta: 0 with a free start, 1 for global.
+
+    ``floor`` is a bound the caller has proven no entry falls below. The
+    row then ends ``2 * floor`` entries after the first entry equal to it,
+    or at the end of ``text`` if no entry is.
     """
     m = len(pattern)
     mask = (1 << m) - 1
@@ -40,21 +52,32 @@ def _last_row(pattern: str, text: str, free_start: bool) -> list[int]:
     pv, mv, score = mask, 0, m
     row = [m]
     append = row.append
-    for c in text:
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (mask ^ (xh | pv))
-        mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        ph = (ph << 1) | carry
-        pv = ((mh << 1) | ~(xv | ph)) & mask
-        mv = ph & xv
-        append(score)
-    return row
+    # stop: the score whose decrement reaches the floor (-1: none does);
+    # end: where the row stops, 2 * floor past entry 0 if that is the floor
+    stop = -1 if floor is None else floor + 1
+    end = 2 * floor if m == floor else len(text)
+    while True:
+        for c in text[len(row) - 1:end]:
+            eq = peq.get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask ^ (xh | pv))
+            mh = pv & xh
+            if ph & high:
+                score += 1
+            elif mh & high:
+                if score == stop:
+                    break  # before any state changes: the next pass reads c
+                score -= 1
+            ph = (ph << 1) | carry
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+            append(score)
+        else:
+            return row
+        # c takes the row to the floor at entry len(row): read it and 2 * floor more
+        end = len(row) + 2 * floor
+        stop = -1
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -113,7 +136,8 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0) -> Sp
         return SpanMatch(start=pos, end=pos + m, distance=0)
     hay = haystack[search_from:]
 
-    row = _last_row(needle, hay, free_start=True)
+    # no exact occurrence: every distance is at least 1 (see the module doc)
+    row = _last_row(needle, hay, free_start=True, floor=1)
     d_star = min(row)
     max_len = m + d_star  # any optimal span has length in [m - d*, m + d*]
 

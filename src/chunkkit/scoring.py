@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
 
@@ -107,6 +107,12 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _ngrams(text: str, n: int) -> Iterator[str]:
+    """The n-character substrings of ``text`` in order (none when it is
+    shorter than ``n``), built by ``zip`` and ``str.join`` in C."""
+    return map("".join, zip(*(text[i:] for i in range(n))))
+
+
 # ---------------------------------------------------------------------------
 # Character n-gram scorer
 # ---------------------------------------------------------------------------
@@ -173,8 +179,7 @@ class NGramScorer:
             self._alphabet.update(text)
             for k in range(1, self.order + 1):
                 table = self._counts[k]
-                grams = Counter(text[t:t + k] for t in range(len(text) - k + 1))
-                for gram, count in grams.items():
+                for gram, count in Counter(_ngrams(text, k)).items():
                     ctx = gram[:-1]
                     bucket = table.get(ctx)
                     if bucket is None:
@@ -227,8 +232,7 @@ class NGramScorer:
             if tail is None:
                 # text positions t >= n read the n-gram text[t-n:t+1],
                 # whatever the context
-                tail = self._lookup([text[t - n:t + 1]
-                                     for t in range(n, len(text))])
+                tail = self._lookup(list(_ngrams(text, self.order)))
                 if len(tails) >= _TAIL_CACHE_TEXTS:
                     tails.clear()
                 tails[text] = tail
@@ -346,10 +350,11 @@ class HashEmbedder:
     character n-grams land near each other. FNV-1a hashes each n-gram into
     one of ``dim`` buckets, and the vector is the integer count of n-grams
     per bucket (feature hashing). It is not normalised: :func:`cosine`,
-    its only reader, does not depend on scale. The hash of each n-gram
-    string is memoised in a bounded process-wide cache shared by all
-    instances (see :func:`_gram_hash`), so a repeated n-gram skips the
-    per-byte loop.
+    its only reader, does not depend on scale. A text's n-grams are
+    counted first, so each distinct n-gram is hashed once per text. The
+    hash of each n-gram string is also memoised in a bounded process-wide
+    cache shared by all instances (see :func:`_gram_hash`), so an n-gram
+    seen in an earlier text skips the per-byte loop.
     """
 
     def __init__(self, dim: int = 64, ngram: int = 3):
@@ -371,11 +376,9 @@ class HashEmbedder:
             raise ValueError("cannot embed empty text")
         n = self.ngram
         padded = text if len(text) >= n else text.ljust(n)
-        counts = Counter(_gram_hash(padded[i:i + n]) % self.dim
-                         for i in range(len(padded) - n + 1))
         vec = [0] * self.dim
-        for bucket, count in counts.items():
-            vec[bucket] = count
+        for gram, count in Counter(_ngrams(padded, n)).items():
+            vec[_gram_hash(gram) % self.dim] += count
         return tuple(vec)
 
     def embed_many(self, texts: Sequence[str]) -> list[tuple[int, ...]]:

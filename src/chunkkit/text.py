@@ -14,13 +14,12 @@ from the source document on load.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CorpusFormatError
-
-_NEWLINES = frozenset("\n\r")
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,9 @@ class ChunkSet:
 # stay attached to that sentence.
 _TERMINALS = frozenset(".!?;。！？；")
 _CLOSERS = frozenset("\"'”’』」》〉〕】)]")
+# A terminal and its closers (group 1 is the terminal), or a newline run.
+_BREAK = re.compile("([{}])[{}]*|[\n\r]+".format(
+    *(re.escape("".join(sorted(chars))) for chars in (_TERMINALS, _CLOSERS))))
 
 
 @dataclass(frozen=True)
@@ -176,33 +178,16 @@ def split_sentences(doc: Document | str) -> list[SentenceSpan]:
     boundaries.
     """
     text = doc.text if isinstance(doc, Document) else doc
-    n = len(text)
     spans: list[SentenceSpan] = []
     start = 0
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINALS:
-            j = i + 1
-            while j < n and text[j] in _CLOSERS:
-                j += 1
-            spans.append(SentenceSpan(start, j, ch))
-            start = j
-            i = j
-        elif ch in _NEWLINES:
-            j = i + 1
-            while j < n and text[j] in _NEWLINES:
-                j += 1
-            if start < i:
-                # The run terminates the sentence in progress.
-                spans.append(SentenceSpan(start, j, None))
-                start = j
-            # A run at span start just accumulates into the next span.
-            i = j
-        else:
-            i += 1
-    if start < n:
-        spans.append(SentenceSpan(start, n, None))
+    for match in _BREAK.finditer(text):
+        terminal = match.group(1)
+        if terminal is None and match.start() == start:
+            continue  # a newline run at span start accumulates into the next span
+        spans.append(SentenceSpan(start, match.end(), terminal))
+        start = match.end()
+    if start < len(text):
+        spans.append(SentenceSpan(start, len(text), None))
     return spans
 
 

@@ -1104,6 +1104,10 @@ class TestConfigErrorsExitTwo:
          "dataset.max_window_tokens"),
         (["dataset", "windows", "--out", "{out}"],
          {"dataset": {"max_window_tokens": 0}}, "dataset.max_window_tokens"),
+        (["dataset", "windows", "--out", "{out}", "--max-window", "1" + "0" * 400],
+         {}, "dataset.max_window_tokens"),
+        (["dataset", "windows", "--out", "{out}"],
+         {"dataset": {"max_window_tokens": 10**400}}, "dataset.max_window_tokens"),
         (["dataset", "rules", "--chunksets", "{cs}", "--out", "{out}"],
          {"dataset": {"anchor_len": 0}}, "dataset.anchor_len"),
         (["dataset", "emit", "--chunksets", "{cs}", "--out-dir", "{out}",
@@ -1127,7 +1131,9 @@ class TestConfigErrorsExitTwo:
          {"dataset": {"flag_ratio": 1e308}}, "dataset.flag_ratio"),
     ], ids=["overlap-above-target", "overlap-above-calibrated-target",
             "target-len-0", "moc-max-window-0", "moc-calibrate-avg",
-            "windows-max-window-0", "config-max-window-0", "config-anchor-len-0",
+            "windows-max-window-0", "config-max-window-0",
+            "windows-max-window-beyond-float", "config-max-window-beyond-float",
+            "config-anchor-len-0",
             "emit-router-target-0", "config-method-bogus", "config-target-len-float",
             "config-target-len-true", "config-anchor-len-float",
             "config-delta-float", "config-chars-per-token-infinite",

@@ -85,6 +85,14 @@ class TestSlidingWindows:
                                   chars_per_token=chars_per_token)
         assert [(w.start, w.end) for w in windows] == [(0, 1000)]
 
+    @pytest.mark.parametrize("chars_per_token", [1.0, 0.5, 1e-300, 1e308])
+    def test_token_count_beyond_the_float_range_is_one_window(self, chars_per_token):
+        # 10**400 * 1.0 raised OverflowError: int too large to convert to float
+        doc = make_doc("y" * 1000)
+        windows = sliding_windows(doc, max_tokens=10**400,
+                                  chars_per_token=chars_per_token)
+        assert [(w.start, w.end) for w in windows] == [(0, 1000)]
+
     @pytest.mark.parametrize("chars_per_token", [0.0, -1.0, float("nan")])
     def test_chars_per_token_must_be_positive(self, chars_per_token):
         with pytest.raises(ValueError, match="chars_per_token"):

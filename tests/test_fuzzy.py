@@ -6,7 +6,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chunkkit import fuzzy
@@ -118,6 +118,34 @@ def needle_near_haystack(draw):
     return needle, haystack or alphabet[0]
 
 
+@st.composite
+def one_edit_then_decoys(draw):
+    """A needle, and a haystack holding a copy of it with exactly one edit
+    followed by decoys: the needle's last characters (ties one and two ends
+    later) and more one-edit copies. No exact occurrence, so the best
+    distance is 1 and the free-start row stops at its floor."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    needle = draw(st.text(alphabet=alphabet, min_size=1, max_size=100))
+
+    def one_edit():
+        pos = draw(st.integers(0, len(needle) - 1))
+        op = draw(st.sampled_from("sid"))
+        if op == "s":
+            ch = draw(st.sampled_from([c for c in alphabet if c != needle[pos]]))
+            return needle[:pos] + ch + needle[pos + 1:]
+        if op == "i":
+            return needle[:pos] + draw(st.sampled_from(alphabet)) + needle[pos:]
+        return needle[:pos] + needle[pos + 1:]
+
+    decoys = {"last": lambda: needle[-1:], "last2": lambda: needle[-2:],
+              "copy": one_edit}
+    tail = "".join(decoys[d]() for d in draw(st.lists(st.sampled_from(sorted(decoys)),
+                                                       max_size=4)))
+    haystack = draw(st.text(alphabet=alphabet, max_size=40)) + one_edit() + tail
+    assume(haystack and needle not in haystack)
+    return needle, haystack
+
+
 class TestBitParallelKernel:
     @given(needle_near_haystack(), st.booleans())
     @settings(max_examples=150)
@@ -149,6 +177,15 @@ class TestBitParallelKernel:
         assert (m.start, m.end, m.distance) == \
             cell_dp_best_substring_match(needle, haystack, search_from)
 
+    @given(one_edit_then_decoys(), st.integers(0, 10**6))
+    @settings(max_examples=300)
+    def test_floor_stop_matches_cell_dp(self, case, search_from):
+        needle, haystack = case
+        search_from %= len(haystack)
+        m = best_substring_match(needle, haystack, search_from)
+        assert (m.start, m.end, m.distance) == \
+            cell_dp_best_substring_match(needle, haystack, search_from)
+
     @given(st.text(alphabet="aé你😀", max_size=150),
            st.text(alphabet="aé你😀", max_size=150))
     @settings(max_examples=200)
@@ -174,6 +211,44 @@ class TestExactMatchFastPath:
         monkeypatch.setattr(fuzzy, "_last_row", no_dp)
         m = best_substring_match(needle, haystack, search_from)
         assert (m.start, m.end, m.distance) == expected
+
+
+class TestFloorStop:
+    """A miss of ``str.find`` proves every distance is at least 1: the
+    free-start row ends two entries after it first reaches 1."""
+
+    @staticmethod
+    def free_start_rows(monkeypatch) -> list[int]:
+        lengths = []
+        last_row = fuzzy._last_row
+
+        def counted(pattern, text, free_start, floor=None):
+            row = last_row(pattern, text, free_start, floor)
+            if free_start:
+                lengths.append(len(row))
+            return row
+        monkeypatch.setattr(fuzzy, "_last_row", counted)
+        return lengths
+
+    def test_distance_one_row_stops_two_past_its_end(self, monkeypatch):
+        hay = "... The sun rOse " + "over the bay. " * 20
+        lengths = self.free_start_rows(monkeypatch)
+        m = best_substring_match("The sun rose", hay)
+        assert (m.start, m.end, m.distance) == (4, 16, 1)
+        assert lengths == [16 + 3]  # entries 0 .. e1 + 2, not len(hay) + 1
+
+    def test_distance_two_reads_the_whole_haystack(self, monkeypatch):
+        hay = "... The sUn rOse " + "over the bay. " * 20
+        lengths = self.free_start_rows(monkeypatch)
+        m = best_substring_match("The sun rose", hay)
+        assert (m.start, m.end, m.distance) == (4, 16, 2)
+        assert lengths == [len(hay) + 1]
+
+    def test_one_char_needle_is_at_the_floor_from_entry_0(self, monkeypatch):
+        lengths = self.free_start_rows(monkeypatch)
+        m = best_substring_match("z", "abcdef")
+        assert (m.start, m.end, m.distance) == (0, 1, 1)
+        assert lengths == [3]
 
 
 class TestEditDistance:

@@ -278,10 +278,23 @@ class TestNGramScorerTables:
         assert hexes(full) == hexes(cut)
 
     @given(st.integers(1, 5), st.lists(texts, max_size=4))
+    @example(order=3, corpus=["ab", "😀é漢ab"])  # the refit grows the alphabet
     @settings(max_examples=200)
     def test_fit_counts_match_reference(self, order, corpus):
-        scorer = NGramScorer(order=order, corpus=corpus[:1]).fit(corpus[1:])
+        scorer = NGramScorer(order=order, corpus=corpus[:1])
+        assert scorer._counts == reference_counts(order, corpus[:1])
+        scorer.fit(corpus[1:])
         assert scorer._counts == reference_counts(order, corpus)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200)
+    def test_ngrams_match_slicing(self, n, data):
+        # astral characters, and texts shorter than, as long as and longer
+        # than n
+        text = data.draw(st.one_of(st.text(max_size=n + 2),
+                                   st.text(alphabet="a😀漢", max_size=n + 2)))
+        assert list(scoring._ngrams(text, n)) == \
+            [text[t:t + n] for t in range(len(text) - n + 1)]
 
 
 class TestNGramScorerTailCache:
@@ -502,11 +515,15 @@ class TestHashEmbedder:
             vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += 1
         return vec
 
-    @given(texts=st.lists(st.text(min_size=1), min_size=1, max_size=4),
+    @given(texts=st.lists(
+               st.one_of(st.text(min_size=1),
+                         st.text(alphabet="a😀漢", min_size=1, max_size=8)),
+               min_size=1, max_size=4),
            dim=st.sampled_from([2, 3, 64, 128, 1000]), ngram=st.integers(1, 6))
     def test_bit_identical_to_per_gram_reference(self, texts, dim, ngram):
-        # unicode of any plane, texts shorter than ngram (space-padded), and
-        # repeats that the hash cache answers
+        # unicode of any plane, texts shorter than ngram (space-padded), a
+        # gram repeated within a text (hashed once), and repeats across
+        # texts that the hash cache answers
         emb = HashEmbedder(dim=dim, ngram=ngram)
         for text in texts + texts:
             got = emb.embed(text)

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from chunkkit.errors import CorpusFormatError
 from chunkkit.rules import PLACEHOLDERS
 from chunkkit.text import (
+    _CLOSERS,
+    _TERMINALS,
     Chunk,
     ChunkSet,
     Document,
+    SentenceSpan,
     load_chunksets,
     load_corpus,
     save_chunksets,
@@ -24,6 +27,40 @@ from chunkkit.text import (
 )
 
 from conftest import make_doc, random_text
+
+_NEWLINES = frozenset("\n\r")
+
+
+def char_loop_split_sentences(text: str) -> list[SentenceSpan]:
+    """Reference: the per-character loop the one-regex split replaced."""
+    n = len(text)
+    spans: list[SentenceSpan] = []
+    start = 0
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in _TERMINALS:
+            j = i + 1
+            while j < n and text[j] in _CLOSERS:
+                j += 1
+            spans.append(SentenceSpan(start, j, ch))
+            start = j
+            i = j
+        elif ch in _NEWLINES:
+            j = i + 1
+            while j < n and text[j] in _NEWLINES:
+                j += 1
+            if start < i:
+                # The run terminates the sentence in progress.
+                spans.append(SentenceSpan(start, j, None))
+                start = j
+            # A run at span start just accumulates into the next span.
+            i = j
+        else:
+            i += 1
+    if start < n:
+        spans.append(SentenceSpan(start, n, None))
+    return spans
 
 
 class TestDocumentInvariants:
@@ -115,6 +152,13 @@ class TestSplitSentences:
         assert spans[-1].end == len(doc.text)
         for a, b in zip(spans, spans[1:]):
             assert a.end == b.start
+
+    @given(st.text(alphabet=st.sampled_from(sorted(
+        _TERMINALS | _CLOSERS | _NEWLINES | set("ab 你好"))), max_size=60))
+    @settings(max_examples=300)
+    def test_regex_split_matches_char_loop(self, text):
+        # SentenceSpan equality compares start, end and terminal
+        assert split_sentences(text) == char_loop_split_sentences(text)
 
     @given(st.text(min_size=1, max_size=200))
     @settings(max_examples=200)
