@@ -11,23 +11,35 @@ Wire contract (JSON over HTTP, paths relative to the handle's endpoint):
 - POST /v1/embed    {model, texts: [str]} -> {vectors: [[num]]}
 
 Requests retry a bounded number of times on transport failures and on 429
-and 5xx replies, honouring a Retry-After header; each client enforces its
-handle's in-flight limit with a semaphore, so callers may fan out across
-threads freely.
+and 5xx replies, honouring a Retry-After header, and log each retry at
+WARNING; each client enforces its handle's in-flight limit with a
+semaphore, so callers may fan out across threads freely.
+
+The client is the standard library's ``http.client``: one kept-alive
+connection per client and thread, checked before reuse, so a connection
+the server closed while idle is replaced without a failed attempt. A
+proxy named by the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
+``NO_PROXY``) is honoured, HTTPS verifies the server against
+``ssl.create_default_context()``, and a redirect is not followed.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import logging
 import math
 import os
 import random
+import select
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
-from urllib.parse import urlsplit
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .config import finite_number
 from .errors import ProtocolError, TransportError
@@ -36,9 +48,11 @@ from .scoring import GenerationResult, ScoredText
 _RETRY_BACKOFF = 0.2  # seconds, times the attempt number, plus up to as much jitter
 _RETRY_WAIT_MAX = 10.0  # seconds: the longest wait between attempts, Retry-After too
 _DECODING = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}  # near-greedy
-# seconds: a day, far inside what requests and the platform's time_t take
-# (about 9.2e9 s, 2**63 ns, overflows)
+# seconds: a day, far inside what a socket timeout and the platform's time_t
+# take (about 9.2e9 s, 2**63 ns, overflows)
 _TIMEOUT_MAX = 86400.0
+
+logger = logging.getLogger(__name__)
 
 
 def _retry_wait(attempt: int, retry_after: str | None) -> float:
@@ -96,48 +110,118 @@ class BackendHandle:
                              f"got {self.max_context_chars}")
 
 
+def _dropped(sock) -> bool:
+    """Whether an idle kept-alive socket is readable: the server has closed
+    it (or sent what no request asked for), so it must carry no request."""
+    if hasattr(select, "poll"):  # no limit on the descriptor's number
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class _HttpClient:
     def __init__(self, handle: BackendHandle):
         self.handle = handle
-        self._session = requests.Session()
+        self._url = handle.endpoint.rstrip("/")
+        self._headers = {"Content-Type": "application/json"}
         if handle.api_key_env and os.environ.get(handle.api_key_env):
-            self._session.headers["Authorization"] = (
+            self._headers["Authorization"] = (
                 f"Bearer {os.environ[handle.api_key_env]}"
             )
+        self._tls = (ssl.create_default_context()
+                     if urlsplit(self._url).scheme == "https" else None)
+        self._local = threading.local()  # this thread's connection
         self._slots = threading.BoundedSemaphore(handle.max_in_flight)
 
+    def _connect(self) -> tuple[http.client.HTTPConnection, str, dict]:
+        """A connection to the endpoint, or to the proxy the environment
+        names for it, with the prefix of its request targets and the
+        headers of its requests. Nothing is sent yet."""
+        url = urlsplit(self._url)
+        origin_form = url._replace(scheme="", netloc="").geturl()
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and urllib.request.proxy_bypass(url.netloc):
+            proxy = None
+        if not proxy:
+            return self._open(url.hostname, url.port), origin_form, self._headers
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if via.scheme != "http" or not via.hostname:
+            raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+        auth = {}
+        if via.username is not None:
+            credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+            auth["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii"))
+        conn = self._open(via.hostname, via.port or 80)
+        if self._tls is None:  # the proxy forwards the absolute-form URL
+            return conn, self._url, {**self._headers, **auth}
+        conn.set_tunnel(url.hostname, url.port, auth)
+        return conn, origin_form, self._headers
+
+    def _open(self, host: str, port: int | None) -> http.client.HTTPConnection:
+        if self._tls is None:
+            return http.client.HTTPConnection(host, port, timeout=self.handle.timeout)
+        return http.client.HTTPSConnection(host, port, timeout=self.handle.timeout,
+                                           context=self._tls)
+
+    def _exchange(self, path: str, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on this thread's connection and its whole reply."""
+        local = self._local
+        if getattr(local, "conn", None) is None:
+            local.conn, local.prefix, local.headers = self._connect()
+        elif local.conn.sock is not None and _dropped(local.conn.sock):
+            local.conn.close()  # the next request opens a new connection
+        conn = local.conn
+        try:
+            conn.request("POST", local.prefix + path, body, local.headers)
+            response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            conn.close()  # a request cut short leaves the connection unusable
+            raise
+
     def _post(self, path: str, payload: dict) -> dict:
-        url = self.handle.endpoint.rstrip("/") + path
+        url = self._url + path
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.handle.retries + 1
-        last_error: Exception | None = None
+        last_error: object = None
         for attempt in range(1, attempts + 1):
             retry_after = None
             try:
                 with self._slots:
-                    response = self._session.post(
-                        url, json=payload, timeout=self.handle.timeout
-                    )
-                response.raise_for_status()
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                    response, raw = self._exchange(path, body)
+            except http.client.InvalidURL as exc:  # the request cannot be built
+                raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
-            except requests.HTTPError as exc:
-                status = exc.response.status_code if exc.response is not None else 0
-                if status != 429 and status < 500:  # the request itself is at fault
-                    raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
-                last_error = exc
-                retry_after = exc.response.headers.get("Retry-After")
-            except requests.RequestException as exc:  # the request cannot be sent
+            except ValueError as exc:  # a header or proxy that cannot be sent
                 raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
             else:
-                try:
-                    data = response.json()
-                except ValueError as exc:  # requests' JSONDecodeError
-                    raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
-                if not isinstance(data, dict):
-                    raise ProtocolError(f"{url}: response is not a JSON object")
-                return data
+                status = f"HTTP {response.status} {response.reason}"
+                if response.status < 300:
+                    try:
+                        data = json.loads(raw)
+                    except ValueError as exc:  # not JSON, or not UTF-8/16/32
+                        raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+                    if not isinstance(data, dict):
+                        raise ProtocolError(f"{url}: response is not a JSON object")
+                    return data
+                if response.status < 400:
+                    raise TransportError(
+                        f"{url}: {status}, redirect to "
+                        f"{response.getheader('Location')} not followed",
+                        attempts=attempt)
+                if response.status != 429 and response.status < 500:
+                    # the request itself is at fault
+                    raise TransportError(f"{url}: {status}", attempts=attempt)
+                last_error = status
+                retry_after = response.getheader("Retry-After")
             if attempt < attempts:
-                time.sleep(_retry_wait(attempt, retry_after))
+                wait = _retry_wait(attempt, retry_after)
+                logger.warning("%s: attempt %d of %d failed (%s); retrying in %.2f s",
+                               url, attempt, attempts, last_error, wait)
+                time.sleep(wait)
         raise TransportError(f"{url}: {last_error}", attempts=attempts)
 
 

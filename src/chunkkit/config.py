@@ -243,7 +243,7 @@ def read_record(cls: type, data: Any, name: str):
 # ---------------------------------------------------------------------------
 # Backend construction: one table of kind -> builder per role. Each builder
 # takes a backend's options and role; only the http builders import
-# .backends, which imports requests, so an offline run never loads it.
+# .backends, so an offline run never loads the HTTP and TLS modules.
 # ---------------------------------------------------------------------------
 
 @contextmanager

@@ -16,10 +16,12 @@ beats a one-deletion match), then smallest end.
 
 A miss of ``str.find`` proves every distance is at least 1, so the
 free-start row stops at its floor: once it reaches 1 at some end e1, the
-best distance is 1, and no end past e1 + 2 can start at or before the
-span found at e1, so the row stops there. A best distance of 2 or more
-never reaches the floor, and the row spans the whole haystack. Either way
-the distance is exact; there is no cap.
+best distance is 1, and the row stops at e1 + 1. An end past e1 + 2 starts
+after every span ending at e1; end e1 + 2 starts no earlier, and when it
+starts at the same place its length is off the needle's by as much, so the
+tie goes to the smaller end e1. A best distance of 2 or more never reaches
+the floor, and the row spans the whole haystack. Either way the distance
+is exact; there is no cap.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def _last_row(pattern: str, text: str, free_start: bool,
     ph is DP row 0's horizontal delta: 0 with a free start, 1 for global.
 
     ``floor`` is a bound the caller has proven no entry falls below. The
-    row then ends ``2 * floor`` entries after the first entry equal to it,
-    or at the end of ``text`` if no entry is.
+    row then ends ``2 * floor - 1`` entries after the first entry equal to
+    it, or at the end of ``text`` if no entry is: an end ``2 * floor`` or
+    more past that entry cannot win the ties of ``best_substring_match``.
     """
     m = len(pattern)
     mask = (1 << m) - 1
@@ -53,9 +56,9 @@ def _last_row(pattern: str, text: str, free_start: bool,
     row = [m]
     append = row.append
     # stop: the score whose decrement reaches the floor (-1: none does);
-    # end: where the row stops, 2 * floor past entry 0 if that is the floor
+    # end: where the row stops, 2 * floor - 1 past entry 0 if that is the floor
     stop = -1 if floor is None else floor + 1
-    end = 2 * floor if m == floor else len(text)
+    end = 2 * floor - 1 if m == floor else len(text)
     while True:
         for c in text[len(row) - 1:end]:
             eq = peq.get(c, 0)
@@ -75,8 +78,8 @@ def _last_row(pattern: str, text: str, free_start: bool,
             append(score)
         else:
             return row
-        # c takes the row to the floor at entry len(row): read it and 2 * floor more
-        end = len(row) + 2 * floor
+        # c takes the row to the floor at entry len(row): read it and 2 * floor - 1 more
+        end = len(row) + 2 * floor - 1
         stop = -1
 
 

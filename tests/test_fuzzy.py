@@ -215,7 +215,7 @@ class TestExactMatchFastPath:
 
 class TestFloorStop:
     """A miss of ``str.find`` proves every distance is at least 1: the
-    free-start row ends two entries after it first reaches 1."""
+    free-start row ends one entry after it first reaches 1."""
 
     @staticmethod
     def free_start_rows(monkeypatch) -> list[int]:
@@ -230,12 +230,12 @@ class TestFloorStop:
         monkeypatch.setattr(fuzzy, "_last_row", counted)
         return lengths
 
-    def test_distance_one_row_stops_two_past_its_end(self, monkeypatch):
+    def test_distance_one_row_stops_one_past_its_end(self, monkeypatch):
         hay = "... The sun rOse " + "over the bay. " * 20
         lengths = self.free_start_rows(monkeypatch)
         m = best_substring_match("The sun rose", hay)
         assert (m.start, m.end, m.distance) == (4, 16, 1)
-        assert lengths == [16 + 3]  # entries 0 .. e1 + 2, not len(hay) + 1
+        assert lengths == [16 + 2]  # entries 0 .. e1 + 1, not len(hay) + 1
 
     def test_distance_two_reads_the_whole_haystack(self, monkeypatch):
         hay = "... The sUn rOse " + "over the bay. " * 20
@@ -248,7 +248,7 @@ class TestFloorStop:
         lengths = self.free_start_rows(monkeypatch)
         m = best_substring_match("z", "abcdef")
         assert (m.start, m.end, m.distance) == (0, 1, 1)
-        assert lengths == [3]
+        assert lengths == [2]  # entries 0 .. 1
 
 
 class TestEditDistance:
