@@ -32,6 +32,7 @@ import logging
 import math
 import os
 import random
+import re
 import select
 import ssl
 import threading
@@ -51,6 +52,9 @@ _DECODING = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}  # near-greed
 # seconds: a day, far inside what a socket timeout and the platform's time_t
 # take (about 9.2e9 s, 2**63 ns, overflows)
 _TIMEOUT_MAX = 86400.0
+# what http.client cannot send in a header value: a control character
+# (a line break would end the header) or a character beyond Latin-1
+_UNSENDABLE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 logger = logging.getLogger(__name__)
 
@@ -125,10 +129,14 @@ class _HttpClient:
         self.handle = handle
         self._url = handle.endpoint.rstrip("/")
         self._headers = {"Content-Type": "application/json"}
-        if handle.api_key_env and os.environ.get(handle.api_key_env):
-            self._headers["Authorization"] = (
-                f"Bearer {os.environ[handle.api_key_env]}"
-            )
+        token = os.environ.get(handle.api_key_env) if handle.api_key_env else None
+        if token:
+            # the message names the variable, never its value
+            if _UNSENDABLE.search(token):
+                raise ValueError(f"the value of {handle.api_key_env} cannot be sent "
+                                 f"in a header: it holds a control character or "
+                                 f"one beyond Latin-1")
+            self._headers["Authorization"] = f"Bearer {token}"
         self._tls = (ssl.create_default_context()
                      if urlsplit(self._url).scheme == "https" else None)
         self._local = threading.local()  # this thread's connection
@@ -147,7 +155,9 @@ class _HttpClient:
             return self._open(url.hostname, url.port), origin_form, self._headers
         via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
         if via.scheme != "http" or not via.hostname:
-            raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+            # named without its userinfo, which may hold a password
+            raise ValueError(f"proxy {via.scheme}://{via.hostname or ''} is not "
+                             f"an http:// URL with a host")
         auth = {}
         if via.username is not None:
             credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
@@ -195,7 +205,7 @@ class _HttpClient:
                 raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
-            except ValueError as exc:  # a header or proxy that cannot be sent
+            except ValueError as exc:  # a proxy URL that cannot be used
                 raise TransportError(f"{url}: {exc}", attempts=attempt) from exc
             else:
                 status = f"HTTP {response.status} {response.reason}"

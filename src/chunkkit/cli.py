@@ -285,7 +285,6 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
             "moc": lambda doc: moc_chunk(
                 doc, router, experts,
                 max_window_tokens=dataset.max_window_tokens,
-                chars_per_token=dataset.chars_per_token,
                 placeholder=dataset.placeholder,
             ),
         }[method]
@@ -409,19 +408,15 @@ def dataset_group() -> None:
 @click.option("--corpus", required=True, type=_INPUT_FILE)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--max-window", type=int, default=None)
-@click.option("--chars-per-token", type=_FINITE, default=None)
 @click.pass_obj
 def cmd_windows(config: RunConfig, corpus: str, out: str,
-                max_window: int | None, chars_per_token: float | None) -> None:
+                max_window: int | None) -> None:
     """Cut documents into token-budget windows."""
-    config = override(config, dataset={"max_window_tokens": max_window,
-                                       "chars_per_token": chars_per_token})
+    config = override(config, dataset={"max_window_tokens": max_window})
     count = 0
     with _report(out, {"max_window_tokens": config.dataset.max_window_tokens}) as write:
         for doc in load_corpus(corpus):
-            for w in sliding_windows(doc,
-                                     max_tokens=config.dataset.max_window_tokens,
-                                     chars_per_token=config.dataset.chars_per_token):
+            for w in sliding_windows(doc, max_tokens=config.dataset.max_window_tokens):
                 write({"doc_id": w.doc_id, "start": w.start, "end": w.end})
                 count += 1
     click.echo(f"wrote {count} windows")
@@ -449,7 +444,6 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
         return distill_document(
             doc, generator,
             max_window_tokens=params.max_window_tokens,
-            chars_per_token=params.chars_per_token,
             flag_ratio=params.flag_ratio,
         )
 
@@ -550,7 +544,6 @@ def cmd_rules(config: RunConfig, corpus: str, chunksets_path: str, out: str,
                      "suffix": r.suffix}
                     for r in rule_list.rules
                 ],
-                "raw": rule_list.raw,
             })
     click.echo(f"wrote rules for {len(chunksets) - len(failures)} doc(s)")
     return failures
@@ -600,7 +593,6 @@ def cmd_emit(config: RunConfig, corpus: str, chunksets_path: str,
             anchor_len=params.anchor_len,
             placeholder=params.placeholder,
             max_window_tokens=params.max_window_tokens,
-            chars_per_token=params.chars_per_token,
         )
         experts[label.value] += (
             {"doc_id": doc.id, "prompt": prompt, "target": target}

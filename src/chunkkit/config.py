@@ -96,20 +96,15 @@ class ChunkerParams:
 @dataclass(frozen=True)
 class DatasetParams:
     max_window_tokens: int = 1024
-    chars_per_token: float = 1.0
     anchor_len: int = 10
     placeholder: str = DEFAULT_PLACEHOLDER
     router_target_chars: int = 1024
     flag_ratio: float = 0.10
 
     def __post_init__(self):
-        # no text is longer than sys.maxsize, and float() takes any count up to it
-        if not 1 <= self.max_window_tokens <= sys.maxsize:
-            raise ConfigError(f"dataset.max_window_tokens must be >= 1 and "
-                              f"<= {sys.maxsize}, got {self.max_window_tokens}")
-        if not self.chars_per_token > 0:
-            raise ConfigError(f"dataset.chars_per_token must be > 0, "
-                              f"got {self.chars_per_token}")
+        if self.max_window_tokens < 1:
+            raise ConfigError(f"dataset.max_window_tokens must be >= 1, "
+                              f"got {self.max_window_tokens}")
         if self.anchor_len < 1:
             raise ConfigError(f"dataset.anchor_len must be >= 1, got {self.anchor_len}")
         if self.placeholder not in PLACEHOLDERS:

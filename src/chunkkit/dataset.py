@@ -8,7 +8,7 @@ granularity labels. A chunking also yields training samples: one router
 text per document and one expert prompt/target pair per window. Nothing
 here writes a file; the CLI decides where samples go.
 
-Token counting uses a character proxy (chars / chars_per_token) since the
+A window budget counts characters as a stand-in for tokens, since the
 backend tokenizer is remote; windows only need to respect a budget.
 """
 
@@ -18,7 +18,6 @@ import bisect
 import logging
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -60,25 +59,18 @@ class Window:
 def sliding_windows(
     doc: Document,
     max_tokens: int = 1024,
-    chars_per_token: float = 1.0,
 ) -> list[Window]:
-    """Tile the document into windows of at most ``max_tokens``.
+    """Tile the document into windows of at most ``max_tokens`` characters.
 
     Cut points are chosen at the last paragraph break within budget, else
     the last sentence end, else a hard cut exactly at the budget. A budget
-    of the whole text or more is one window, so the budget is clamped to
-    the text's length: no product of two large numbers reaches ``int``.
-    ``max_tokens`` is clamped to the float range before the product, so an
-    integer too large for ``float`` never reaches one.
+    of the whole text or more is one window.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    if not chars_per_token > 0:
-        raise ValueError("chars_per_token must be positive")
     text = doc.text
     n = len(text)
-    tokens = min(max_tokens, sys.float_info.max)
-    budget = max(1, int(min(tokens * chars_per_token, n)))
+    budget = min(max_tokens, n)
 
     sentence_ends = [
         s.end for s in split_sentences(doc) if s.terminal is not None
@@ -265,14 +257,12 @@ def expert_samples(
     anchor_len: int = 10,
     placeholder: str = DEFAULT_PLACEHOLDER,
     max_window_tokens: int = 1024,
-    chars_per_token: float = 1.0,
 ) -> list[tuple[str, str]]:
     """Expert training pairs ``(prompt, target)``: per window, the
     rule-chunking prompt over the window text and the rule list of the
     chunks falling inside it."""
     samples = []
-    for window in sliding_windows(doc, max_tokens=max_window_tokens,
-                                  chars_per_token=chars_per_token):
+    for window in sliding_windows(doc, max_tokens=max_window_tokens):
         inside = [c for c in chunks
                   if c.start >= window.start and c.end <= window.end]
         if inside:
@@ -320,13 +310,11 @@ def distill_document(
     doc: Document,
     generator: Generator,
     max_window_tokens: int = 1024,
-    chars_per_token: float = 1.0,
     flag_ratio: float = 0.10,
 ) -> DistillResult:
     """Generate raw chunk texts per window, anchor them to source spans in
     order, flag hallucinations, and stitch windows via the chunk buffer."""
-    windows = sliding_windows(doc, max_tokens=max_window_tokens,
-                              chars_per_token=chars_per_token)
+    windows = sliding_windows(doc, max_tokens=max_window_tokens)
     verdicts: list[CleaningVerdict] = []
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:

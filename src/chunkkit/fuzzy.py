@@ -31,6 +31,10 @@ from dataclasses import dataclass
 
 from .errors import AnchorNotFoundError
 
+# An anchor is recovered when its edit distance is at most this share of its
+# length, rounded up.
+_MAX_RATIO = 0.5
+
 
 def _last_row(pattern: str, text: str, free_start: bool,
               floor: int | None = None) -> list[int]:
@@ -166,17 +170,16 @@ def recover_anchor(
     anchor: str,
     haystack: str,
     search_from: int = 0,
-    max_ratio: float = 0.5,
 ) -> SpanMatch:
     """Locate a possibly-corrupted anchor in the haystack.
 
     Accepts the best span only if its edit distance is within
-    ``ceil(max_ratio * len(anchor))``; otherwise raises
+    ``ceil(_MAX_RATIO * len(anchor))``; otherwise raises
     :class:`AnchorNotFoundError` carrying the best distance found.
     """
     if not anchor:
         raise ValueError("anchor must be non-empty")
-    limit = math.ceil(max_ratio * len(anchor))
+    limit = math.ceil(_MAX_RATIO * len(anchor))
     match = best_substring_match(anchor, haystack, search_from)
     if match.distance > limit:
         raise AnchorNotFoundError(

@@ -102,18 +102,13 @@ class ExtractionReport:
         return sum(1 for m in self.matches if m.mode == "failed")
 
 
-# An anchor is recovered when its edit distance is at most this share of its
-# length (rounded up); see fuzzy.recover_anchor.
-_MAX_RATIO = 0.5
-
-
 def _locate(needle: str, text: str, start: int) -> tuple[int, int, int] | None:
     """(start, end, distance) of the earliest acceptable occurrence of
     ``needle`` at or after ``start``; None when nothing qualifies."""
     if start >= len(text):
         return None
     try:
-        match = recover_anchor(needle, text, search_from=start, max_ratio=_MAX_RATIO)
+        match = recover_anchor(needle, text, search_from=start)
     except AnchorNotFoundError:
         return None
     return match.start, match.end, match.distance
@@ -136,23 +131,14 @@ def _extract_spans(
     spans: list[tuple[int, int]] = []
     cursor = 0
     for idx, rule in enumerate(rules.rules):
-        if rule.literal:
-            hit = _locate(rule.prefix, text, cursor)
-            if hit is None:
-                report.matches.append(RuleMatch(idx, "failed"))
-                continue
-            start, end, distance = hit
-        else:
-            head = _locate(rule.prefix, text, cursor)
-            if head is None:
-                report.matches.append(RuleMatch(idx, "failed"))
-                continue
-            tail = _locate(rule.suffix, text, head[1])
-            if tail is None:
-                report.matches.append(RuleMatch(idx, "failed"))
-                continue
-            start, end = head[0], tail[1]
-            distance = head[2] + tail[2]
+        head = _locate(rule.prefix, text, cursor)
+        # a literal rule is its own anchor: its tail is its head
+        tail = head if head is None or rule.literal else _locate(rule.suffix, text, head[1])
+        if tail is None:
+            report.matches.append(RuleMatch(idx, "failed"))
+            continue
+        start, end = head[0], tail[1]
+        distance = head[2] if rule.literal else head[2] + tail[2]
         mode = "exact" if distance == 0 else "recovered"
         report.matches.append(
             RuleMatch(idx, mode, distance, base_offset + start, base_offset + end)
@@ -185,7 +171,6 @@ def moc_chunk(
     router: Scorer,
     experts: Mapping[GranularityLabel | int, Generator],
     max_window_tokens: int = 1024,
-    chars_per_token: float = 1.0,
     placeholder: str = DEFAULT_PLACEHOLDER,
 ) -> tuple[ChunkSet, list[ExtractionReport]]:
     """Route, generate, and extract per window; stitch with the chunk buffer.
@@ -199,8 +184,7 @@ def moc_chunk(
     if missing:
         raise ValueError(f"no expert configured for labels {missing}")
 
-    windows = sliding_windows(doc, max_tokens=max_window_tokens,
-                              chars_per_token=chars_per_token)
+    windows = sliding_windows(doc, max_tokens=max_window_tokens)
     reports: list[ExtractionReport] = []
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:

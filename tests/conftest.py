@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import string
 
@@ -82,3 +83,12 @@ class CountingGenerator:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """Every request goes straight to its endpoint unless a test names a
+    proxy itself."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)

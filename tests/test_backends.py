@@ -103,13 +103,7 @@ def handle(endpoint: str, **kw) -> BackendHandle:
     return BackendHandle(endpoint=endpoint, model="stub", timeout=5.0, **kw)
 
 
-@pytest.fixture(autouse=True)
-def no_proxy_env(monkeypatch):
-    """Every request goes straight to the stub servers unless a test names
-    a proxy itself."""
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
+pytestmark = pytest.mark.usefixtures("no_proxy_env")
 
 
 class TestHttpScorer:
@@ -164,6 +158,22 @@ class TestHttpScorer:
         assert target == "/v1/score"
         assert headers["Authorization"] == "Bearer sekrit"
         assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("token", [
+        "sekrit\nX-Injected: 1", "sekrit\rX", "sekrit\x85", "sekrit\u2603"],
+        ids=["line-break", "carriage-return", "c1-control", "beyond-latin-1"])
+    def test_key_a_header_cannot_carry_fails_at_build(self, monkeypatch, token):
+        # the message names the variable; the token never reaches an error line
+        monkeypatch.setenv("STUB_TOKEN", token)
+        with pytest.raises(ValueError, match="STUB_TOKEN") as err:
+            HttpScorer(handle("http://127.0.0.1:9", api_key_env="STUB_TOKEN"))
+        assert "sekrit" not in str(err.value)
+
+    def test_latin_1_key_is_sent(self, scripted_server, monkeypatch):
+        monkeypatch.setenv("STUB_TOKEN", "sekrit\xe9")
+        scripted_scorer(scripted_server, retries=0, api_key_env="STUB_TOKEN").score("ab")
+        ((_, headers),) = scripted_server.requests
+        assert headers["Authorization"] == "Bearer sekrit\xe9"
 
     @pytest.mark.parametrize("endpoint", [
         "", "127.0.0.1:9", "ftp://127.0.0.1:9", "http://", "http://127.0.0.1:abc",
@@ -287,18 +297,12 @@ class TestMalformedReplies:
             scorer.score("ab")
 
     def test_request_that_cannot_be_sent_is_transport_error(
-            self, scripted_server, waits, monkeypatch):
-        endpoint = endpoint_of(scripted_server)
-        for url, token, message in [
-            (endpoint, "sekrit\nX-Injected: 1", "Invalid header value"),
-            (endpoint, "sekrit\u2603", "latin-1"),  # a key http cannot carry
-            (endpoint + "/a b", "sekrit", "control characters"),
-        ]:
-            monkeypatch.setenv("STUB_TOKEN", token)
-            scorer = HttpScorer(handle(url, retries=2, api_key_env="STUB_TOKEN"))
-            with pytest.raises(TransportError, match=message) as err:
-                scorer.score("ab")
-            assert err.value.attempts == 1  # not retried
+            self, scripted_server, waits):
+        # a key a header cannot carry fails earlier, when the client is built
+        scorer = HttpScorer(handle(endpoint_of(scripted_server) + "/a b", retries=2))
+        with pytest.raises(TransportError, match="control characters") as err:
+            scorer.score("ab")
+        assert err.value.attempts == 1  # not retried
         assert scripted_server.seen == 0 and waits == []
 
     def test_nan_logprob_is_protocol_error(self, scripted_server):

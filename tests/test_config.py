@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import re
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -35,6 +37,32 @@ from chunkkit.scoring import (
     NGramScorer,
 )
 from chunkkit.text import Document, save_corpus
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeConfig:
+    """The README's configuration example stays a valid config that names
+    every parameter key, so a key added or removed in code shows there."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        import yaml
+        (text,) = re.findall(r"^```yaml\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                             re.DOTALL | re.MULTILINE)
+        return yaml.safe_load(text)
+
+    def test_example_parses(self, block):
+        config = parse_config(block)
+        assert sorted(config.experts) == [0, 1, 2, 3]
+        assert config.generator.options["api_key_env"] == "LLM_TOKEN"
+
+    @pytest.mark.parametrize("section,record", [
+        ("metrics", MetricsParams), ("chunker", ChunkerParams),
+        ("dataset", DatasetParams)])
+    def test_example_names_every_key(self, block, section, record):
+        assert set(block[section]) == {f.name for f in fields(record)}
 
 
 class TestLoadConfig:
@@ -122,8 +150,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("dataset,message", [
         ({"max_window_tokens": 0}, "max_window_tokens must be >= 1"),
-        ({"chars_per_token": 0}, "chars_per_token must be > 0"),
-        ({"chars_per_token": float("nan")}, "chars_per_token must be > 0"),
+        ({"placeholder": "<bogus>"}, "unknown placeholder '<bogus>'"),
+        ({"flag_ratio": 1.5}, "flag_ratio must be >= 0 and <= 1"),
         ({"anchor_len": 0}, "anchor_len must be >= 1"),
         ({"router_target_chars": 0}, "router_target_chars must be >= 1"),
         ({"flag_ratio": -0.1}, "flag_ratio must be >= 0"),
@@ -135,7 +163,7 @@ class TestLoadConfig:
 
     def test_dataset_knob_edges_accepted(self):
         params = parse_config({"dataset": {
-            "max_window_tokens": 1, "chars_per_token": 0.01, "anchor_len": 1,
+            "max_window_tokens": 1, "anchor_len": 1,
             "router_target_chars": 1, "flag_ratio": 0.0}}).dataset
         assert (params.max_window_tokens, params.anchor_len) == (1, 1)
         assert (params.router_target_chars, params.flag_ratio) == (1, 0.0)
@@ -215,8 +243,7 @@ class TestReadRecord:
             Knobs(10**300, None)
 
     @pytest.mark.parametrize("section,key", [
-        ("metrics", "k"), ("chunker", "threshold"), ("dataset", "chars_per_token"),
-        ("dataset", "flag_ratio"),
+        ("metrics", "k"), ("chunker", "threshold"), ("dataset", "flag_ratio"),
     ])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
                              ids=["inf", "minus-inf", "nan"])

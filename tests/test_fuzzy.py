@@ -344,7 +344,7 @@ class TestRecoverAnchor:
         assert brute_force_best_span("The sun rose", hay)[2] == 1
 
     def test_distance_over_budget_rejected(self):
-        # 10-char anchor, max_ratio 0.5 -> limit 5; best distance is 6
+        # 10-char anchor, a ratio of 0.5 -> limit 5; best distance is 6
         hay = "aaaa qqqqjjjjww aaaa"
         anchor = "qqqXXXjjjj"
         probe = best_substring_match(anchor, hay)
@@ -353,7 +353,7 @@ class TestRecoverAnchor:
         best = best_substring_match(anchor, hay)
         assert best.distance == 6
         with pytest.raises(AnchorNotFoundError) as err:
-            recover_anchor(anchor, hay, max_ratio=0.5)
+            recover_anchor(anchor, hay)
         assert err.value.best_distance == 6
         assert err.value.limit == 5
 

@@ -129,6 +129,15 @@ class TestExtractChunks:
         cs, _ = extract_chunks(doc, rules)
         assert [c.text for c in cs.chunks] == ["one two", "three"]
 
+    def test_literal_rule_recovery_counts_its_text_once(self):
+        # a literal rule's tail is its head: one distance, not two
+        doc = make_doc("one two three four")
+        rules = parse_rule_list('["one twO", "zzzzzzzzzzzzzz", "three four"]')
+        cs, report = extract_chunks(doc, rules)
+        assert [c.text for c in cs.chunks] == ["one two", "three four"]
+        assert [(m.mode, m.distance) for m in report.matches] == [
+            ("recovered", 1), ("failed", 0), ("exact", 0)]
+
     def test_unresolvable_rule_skipped_and_reported(self):
         doc = make_doc("AAA BBB CCC DDD")
         rules = RuleList(rules=(
