@@ -6,8 +6,9 @@ Wire contract (JSON over HTTP, paths relative to the handle's endpoint):
   (logprobs cover the text only; context tokens are conditioned on but
   excluded)
 - POST /v1/generate {model, prompt, temperature, top_p, max_tokens}
-                    -> {text, finish_reason}
-  (near-greedy: temperature 0.1, top_p 0.1, max_tokens 1024 on every call)
+                    -> {text: str, finish_reason?: str}
+  (near-greedy: temperature 0.1, top_p 0.1, max_tokens 1024 on every call;
+  a missing finish_reason is "stop")
 - POST /v1/embed    {model, texts: [str]} -> {vectors: [[num]]}
 
 Requests retry a bounded number of times on transport failures and on 429
@@ -52,6 +53,8 @@ _DECODING = {"temperature": 0.1, "top_p": 0.1, "max_tokens": 1024}  # near-greed
 # seconds: a day, far inside what a socket timeout and the platform's time_t
 # take (about 9.2e9 s, 2**63 ns, overflows)
 _TIMEOUT_MAX = 86400.0
+# the userinfo ("user:password@") of an endpoint, with its scheme if any
+_USERINFO = re.compile(r"([^/?#]*//)?[^/?#]*@")
 # what http.client cannot send in a header value: a control character
 # (a line break would end the header) or a character beyond Latin-1
 _UNSENDABLE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
@@ -82,10 +85,11 @@ class BackendHandle:
     """Where and how to reach one model endpoint.
 
     ``api_key_env`` names an environment variable holding a bearer token;
-    secrets never live in config files. ``max_context_chars`` keeps the last
-    that many characters of a context (at least 1; null keeps it whole): a
-    limit of 0 would send every context empty, so every conditional score
-    would equal the unconditional one.
+    secrets never live in config files, so an endpoint with userinfo
+    (``user:password@``) is rejected, and no message echoes it.
+    ``max_context_chars`` keeps the last that many characters of a context
+    (at least 1; null keeps it whole): a limit of 0 would send every context
+    empty, so every conditional score would equal the unconditional one.
     """
 
     endpoint: str
@@ -97,11 +101,18 @@ class BackendHandle:
     api_key_env: str | None = None
 
     def __post_init__(self):
+        if _USERINFO.match(self.endpoint):
+            # named without the endpoint, whose userinfo may hold a password
+            raise ValueError("endpoint must carry no credentials (user:password@); "
+                             "name a variable holding a bearer token in api_key_env")
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a "
                              f"host, got {self.endpoint!r}")
-        url.port  # raises ValueError for a port that is no number in 0-65535
+        try:
+            url.port
+        except ValueError:  # urllib's message quotes what follows the last ":"
+            raise ValueError("Port of the endpoint must be a number in 0-65535") from None
         if not 0 < self.timeout <= _TIMEOUT_MAX:
             raise ValueError(f"timeout must be > 0 and <= {_TIMEOUT_MAX:g} s, "
                              f"got {self.timeout}")
@@ -283,12 +294,12 @@ class HttpGenerator(_HttpClient):
         data = self._post(
             "/v1/generate", {"model": self.handle.model, "prompt": prompt, **_DECODING}
         )
-        if "text" not in data:
-            raise ProtocolError("generate response needs 'text'")
-        return GenerationResult(
-            text=str(data["text"]),
-            finish_reason=str(data.get("finish_reason", "stop")),
-        )
+        text = data.get("text")
+        finish_reason = data.get("finish_reason", "stop")
+        if not isinstance(text, str) or not isinstance(finish_reason, str):
+            raise ProtocolError("generate response needs a string 'text' and, "
+                                "if present, a string 'finish_reason'")
+        return GenerationResult(text=text, finish_reason=finish_reason)
 
 
 class HttpEmbedder(_HttpClient):

@@ -261,7 +261,15 @@ def _http(client: str):
     return build
 
 
+def _closed(options: Mapping[str, Any], role: str, keys: tuple[str, ...]) -> None:
+    """Reject an option of a built-in offline backend that it does not take."""
+    unknown = set(options) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {role!r}: {sorted(unknown)}")
+
+
 def _ngram_scorer(options: Mapping[str, Any], role: str) -> NGramScorer:
+    _closed(options, role, ("order", "corpus", "alphabet"))
     texts: list[str] = []
     if options.get("corpus"):
         from .text import load_corpus  # local import avoids a cycle
@@ -292,6 +300,7 @@ def _fixture_generator(options: Mapping[str, Any], role: str) -> FixtureGenerato
 
 
 def _hash_embedder(options: Mapping[str, Any], role: str) -> HashEmbedder:
+    _closed(options, role, ("dim", "ngram"))
     return HashEmbedder(dim=_typed(f"{role}.dim", options.get("dim", 64), "int"),
                         ngram=_typed(f"{role}.ngram", options.get("ngram", 3), "int"))
 

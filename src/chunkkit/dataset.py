@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import prompts
-from .errors import ExtractionError, RoutingError, RuleParseError, ScoringError
+from .errors import ExtractionError, RuleParseError, ScoringError
 from .fuzzy import best_substring_match
 from .rules import (
     DEFAULT_PLACEHOLDER,
@@ -83,12 +83,10 @@ def sliding_windows(
         if limit >= n:
             windows.append(Window(doc.id, pos, n))
             break
+        # a break found in [pos, limit) ends past pos and by limit
         cut = None
-        last_break = None
         for match in _PARAGRAPH_BREAK.finditer(text, pos, limit):
-            last_break = match.end()
-        if last_break is not None and pos < last_break <= limit:
-            cut = last_break
+            cut = match.end()
         if cut is None:
             idx = bisect.bisect_right(sentence_ends, limit) - 1
             if idx >= 0 and sentence_ends[idx] > pos:
@@ -100,7 +98,7 @@ def sliding_windows(
     return windows
 
 
-_WINDOW_FAULTS = (RoutingError, RuleParseError, ExtractionError, ScoringError)
+_WINDOW_FAULTS = (RuleParseError, ExtractionError, ScoringError)
 
 
 def windowed_chunk(
@@ -115,9 +113,10 @@ def windowed_chunk(
     Unless the window is the last or gave a single span, its last span is
     dropped and the next region starts where that span began, so the next
     window sees the dropped text again. A window whose ``per_window`` raises
-    a routing, parse, extraction or backend error contributes no spans, is
-    logged, and the next region starts at its end. Returns the kept spans
-    and the number of failed windows.
+    a parse, extraction or backend error (a router's scoring fault is a
+    backend error) contributes no spans, is logged, and the next region
+    starts at its end; any other exception propagates. Returns the kept
+    spans and the number of failed windows.
     """
     spans: list[tuple[int, int]] = []
     region_start = 0

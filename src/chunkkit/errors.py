@@ -71,9 +71,5 @@ class ExtractionError(ChunkKitError):
         self.report = report
 
 
-class RoutingError(ChunkKitError):
-    """The router backend produced no probability for any label token."""
-
-
 class ConfigError(ChunkKitError):
     """Invalid or incomplete run configuration."""

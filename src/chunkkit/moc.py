@@ -4,7 +4,9 @@ The pipeline windows a document, routes each window to a granularity
 expert, asks the expert for anchor+placeholder rules, extracts chunk spans
 from the source text with exact search plus edit-distance recovery, and
 stitches windows with the chunk-buffer discipline (the last chunk of a
-window is dropped and its text re-offered to the next window).
+window is dropped and its text re-offered to the next window). A backend
+fault in any step, the router's score of any label included, fails its
+window and no other.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from typing import Mapping
 
 from . import prompts
 from .dataset import sliding_windows, windowed_chunk
-from .errors import (
-    AnchorNotFoundError,
-    ExtractionError,
-    RoutingError,
-    RuleParseError,
-    ScoringError,
-)
+from .errors import AnchorNotFoundError, ExtractionError, RuleParseError
 from .fuzzy import recover_anchor
 from .rules import (
     DEFAULT_PLACEHOLDER,
@@ -34,26 +30,16 @@ from .text import ChunkSet, Document
 
 def route(text: str, scorer: Scorer) -> GranularityLabel:
     """Pick the granularity label whose token is most probable at the end
-    of the routing prompt; ties break toward the smaller (finer) label."""
+    of the routing prompt; ties break toward the smaller (finer) label.
+
+    Every label is scored, so a scorer's fault on any label propagates
+    (a :class:`ScoringError` fails the caller's window); no label is skipped.
+    """
     if not text:
         raise ValueError("cannot route empty text")
     prompt = prompts.render(prompts.ROUTER_PROMPT, text=text)
-    best: tuple[float, GranularityLabel] | None = None
-    errors = []
-    for label in GranularityLabel:
-        try:
-            scored = scorer.score(str(label.value), context=prompt)
-        except (ScoringError, ValueError) as exc:
-            errors.append(f"{label.value}: {exc}")
-            continue
-        logprob = sum(scored.logprobs)
-        if best is None or logprob > best[0]:
-            best = (logprob, label)
-    if best is None:
-        raise RoutingError(
-            "no probability for any label token: " + "; ".join(errors)
-        )
-    return best[1]
+    return max(GranularityLabel, key=lambda label: sum(
+        scorer.score(str(label.value), context=prompt).logprobs))
 
 
 def generate_rules(
@@ -65,7 +51,7 @@ def generate_rules(
 
     The prompt requests one placeholder, but parsing accepts any of the
     known set. Raises :class:`RuleParseError` (raw generation attached) on
-    a generation cut off at max_tokens, and on unparseable or empty output.
+    a generation cut off at max_tokens, and on output with no string element.
     """
     if not text:
         raise ValueError("cannot chunk empty text")
@@ -74,11 +60,7 @@ def generate_rules(
     result = generator.generate(prompt)
     if result.truncated:
         raise RuleParseError("generation cut off at max_tokens", raw=result.text)
-    rule_list = parse_rule_list(result.text)
-    if not rule_list.rules:
-        raise RuleParseError("generation produced an empty rule list",
-                             raw=result.text)
-    return rule_list
+    return parse_rule_list(result.text)
 
 
 @dataclass(frozen=True)
@@ -145,7 +127,7 @@ def _extract_spans(
         )
         spans.append((base_offset + start, base_offset + end))
         cursor = end
-    if rules.rules and report.failed * 2 > len(rules.rules):
+    if report.failed * 2 > len(rules.rules):
         raise ExtractionError(
             f"{report.failed} of {len(rules.rules)} rules failed to resolve",
             report=report,
@@ -176,8 +158,9 @@ def moc_chunk(
     """Route, generate, and extract per window; stitch with the chunk buffer.
 
     Every label must resolve to an expert (aliases allowed). A window whose
-    routing, generation, or extraction fails contributes no chunks; the
-    document fails only when every window fails.
+    routing, generation, or extraction fails contributes no chunks; one whose
+    extraction fails still adds its report. The document fails only when
+    every window fails.
     """
     experts = {GranularityLabel(int(k)): v for k, v in experts.items()}
     missing = [lab.value for lab in GranularityLabel if lab not in experts]
@@ -190,7 +173,11 @@ def moc_chunk(
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
         label = route(region, router)
         rule_list = generate_rules(region, experts[label], placeholder=placeholder)
-        spans, report = _extract_spans(region, rule_list, doc.id, base_offset=offset)
+        try:
+            spans, report = _extract_spans(region, rule_list, doc.id, base_offset=offset)
+        except ExtractionError as exc:
+            reports.append(exc.report)
+            raise
         reports.append(report)
         return spans
 

@@ -94,11 +94,9 @@ class ChunkRule:
 
 @dataclass(frozen=True)
 class RuleList:
-    """Ordered rules for one document, plus the generation they were parsed
-    from for auditing."""
+    """Ordered rules for one document."""
 
     rules: tuple[ChunkRule, ...]
-    raw: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -110,23 +108,20 @@ class RuleList:
         return iter(self.rules)
 
 
+# longest first: at one position an alternation takes the first that matches
+_PLACEHOLDER = re.compile("|".join(
+    map(re.escape, sorted(PLACEHOLDERS, key=len, reverse=True))))
+
+
 def split_rule_element(element: str) -> ChunkRule:
     """Split one list element at its placeholder (earliest match wins,
     longest placeholder on position ties); no placeholder means literal."""
     if not element:
         raise RuleParseError("empty rule element", raw=element)
-    hit: tuple[int, str] | None = None
-    for marker in PLACEHOLDERS:
-        pos = element.find(marker)
-        if pos < 0:
-            continue
-        if hit is None or pos < hit[0] or (pos == hit[0] and len(marker) > len(hit[1])):
-            hit = (pos, marker)
+    hit = _PLACEHOLDER.search(element)
     if hit is None:
         return ChunkRule(prefix=element, placeholder=None)
-    pos, marker = hit
-    prefix = element[:pos]
-    suffix = element[pos + len(marker):]
+    prefix, marker, suffix = element[:hit.start()], hit.group(), element[hit.end():]
     if not prefix or not suffix:
         raise RuleParseError(
             f"placeholder {marker!r} at the edge of element {element[:60]!r}",
@@ -139,24 +134,20 @@ _QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 def parse_rule_elements(text: str) -> list[str]:
-    """Extract the string elements of the first bracketed list in ``text``.
+    """The string elements of the bracket block of ``text``: from its first
+    ``[`` to its last ``]``, every double-quoted JSON string literal in order.
 
-    Tries strict JSON first; falls back to scanning quoted strings inside
-    the bracket block for the almost-JSON that models tend to emit.
+    One scan reads strict JSON and the almost-JSON that models tend to emit,
+    such as a trailing comma; a quoted run that is no valid JSON string is
+    skipped. A block without a string element, ``[]``
+    included, raises :class:`RuleParseError`.
     """
     start = text.find("[")
     end = text.rfind("]")
     if start < 0 or end <= start:
         raise RuleParseError("no bracketed list found in generation", raw=text)
-    block = text[start:end + 1]
-    try:
-        data = json.loads(block)
-        if isinstance(data, list) and all(isinstance(x, str) for x in data):
-            return data
-    except json.JSONDecodeError:
-        pass
     elements = []
-    for match in _QUOTED.finditer(block):
+    for match in _QUOTED.finditer(text, start, end + 1):
         try:
             elements.append(json.loads(match.group(0)))
         except json.JSONDecodeError:
@@ -168,9 +159,7 @@ def parse_rule_elements(text: str) -> list[str]:
 
 def parse_rule_list(generated: str) -> RuleList:
     """Parse a generation into an ordered ``RuleList``."""
-    elements = parse_rule_elements(generated)
-    rules = tuple(split_rule_element(el) for el in elements)
-    return RuleList(rules=rules, raw=generated)
+    return RuleList(tuple(map(split_rule_element, parse_rule_elements(generated))))
 
 
 def render_rule_targets(rules: Iterable[ChunkRule]) -> str:

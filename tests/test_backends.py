@@ -21,7 +21,7 @@ import pytest
 from chunkkit import backends
 from chunkkit.backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
 from chunkkit.errors import ProtocolError, TransportError
-from chunkkit.scoring import perplexity
+from chunkkit.scoring import GenerationResult, perplexity
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -310,6 +310,29 @@ class TestMalformedReplies:
                         b'{"tokens": ["a", "b"], "logprobs": [-1.0, NaN]}')
         with pytest.raises(ProtocolError, match="NaN"):
             scorer.score("ab")
+
+    @pytest.mark.parametrize("body", [
+        {"text": ["a", 1], "finish_reason": None},
+        {"text": 3},
+        {"text": None},
+        {"finish_reason": "stop"},
+        {"text": "a", "finish_reason": None},
+        {"text": "a", "finish_reason": 1},
+    ], ids=["text-list", "text-number", "text-null", "text-missing",
+            "finish-null", "finish-number"])
+    def test_generation_of_wrong_type_is_protocol_error(self, scripted_server, body):
+        generator = canned(HttpGenerator, scripted_server,
+                           json.dumps(body).encode("utf-8"))
+        with pytest.raises(ProtocolError, match="string 'text'"):
+            generator.generate("a prompt")
+
+    @pytest.mark.parametrize("body,finish_reason", [
+        ({"text": "a"}, "stop"), ({"text": "a", "finish_reason": "length"}, "length"),
+    ], ids=["finish-missing", "finish-length"])
+    def test_well_formed_generation_is_kept(self, scripted_server, body, finish_reason):
+        generator = canned(HttpGenerator, scripted_server,
+                           json.dumps(body).encode("utf-8"))
+        assert generator.generate("a prompt") == GenerationResult("a", finish_reason)
 
     def test_well_formed_reply_still_scores(self, scripted_server):
         scorer = canned(HttpScorer, scripted_server,

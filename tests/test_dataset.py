@@ -18,7 +18,7 @@ from chunkkit.dataset import (
     sliding_windows,
     windowed_chunk,
 )
-from chunkkit.errors import ExtractionError, RoutingError, RuleParseError, ScoringError
+from chunkkit.errors import ExtractionError, RuleParseError, ScoringError
 from chunkkit.moc import extract_chunks
 from chunkkit.rules import GranularityLabel, parse_rule_list
 from chunkkit.scoring import FixtureGenerator
@@ -124,9 +124,9 @@ class TestWindowedChunk:
         assert spans == [(0, 11), (12, 15), (16, 19), (20, 23)]
 
     @pytest.mark.parametrize("fault", [
-        RoutingError("no label"), RuleParseError("bad list"),
+        RuleParseError("bad list"),
         ExtractionError("too many misses"), ScoringError("backend down"),
-    ], ids=["routing", "parse", "extraction", "scoring"])
+    ], ids=["parse", "extraction", "scoring"])
     def test_failed_window_advances_to_its_end(self, fault, caplog):
         with caplog.at_level("WARNING"):
             spans, failed, calls = self.run([fault, [(12, 15), (16, 23)]])

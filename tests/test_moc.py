@@ -9,7 +9,12 @@ import pytest
 
 from chunkkit import prompts
 from chunkkit.dataset import make_rules, sliding_windows
-from chunkkit.errors import ExtractionError, RoutingError, RuleParseError
+from chunkkit.errors import (
+    ExtractionError,
+    FixtureMissingError,
+    RuleParseError,
+    TransportError,
+)
 from chunkkit.moc import extract_chunks, generate_rules, moc_chunk, route
 from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, parse_rule_list
 from chunkkit.scoring import FixtureGenerator, FixtureScorer
@@ -18,13 +23,19 @@ from chunkkit.text import ChunkSet, Document
 from conftest import CountingGenerator, make_doc
 
 
-def router_fixture(text: str, probs: dict[int, float]) -> FixtureScorer:
+def router_fixture(text: str, probs: dict[int, float],
+                   scorer: FixtureScorer | None = None) -> FixtureScorer:
     """Fixture scorer answering the routing prompt with given label probs."""
     prompt = prompts.render(prompts.ROUTER_PROMPT, text=text)
-    scorer = FixtureScorer()
+    scorer = scorer or FixtureScorer()
     for label, p in probs.items():
         scorer.add(str(label), prompt, logprobs=[math.log(p)])
     return scorer
+
+
+def favouring(label: int) -> dict[int, float]:
+    """Probabilities of all four labels, ``label`` the most probable."""
+    return {lab.value: 0.7 if lab.value == label else 0.1 for lab in GranularityLabel}
 
 
 class TestRoute:
@@ -44,12 +55,32 @@ class TestRoute:
 
     def test_no_label_probability_raises(self):
         assert isinstance(FixtureScorer(), object)
-        with pytest.raises(RoutingError):
+        with pytest.raises(FixtureMissingError):
             route("t", FixtureScorer())  # empty table: every label fails
 
     def test_deterministic(self):
         scorer = router_fixture("t", {0: 0.2, 1: 0.25, 2: 0.3, 3: 0.25})
         assert all(route("t", scorer) == GranularityLabel(2) for _ in range(5))
+
+    @pytest.mark.parametrize("label", list(GranularityLabel))
+    def test_scoring_fault_on_one_label_raises(self, label):
+        # no label is skipped: routing among the other three would hide it
+        scorer = FailingLabel(router_fixture("t", favouring(1)), label)
+        with pytest.raises(TransportError, match="router down"):
+            route("t", scorer)
+
+
+class FailingLabel:
+    """A router that raises a TransportError scoring ``label``, in every
+    context or only in ``context``; else it asks ``inner``."""
+
+    def __init__(self, inner, label: int, context: str | None = None):
+        self.inner, self.label, self.context = inner, label, context
+
+    def score(self, text: str, context: str | None = None):
+        if text == str(self.label) and self.context in (None, context):
+            raise TransportError("router down", attempts=3)
+        return self.inner.score(text, context)
 
 
 class TestGenerateRules:
@@ -70,7 +101,6 @@ class TestGenerateRules:
         assert len(rules) == 5
         assert [r.prefix for r in rules] == \
             [f"paragraph {i} " for i in range(5)]
-        assert rules.raw == response
 
     def test_unparseable_generation_raises_with_raw(self):
         expert = self._expert("text", "I refuse to answer.")
@@ -194,9 +224,7 @@ def build_moc_fixtures(doc: Document, label: int, chunk_texts: list[str],
     region_start = 0
     for wi, window in enumerate(windows):
         region = doc.text[region_start:window.end]
-        router.add(str(label),
-                   prompts.render(prompts.ROUTER_PROMPT, text=region),
-                   logprobs=[math.log(0.9)])
+        router_fixture(region, favouring(label), router)
         # chunks fully inside the region, as anchor rules
         inside = [t for t in chunk_texts if region.find(t) >= 0]
         elements = []
@@ -264,36 +292,7 @@ class TestMocChunk:
 
     def test_two_window_buffer_no_duplicates(self):
         # straddle: last chunk of window 1 is re-offered to window 2
-        sentences = [f"w{i} body text charges ahead plainly." for i in range(8)]
-        body = " ".join(sentences)
-        doc = make_doc(body)
-
-        budget = len(body) // 2 + 10
-        windows = sliding_windows(doc, max_tokens=budget)
-        assert len(windows) == 2
-
-        router = FixtureScorer()
-        expert = FixtureGenerator()
-
-        # window 1 covers some whole sentences; its final chunk gets dropped
-        # and re-offered, so window 2's region starts at that chunk's start
-        def add_window(region: str):
-            router.add("1", prompts.render(prompts.ROUTER_PROMPT, text=region),
-                       logprobs=[math.log(0.9)])
-            inside = [s for s in sentences if s in region]
-            expert.add(
-                prompts.render(prompts.RULE_CHUNK_PROMPT, text=region,
-                               placeholder="[MASK]"),
-                json.dumps([f"{s[:5]}[MASK]{s[-8:]}" for s in inside]),
-            )
-
-        region1 = doc.text[windows[0].start:windows[0].end]
-        add_window(region1)
-        inside1 = [s for s in sentences if s in region1]
-        dropped_start = body.find(inside1[-1])
-        region2 = doc.text[dropped_start:windows[1].end]
-        add_window(region2)
-
+        doc, budget, sentences, router, expert, _ = two_window_fixtures()
         experts = {lab: expert for lab in GranularityLabel}
         cs, reports = moc_chunk(doc, router, experts, max_window_tokens=budget)
 
@@ -304,3 +303,55 @@ class TestMocChunk:
         joined = " ".join(c.text.strip() for c in cs.chunks)
         for s in sentences:
             assert joined.count(s) == 1
+
+    def test_router_fault_fails_only_its_window(self, caplog):
+        doc, budget, sentences, router, expert, regions = two_window_fixtures()
+        window2 = prompts.render(prompts.ROUTER_PROMPT, text=regions[1])
+        router = FailingLabel(router, 3, context=window2)
+        experts = {lab: expert for lab in GranularityLabel}
+        with caplog.at_level("WARNING"):
+            cs, reports = moc_chunk(doc, router, experts, max_window_tokens=budget)
+        assert "window 1 failed: router down" in caplog.text
+        # window 1 keeps its chunks but the last, which it re-offered
+        inside1 = [s for s in sentences if s in regions[0]]
+        assert [c.text.strip() for c in cs.chunks] == inside1[:-1]
+        assert len(reports) == 1
+
+    def test_failed_extraction_still_reports(self, caplog):
+        doc, budget, sentences, router, expert, regions = two_window_fixtures()
+        expert.add(prompts.render(prompts.RULE_CHUNK_PROMPT, text=regions[1],
+                                  placeholder="[MASK]"),
+                   json.dumps(["qqqqq [MASK] zzzzz"] * 3))
+        experts = {lab: expert for lab in GranularityLabel}
+        with caplog.at_level("WARNING"):
+            cs, reports = moc_chunk(doc, router, experts, max_window_tokens=budget)
+        assert "window 1 failed: 3 of 3 rules failed to resolve" in caplog.text
+        inside1 = [s for s in sentences if s in regions[0]]
+        assert [c.text.strip() for c in cs.chunks] == inside1[:-1]
+        assert [r.failed for r in reports] == [0, 3]
+        assert [m.mode for m in reports[1].matches] == ["failed"] * 3
+
+
+def two_window_fixtures():
+    """A two-window document whose window 1 covers whole sentences, with
+    router and expert fixtures for both regions. Window 1's final chunk is
+    dropped and re-offered, so window 2's region starts at its start."""
+    sentences = [f"w{i} body text charges ahead plainly." for i in range(8)]
+    doc = make_doc(" ".join(sentences))
+    budget = len(doc.text) // 2 + 10
+    windows = sliding_windows(doc, max_tokens=budget)
+    assert len(windows) == 2
+    region1 = doc.text[windows[0].start:windows[0].end]
+    inside1 = [s for s in sentences if s in region1]
+    region2 = doc.text[doc.text.find(inside1[-1]):windows[1].end]
+    router = FixtureScorer()
+    expert = FixtureGenerator()
+    for region in (region1, region2):
+        router_fixture(region, favouring(1), router)
+        inside = [s for s in sentences if s in region]
+        expert.add(
+            prompts.render(prompts.RULE_CHUNK_PROMPT, text=region,
+                           placeholder="[MASK]"),
+            json.dumps([f"{s[:5]}[MASK]{s[-8:]}" for s in inside]),
+        )
+    return doc, budget, sentences, router, expert, (region1, region2)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkkit.errors import RuleParseError
 from chunkkit.rules import (
@@ -10,6 +15,7 @@ from chunkkit.rules import (
     ChunkRule,
     GranularityLabel,
     label_for_mean,
+    parse_rule_elements,
     parse_rule_list,
     render_rule_targets,
     split_rule_element,
@@ -68,7 +74,6 @@ class TestParseRuleList:
         assert rules.rules[0].prefix == "The sun rose "
         assert rules.rules[0].suffix == " over the bay."
         assert rules.rules[1].prefix == "Then the "
-        assert rules.raw == generation
 
     def test_prose_preamble_tolerated(self):
         generation = 'Sure! Here is the list:\n["alpha [MASK] omega"]\nDone.'
@@ -90,10 +95,107 @@ class TestParseRuleList:
             parse_rule_list("no list here at all")
         assert err.value.raw == "no list here at all"
 
+    def test_empty_list_raises(self):
+        with pytest.raises(RuleParseError, match="no string elements"):
+            parse_rule_list("[]")
+
     def test_round_trip_through_render(self):
         rules = parse_rule_list('["abc [MASK] def", "whole literal"]')
         again = parse_rule_list(render_rule_targets(rules.rules))
         assert again.rules == rules.rules
+
+
+# -- the reader as it was: strict JSON first, then the quoted-string scan,
+# and a split that tries each placeholder in turn --------------------------
+
+_REFERENCE_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def reference_parse_rule_elements(text: str) -> list[str]:
+    start = text.find("[")
+    end = text.rfind("]")
+    if start < 0 or end <= start:
+        raise RuleParseError("no bracketed list found in generation", raw=text)
+    block = text[start:end + 1]
+    try:
+        data = json.loads(block)
+        if isinstance(data, list) and all(isinstance(x, str) for x in data):
+            return data
+    except json.JSONDecodeError:
+        pass
+    elements = []
+    for match in _REFERENCE_QUOTED.finditer(block):
+        try:
+            elements.append(json.loads(match.group(0)))
+        except json.JSONDecodeError:
+            continue
+    if not elements:
+        raise RuleParseError("bracketed list contains no string elements", raw=text)
+    return elements
+
+
+def reference_split_rule_element(element: str) -> ChunkRule:
+    if not element:
+        raise RuleParseError("empty rule element", raw=element)
+    hit = None
+    for marker in PLACEHOLDERS:
+        pos = element.find(marker)
+        if pos < 0:
+            continue
+        if hit is None or pos < hit[0] or (pos == hit[0] and len(marker) > len(hit[1])):
+            hit = (pos, marker)
+    if hit is None:
+        return ChunkRule(prefix=element, placeholder=None)
+    pos, marker = hit
+    prefix = element[:pos]
+    suffix = element[pos + len(marker):]
+    if not prefix or not suffix:
+        raise RuleParseError(
+            f"placeholder {marker!r} at the edge of element {element[:60]!r}",
+            raw=element,
+        )
+    return ChunkRule(prefix=prefix, placeholder=marker, suffix=suffix)
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` returns, or the message and raw text it raises."""
+    try:
+        return fn(arg)
+    except RuleParseError as exc:
+        return ("raises", str(exc), exc.raw)
+
+
+# pieces that make placeholders overlap, nest and touch the edges
+_ELEMENT_PIECES = st.sampled_from([
+    *PLACEHOLDERS, "a", "bc", " ", ".", "*", "?", "<", ">", "[", "]", "MASK",
+    "<.", "<pad", "...", '"', "\\", "é", "\n",
+])
+elements = st.lists(_ELEMENT_PIECES, max_size=8).map("".join)
+json_lists = st.builds(
+    lambda items, ascii, indent: json.dumps(items, ensure_ascii=ascii, indent=indent),
+    st.lists(elements, max_size=5), st.booleans(), st.sampled_from([None, 1]))
+soup = st.lists(st.sampled_from([
+    "[", "]", '"', "\\", '\\"', ",", " ", "\n", "a", "[MASK]", "\\u00e9", "\\x", "1",
+]), max_size=24).map("".join)
+generations = st.one_of(
+    json_lists, soup,
+    st.builds(lambda head, body, tail: head + body + tail, soup, json_lists, soup))
+
+
+@settings(max_examples=300)
+@given(text=generations)
+def test_parse_rule_elements_matches_reference(text):
+    expected = outcome(reference_parse_rule_elements, text)
+    if expected == []:  # the one difference: an empty list is no rule list
+        expected = ("raises", "bracketed list contains no string elements", text)
+    assert outcome(parse_rule_elements, text) == expected
+
+
+@settings(max_examples=300)
+@given(element=elements)
+def test_split_rule_element_matches_reference(element):
+    assert outcome(split_rule_element, element) == \
+        outcome(reference_split_rule_element, element)
 
 
 class TestGranularityLabels:

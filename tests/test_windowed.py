@@ -28,7 +28,6 @@ from chunkkit.dataset import (
 from chunkkit.errors import (
     ExtractionError,
     FixtureMissingError,
-    RoutingError,
     RuleParseError,
     ScoringError,
 )
@@ -71,7 +70,10 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             spans, report = _extract_spans(
                 region, rule_list, doc.id, base_offset=region_start
             )
-        except (RoutingError, RuleParseError, ExtractionError, ScoringError):
+        except (RuleParseError, ExtractionError, ScoringError) as exc:
+            # a window whose extraction failed still reports its rules
+            if isinstance(exc, ExtractionError):
+                reports.append(exc.report)
             failures += 1
             region_start = window.end
             continue
