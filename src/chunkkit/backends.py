@@ -18,7 +18,9 @@ semaphore, so callers may fan out across threads freely.
 
 The client is the standard library's ``http.client``: one kept-alive
 connection per client and thread, checked before reuse, so a connection
-the server closed while idle is replaced without a failed attempt. A
+the server closed while idle is replaced without a failed attempt. The
+client owns its connections: ``close()`` (or leaving a ``with`` block)
+closes every one its threads opened. A
 proxy named by the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
 ``NO_PROXY``) is honoured, HTTPS verifies the server against
 ``ssl.create_default_context()``, and a redirect is not followed.
@@ -151,7 +153,23 @@ class _HttpClient:
         self._tls = (ssl.create_default_context()
                      if urlsplit(self._url).scheme == "https" else None)
         self._local = threading.local()  # this thread's connection
+        self._opened: list[http.client.HTTPConnection] = []  # by every thread
+        self._opened_lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(handle.max_in_flight)
+
+    def close(self) -> None:
+        """Close every connection this client's threads opened. Call it
+        after the last request; a later request opens a connection again."""
+        with self._opened_lock:
+            opened = list(self._opened)
+        for conn in opened:
+            conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _connect(self) -> tuple[http.client.HTTPConnection, str, dict]:
         """A connection to the endpoint, or to the proxy the environment
@@ -191,6 +209,8 @@ class _HttpClient:
         local = self._local
         if getattr(local, "conn", None) is None:
             local.conn, local.prefix, local.headers = self._connect()
+            with self._opened_lock:
+                self._opened.append(local.conn)
         elif local.conn.sock is not None and _dropped(local.conn.sock):
             local.conn.close()  # the next request opens a new connection
         conn = local.conn

@@ -153,6 +153,14 @@ def _load_docs(corpus: str) -> dict[str, Document]:
     return {d.id: d for d in load_corpus(corpus)}
 
 
+def _owned(backend):
+    """``backend``, closed when the running command ends if it has a
+    ``close`` (an HTTP client holds connections; an offline backend none)."""
+    if hasattr(backend, "close"):
+        click.get_current_context().call_on_close(backend.close)
+    return backend
+
+
 def _backend_name(backend) -> str | None:
     """Class name, plus the remote model id when the backend has one."""
     if backend is None:
@@ -247,12 +255,13 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
     if method == "semantic":
         if config.embedder is None:
             raise ConfigError("semantic chunking needs an embedder in config")
-        embedder = build_embedder(config.embedder)
+        embedder = _owned(build_embedder(config.embedder))
     elif method == "moc":
         if config.router is None:
             raise ConfigError("moc chunking needs a router backend in config")
-        router = build_scorer(config.router, "router")
-        experts = build_experts(config)
+        router = _owned(build_scorer(config.router, "router"))
+        experts = {label: _owned(expert)
+                   for label, expert in build_experts(config).items()}
 
     params, dataset = config.chunker, config.dataset
     docs: Iterable[Document] = load_corpus(corpus)
@@ -340,7 +349,7 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
             spec = getattr(config, role)
             if spec is None:
                 raise ConfigError(f"metrics {needing} need a {role} in config")
-            backends[role] = build(spec)
+            backends[role] = _owned(build(spec))
 
     docs = _load_docs(corpus)
     chunksets = load_chunksets(chunksets_path, docs)
@@ -436,7 +445,7 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
     """Generate raw chunkings for a corpus and clean them."""
     if config.generator is None:
         raise ConfigError("distill needs a generator in config")
-    generator = build_generator(config.generator)
+    generator = _owned(build_generator(config.generator))
     params = config.dataset
     out = _out_dir(out_dir)
 

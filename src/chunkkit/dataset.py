@@ -111,14 +111,16 @@ def windowed_chunk(
     ``per_window(region, offset)`` returns the document spans it finds in
     ``region = doc.text[offset:window.end]``. The first region starts at 0.
     Unless the window is the last or gave a single span, its last span is
-    dropped and the next region starts where that span began, so the next
-    window sees the dropped text again. A window whose ``per_window`` raises
+    held back and the next region starts where that span began, so the next
+    window sees the held text again. A window whose ``per_window`` raises
     a parse, extraction or backend error (a router's scoring fault is a
     backend error) contributes no spans, is logged, and the next region
-    starts at its end; any other exception propagates. Returns the kept
+    starts at its end; the span held back for it is kept, since the window
+    before resolved it. Any other exception propagates. Returns the kept
     spans and the number of failed windows.
     """
     spans: list[tuple[int, int]] = []
+    held: tuple[int, int] | None = None  # the span re-offered to this window
     region_start = 0
     failed = 0
     for wi, window in enumerate(windows):
@@ -127,11 +129,16 @@ def windowed_chunk(
         except _WINDOW_FAULTS as exc:
             logger.warning("doc %s window %d failed: %s", doc.id, wi, exc)
             failed += 1
+            if held is not None:
+                spans.append(held)
+                held = None
             region_start = window.end
             continue
         if wi < len(windows) - 1 and len(found) > 1:
-            region_start = found.pop()[0]
+            held = found.pop()
+            region_start = held[0]
         else:
+            held = None
             region_start = window.end
         spans.extend(found)
     return spans, failed
@@ -167,8 +174,11 @@ def detect_hallucination(
     index: int = 0,
     search_from: int = 0,
     flag_ratio: float = 0.10,
+    search_to: int | None = None,
 ) -> CleaningVerdict:
-    """Compare a generated chunk against the closest span of the source.
+    """Compare a generated chunk against the closest span of
+    ``doc.text[search_from:search_to]``; ``search_to`` None is the end of
+    the document.
 
     ``flag_ratio`` is a share of the chunk's length, in [0, 1]: no edit
     distance exceeds the length, so a larger ratio could flag nothing.
@@ -177,7 +187,7 @@ def detect_hallucination(
         raise ValueError("chunk must be non-empty")
     if not 0 <= flag_ratio <= 1:
         raise ValueError(f"flag_ratio must be >= 0 and <= 1, got {flag_ratio}")
-    match = best_substring_match(generated_chunk, doc.text, search_from)
+    match = best_substring_match(generated_chunk, doc.text, search_from, search_to)
     threshold = math.ceil(flag_ratio * len(generated_chunk))
     return CleaningVerdict(
         chunk_index=index,
@@ -312,7 +322,12 @@ def distill_document(
     flag_ratio: float = 0.10,
 ) -> DistillResult:
     """Generate raw chunk texts per window, anchor them to source spans in
-    order, flag hallucinations, and stitch windows via the chunk buffer."""
+    order, flag hallucinations, and stitch windows via the chunk buffer.
+
+    Each generated chunk is matched only inside the region its window
+    showed the generator, from the end of the window's last kept span: text
+    the generator never saw cannot vouch for a chunk, and each search costs
+    the region's length, not the rest of the document's."""
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
     verdicts: list[CleaningVerdict] = []
 
@@ -324,11 +339,12 @@ def distill_document(
                                  raw=generation.text)
         spans = []
         cursor = offset
+        region_end = offset + len(region)
         for text in parse_tagged_chunks(generation.text):
             verdict = detect_hallucination(
                 text.strip(), doc, index=len(verdicts),
-                search_from=min(cursor, len(doc.text) - 1),
-                flag_ratio=flag_ratio,
+                search_from=min(cursor, region_end - 1),
+                flag_ratio=flag_ratio, search_to=region_end,
             )
             verdicts.append(verdict)
             if not verdict.flagged and verdict.start < verdict.end:

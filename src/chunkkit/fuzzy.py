@@ -123,25 +123,33 @@ def _best_start_for_end(needle: str, hay: str, end: int, max_len: int) -> tuple[
     return best_dist, best_start
 
 
-def best_substring_match(needle: str, haystack: str, search_from: int = 0) -> SpanMatch:
-    """The substring of ``haystack[search_from:]`` closest to ``needle``.
+def best_substring_match(needle: str, haystack: str, search_from: int = 0,
+                         search_to: int | None = None) -> SpanMatch:
+    """The substring of ``haystack[search_from:search_to]`` closest to
+    ``needle``.
 
-    Among all spans with minimal edit distance the smallest start wins,
-    then the span length closest to the needle's length, then the smallest
-    end. An exact occurrence is found by ``str.find``: distance 0 forces an
-    exact-length span, so the earliest occurrence is the answer.
+    ``search_to`` bounds the search as ``str.find``'s ``end`` does; None is
+    the end of ``haystack``. The search costs time in proportion to the
+    characters between the two bounds. Among all spans with minimal edit
+    distance the smallest start wins, then the span length closest to the
+    needle's length, then the smallest end. An exact occurrence is found by
+    ``str.find``: distance 0 forces an exact-length span, so the earliest
+    occurrence is the answer.
     """
     if not needle:
         raise ValueError("needle must be non-empty")
-    if not (0 <= search_from < len(haystack)):
+    if search_to is None:
+        search_to = len(haystack)
+    if not (0 <= search_from < search_to <= len(haystack)):
         raise ValueError(
-            f"search_from {search_from} outside haystack of length {len(haystack)}"
+            f"search range [{search_from}, {search_to}) outside haystack "
+            f"of length {len(haystack)}, or empty"
         )
     m = len(needle)
-    pos = haystack.find(needle, search_from)
+    pos = haystack.find(needle, search_from, search_to)
     if pos >= 0:
         return SpanMatch(start=pos, end=pos + m, distance=0)
-    hay = haystack[search_from:]
+    hay = haystack[search_from:search_to]
 
     # no exact occurrence: every distance is at least 1 (see the module doc)
     row = _last_row(needle, hay, free_start=True, floor=1)

@@ -4,9 +4,9 @@ The pipeline windows a document, routes each window to a granularity
 expert, asks the expert for anchor+placeholder rules, extracts chunk spans
 from the source text with exact search plus edit-distance recovery, and
 stitches windows with the chunk-buffer discipline (the last chunk of a
-window is dropped and its text re-offered to the next window). A backend
-fault in any step, the router's score of any label included, fails its
-window and no other.
+window is held back and its text re-offered to the next window, and kept
+if that window fails). A backend fault in any step, the router's score of
+any label included, fails its window and no other.
 """
 
 from __future__ import annotations

@@ -12,13 +12,16 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from chunkkit import backends
+from click.testing import CliRunner
+
+from chunkkit import backends, cli
 from chunkkit.backends import BackendHandle, HttpEmbedder, HttpGenerator, HttpScorer
 from chunkkit.errors import ProtocolError, TransportError
 from chunkkit.scoring import GenerationResult, perplexity
@@ -97,6 +100,24 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(autouse=True)
+def clients_closed(monkeypatch):
+    """Close every client a test builds when the test ends, as its owner
+    does: a client's kept-alive connections outlive its requests. Yields
+    the list of clients built, which keeps each one referenced."""
+    built = []
+    init = backends._HttpClient.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(backends._HttpClient, "__init__", recorded)
+    yield built
+    for client in built:
+        client.close()
 
 
 def handle(endpoint: str, **kw) -> BackendHandle:
@@ -345,7 +366,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     ``(status, headers)`` of the server's script, a 200 once the script is
     used up; a 200 carries the server's ``canned`` body if it has one, else
     a uniform score. Counts the connections it accepts and the requests it
-    reads, and records each request's target and headers. With ``hang_up``
+    reads, records each request's target and headers, and appends to
+    ``closed`` once per connection the client has closed. With ``hang_up``
     set, the server closes each connection after its reply without saying
     ``Connection: close``, then sets ``hung_up``. As a proxy it refuses
     every ``CONNECT`` tunnel with a 502."""
@@ -358,6 +380,10 @@ class ScriptedHandler(BaseHTTPRequestHandler):
     def setup(self):
         super().setup()
         self.server.connections += 1
+
+    def finish(self):
+        super().finish()
+        self.server.closed.append(self.client_address)
 
     def do_POST(self):
         raw = self.rfile.read(int(self.headers["Content-Length"]))
@@ -396,6 +422,7 @@ def serving_scripted():
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     server.seen, server.connections, server.script, server.requests = 0, 0, [], []
     server.canned, server.hang_up, server.hung_up = None, False, threading.Event()
+    server.closed = []
     # a short poll keeps shutdown() from waiting out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -424,6 +451,15 @@ def waits(monkeypatch):
 
 def endpoint_of(server) -> str:
     return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def closed_by_client(server, timeout: float = 5.0) -> int:
+    """How many connections the client has closed, once the server has seen
+    every one it accepted closed or ``timeout`` seconds have passed."""
+    deadline = time.monotonic() + timeout
+    while len(server.closed) < server.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(server.closed)
 
 
 def scripted_scorer(server, retries: int, **kw) -> HttpScorer:
@@ -524,6 +560,25 @@ class TestConnections:
         assert scripted_server.connections == 10
         assert waits == []  # no attempt failed
 
+    def test_close_closes_the_connection_of_every_thread(self, scripted_server):
+        # more threads than cores, switching often: a connection recorded
+        # without the lock could be lost and stay open
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with scripted_scorer(scripted_server, retries=0, max_in_flight=8) as scorer:
+                workers = [threading.Thread(target=scorer.score, args=("abc",))
+                           for _ in range(8)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(5)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (scripted_server.seen, scripted_server.connections) == (8, 8)
+        assert closed_by_client(scripted_server) == 8
+
     def test_http_proxy_gets_the_absolute_url(self, scripted_server, proxy_server,
                                               monkeypatch):
         monkeypatch.setenv("HTTP_PROXY",
@@ -580,3 +635,29 @@ def test_http_eval_runs_without_requests(stub_server, tmp_path):
     records = [json.loads(line) for line in
                (tmp_path / "report.jsonl").read_text().splitlines()]
     assert any(r.get("doc_id") == "d0" for r in records)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_eval_closes_its_connections_when_it_returns(scripted_server, tmp_path,
+                                                     monkeypatch, clients_closed,
+                                                     concurrency):
+    """The CLI owns the backends it builds: when ``eval`` returns, the server
+    has seen every connection closed, though the scorer is still referenced
+    (the garbage collector closes none)."""
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"scorer": {
+        "kind": "http", "endpoint": endpoint_of(scripted_server), "model": "stub"}}))
+    Path("corpus.jsonl").write_text(json.dumps(
+        {"id": "d0", "text": "Roses are red. Violets are blue."}) + "\n")
+    Path("chunks.jsonl").write_text(json.dumps(
+        {"doc_id": "d0", "method": "fixed", "chunks": [
+            {"index": 0, "start": 0, "end": 14}, {"index": 1, "start": 15, "end": 32}]})
+        + "\n")
+    result = CliRunner().invoke(cli.main, [
+        "--config", "config.json", "--concurrency", str(concurrency), "eval",
+        "--corpus", "corpus.jsonl", "--chunksets", "chunks.jsonl",
+        "--metrics", "bc,cs_i", "--out", "report.jsonl"])
+    assert result.exit_code == 0, result.output
+    assert len(clients_closed) == 1 and scripted_server.seen > 0
+    assert 1 <= scripted_server.connections <= concurrency
+    assert closed_by_client(scripted_server) == scripted_server.connections

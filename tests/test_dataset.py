@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chunkkit import fuzzy
 from chunkkit.dataset import (
+    CleaningVerdict,
     Window,
     detect_hallucination,
     distill_document,
@@ -21,8 +26,8 @@ from chunkkit.dataset import (
 from chunkkit.errors import ExtractionError, RuleParseError, ScoringError
 from chunkkit.moc import extract_chunks
 from chunkkit.rules import GranularityLabel, parse_rule_list
-from chunkkit.scoring import FixtureGenerator
-from chunkkit.text import ChunkSet, Document
+from chunkkit.scoring import FixtureGenerator, GenerationResult
+from chunkkit.text import ChunkSet, Document, split_sentences
 from chunkkit import prompts
 
 from conftest import make_doc, random_text
@@ -139,6 +144,27 @@ class TestWindowedChunk:
         with pytest.raises(ValueError):
             self.run([ValueError("a bug, not a window fault")])
 
+    def test_span_re_offered_to_a_failed_window_is_kept(self):
+        doc = make_doc("aaaa bbbb cccc dddd eeee ffff")
+        windows = [Window("doc", 0, 15), Window("doc", 15, 25),
+                   Window("doc", 25, 29)]
+        calls = []
+
+        def per_window(region, offset):  # 5-character spans
+            calls.append(offset)
+            if len(calls) == 2:
+                raise ScoringError("backend down")
+            end = offset + len(region)
+            return [(s, min(s + 5, end)) for s in range(offset, end, 5)]
+
+        spans, failed = windowed_chunk(doc, windows, per_window)
+        # window 0 re-offered "cccc " to window 1, which failed: window 0
+        # resolved it, so it is kept, and window 2 starts at window 1's end
+        assert calls == [0, 10, 25]
+        assert [doc.text[s:e] for s, e in spans] == ["aaaa ", "bbbb ", "cccc ",
+                                                     "ffff"]
+        assert failed == 1
+
 
 class TestDetectHallucination:
     def test_verbatim_chunk_unflagged(self, rng):
@@ -199,6 +225,104 @@ class TestDetectHallucination:
             assert verdict.min_edit_distance >= last
             last = verdict.min_edit_distance
             chunk += "Q"
+
+
+def unbounded_verdict(chunk: str, doc: Document, cursor: int) -> CleaningVerdict:
+    """The search as distillation ran it before its bound: from the cursor
+    to the end of the document."""
+    return detect_hallucination(chunk, doc, search_from=min(cursor, len(doc.text) - 1))
+
+
+@st.composite
+def chunk_against_region(draw):
+    """A document, a region of it with a cursor inside, and a chunk copied
+    from anywhere in the document (inside, straddling or past the region)
+    with a few substitutions."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    doc = make_doc(random_text(rng, sentences=draw(st.integers(2, 10))))
+    n = len(doc.text)
+    lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2,
+                                  unique=True)))
+    cursor = draw(st.integers(lo, hi - 1))
+    start = draw(st.integers(0, n - 1))
+    chunk = list(doc.text[start:start + draw(st.integers(1, 60))])
+    for pos in draw(st.lists(st.integers(0, len(chunk) - 1), max_size=4)):
+        chunk[pos] = "Z"
+    return doc, hi, cursor, "".join(chunk)
+
+
+class TestSearchBound:
+    """Distillation matches a chunk only inside its window's region."""
+
+    @given(chunk_against_region())
+    @settings(max_examples=300)
+    def test_bounded_search_agrees_when_the_best_span_is_inside(self, case):
+        doc, region_end, cursor, chunk = case
+        reference = unbounded_verdict(chunk, doc, cursor)
+        bounded = detect_hallucination(chunk, doc, search_from=cursor,
+                                       search_to=region_end)
+        if reference.end <= region_end:
+            assert bounded == reference
+        else:  # the best span lies past the region: the bound finds no better
+            assert cursor <= bounded.start <= bounded.end <= region_end
+            assert bounded.min_edit_distance >= reference.min_edit_distance
+
+    def test_chunk_found_only_past_its_region_is_flagged(self):
+        para1 = "The harbour wakes at dawn. Gulls circle the fishing boats."
+        para2 = "Inland, the orchards bloom. Farmers walk between the rows."
+        doc = make_doc(para1 + "\n\n" + para2)
+        windows = sliding_windows(doc, max_tokens=len(para1) + 2)
+        assert [(w.start, w.end) for w in windows] == [
+            (0, len(para1) + 2), (len(para1) + 2, len(doc.text))]
+        first, later = para1[:26], para2[:26]  # later is in window 2 only
+        generator = FixtureGenerator({
+            prompts.render(prompts.DISTILL_PROMPT, text=doc.text[:windows[0].end]):
+                f"<chunk>{first}</chunk><chunk>{later}</chunk>",
+            prompts.render(prompts.DISTILL_PROMPT, text=para2):
+                f"<chunk>{para2}</chunk>",
+        })
+        result = distill_document(doc, generator, max_window_tokens=windows[0].end)
+        verdict = result.verdicts[1]
+        # unbounded, "later" matched exactly at its place in paragraph 2
+        assert doc.text.find(later) == windows[1].start
+        assert verdict.flagged and verdict.min_edit_distance > 0
+        assert len(first) <= verdict.start <= verdict.end <= windows[0].end
+        assert [c.text for c in result.chunkset.chunks] == [first, para2]
+        assert result.failed_windows == 0
+
+    def test_no_search_reads_past_its_region(self, monkeypatch):
+        rng = random.Random(5)
+        doc = make_doc(random_text(rng, sentences=60))
+        generator = RegionDistiller()
+        rows = []  # (length of the region searched, length of a free-start row)
+        last_row = fuzzy._last_row
+
+        def counted(pattern, text, free_start, floor=None):
+            row = last_row(pattern, text, free_start, floor)
+            if free_start:
+                rows.append((generator.regions[-1], len(row)))
+            return row
+        monkeypatch.setattr(fuzzy, "_last_row", counted)
+        result = distill_document(doc, generator, max_window_tokens=300)
+        assert result.window_count >= 8 and result.flagged > 0
+        assert rows and all(length <= region + 1 for region, length in rows)
+
+
+class RegionDistiller:
+    """Answers a distill prompt with its region's sentences, every third
+    one garbled, and records the length of each region."""
+
+    def __init__(self):
+        self.regions: list[int] = []
+
+    def generate(self, prompt: str) -> GenerationResult:
+        head, tail = prompts.DISTILL_PROMPT.split("{text}")
+        region = prompt[len(head):len(prompt) - len(tail)]
+        self.regions.append(len(region))
+        pieces = [region[s.start:s.end] for s in split_sentences(Document("r", region))]
+        return GenerationResult("".join(
+            f"<chunk>{p.upper()[::-1] if i % 3 == 2 else p}</chunk>"
+            for i, p in enumerate(pieces)))
 
 
 class TestMakeRules:
@@ -335,9 +459,10 @@ class TestDistillDocument:
         result = distill_document(doc, generator, max_window_tokens=budget)
         assert result.window_count == 2
         assert result.failed_windows == 1
-        # window 1 kept its first chunk; its last was re-offered and lost
-        # with the failed window
-        assert [c.text for c in result.chunkset.chunks] == [doc.text[:half]]
+        # window 1 keeps both chunks: its last, re-offered to the failed
+        # window, too
+        assert [c.text for c in result.chunkset.chunks] == [
+            doc.text[:half], doc.text[half:len(para1)]]
 
     def test_cut_off_generation_fails_its_window(self, caplog):
         doc = make_doc("Alpha one here. Beta two here. Gamma 3 here.")  # 44 chars

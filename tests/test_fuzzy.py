@@ -70,10 +70,10 @@ def cell_dp_best_start_for_end(needle, hay, end, max_len):
     return best_dist, end - max(k for k, d in enumerate(row) if d == best_dist)
 
 
-def cell_dp_best_substring_match(needle, haystack, search_from=0):
+def cell_dp_best_substring_match(needle, haystack, search_from=0, search_to=None):
     """Reference: the span search as it ran on the per-cell DP, with no
     exact-match fast path; (start, end, distance)."""
-    hay = haystack[search_from:]
+    hay = haystack[search_from:search_to]
     m = len(needle)
     row = cell_dp_row(needle, hay, free_start=True)
     d_star = min(row)
@@ -146,6 +146,18 @@ def one_edit_then_decoys(draw):
     return needle, haystack
 
 
+# None, or a draw that search_range turns into an end past the start
+search_ends = st.one_of(st.none(), st.integers(0, 10**6))
+
+
+def search_range(haystack: str, start: int, end: int | None) -> tuple[int, int | None]:
+    """A valid ``(search_from, search_to)`` of ``haystack`` from two draws."""
+    start %= len(haystack)
+    if end is None:
+        return start, None
+    return start, start + 1 + end % (len(haystack) - start)
+
+
 class TestBitParallelKernel:
     @given(needle_near_haystack(), st.booleans())
     @settings(max_examples=150)
@@ -168,23 +180,23 @@ class TestBitParallelKernel:
         assert fuzzy._best_start_for_end(needle, haystack, end, max_len) == \
             cell_dp_best_start_for_end(needle, haystack, end, max_len)
 
-    @given(needle_near_haystack(), st.integers(0, 10**6))
+    @given(needle_near_haystack(), st.integers(0, 10**6), search_ends)
     @settings(max_examples=150)
-    def test_best_substring_match_matches_cell_dp(self, case, search_from):
+    def test_best_substring_match_matches_cell_dp(self, case, search_from, end):
         needle, haystack = case
-        search_from %= len(haystack)
-        m = best_substring_match(needle, haystack, search_from)
+        search_from, search_to = search_range(haystack, search_from, end)
+        m = best_substring_match(needle, haystack, search_from, search_to)
         assert (m.start, m.end, m.distance) == \
-            cell_dp_best_substring_match(needle, haystack, search_from)
+            cell_dp_best_substring_match(needle, haystack, search_from, search_to)
 
-    @given(one_edit_then_decoys(), st.integers(0, 10**6))
+    @given(one_edit_then_decoys(), st.integers(0, 10**6), search_ends)
     @settings(max_examples=300)
-    def test_floor_stop_matches_cell_dp(self, case, search_from):
+    def test_floor_stop_matches_cell_dp(self, case, search_from, end):
         needle, haystack = case
-        search_from %= len(haystack)
-        m = best_substring_match(needle, haystack, search_from)
+        search_from, search_to = search_range(haystack, search_from, end)
+        m = best_substring_match(needle, haystack, search_from, search_to)
         assert (m.start, m.end, m.distance) == \
-            cell_dp_best_substring_match(needle, haystack, search_from)
+            cell_dp_best_substring_match(needle, haystack, search_from, search_to)
 
     @given(st.text(alphabet="aé你😀", max_size=150),
            st.text(alphabet="aé你😀", max_size=150))
@@ -307,6 +319,19 @@ class TestBestSubstringMatch:
     def test_invalid_search_from(self):
         with pytest.raises(ValueError):
             best_substring_match("a", "abc", search_from=3)
+
+    @pytest.mark.parametrize("search_from, search_to", [
+        (1, 1), (2, 1),  # search_to <= search_from: an empty range
+        (0, 4),  # search_to past the haystack
+    ])
+    def test_invalid_search_to(self, search_from, search_to):
+        with pytest.raises(ValueError, match="search range"):
+            best_substring_match("a", "abc", search_from, search_to)
+
+    def test_search_to_skips_later_hits(self):
+        # the exact hit at [6, 8) ends past search_to
+        m = best_substring_match("ab", "xb cd ab", search_to=7)
+        assert (m.start, m.end, m.distance) == (0, 2, 1)  # "xb"
 
     @given(
         st.text(alphabet="ab", min_size=1, max_size=5),

@@ -312,9 +312,10 @@ class TestMocChunk:
         with caplog.at_level("WARNING"):
             cs, reports = moc_chunk(doc, router, experts, max_window_tokens=budget)
         assert "window 1 failed: router down" in caplog.text
-        # window 1 keeps its chunks but the last, which it re-offered
+        # window 1 keeps all its chunks: the last, which it re-offered to the
+        # failed window, too
         inside1 = [s for s in sentences if s in regions[0]]
-        assert [c.text.strip() for c in cs.chunks] == inside1[:-1]
+        assert [c.text.strip() for c in cs.chunks] == inside1
         assert len(reports) == 1
 
     def test_failed_extraction_still_reports(self, caplog):
@@ -327,7 +328,7 @@ class TestMocChunk:
             cs, reports = moc_chunk(doc, router, experts, max_window_tokens=budget)
         assert "window 1 failed: 3 of 3 rules failed to resolve" in caplog.text
         inside1 = [s for s in sentences if s in regions[0]]
-        assert [c.text.strip() for c in cs.chunks] == inside1[:-1]
+        assert [c.text.strip() for c in cs.chunks] == inside1
         assert [r.failed for r in reports] == [0, 3]
         assert [m.mode for m in reports[1].matches] == ["failed"] * 3
 

@@ -2,9 +2,11 @@
 
 ``reference_moc_chunk`` and ``reference_distill`` are the window loops that
 ``moc_chunk`` and ``distill_document`` each carried before both moved onto
-``dataset.windowed_chunk``. Random documents, window budgets and injected
-window faults (routing, parse, extraction, backend) must give the same
-spans, extraction reports, verdicts and failed-window counts.
+``dataset.windowed_chunk``, restated for two later rules: a span re-offered
+to a window that fails is kept, and distillation matches each generated
+chunk only inside its window's region. Random documents, window budgets and
+injected window faults (routing, parse, extraction, backend) must give the
+same spans, extraction reports, verdicts and failed-window counts.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
     reports: list[ExtractionReport] = []
     all_spans: list[tuple[int, int]] = []
+    dropped = None
     region_start = 0
     failures = 0
     for wi, window in enumerate(windows):
@@ -75,6 +78,9 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             if isinstance(exc, ExtractionError):
                 reports.append(exc.report)
             failures += 1
+            if dropped is not None:
+                all_spans.append(dropped)
+            dropped = None
             region_start = window.end
             continue
         reports.append(report)
@@ -82,6 +88,7 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             dropped = spans.pop()
             region_start = dropped[0]
         else:
+            dropped = None
             region_start = window.end
         all_spans.extend(spans)
     if failures == len(windows):
@@ -93,6 +100,7 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
     spans: list[tuple[int, int]] = []
     verdicts: list[CleaningVerdict] = []
+    dropped = None
     region_start = 0
     failed = 0
     chunk_counter = 0
@@ -105,6 +113,9 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             chunk_texts = parse_tagged_chunks(generation.text)
         except (ScoringError, RuleParseError):
             failed += 1
+            if dropped is not None:
+                spans.append(dropped)
+            dropped = None
             region_start = window.end
             continue
         window_spans: list[tuple[int, int]] = []
@@ -113,8 +124,8 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             text = text.strip()
             verdict = detect_hallucination(
                 text, doc, index=chunk_counter,
-                search_from=min(cursor, len(doc.text) - 1),
-                flag_ratio=flag_ratio,
+                search_from=min(cursor, window.end - 1),
+                flag_ratio=flag_ratio, search_to=window.end,
             )
             chunk_counter += 1
             verdicts.append(verdict)
@@ -126,6 +137,7 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             dropped = window_spans.pop()
             region_start = dropped[0]
         else:
+            dropped = None
             region_start = window.end
         spans.extend(window_spans)
     return (ChunkSet.from_spans(doc, spans, method="distilled"), verdicts,
