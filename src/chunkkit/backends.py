@@ -293,15 +293,17 @@ class HttpScorer(_HttpClient):
         if not all(type(x) in (int, float) for x in logprobs):
             raise ProtocolError("invalid score response: logprobs must be numbers")
         try:
-            logprobs = tuple(min(float(x), 0.0) for x in logprobs)
-            if any(math.isnan(x) for x in logprobs):
-                raise ValueError("a logprob is NaN")
+            logprobs = tuple(map(float, logprobs))
+            # checked before the clamp, which would take +Infinity to 0
+            if not all(map(math.isfinite, logprobs)):
+                raise ValueError("a logprob is NaN or infinite")
             return ScoredText(
                 tokens=tuple(str(t) for t in tokens),
-                logprobs=logprobs,
+                logprobs=tuple(min(x, 0.0) for x in logprobs),
                 truncated=truncated,
             )
-        except (OverflowError, ValueError) as exc:  # NaN, huge int, no tokens
+        except (OverflowError, ValueError) as exc:
+            # huge int, non-finite logprob, no tokens, perplexity out of range
             raise ProtocolError(f"invalid score response: {exc}") from exc
 
 

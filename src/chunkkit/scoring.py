@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
 
@@ -30,15 +31,20 @@ class ScoredText:
     backend limit.
 
     Logprobs are checked where they enter: this constructor checks every
-    value (a float, not above 0, one per token), so fixtures and library
-    callers go through it; ``HttpScorer`` checks the wire reply before it;
-    and :class:`NGramScorer` checks its rows once per ``fit``, then builds
-    each result with :meth:`_trusted`, which skips the check.
+    value (a finite float, not above 0, one per token), so fixtures and
+    library callers go through it; ``HttpScorer`` checks the wire reply
+    before it; and :class:`NGramScorer` checks its rows once per ``fit``,
+    then builds each result with :meth:`_trusted`, which skips the check.
+
+    Both ways compute the perplexity once, when the result is built, and
+    raise ``ValueError`` when it is out of float range (a mean logprob
+    below about -709.78); :func:`perplexity` reads the stored value.
     """
 
     tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
     truncated: bool = False
+    _perplexity: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -49,9 +55,10 @@ class ScoredText:
             )
         if not self.tokens:
             raise ValueError("scored text must contain at least one token")
-        # 0.0 < lp, like lp > 0.0, is false for NaN: NaN passes
-        if any(map((0.0).__lt__, self.logprobs)):
-            raise ValueError("logprobs must be <= 0")
+        if any(map((0.0).__lt__, self.logprobs)) \
+                or not all(map(math.isfinite, self.logprobs)):
+            raise ValueError("logprobs must be finite and <= 0")
+        object.__setattr__(self, "_perplexity", _perplexity_of(self.logprobs))
 
     @classmethod
     def _trusted(cls, tokens: tuple[str, ...],
@@ -59,13 +66,22 @@ class ScoredText:
         """A ScoredText of values checked where they were made, built
         without ``__post_init__``. Only ``NGramScorer.score`` calls it."""
         scored = object.__new__(cls)
-        scored.__dict__.update(tokens=tokens, logprobs=logprobs, truncated=False)
+        scored.__dict__.update(tokens=tokens, logprobs=logprobs, truncated=False,
+                               _perplexity=_perplexity_of(logprobs))
         return scored
+
+
+def _perplexity_of(logprobs: tuple[float, ...]) -> float:
+    """exp(-mean logprob), or ValueError past the float range."""
+    try:
+        return math.exp(-fmean(logprobs))
+    except OverflowError:
+        raise ValueError("perplexity is out of float range") from None
 
 
 def perplexity(scored: ScoredText) -> float:
     """exp(-mean logprob); >= 1 for any valid ScoredText."""
-    return math.exp(-fmean(scored.logprobs))
+    return scored._perplexity
 
 
 @dataclass(frozen=True)
@@ -117,9 +133,23 @@ def _ngrams(text: str, n: int) -> Iterator[str]:
 # Character n-gram scorer
 # ---------------------------------------------------------------------------
 
-# Texts whose context-free logprobs NGramScorer keeps. Pair metrics rescore
-# the chunks of one document, and a document rarely has this many chunks.
-_TAIL_CACHE_TEXTS = 1024
+# Positions NGramScorer keeps cached, 8 bytes each: 512 KiB. Pair metrics
+# rescore the chunks of one document; n chunks of L characters need at most
+# n * L * (n + 1) positions, so 18 chunks of 178 characters fit whole.
+_CACHE_POSITIONS = 1 << 16
+
+
+class _CachedText(NamedTuple):
+    """What :class:`NGramScorer` keeps of a text it scored."""
+
+    tokens: tuple[str, ...]
+    tail: tuple[float, ...]  # the logprobs of positions >= order - 1
+    results: dict[str, ScoredText]  # last order - 1 context chars -> result
+
+    @property
+    def positions(self) -> int:
+        """The positions it holds: the text's own, and each result's."""
+        return len(self.tokens) * (1 + len(self.results))
 
 
 class NGramScorer:
@@ -137,18 +167,22 @@ class NGramScorer:
     stored under the n-gram ``ctx + c``, plus one value for every unseen
     char, log(1 / (count(ctx) + V)). A context never seen gets log(1 / V).
     Scoring reads the rows: one dict look-up per character, two when the
-    n-gram is unseen. Only the last ``order - 1`` context characters reach
-    any row, so :meth:`score` keeps just those and costs O(len(text)),
-    however long the context.
+    n-gram is unseen.
 
-    Only a text's first ``order - 1`` positions can see the context; each
-    later position reads an n-gram wholly inside the text. :meth:`score`
-    keeps those context-free logprobs per text, for up to
-    ``_TAIL_CACHE_TEXTS`` texts (emptied when full), so scoring a text
-    again, under any context, looks up ``order - 1`` n-grams instead of
-    ``len(text)``. A cached text costs one 8-byte reference per position
-    and keeps the text alive. Every :meth:`fit` rebuilds the rows and
-    empties the cache, since a larger alphabet changes V.
+    Only the last ``order - 1`` context characters reach any row, so a
+    result depends on the text and those characters alone, and
+    :meth:`score` caches it on them: each text it scored keeps its tokens,
+    the logprobs of its positions from ``order - 1`` on (no context reaches
+    them), and the :class:`ScoredText` built under each context tail. A
+    repeat request returns the cached object in O(order), however long the
+    context, and a known text under a new tail looks up ``order - 1``
+    n-grams instead of ``len(text)``. A cached text
+    costs ``len(text)`` positions, and so does each cached result; one
+    position is one 8-byte reference. The cache holds at most
+    ``_CACHE_POSITIONS`` positions: a text that gains a result moves to
+    the back, and the texts at the front are dropped until it fits. A text
+    too long to fit at all is scored uncached. Every :meth:`fit` rebuilds
+    the rows and empties the cache, since a larger alphabet changes V.
 
     :meth:`fit` checks every row value once: each is a float, and none is
     above 0 (the clamp keeps a rounded-up ``log`` at 0). Every value
@@ -156,8 +190,9 @@ class NGramScorer:
     text, so its result skips the per-call check of the public
     :class:`ScoredText` constructor.
 
-    Read-only after :meth:`fit`; safe to share across threads: the cached
-    tails are immutable tuples, and a race only recomputes one.
+    The rows are read-only after :meth:`fit`, so a scorer is safe to share
+    across threads: a cached result is immutable, and a lock lets one
+    thread at a time score a request the cache misses and store it.
     """
 
     def __init__(
@@ -172,6 +207,7 @@ class NGramScorer:
         # _counts[k][ctx] -> Counter of next char, for context length k-1
         self._counts: list[dict[str, Counter]] = [dict() for _ in range(order + 1)]
         self._alphabet: set[str] = set(alphabet or ())
+        self._lock = threading.Lock()
         self.fit([corpus] if isinstance(corpus, str) else corpus or ())
 
     def fit(self, texts: Iterable[str]) -> "NGramScorer":
@@ -194,7 +230,8 @@ class NGramScorer:
         self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
         self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
         self._floor = math.log(1 / v) if v else 0.0
-        self._tails: dict[str, tuple[float, ...]] = {}  # text -> positions >= order-1
+        self._cache: dict[str, _CachedText] = {}
+        self._positions = 0  # held by the cache
         for table in self._counts[1:]:
             for ctx, bucket in table.items():
                 total = sum(bucket.values())
@@ -225,25 +262,39 @@ class NGramScorer:
         if not self._alphabet:
             raise ValueError("scorer has an empty alphabet; fit it or pass one")
         n = self.order - 1
-        tail = ()
-        if len(text) > n:
-            tails = self._tails
-            tail = tails.get(text)
-            if tail is None:
+        context = context or ""
+        ctx = context[max(0, len(context) - n):]  # all that any row reads
+        cache = self._cache
+        entry = cache.get(text)
+        if entry is not None:
+            scored = entry.results.get(ctx)
+            if scored is not None:
+                return scored
+        with self._lock:
+            # out of the cache while it changes, then back in as the newest
+            entry = cache.pop(text, None)
+            if entry is None:
                 # text positions t >= n read the n-gram text[t-n:t+1],
                 # whatever the context
-                tail = self._lookup(list(_ngrams(text, self.order)))
-                if len(tails) >= _TAIL_CACHE_TEXTS:
-                    tails.clear()
-                tails[text] = tail
-        context = context or ""
-        context = context[max(0, len(context) - n):]
-        full = context + text[:n]
-        # a head position reads its order chars, or the whole prefix when
-        # fewer precede it
-        head = self._lookup([full[max(0, t - n):t + 1]
-                             for t in range(len(context), len(full))])
-        return ScoredText._trusted(tuple(text), head + tail)
+                entry = _CachedText(tuple(text),
+                                    self._lookup(list(_ngrams(text, self.order))), {})
+            else:
+                self._positions -= entry.positions
+            scored = entry.results.get(ctx)  # set if another thread was first
+            if scored is None:
+                full = ctx + text[:n]
+                # a head position reads its order chars, or the whole prefix
+                # when fewer precede it
+                head = self._lookup([full[max(0, t - n):t + 1]
+                                     for t in range(len(ctx), len(full))])
+                scored = entry.results[ctx] = ScoredText._trusted(
+                    entry.tokens, head + entry.tail)
+            if entry.positions <= _CACHE_POSITIONS:  # else it stays out
+                while self._positions + entry.positions > _CACHE_POSITIONS:
+                    self._positions -= cache.pop(next(iter(cache))).positions
+                cache[text] = entry
+                self._positions += entry.positions
+            return scored
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ class StubHandler(BaseHTTPRequestHandler):
         "__short__": [1.0],
     }
     LOGPROBS = {"__bool__": True, "__string__": "-1.5", "__null__": None,
-                "__huge__": -10 ** 400}
+                "__huge__": -10 ** 400, "__minus_inf__": -math.inf,
+                "__plus_inf__": math.inf, "__past_range__": -1000.0}
 
     def log_message(self, *args):  # quiet test output
         pass
@@ -146,6 +147,17 @@ class TestHttpScorer:
     def test_logprob_not_a_float_is_protocol_error(self, stub_server, context,
                                                    message):
         # float() read true as 1.0 (clamped to 0.0) and "-1.5" as -1.5
+        scorer = HttpScorer(handle(stub_server))
+        with pytest.raises(ProtocolError, match=message):
+            scorer.score("ab", context=context)
+
+    @pytest.mark.parametrize("context,message", [
+        ("__minus_inf__", "NaN or infinite"),
+        ("__plus_inf__", "NaN or infinite"),  # the clamp took it to 0.0
+        ("__past_range__", "out of float range"),  # exp(1000) overflows
+    ])
+    def test_logprob_not_finite_or_past_range_is_protocol_error(
+            self, stub_server, context, message):
         scorer = HttpScorer(handle(stub_server))
         with pytest.raises(ProtocolError, match=message):
             scorer.score("ab", context=context)
@@ -661,3 +673,74 @@ def test_eval_closes_its_connections_when_it_returns(scripted_server, tmp_path,
     assert len(clients_closed) == 1 and scripted_server.seen > 0
     assert 1 <= scripted_server.connections <= concurrency
     assert closed_by_client(scripted_server) == scripted_server.connections
+
+
+LEAK_TESTS = '''
+import gc
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from chunkkit.backends import BackendHandle, HttpScorer
+
+
+class Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["text"]
+        body = json.dumps({"tokens": list(text), "logprobs": [-1.0] * len(text)})
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body.encode("utf-8"))
+
+
+def score_once(close):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+        scorer = HttpScorer(BackendHandle(endpoint=endpoint, model="m"))
+        scorer.score("ab")  # opens the kept-alive connection
+        if close:
+            scorer.close()
+        del scorer
+        gc.collect()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_closed_client():
+    score_once(close=True)
+
+
+def test_dropped_client():
+    score_once(close=False)
+'''
+
+
+def test_a_dropped_open_client_fails_the_suite(tmp_path):
+    """Under the project's pytest settings a client dropped with its
+    connection still open fails the test that dropped it: the collector
+    closes the socket with a ResourceWarning, which the settings make an
+    error. The same test with ``close()`` passes."""
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_leak.py").write_text(LEAK_TESTS)
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_leak.py")],
+        cwd=tmp_path, env={**env, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+    failed = [ln for ln in proc.stdout.splitlines() if ln.startswith("FAILED")]
+    assert len(failed) == 1 and "test_dropped_client" in failed[0], proc.stdout
+    assert "ResourceWarning" in proc.stdout, proc.stdout

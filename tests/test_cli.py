@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
@@ -1017,6 +1019,93 @@ class TestPerDocumentFailures:
         if command != "emit":
             _, records = read_report(out)
             assert [r["doc_id"] for r in records] == ["d0"]
+
+
+class ScoreHandler(BaseHTTPRequestHandler):
+    """A /v1/score endpoint: -1.0 per character, except that a text holding
+    the server's ``marker`` gets the server's ``bad`` logprob per character."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):  # quiet test output
+        pass
+
+    def do_POST(self):
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["text"]
+        value = self.server.bad if self.server.marker in text else -1.0
+        body = json.dumps({"tokens": list(text), "logprobs": [value] * len(text)})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body.encode("utf-8"))
+
+
+@pytest.fixture
+def score_server(no_proxy_env):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScoreHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+# A -Infinity logprob made eval write {"bc": NaN} and exit 0; a finite mean
+# below about -709.78 made perplexity raise an uncaught OverflowError.
+# Each case: the logprob, and the error of a fixture table and of an HTTP
+# reply that holds it.
+OUT_OF_RANGE = pytest.mark.parametrize("bad,table_error,reply_error", [
+    (-math.inf, "logprobs must be finite and <= 0", "a logprob is NaN or infinite"),
+    (-1000.0, "perplexity is out of float range", "perplexity is out of float range"),
+], ids=["minus-infinity", "mean-past-float-range"])
+
+
+class TestScoresOutOfFloatRange:
+    @OUT_OF_RANGE
+    def test_fixture_table_entry_is_a_config_error(self, runner, tmp_path, bad,
+                                                   table_error, reply_error):
+        (doc,), corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        first, second = doc.text[:20], doc.text[21:]
+        entries = [{"text": second, "logprobs": [bad]},
+                   {"text": second, "context": first, "logprobs": [bad]}]
+        (tmp_path / "scores.json").write_text(json.dumps({"entries": entries}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {
+            "kind": "fixture", "table": str(tmp_path / "scores.json")}}))
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", chunksets, "--metrics", "bc", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        errors = errors_of(result)
+        assert len(errors) == 1 and errors[0].endswith(table_error), result.output
+        assert not out.exists()
+
+    @OUT_OF_RANGE
+    def test_http_reply_fails_only_its_document(self, runner, tmp_path,
+                                                score_server, bad, table_error,
+                                                reply_error):
+        score_server.marker, score_server.bad = "d1", bad
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0", "d1", "d2"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": {
+            "kind": "http", "model": "m",
+            "endpoint": f"http://127.0.0.1:{score_server.server_address[1]}"}}))
+        out = tmp_path / "report.jsonl"
+        result = runner.invoke(main, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", chunksets, "--metrics", "bc", "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [
+            f"error: doc d1: invalid score response: {reply_error}"], result.output
+        _, records = read_report(out)
+        assert records == [{"doc_id": "d0", "bc": 1.0}, {"doc_id": "d2", "bc": 1.0},
+                           {"doc_id": "__aggregate__", "bc": 1.0}]
 
 
 def http_scorer(**options) -> dict:

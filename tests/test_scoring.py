@@ -7,10 +7,12 @@ import math
 import random
 import struct
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -88,15 +90,20 @@ def bits(values) -> list[bytes]:
 
 
 def reference_check(tokens, logprobs):
-    """Reference: the ScoredText check as it was, one generator expression
-    per element. The stored logprobs as raw bits, or the exception type."""
+    """Reference: the ScoredText check, one generator expression per
+    element, then the perplexity from fsum. The stored logprobs and the
+    perplexity as raw bits, or the exception type."""
     try:
         lps = tuple(float(x) for x in logprobs)
-        if len(tokens) != len(lps) or not tokens or any(lp > 0.0 for lp in lps):
+        if len(tokens) != len(lps) or not tokens \
+                or any(lp > 0.0 or not math.isfinite(lp) for lp in lps):
             raise ValueError("rejected")
     except Exception as exc:  # noqa: BLE001 - the type is the outcome
         return type(exc)
-    return bits(lps)
+    try:  # fsum and exp raise OverflowError past the float range
+        return bits(lps + (math.exp(-math.fsum(lps) / len(lps)),))
+    except OverflowError:
+        return ValueError
 
 
 # everything float() takes or refuses: NaN of either sign, ±inf, -0.0, ints
@@ -118,11 +125,15 @@ class TestScoredText:
     @example([math.inf], False)
     @example([-(10**400)], False)
     @example([-2, 0], False)
+    @example([-1000.0], False)  # exp(1000) is out of float range
+    @example([-709.0, -710.0], False)  # the mean is just within it
+    @example([-1e308, -1e308], False)  # the sum is not
     @settings(max_examples=500)
     def test_check_matches_generator_expression_form(self, logprobs, extra_token):
         tokens = tuple(f"t{i}" for i in range(len(logprobs) + extra_token))
         try:
-            outcome = bits(ScoredText(tokens=tokens, logprobs=logprobs).logprobs)
+            scored = ScoredText(tokens=tokens, logprobs=logprobs)
+            outcome = bits(scored.logprobs + (perplexity(scored),))
         except Exception as exc:  # noqa: BLE001 - the type is the outcome
             outcome = type(exc)
         assert outcome == reference_check(tokens, logprobs)
@@ -297,9 +308,27 @@ class TestNGramScorerTables:
             [text[t:t + n] for t in range(len(text) - n + 1)]
 
 
+def reference_perplexity(hex_logprobs: list[str]) -> str:
+    """Reference: exp(-mean) of reference logprobs, as a float hex string."""
+    lps = [float.fromhex(h) for h in hex_logprobs]
+    return math.exp(-math.fsum(lps) / len(lps)).hex()
+
+
+def context_tail(context: str | None, order: int) -> str:
+    """The context characters an order-``order`` result depends on."""
+    return (context or "")[-(order - 1):] if order > 1 else ""
+
+
+def cached_positions(scorer: NGramScorer) -> int:
+    """The positions a scorer's cache holds, counted from its entries: a
+    text's own, and one result's per context tail."""
+    return sum(len(text) * (1 + len(entry.results))
+               for text, entry in scorer._cache.items())
+
+
 class TestNGramScorerTailCache:
-    """Scores that reuse a text's cached context-free positions against the
-    per-character reference."""
+    """Scores served from the per-text cache against the per-character
+    reference."""
 
     @pytest.mark.parametrize("order", range(1, 6))
     @given(base=st.text(alphabet=SMALL, min_size=9, max_size=14),
@@ -314,26 +343,83 @@ class TestNGramScorerTailCache:
         # shorter than, equal to and longer than order - 1 (where not empty)
         texts_ = [base[:max(1, n - 1)], base[:max(1, n)], base[:n + 1], base,
                   *more_texts]
-        contexts = [None, "", base * 3, *more_contexts]
+        # the last two share their tail with base * 3
+        contexts = [None, "", base * 3, *more_contexts, base[-n:] if n else "",
+                    "x" * 50 + base * 2]
 
         def check_all():
             # each text is scored under every context, so all but its first
             # score read the cache
+            first: dict[tuple[str, str], ScoredText] = {}
             for context in contexts:
                 for text in texts_:
-                    assert hexes(scorer.score(text, context)) == \
-                        reference_logprobs(scorer, text, context)
-            assert set(scorer._tails) == {t for t in texts_ if len(t) > n}
+                    scored = scorer.score(text, context)
+                    expected = reference_logprobs(scorer, text, context)
+                    assert hexes(scored) == expected
+                    assert perplexity(scored).hex() == reference_perplexity(expected)
+                    key = (text, context_tail(context, order))
+                    assert first.setdefault(key, scored) is scored
+            assert set(scorer._cache) == set(texts_)
+            assert scorer._positions == cached_positions(scorer)
 
         check_all()
         before = len(scorer._alphabet)
         scorer.fit([refit + "\U0010fffd"])  # a new char: V grows, every row moves
         assert len(scorer._alphabet) > before
+        assert not scorer._cache and scorer._positions == 0
         check_all()
 
+    @given(order=st.integers(1, 5),
+           jobs=st.lists(st.tuples(st.text(alphabet=SMALL, min_size=1, max_size=12),
+                                   st.one_of(st.none(), texts)),
+                         min_size=1, max_size=30),
+           bound=st.integers(1, 60))
+    @settings(max_examples=300)
+    def test_positions_bound_holds_after_eviction(self, order, jobs, bound):
+        scorer = NGramScorer(order=order, corpus="ab a\nb", alphabet=SMALL)
+        with mock.patch.object(scoring, "_CACHE_POSITIONS", bound):
+            for text, context in jobs:
+                tail = context_tail(context, order)
+                entry = scorer._cache.get(text)
+                hit = entry is not None and tail in entry.results
+                scored = scorer.score(text, context)
+                expected = reference_logprobs(scorer, text, context)
+                assert hexes(scored) == expected
+                assert perplexity(scored).hex() == reference_perplexity(expected)
+                assert scorer._positions == cached_positions(scorer) <= bound
+                if hit:  # the cached object, left where it was
+                    assert scored is entry.results[tail] and text in scorer._cache
+                elif 2 * len(text) > bound:  # too long to cache at all
+                    assert text not in scorer._cache
+                elif text in scorer._cache:  # a new result: the newest text
+                    assert list(scorer._cache)[-1] == text
+                    assert scorer._cache[text].results[tail] is scored
+                    assert scorer.score(text, context) is scored
+
+    def test_oldest_texts_are_dropped_first(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_CACHE_POSITIONS", 12)
+        scorer = NGramScorer(order=2, corpus="abc xyq")
+        plain = scorer.score("abc")  # the text and one result: 6 positions
+        scorer.score("xy")  # 4 more: 10
+        after_x = scorer.score("abc", "x")  # 9 for abc: xy is dropped
+        assert list(scorer._cache) == ["abc"] and scorer._positions == 9
+        assert scorer.score("abc", "zzx") is after_x
+        assert scorer.score("abc") is plain
+        scorer.score("q")  # 2 more: 11
+        assert list(scorer._cache) == ["abc", "q"] and scorer._positions == 11
+        scorer.score("xy")  # 4 more: abc, the oldest, is dropped
+        assert list(scorer._cache) == ["q", "xy"] and scorer._positions == 6
+        again = scorer.score("abc")
+        assert again is not plain and hexes(again) == hexes(plain)
+
     def test_threads_sharing_a_scorer_match_serial(self, monkeypatch):
-        # a bound of 3 texts makes threads empty the cache under each other
-        monkeypatch.setattr(scoring, "_TAIL_CACHE_TEXTS", 3)
+        # a bound of 100 positions makes threads evict each other's texts,
+        # and a sleep while a result is built hands the interpreter to
+        # another thread in the middle of a cache update
+        monkeypatch.setattr(scoring, "_CACHE_POSITIONS", 100)
+        trusted = ScoredText._trusted
+        monkeypatch.setattr(ScoredText, "_trusted", classmethod(
+            lambda cls, tokens, logprobs: time.sleep(1e-5) or trusted(tokens, logprobs)))
         rng = random.Random(7)
         corpus = "".join(rng.choice("abcde ") for _ in range(400))
         texts_ = [corpus[i:i + rng.randint(1, 40)] for i in range(0, 400, 37)]
@@ -361,7 +447,7 @@ class TestNGramScorerTailCache:
         finally:
             sys.setswitchinterval(interval)
         assert results == [0] * 4
-        assert len(shared._tails) <= 3
+        assert shared._positions == cached_positions(shared) <= 100
 
 
 def trusted_callers(tree: ast.AST) -> list[str]:
@@ -398,14 +484,15 @@ class TestTrustedScores:
             scored = scorer.score(text, context)
             checked = ScoredText(tokens=scored.tokens, logprobs=scored.logprobs)
             assert bits(checked.logprobs) == bits(scored.logprobs)
+            assert bits([perplexity(checked)]) == bits([perplexity(scored)])
             assert checked == scored and not scored.truncated
 
     def test_clamp_keeps_a_log_rounded_above_zero_at_zero(self, monkeypatch):
         # order 1 over "aaaa" with V = 2: the row of "a" is log(5/6), the
         # only argument above 1/2; a log that rounds it above 0 is clamped
         scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
-        monkeypatch.setattr(scoring, "math", SimpleNamespace(
-            log=lambda x: 1e-300 if x > 0.5 else math.log(x)))
+        monkeypatch.setattr(scoring, "math", SimpleNamespace(**{
+            **vars(math), "log": lambda x: 1e-300 if x > 0.5 else math.log(x)}))
         scorer.fit([])
         assert scorer.score("ab").logprobs == (0.0, math.log(1 / 6))
 
