@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .chunkers import CHUNKER_METHODS
 from .errors import ConfigError
@@ -285,17 +285,17 @@ def _ngram_scorer(options: Mapping[str, Any], role: str) -> NGramScorer:
 
 def _fixture_scorer(options: Mapping[str, Any], role: str) -> FixtureScorer:
     scorer = FixtureScorer()
-    for entry in _fixture_entries(options, role):
-        scorer.add(entry.get("text", ""), entry.get("context"),
-                   logprobs=entry.get("logprobs"), probs=entry.get("probs"))
+    _fill(options, role, lambda entry: scorer.add(
+        _string(entry, "text"), entry.get("context"),
+        logprobs=entry.get("logprobs"), probs=entry.get("probs")))
     return scorer
 
 
 def _fixture_generator(options: Mapping[str, Any], role: str) -> FixtureGenerator:
     generator = FixtureGenerator()
-    for entry in _fixture_entries(options, role):
-        generator.add(entry["prompt"], entry["response"],
-                      entry.get("finish_reason", "stop"))
+    _fill(options, role, lambda entry: generator.add(
+        _string(entry, "prompt"), _string(entry, "response"),
+        _string(entry, "finish_reason", "stop")))
     return generator
 
 
@@ -307,14 +307,34 @@ def _hash_embedder(options: Mapping[str, Any], role: str) -> HashEmbedder:
 
 def _fixture_embedder(options: Mapping[str, Any], role: str) -> FixtureEmbedder:
     embedder = FixtureEmbedder()
-    for entry in _fixture_entries(options, role):
-        embedder.add(entry["text"], entry["vector"])
+    _fill(options, role, lambda entry: embedder.add(
+        _string(entry, "text"), _vector(entry)))
     return embedder
 
 
-def _fixture_entries(options: Mapping[str, Any], role: str) -> list[Mapping]:
-    """The entries of a fixture backend's table file. Fixture options are
-    open: keys other than ``table`` (a ``model`` name, say) are ignored."""
+def _string(entry: Mapping, key: str, default: str | None = None) -> str:
+    """The string ``entry[key]``; only a key with a default may be absent."""
+    value = entry[key] if default is None else entry.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _vector(entry: Mapping) -> list:
+    """``entry["vector"]``, which must be a non-empty list of finite numbers."""
+    vector = entry["vector"]
+    if not (isinstance(vector, list) and vector and all(map(finite_number, vector))):
+        raise ValueError(f"vector must be a non-empty list of finite numbers, "
+                         f"got {vector!r}")
+    return vector
+
+
+def _fill(options: Mapping[str, Any], role: str,
+          add: Callable[[Mapping], Any]) -> None:
+    """Call ``add`` on each entry of a fixture backend's table file; an
+    entry's KeyError, TypeError or ValueError becomes a ValueError naming
+    its index. Fixture options are open: keys other than ``table`` (a
+    ``model`` name, say) are ignored."""
     if not options.get("table"):
         raise ConfigError(f"fixture backend {role!r} needs a 'table' file")
     path = Path(options["table"])
@@ -327,7 +347,13 @@ def _fixture_entries(options: Mapping[str, Any], role: str) -> list[Mapping]:
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ConfigError(f"fixture table {path} needs an 'entries' list of objects")
-    return entries
+    for i, entry in enumerate(entries):
+        try:
+            add(entry)
+        except KeyError as exc:
+            raise ValueError(f"entry {i}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"entry {i}: {exc}") from exc
 
 
 _BUILDERS = {

@@ -296,8 +296,7 @@ def parse_tagged_chunks(generated: str) -> list[str]:
     found = [m.group(1) for m in _CHUNK_TAG.finditer(generated)]
     found = [t for t in found if t.strip()]
     if not found:
-        raise RuleParseError("generation contains no <chunk> elements",
-                             raw=generated)
+        raise RuleParseError("generation contains no <chunk> elements")
     return found
 
 
@@ -335,8 +334,7 @@ def distill_document(
         prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
         generation = generator.generate(prompt)
         if generation.truncated:
-            raise RuleParseError("generation cut off at max_tokens",
-                                 raw=generation.text)
+            raise RuleParseError("generation cut off at max_tokens")
         spans = []
         cursor = offset
         region_end = offset + len(region)

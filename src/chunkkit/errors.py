@@ -16,11 +16,11 @@ class ScoringError(ChunkKitError):
 
 
 class TransportError(ScoringError):
-    """Backend unreachable after the configured number of attempts."""
+    """Backend unreachable after the configured number of attempts; the
+    message ends with ``(attempts=N)``, the attempts made."""
 
     def __init__(self, message: str, attempts: int = 1):
         super().__init__(f"{message} (attempts={attempts})")
-        self.attempts = attempts
 
 
 class ProtocolError(ScoringError):
@@ -44,23 +44,13 @@ class GraphBuildError(ChunkKitError):
 
 
 class RuleParseError(ChunkKitError):
-    """A generated rule list could not be parsed.
-
-    The offending generation text is kept on ``raw`` for auditing.
-    """
-
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
+    """A generation could not be parsed into rules or chunks, or was cut
+    off at max_tokens."""
 
 
 class AnchorNotFoundError(ChunkKitError):
-    """No substring within the edit-distance budget matches the anchor."""
-
-    def __init__(self, message: str, best_distance: int, limit: int):
-        super().__init__(message)
-        self.best_distance = best_distance
-        self.limit = limit
+    """No substring within the edit-distance budget matches the anchor; the
+    message states the best distance found and the limit."""
 
 
 class ExtractionError(ChunkKitError):

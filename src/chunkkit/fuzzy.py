@@ -183,7 +183,8 @@ def recover_anchor(
 
     Accepts the best span only if its edit distance is within
     ``ceil(_MAX_RATIO * len(anchor))``; otherwise raises
-    :class:`AnchorNotFoundError` carrying the best distance found.
+    :class:`AnchorNotFoundError` whose message states the best distance
+    found and the limit.
     """
     if not anchor:
         raise ValueError("anchor must be non-empty")
@@ -192,8 +193,5 @@ def recover_anchor(
     if match.distance > limit:
         raise AnchorNotFoundError(
             f"best match distance {match.distance} exceeds limit {limit} "
-            f"for anchor {anchor[:30]!r}",
-            best_distance=match.distance,
-            limit=limit,
-        )
+            f"for anchor {anchor[:30]!r}")
     return match

@@ -50,8 +50,8 @@ def generate_rules(
     """Ask the expert for a rule list over ``text`` and parse it.
 
     The prompt requests one placeholder, but parsing accepts any of the
-    known set. Raises :class:`RuleParseError` (raw generation attached) on
-    a generation cut off at max_tokens, and on output with no string element.
+    known set. Raises :class:`RuleParseError` on a generation cut off at
+    max_tokens, and on output with no string element.
     """
     if not text:
         raise ValueError("cannot chunk empty text")
@@ -59,7 +59,7 @@ def generate_rules(
                             placeholder=placeholder)
     result = generator.generate(prompt)
     if result.truncated:
-        raise RuleParseError("generation cut off at max_tokens", raw=result.text)
+        raise RuleParseError("generation cut off at max_tokens")
     return parse_rule_list(result.text)
 
 

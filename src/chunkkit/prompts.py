@@ -1,10 +1,12 @@
 """Prompt templates for distillation, rule generation, and routing.
 
-Slots like ``{text}`` are substituted by literal replacement (never
-``str.format``), so braces inside document text are safe.
+Slots like ``{text}`` are filled in one pass (never ``str.format``), so
+braces in a filled value, ``{placeholder}`` included, are kept verbatim.
 """
 
 from __future__ import annotations
+
+import re
 
 #: Asks a strong model for full chunk texts wrapped in <chunk> tags.
 DISTILL_PROMPT = """\
@@ -61,9 +63,9 @@ Granularity class:
 """
 
 
+_SLOT = re.compile(r"\{(\w+)\}")
+
+
 def render(template: str, **slots: str) -> str:
-    """Fill ``{name}`` slots by literal replacement."""
-    out = template
-    for name, value in slots.items():
-        out = out.replace("{" + name + "}", value)
-    return out
+    """Fill ``{name}`` slots in one pass; a slot not in ``slots`` stays."""
+    return _SLOT.sub(lambda m: slots.get(m.group(1), m.group(0)), template)

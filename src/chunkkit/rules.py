@@ -117,16 +117,14 @@ def split_rule_element(element: str) -> ChunkRule:
     """Split one list element at its placeholder (earliest match wins,
     longest placeholder on position ties); no placeholder means literal."""
     if not element:
-        raise RuleParseError("empty rule element", raw=element)
+        raise RuleParseError("empty rule element")
     hit = _PLACEHOLDER.search(element)
     if hit is None:
         return ChunkRule(prefix=element, placeholder=None)
     prefix, marker, suffix = element[:hit.start()], hit.group(), element[hit.end():]
     if not prefix or not suffix:
         raise RuleParseError(
-            f"placeholder {marker!r} at the edge of element {element[:60]!r}",
-            raw=element,
-        )
+            f"placeholder {marker!r} at the edge of element {element[:60]!r}")
     return ChunkRule(prefix=prefix, placeholder=marker, suffix=suffix)
 
 
@@ -145,7 +143,7 @@ def parse_rule_elements(text: str) -> list[str]:
     start = text.find("[")
     end = text.rfind("]")
     if start < 0 or end <= start:
-        raise RuleParseError("no bracketed list found in generation", raw=text)
+        raise RuleParseError("no bracketed list found in generation")
     elements = []
     for match in _QUOTED.finditer(text, start, end + 1):
         try:
@@ -153,7 +151,7 @@ def parse_rule_elements(text: str) -> list[str]:
         except json.JSONDecodeError:
             continue
     if not elements:
-        raise RuleParseError("bracketed list contains no string elements", raw=text)
+        raise RuleParseError("bracketed list contains no string elements")
     return elements
 
 

@@ -33,7 +33,7 @@ class ScoredText:
     Logprobs are checked where they enter: this constructor checks every
     value (a finite float, not above 0, one per token), so fixtures and
     library callers go through it; ``HttpScorer`` checks the wire reply
-    before it; and :class:`NGramScorer` checks its rows once per ``fit``,
+    before it; and :class:`NGramScorer` checks its rows once, when built,
     then builds each result with :meth:`_trusted`, which skips the check.
 
     Both ways compute the perplexity once, when the result is built, and
@@ -162,10 +162,11 @@ class NGramScorer:
     the concatenation: score(text, context) == score(context + text)
     restricted to the text positions.
 
-    :meth:`fit` turns the counts into log-prob rows, one per seen context:
-    the row of ``ctx`` gives log P(c | ctx) for every char seen after it,
-    stored under the n-gram ``ctx + c``, plus one value for every unseen
-    char, log(1 / (count(ctx) + V)). A context never seen gets log(1 / V).
+    The constructor counts the corpus and turns the counts into log-prob
+    rows, one per seen context, then drops the counts: the row of ``ctx``
+    gives log P(c | ctx) for every char seen after it, stored under the
+    n-gram ``ctx + c``, plus one value for every unseen char,
+    log(1 / (count(ctx) + V)). A context never seen gets log(1 / V).
     Scoring reads the rows: one dict look-up per character, two when the
     n-gram is unseen.
 
@@ -181,18 +182,18 @@ class NGramScorer:
     position is one 8-byte reference. The cache holds at most
     ``_CACHE_POSITIONS`` positions: a text that gains a result moves to
     the back, and the texts at the front are dropped until it fits. A text
-    too long to fit at all is scored uncached. Every :meth:`fit` rebuilds
-    the rows and empties the cache, since a larger alphabet changes V.
+    too long to fit at all is scored uncached.
 
-    :meth:`fit` checks every row value once: each is a float, and none is
-    above 0 (the clamp keeps a rounded-up ``log`` at 0). Every value
+    The constructor checks every row value once: each is a float, and none
+    is above 0 (the clamp keeps a rounded-up ``log`` at 0). Every value
     :meth:`score` returns is one of them, one per character of a non-empty
     text, so its result skips the per-call check of the public
     :class:`ScoredText` constructor.
 
-    The rows are read-only after :meth:`fit`, so a scorer is safe to share
-    across threads: a cached result is immutable, and a lock lets one
-    thread at a time score a request the cache misses and store it.
+    The rows are fixed at construction (nothing refits a scorer), so a
+    scorer is safe to share across threads: a cached result is immutable,
+    and a lock lets one thread at a time score a request the cache misses
+    and store it.
     """
 
     def __init__(
@@ -204,46 +205,37 @@ class NGramScorer:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        # _counts[k][ctx] -> Counter of next char, for context length k-1
-        self._counts: list[dict[str, Counter]] = [dict() for _ in range(order + 1)]
-        self._alphabet: set[str] = set(alphabet or ())
-        self._lock = threading.Lock()
-        self.fit([corpus] if isinstance(corpus, str) else corpus or ())
-
-    def fit(self, texts: Iterable[str]) -> "NGramScorer":
-        for text in texts:
-            self._alphabet.update(text)
-            for k in range(1, self.order + 1):
-                table = self._counts[k]
+        chars = set(alphabet or ())
+        # ctx -> Counter of the char after it; a context's length k-1 tells
+        # its order, so one dict holds all orders
+        counts: dict[str, Counter] = {}
+        for text in [corpus] if isinstance(corpus, str) else corpus or ():
+            chars.update(text)
+            for k in range(1, order + 1):
                 for gram, count in Counter(_ngrams(text, k)).items():
                     ctx = gram[:-1]
-                    bucket = table.get(ctx)
+                    bucket = counts.get(ctx)
                     if bucket is None:
-                        bucket = table[ctx] = Counter()
+                        bucket = counts[ctx] = Counter()
                     bucket[gram[-1]] += count
-        self._build_rows()
-        return self
-
-    def _build_rows(self) -> None:
-        # A context's length k-1 tells its order, so one dict holds all orders.
-        v = len(self._alphabet)
+        v = self._v = len(chars)
         self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
         self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
         self._floor = math.log(1 / v) if v else 0.0
-        self._cache: dict[str, _CachedText] = {}
-        self._positions = 0  # held by the cache
-        for table in self._counts[1:]:
-            for ctx, bucket in table.items():
-                total = sum(bucket.values())
-                self._unseen[ctx] = math.log(1 / (total + v))
-                for char, count in bucket.items():
-                    self._logprob[ctx + char] = min(
-                        math.log((count + 1) / (total + v)), 0.0
-                    )
+        for ctx, bucket in counts.items():
+            total = sum(bucket.values())
+            self._unseen[ctx] = math.log(1 / (total + v))
+            for char, count in bucket.items():
+                self._logprob[ctx + char] = min(
+                    math.log((count + 1) / (total + v)), 0.0
+                )
         rows = (*self._logprob.values(), *self._unseen.values(), self._floor)
-        # the ScoredText check, once per fit: 0.0 < lp is false for NaN too
+        # the ScoredText check, once per scorer: 0.0 < lp is false for NaN too
         if {*map(type, rows)} - {float} or any(map((0.0).__lt__, rows)):
             raise ValueError("n-gram logprob rows must be floats <= 0")
+        self._cache: dict[str, _CachedText] = {}
+        self._positions = 0  # held by the cache
+        self._lock = threading.Lock()
 
     def _lookup(self, grams: list[str]) -> tuple[float, ...]:
         """log P(last char | the rest) of each n-gram, from the rows."""
@@ -259,8 +251,8 @@ class NGramScorer:
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:
             raise ValueError("cannot score empty text")
-        if not self._alphabet:
-            raise ValueError("scorer has an empty alphabet; fit it or pass one")
+        if not self._v:
+            raise ValueError("scorer has an empty alphabet; pass a corpus or an alphabet")
         n = self.order - 1
         context = context or ""
         ctx = context[max(0, len(context) - n):]  # all that any row reads
@@ -324,14 +316,6 @@ class FixtureScorer:
             toks = tuple(f"t{i}" for i in range(len(logprobs)))
         self._table[(text, context)] = ScoredText(tokens=toks, logprobs=tuple(logprobs))
         return self
-
-    def add_ppl(
-        self, text: str, context: str | None = None, *, ppl: float, length: int = 4
-    ) -> "FixtureScorer":
-        """Convenience: constant logprobs realizing the given perplexity."""
-        if ppl < 1.0:
-            raise ValueError("perplexity must be >= 1")
-        return self.add(text, context, logprobs=[-math.log(ppl)] * length)
 
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:

@@ -226,7 +226,8 @@ def load_corpus(path: str | Path) -> Iterator[Document]:
             doc = Document(
                 id=record["id"],
                 text=record["text"],
-                meta=record.get("meta") or {},
+                # a missing or null meta is empty; Document rejects a non-object
+                meta={} if record.get("meta") is None else record["meta"],
             )
         except (ValueError, TypeError) as exc:
             raise CorpusFormatError(f"{where}: {exc}") from exc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import string
@@ -9,6 +10,7 @@ import string
 import pytest
 from hypothesis import settings
 
+from chunkkit.scoring import FixtureScorer
 from chunkkit.text import Document
 
 # deterministic property tests, no per-example deadline on slow machines
@@ -50,6 +52,14 @@ def two_topic_doc(rng: random.Random, doc_id: str = "doc",
     )
     text = part_a + " " + part_b
     return Document(id=doc_id, text=text), len(part_a) + 1
+
+
+def add_ppl(scorer: FixtureScorer, text: str, context: str | None = None, *,
+            ppl: float, length: int = 4) -> FixtureScorer:
+    """Add constant logprobs realizing the given perplexity to ``scorer``."""
+    if ppl < 1.0:
+        raise ValueError("perplexity must be >= 1")
+    return scorer.add(text, context, logprobs=[-math.log(ppl)] * length)
 
 
 class CountingEmbedder:

@@ -48,7 +48,7 @@ from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, render_rule_ta
 from chunkkit.scoring import FixtureScorer, GenerationResult, NGramScorer
 from chunkkit.text import ChunkSet, Document, split_sentences
 
-from conftest import random_text
+from conftest import add_ppl, random_text
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -452,9 +452,8 @@ def test_c9_clamp_and_identity_algebra():
     for i in range(1000):
         ppl_q = math.exp(rng.uniform(0.001, 5))
         ppl_qd = math.exp(rng.uniform(0.001, 5))
-        scorer = (FixtureScorer()
-                  .add_ppl("q", ppl=ppl_q)
-                  .add_ppl("q", "d", ppl=ppl_qd))
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=ppl_q),
+                         "q", "d", ppl=ppl_qd)
         bc = boundary_clarity("q", "d", scorer)
         edge = edge_weight("q", "d", scorer)
         assert 0.0 <= edge <= 1.0, (ppl_q, ppl_qd, edge)

@@ -774,7 +774,11 @@ class TestMalformedCorpus:
         ({"id": "d0", "text": "roses are red. violets are blue.", "meta": ["x"]},
          ["eval", "--chunksets", "{tmp}/cs.jsonl", "--metrics", "cp"],
          "document 'd0': meta must be an object"),
-    ], ids=["text-not-string", "id-not-string", "meta-not-object"])
+        *(({"id": "d0", "text": "roses are red.", "meta": meta},
+           ["dataset", "windows", "--out", "{tmp}/o.jsonl"],
+           "document 'd0': meta must be an object") for meta in (0, False, "")),
+    ], ids=["text-not-string", "id-not-string", "meta-not-object", "meta-zero",
+            "meta-false", "meta-empty-string"])
     def test_bad_field_type_is_one_error(self, runner, tmp_path, record, args,
                                          message):
         corpus = tmp_path / "corpus.jsonl"
@@ -1131,9 +1135,9 @@ class TestConfigErrorsExitTwo:
         ("distill", {"generator": {"kind": "fixture", "table": "missing.json"}},
          "'generator'"),
         ("distill", {"generator": {"kind": "fixture", "table": "{tmp}/partial.json"}},
-         "'generator': missing key 'response'"),
+         "'generator': entry 0: missing key 'response'"),
         ("semantic", {"embedder": {"kind": "fixture", "table": "{tmp}/partial.json"}},
-         "'embedder': missing key 'vector'"),
+         "'embedder': entry 0: missing key 'vector'"),
         ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}, "embedder.ngram"),
         ("eval", {"concurrency": "x"}, "concurrency"),
         ("eval", {"concurrency": None}, "concurrency"),
@@ -1190,6 +1194,48 @@ class TestConfigErrorsExitTwo:
         assert "Traceback" not in result.output
         errors = errors_of(result)
         assert len(errors) == 1 and key in errors[0], result.output
+
+    @pytest.mark.parametrize("metrics,role,entries,message", [
+        (None, "generator", [{"prompt": "p", "response": 5}],
+         "entry 0: response must be a string, got 5"),
+        (None, "generator", [{"prompt": "p", "response": "r"},
+                             {"prompt": ["p"], "response": "r"}],
+         "entry 1: prompt must be a string, got ['p']"),
+        (None, "generator", [{"prompt": "p", "response": "r", "finish_reason": None}],
+         "entry 0: finish_reason must be a string, got None"),
+        ("ds", "embedder", [{"text": "x", "vector": [math.nan, 1]}],
+         "entry 0: vector must be a non-empty list of finite numbers, got [nan, 1]"),
+        ("ds", "embedder", [{"text": "x", "vector": [True, 1]}],
+         "entry 0: vector must be a non-empty list of finite numbers, got [True, 1]"),
+        ("ds", "embedder", [{"text": "x", "vector": [1]}, {"text": "y", "vector": []}],
+         "entry 1: vector must be a non-empty list of finite numbers, got []"),
+        ("ds", "embedder", [{"text": 1, "vector": [1]}],
+         "entry 0: text must be a string, got 1"),
+        ("bc", "scorer", [{"text": "ab", "logprobs": [-1, -1]},
+                          {"text": "ab", "context": "c", "logprobs": [-math.inf, -1]}],
+         "entry 1: logprobs must be finite and <= 0"),
+        ("bc", "scorer", [{"text": None, "logprobs": [-1]}],
+         "entry 0: text must be a string, got None"),
+    ], ids=["response-int", "prompt-list", "finish-reason-null", "vector-nan",
+            "vector-bool", "vector-empty", "embedder-text-int", "logprob-infinite",
+            "scorer-text-null"])
+    def test_bad_fixture_entry_names_it(self, runner, tmp_path, metrics, role,
+                                        entries, message):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"entries": entries}))
+        path = tmp_path / "config.json"
+        # fixture options stay open: the unread model name is no error
+        path.write_text(json.dumps(
+            {role: {"kind": "fixture", "table": str(table), "model": "m"}}))
+        args = (["dataset", "distill", "--out-dir", str(tmp_path / "d")]
+                if metrics is None else
+                ["eval", "--chunksets", chunksets, "--metrics", metrics])
+        result = runner.invoke(main, ["--config", str(path), *args, "--corpus", corpus])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert errors_of(result) == [
+            f"error: invalid fixture backend '{role}': {message}"], result.output
 
     @pytest.mark.parametrize("args,config,key", [
         (["chunk", "--out", "{out}", "--method", "boundary", "--target-len", "5",

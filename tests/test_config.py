@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import chunkkit
 from chunkkit.cli import main
 from chunkkit.backends import BackendHandle
 from chunkkit.config import (
@@ -63,6 +68,21 @@ class TestReadmeConfig:
         ("dataset", DatasetParams)])
     def test_example_names_every_key(self, block, section, record):
         assert set(block[section]) == {f.name for f in fields(record)}
+
+
+def test_readme_quick_tour_runs():
+    """The README's library quick tour runs as written, in a fresh
+    interpreter, so a change to the public API it uses shows here."""
+    (code,) = re.findall(r"^## Library quick tour\n\n```python\n(.*?)^```$",
+                         README.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    src = str(Path(chunkkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    stickiness, clarity = map(float, result.stdout.split())
+    assert stickiness >= 0 and clarity > 0
 
 
 class TestLoadConfig:
@@ -259,7 +279,9 @@ class TestBuildBackends:
         scorer = build_scorer(BackendSpec("ngram", {"order": 1,
                                                     "corpus": str(corpus)}))
         assert isinstance(scorer, NGramScorer)
-        assert len(scorer._alphabet) == 2
+        # unigram add-one over "aab" with V = 2: (2 + 1) / 5 and (1 + 1) / 5
+        assert list(scorer.score("ab").logprobs) == \
+            pytest.approx([math.log(3 / 5), math.log(2 / 5)])
 
     def test_ngram_requires_corpus_or_alphabet(self):
         with pytest.raises(ConfigError, match="corpus"):

@@ -28,7 +28,7 @@ from chunkkit.metrics import (
 from chunkkit.scoring import FixtureEmbedder, FixtureScorer, NGramScorer
 from chunkkit.text import ChunkSet
 
-from conftest import make_doc, random_text
+from conftest import add_ppl, make_doc, random_text
 
 
 def complete_graph(n: int) -> SemanticGraph:
@@ -40,11 +40,11 @@ def complete_graph(n: int) -> SemanticGraph:
 
 class TestBoundaryClarity:
     def test_independent_chunks(self):
-        scorer = FixtureScorer().add_ppl("q", ppl=20).add_ppl("q", "d", ppl=20)
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=20), "q", "d", ppl=20)
         assert boundary_clarity("q", "d", scorer) == pytest.approx(1.0)
 
     def test_ratio_by_definition(self):
-        scorer = FixtureScorer().add_ppl("q", ppl=20).add_ppl("q", "d", ppl=5)
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=20), "q", "d", ppl=5)
         assert boundary_clarity("q", "d", scorer) == pytest.approx(0.25)
 
     def test_repetition_context_beats_disjoint_alphabet(self):
@@ -64,24 +64,24 @@ class TestBoundaryClarity:
 
 class TestEdgeWeight:
     def test_independence_gives_zero(self):
-        scorer = FixtureScorer().add_ppl("q", ppl=10).add_ppl("q", "d", ppl=10)
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=10)
         assert edge_weight("q", "d", scorer) == pytest.approx(0.0)
 
     def test_direct_formula(self):
-        scorer = FixtureScorer().add_ppl("q", ppl=10).add_ppl("q", "d", ppl=2.5)
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=2.5)
         assert edge_weight("q", "d", scorer) == pytest.approx(0.75)
 
     def test_clamped_at_zero(self):
         # noisier conditional than unconditional: clamp keeps the range
-        scorer = FixtureScorer().add_ppl("q", ppl=10).add_ppl("q", "d", ppl=12)
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=12)
         assert edge_weight("q", "d", scorer) == 0.0
 
     def test_identity_with_bc(self, rng):
         for _ in range(50):
             ppl_q = rng.uniform(1.001, 50)
             ppl_qd = rng.uniform(1.001, 50)
-            scorer = FixtureScorer().add_ppl("q", ppl=ppl_q)
-            scorer.add_ppl("q", "d", ppl=ppl_qd)
+            scorer = add_ppl(FixtureScorer(), "q", ppl=ppl_q)
+            add_ppl(scorer, "q", "d", ppl=ppl_qd)
             bc = boundary_clarity("q", "d", scorer)
             edge = edge_weight("q", "d", scorer)
             if bc <= 1.0:
@@ -94,11 +94,11 @@ class TestBuildGraph:
         """Fixture scorer realizing Edge(q=tj | d=ti) == edge_table[(i, j)]."""
         scorer = FixtureScorer()
         for t in texts:
-            scorer.add_ppl(t, ppl=ppl_q)
+            add_ppl(scorer, t, ppl=ppl_q)
         for (i, j), edge in edge_table.items():
             # edge = (ppl_q - ppl_qd) / ppl_q  =>  ppl_qd = ppl_q (1 - edge)
-            scorer.add_ppl(texts[j], texts[i], ppl=max(1.0, ppl_q * (1 - edge)))
-            scorer.add_ppl(texts[i], texts[j], ppl=max(1.0, ppl_q * (1 - edge)))
+            add_ppl(scorer, texts[j], texts[i], ppl=max(1.0, ppl_q * (1 - edge)))
+            add_ppl(scorer, texts[i], texts[j], ppl=max(1.0, ppl_q * (1 - edge)))
         return scorer
 
     def test_triangle_above_threshold(self):

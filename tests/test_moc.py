@@ -104,9 +104,8 @@ class TestGenerateRules:
 
     def test_unparseable_generation_raises_with_raw(self):
         expert = self._expert("text", "I refuse to answer.")
-        with pytest.raises(RuleParseError) as err:
+        with pytest.raises(RuleParseError, match="no bracketed list found"):
             generate_rules("text", expert)
-        assert err.value.raw == "I refuse to answer."
 
     def test_empty_list_generation_rejected(self):
         expert = self._expert("text", "[]")
@@ -117,6 +116,21 @@ class TestGenerateRules:
         expert = CountingGenerator(self._expert("text", '["a [MASK] b"]'))
         generate_rules("text", expert)
         assert expert.prompts == 1
+
+
+# a region holding every slot name, and a brace pair that is no slot
+SLOT_REGION = "a {text} b {placeholder} c {x y} d {"
+
+
+@pytest.mark.parametrize("template", [
+    prompts.DISTILL_PROMPT, prompts.RULE_CHUNK_PROMPT, prompts.ROUTER_PROMPT,
+], ids=["distill", "rule-chunk", "router"])
+def test_rendered_region_is_verbatim(template):
+    # each template holds one {text} slot; its other slots are filled
+    head, tail = (part.replace("{placeholder}", "<P>")
+                  for part in template.split("{text}"))
+    assert prompts.render(template, text=SLOT_REGION, placeholder="<P>") == \
+        head + SLOT_REGION + tail
 
 
 def anchored(prefix: str, suffix: str) -> ChunkRule:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import random
 import struct
@@ -12,6 +13,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -33,8 +35,9 @@ from chunkkit.scoring import (
 
 
 def reference_counts(order: int, texts) -> list[dict[str, Counter]]:
-    """Reference: the per-position count loop the k-gram Counter fit
-    replaced. counts[k][ctx] -> Counter of next char, len(ctx) == k-1."""
+    """Reference: one count per position, as the scorer counted before it
+    counted k-grams with a Counter. counts[k][ctx] -> Counter of next char,
+    len(ctx) == k-1."""
     counts: list[dict[str, Counter]] = [dict() for _ in range(order + 1)]
     for text in texts:
         for k in range(1, order + 1):
@@ -43,27 +46,45 @@ def reference_counts(order: int, texts) -> list[dict[str, Counter]]:
     return counts
 
 
-def reference_prob(scorer: NGramScorer, history: str, char: str) -> float:
+class Spec(NamedTuple):
+    """What an NGramScorer is built from. The reference counts the corpus
+    itself, so it does not read the scorer under test."""
+
+    order: int
+    corpus: tuple[str, ...] = ()
+    alphabet: str | None = None
+
+    def scorer(self) -> NGramScorer:
+        return NGramScorer(self.order, self.corpus, self.alphabet)
+
+
+@functools.lru_cache(maxsize=64)
+def reference_model(spec: Spec) -> tuple[list[dict[str, Counter]], int]:
+    """The reference counts of ``spec``'s corpus, and V."""
+    return (reference_counts(spec.order, spec.corpus),
+            len(set(spec.alphabet or "").union(*spec.corpus)))
+
+
+def reference_prob(spec: Spec, history: str, char: str) -> float:
     """Reference: add-one probability from the raw counts, re-summing the
     context's bucket on every call, as the scorer did before it kept rows."""
-    v = len(scorer._alphabet)
+    counts, v = reference_model(spec)
     if v == 0:
         raise ValueError("empty alphabet")
-    k = min(scorer.order, len(history) + 1)
+    k = min(spec.order, len(history) + 1)
     ctx = history[len(history) - (k - 1):] if k > 1 else ""
-    bucket = scorer._counts[k].get(ctx)
+    bucket = counts[k].get(ctx)
     count = bucket[char] if bucket else 0
     total = sum(bucket.values()) if bucket else 0
     return (count + 1) / (total + v)
 
 
-def reference_logprobs(scorer: NGramScorer, text: str,
-                       context: str | None) -> list[str]:
+def reference_logprobs(spec: Spec, text: str, context: str | None) -> list[str]:
     """Reference: one log(prob(full[:t], full[t])) per text character over
     the whole context, as float hex strings so equality is bit-equality."""
     full = (context or "") + text
     offset = len(context or "")
-    return [min(math.log(reference_prob(scorer, full[:t], full[t])), 0.0).hex()
+    return [min(math.log(reference_prob(spec, full[:t], full[t])), 0.0).hex()
             for t in range(offset, len(full))]
 
 
@@ -77,10 +98,10 @@ SMALL = "ab é漢\n"
 texts = st.one_of(st.text(alphabet=SMALL, max_size=40), st.text(max_size=40))
 nonempty = st.one_of(st.text(alphabet=SMALL, min_size=1, max_size=30),
                      st.text(min_size=1, max_size=30))
-scorers = st.builds(
-    NGramScorer,
+specs = st.builds(
+    Spec,
     order=st.integers(1, 5),
-    corpus=st.lists(texts, max_size=3),
+    corpus=st.lists(texts, max_size=3).map(tuple),
     alphabet=st.one_of(st.none(), st.text(alphabet=SMALL + "xyz", min_size=1)),
 )
 
@@ -218,8 +239,8 @@ class TestNGramScorer:
 
     def test_unseen_char_gets_smoothed_floor(self):
         scorer = NGramScorer(order=2, corpus="abab")
-        # (count + 1) / (total + V) with count 0 is at most 1/V
-        floor = 1 / len(scorer._alphabet)
+        # (count + 1) / (total + V) with count 0 is at most 1/V, V = 2
+        floor = 1 / 2
         scored = scorer.score("zqzq")
         assert all(math.exp(lp) <= floor + 1e-12 for lp in scored.logprobs)
         assert math.exp(scored.logprobs[0]) == pytest.approx(1 / 6)  # unigram
@@ -246,56 +267,35 @@ class TestNGramScorer:
 class TestNGramScorerTables:
     """The row tables against the per-character reference path."""
 
-    @given(scorers, nonempty, st.one_of(st.none(), texts))
+    @given(specs, nonempty, st.one_of(st.none(), texts))
     @settings(max_examples=400)
-    def test_score_bit_identical_to_reference(self, scorer, text, context):
-        if len(scorer._alphabet) == 0:
-            with pytest.raises(ValueError):
+    def test_score_bit_identical_to_reference(self, spec, text, context):
+        scorer = spec.scorer()
+        if reference_model(spec)[1] == 0:
+            with pytest.raises(ValueError, match="empty alphabet"):
                 scorer.score(text, context)
             return
         scored = scorer.score(text, context)
-        assert hexes(scored) == reference_logprobs(scorer, text, context)
+        assert hexes(scored) == reference_logprobs(spec, text, context)
         assert scored.tokens == tuple(text)
 
     @given(st.integers(1, 5), st.text(alphabet="ab", min_size=1, max_size=20),
            nonempty, nonempty, st.one_of(st.none(), texts))
     @settings(max_examples=200)
     def test_alphabet_only_scorer(self, order, alphabet, text, extra, context):
-        scorer = NGramScorer(order=order, alphabet=alphabet)
-        assert hexes(scorer.score(text, context)) == \
-            reference_logprobs(scorer, text, context)
-        # a later fit must replace the uniform rows
-        scorer.fit([extra])
-        assert hexes(scorer.score(text, context)) == \
-            reference_logprobs(scorer, text, context)
+        # uniform rows, then the same alphabet with a corpus replacing them
+        for spec in Spec(order, alphabet=alphabet), Spec(order, (extra,), alphabet):
+            assert hexes(spec.scorer().score(text, context)) == \
+                reference_logprobs(spec, text, context)
 
-    @given(scorers, texts, nonempty, st.one_of(st.none(), texts))
+    @given(specs, nonempty, texts)
     @settings(max_examples=200)
-    def test_second_fit_grows_alphabet(self, scorer, more, text, context):
-        new_char = "\U0010fffd"
-        assume(len(scorer._alphabet) and new_char not in scorer._alphabet)
-        before = len(scorer._alphabet)
-        scorer.fit([more + new_char])
-        assert len(scorer._alphabet) > before  # V changed, so every row did
-        assert hexes(scorer.score(text, context)) == \
-            reference_logprobs(scorer, text, context)
-
-    @given(scorers, nonempty, texts)
-    @settings(max_examples=200)
-    def test_context_tail_invariance(self, scorer, text, context):
-        assume(len(scorer._alphabet))
+    def test_context_tail_invariance(self, spec, text, context):
+        assume(reference_model(spec)[1])
+        scorer = spec.scorer()
         tail = context[max(0, len(context) - (scorer.order - 1)):]
         full, cut = scorer.score(text, context), scorer.score(text, tail)
         assert hexes(full) == hexes(cut)
-
-    @given(st.integers(1, 5), st.lists(texts, max_size=4))
-    @example(order=3, corpus=["ab", "😀é漢ab"])  # the refit grows the alphabet
-    @settings(max_examples=200)
-    def test_fit_counts_match_reference(self, order, corpus):
-        scorer = NGramScorer(order=order, corpus=corpus[:1])
-        assert scorer._counts == reference_counts(order, corpus[:1])
-        scorer.fit(corpus[1:])
-        assert scorer._counts == reference_counts(order, corpus)
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=200)
@@ -334,12 +334,11 @@ class TestNGramScorerTailCache:
     @given(base=st.text(alphabet=SMALL, min_size=9, max_size=14),
            more_texts=st.lists(nonempty, max_size=2),
            more_contexts=st.lists(st.one_of(st.none(), texts), max_size=2),
-           corpus=st.lists(texts, max_size=2), refit=texts)
+           corpus=st.lists(texts, max_size=2), more=texts)
     @settings(max_examples=60)
     def test_warm_cache_bit_identical_to_reference(
-            self, order, base, more_texts, more_contexts, corpus, refit):
+            self, order, base, more_texts, more_contexts, corpus, more):
         n = order - 1
-        scorer = NGramScorer(order=order, corpus=corpus, alphabet=SMALL)
         # shorter than, equal to and longer than order - 1 (where not empty)
         texts_ = [base[:max(1, n - 1)], base[:max(1, n)], base[:n + 1], base,
                   *more_texts]
@@ -347,14 +346,15 @@ class TestNGramScorerTailCache:
         contexts = [None, "", base * 3, *more_contexts, base[-n:] if n else "",
                     "x" * 50 + base * 2]
 
-        def check_all():
+        def check_all(spec: Spec):
             # each text is scored under every context, so all but its first
             # score read the cache
+            scorer = spec.scorer()
             first: dict[tuple[str, str], ScoredText] = {}
             for context in contexts:
                 for text in texts_:
                     scored = scorer.score(text, context)
-                    expected = reference_logprobs(scorer, text, context)
+                    expected = reference_logprobs(spec, text, context)
                     assert hexes(scored) == expected
                     assert perplexity(scored).hex() == reference_perplexity(expected)
                     key = (text, context_tail(context, order))
@@ -362,12 +362,9 @@ class TestNGramScorerTailCache:
             assert set(scorer._cache) == set(texts_)
             assert scorer._positions == cached_positions(scorer)
 
-        check_all()
-        before = len(scorer._alphabet)
-        scorer.fit([refit + "\U0010fffd"])  # a new char: V grows, every row moves
-        assert len(scorer._alphabet) > before
-        assert not scorer._cache and scorer._positions == 0
-        check_all()
+        check_all(Spec(order, tuple(corpus), SMALL))
+        # a new char: V grows, every row moves
+        check_all(Spec(order, (*corpus, more + "\U0010fffd"), SMALL))
 
     @given(order=st.integers(1, 5),
            jobs=st.lists(st.tuples(st.text(alphabet=SMALL, min_size=1, max_size=12),
@@ -376,14 +373,15 @@ class TestNGramScorerTailCache:
            bound=st.integers(1, 60))
     @settings(max_examples=300)
     def test_positions_bound_holds_after_eviction(self, order, jobs, bound):
-        scorer = NGramScorer(order=order, corpus="ab a\nb", alphabet=SMALL)
+        spec = Spec(order, ("ab a\nb",), SMALL)
+        scorer = spec.scorer()
         with mock.patch.object(scoring, "_CACHE_POSITIONS", bound):
             for text, context in jobs:
                 tail = context_tail(context, order)
                 entry = scorer._cache.get(text)
                 hit = entry is not None and tail in entry.results
                 scored = scorer.score(text, context)
-                expected = reference_logprobs(scorer, text, context)
+                expected = reference_logprobs(spec, text, context)
                 assert hexes(scored) == expected
                 assert perplexity(scored).hex() == reference_perplexity(expected)
                 assert scorer._positions == cached_positions(scorer) <= bound
@@ -473,13 +471,14 @@ def trusted_callers(tree: ast.AST) -> list[str]:
 
 class TestTrustedScores:
     """NGramScorer.score builds its results without the ScoredText check,
-    because fit checks every row value once."""
+    because the constructor checks every row value once."""
 
-    @given(scorers, nonempty, st.lists(st.one_of(st.none(), texts), min_size=1,
-                                       max_size=3))
+    @given(specs, nonempty, st.lists(st.one_of(st.none(), texts), min_size=1,
+                                     max_size=3))
     @settings(max_examples=300)
-    def test_every_score_passes_the_public_check(self, scorer, text, contexts):
-        assume(scorer._alphabet)
+    def test_every_score_passes_the_public_check(self, spec, text, contexts):
+        assume(reference_model(spec)[1])
+        scorer = spec.scorer()
         for context in contexts:  # the first call fills the tail cache
             scored = scorer.score(text, context)
             checked = ScoredText(tokens=scored.tokens, logprobs=scored.logprobs)
@@ -490,10 +489,9 @@ class TestTrustedScores:
     def test_clamp_keeps_a_log_rounded_above_zero_at_zero(self, monkeypatch):
         # order 1 over "aaaa" with V = 2: the row of "a" is log(5/6), the
         # only argument above 1/2; a log that rounds it above 0 is clamped
-        scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
         monkeypatch.setattr(scoring, "math", SimpleNamespace(**{
             **vars(math), "log": lambda x: 1e-300 if x > 0.5 else math.log(x)}))
-        scorer.fit([])
+        scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
         assert scorer.score("ab").logprobs == (0.0, math.log(1 / 6))
 
     @pytest.mark.parametrize("argument,value", [
@@ -502,11 +500,10 @@ class TestTrustedScores:
         (1 / 6, 0),  # an int, not a float
     ], ids=["unseen-positive", "floor-positive", "unseen-not-a-float"])
     def test_fit_rejects_a_row_the_check_would(self, monkeypatch, argument, value):
-        scorer = NGramScorer(order=1, corpus="aaaa", alphabet="ab")
         monkeypatch.setattr(scoring, "math", SimpleNamespace(
             log=lambda x: value if x == argument else math.log(x)))
         with pytest.raises(ValueError, match="rows must be floats <= 0"):
-            scorer.fit([])
+            NGramScorer(order=1, corpus="aaaa", alphabet="ab")
 
     def test_only_ngram_score_builds_trusted_results(self):
         package = Path(scoring.__file__).parent

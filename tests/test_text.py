@@ -214,6 +214,12 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 2"):
             list(load_corpus(path))
 
+    def test_missing_or_null_meta_is_empty(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n'
+                        '{"id": "b", "text": "y", "meta": null}\n')
+        assert [d.meta for d in load_corpus(path)] == [{}, {}]
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')
