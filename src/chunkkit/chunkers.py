@@ -202,8 +202,11 @@ def calibrate_avg_len(
     once (and the semantic one embeds them once) before the first step, so
     a step only re-cuts the cached spans. The result keeps those spans (and
     similarities) as its ``steps``. Unreachable targets yield a best-effort
-    result with ``ok`` False rather than an error.
+    result with ``ok`` False rather than an error; a target that is not
+    positive is a ValueError.
     """
+    if not target_avg > 0:
+        raise ValueError(f"target_avg must be > 0, got {target_avg}")
     if not docs:
         raise ValueError("calibration needs a non-empty corpus")
     if method not in CHUNKER_METHODS:

@@ -174,8 +174,8 @@ def _backend_name(backend) -> str | None:
 def _labeled(chunksets: Iterable[ChunkSet],
              failures: _Failures) -> Iterator[tuple[ChunkSet, GranularityLabel]]:
     """Each chunk set with its granularity label. An empty chunk set, which
-    ``dataset distill`` writes when every window of a document fails, has
-    none: it fails its document."""
+    no command writes but a chunk-set file may hold, has none: it fails
+    its document."""
     def label(cs: ChunkSet) -> tuple[ChunkSet, GranularityLabel]:
         try:
             return cs, label_granularity(cs)
@@ -250,6 +250,8 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
     method = config.chunker.method
     if calibrate_avg is not None and method == "moc":
         raise ConfigError("--calibrate-avg does not apply to moc: it has no size knob")
+    if calibrate_avg is not None and not calibrate_avg > 0:
+        raise ConfigError(f"--calibrate-avg must be > 0, got {calibrate_avg}")
     # backends first: a config error surfaces before any document is read
     embedder = router = experts = None
     if method == "semantic":
@@ -309,10 +311,10 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
                 totals[0] += len(cs)
                 totals[1] += sum(len(c) for c in cs.chunks)
                 for rep in extraction:
-                    write_report({"doc_id": rep.doc_id, "rules": [
-                        {"rule": m.rule_index, "mode": m.mode, "distance": m.distance,
+                    write_report({"doc_id": cs.doc_id, "rules": [
+                        {"rule": i, "mode": m.mode, "distance": m.distance,
                          "span": None if m.start is None else [m.start, m.end]}
-                        for m in rep.matches
+                        for i, m in enumerate(rep.matches)
                     ]})
                 yield cs
 
@@ -426,13 +428,13 @@ def cmd_windows(config: RunConfig, corpus: str, out: str,
     with _report(out, {"max_window_tokens": config.dataset.max_window_tokens}) as write:
         for doc in load_corpus(corpus):
             for w in sliding_windows(doc, max_tokens=config.dataset.max_window_tokens):
-                write({"doc_id": w.doc_id, "start": w.start, "end": w.end})
+                write({"doc_id": doc.id, "start": w.start, "end": w.end})
                 count += 1
     click.echo(f"wrote {count} windows")
 
 
-def _verdict_record(doc_id: str, verdict) -> dict:
-    return {"doc_id": doc_id, "chunk": verdict.chunk_index,
+def _verdict_record(doc_id: str, chunk: int, verdict) -> dict:
+    return {"doc_id": doc_id, "chunk": chunk,
             "distance": verdict.min_edit_distance, "threshold": verdict.threshold,
             "flagged": verdict.flagged, "span": [verdict.start, verdict.end]}
 
@@ -467,8 +469,8 @@ def cmd_distill(config: RunConfig, corpus: str, out_dir: str) -> _Failures:
         def chunksets():
             docs = ((d.id, d) for d in load_corpus(corpus))
             for result in _each_doc(docs, distill, failures):
-                for v in result.verdicts:
-                    write(_verdict_record(result.chunkset.doc_id, v))
+                for i, v in enumerate(result.verdicts):
+                    write(_verdict_record(result.chunkset.doc_id, i, v))
                 totals[0] += len(result.chunkset)
                 totals[1] += len(result.verdicts)
                 totals[2] += result.flagged
@@ -518,11 +520,10 @@ def cmd_clean(config: RunConfig, corpus: str, generated: str, out: str) -> None:
                     raise CorpusFormatError(
                         f"{where}: chunk {i} is not a non-empty string")
                 verdict = detect_hallucination(
-                    text, doc, index=i, flag_ratio=config.dataset.flag_ratio
-                )
+                    text, doc, flag_ratio=config.dataset.flag_ratio)
                 flagged += int(verdict.flagged)
                 count += 1
-                write(_verdict_record(doc.id, verdict))
+                write(_verdict_record(doc.id, i, verdict))
     click.echo(f"checked {count} chunk(s), {flagged} flagged")
 
 

@@ -307,8 +307,18 @@ def _hash_embedder(options: Mapping[str, Any], role: str) -> HashEmbedder:
 
 def _fixture_embedder(options: Mapping[str, Any], role: str) -> FixtureEmbedder:
     embedder = FixtureEmbedder()
-    _fill(options, role, lambda entry: embedder.add(
-        _string(entry, "text"), _vector(entry)))
+    lengths: list[int] = []  # the first entry's vector length, shared by all
+
+    def add(entry: Mapping) -> None:
+        text, vector = _string(entry, "text"), _vector(entry)
+        if not lengths:
+            lengths.append(len(vector))
+        elif len(vector) != lengths[0]:
+            raise ValueError(f"vector length {len(vector)} differs from the "
+                             f"first entry's {lengths[0]}")
+        embedder.add(text, vector)
+
+    _fill(options, role, add)
     return embedder
 
 

@@ -42,9 +42,8 @@ _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 @dataclass(frozen=True)
 class Window:
-    """One sub-budget slice of a document."""
+    """One sub-budget slice ``[start, end)`` of the document it was cut from."""
 
-    doc_id: str
     start: int
     end: int
 
@@ -81,7 +80,7 @@ def sliding_windows(
     while pos < n:
         limit = pos + budget
         if limit >= n:
-            windows.append(Window(doc.id, pos, n))
+            windows.append(Window(pos, n))
             break
         # a break found in [pos, limit) ends past pos and by limit
         cut = None
@@ -93,7 +92,7 @@ def sliding_windows(
                 cut = sentence_ends[idx]
         if cut is None:
             cut = limit
-        windows.append(Window(doc.id, pos, cut))
+        windows.append(Window(pos, cut))
         pos = cut
     return windows
 
@@ -116,8 +115,9 @@ def windowed_chunk(
     a parse, extraction or backend error (a router's scoring fault is a
     backend error) contributes no spans, is logged, and the next region
     starts at its end; the span held back for it is kept, since the window
-    before resolved it. Any other exception propagates. Returns the kept
-    spans and the number of failed windows.
+    before resolved it. When every window fails, so does the document: an
+    :class:`ExtractionError`. Any other exception propagates. Returns the
+    kept spans and the number of failed windows.
     """
     spans: list[tuple[int, int]] = []
     held: tuple[int, int] | None = None  # the span re-offered to this window
@@ -141,6 +141,8 @@ def windowed_chunk(
             held = None
             region_start = window.end
         spans.extend(found)
+    if failed == len(windows):
+        raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
     return spans, failed
 
 
@@ -150,28 +152,26 @@ def windowed_chunk(
 
 @dataclass(frozen=True)
 class CleaningVerdict:
-    """Minimum-edit-distance audit of one generated chunk.
-
-    Flagged when the distance strictly exceeds 10% of the chunk length
-    (threshold = ceil(0.10 * len)).
+    """Minimum-edit-distance audit of one generated chunk: the closest
+    source span ``[start, end)`` and its distance. ``threshold`` is
+    ``ceil(flag_ratio * len)`` of the chunk, and the chunk is flagged when
+    the distance strictly exceeds it. A verdict's number is its position
+    in the list that holds it.
     """
 
-    chunk_index: int
     min_edit_distance: int
     threshold: int
-    flagged: bool
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.flagged != (self.min_edit_distance > self.threshold):
-            raise ValueError("flag inconsistent with distance and threshold")
+    @property
+    def flagged(self) -> bool:
+        return self.min_edit_distance > self.threshold
 
 
 def detect_hallucination(
     generated_chunk: str,
     doc: Document,
-    index: int = 0,
     search_from: int = 0,
     flag_ratio: float = 0.10,
     search_to: int | None = None,
@@ -189,14 +189,7 @@ def detect_hallucination(
         raise ValueError(f"flag_ratio must be >= 0 and <= 1, got {flag_ratio}")
     match = best_substring_match(generated_chunk, doc.text, search_from, search_to)
     threshold = math.ceil(flag_ratio * len(generated_chunk))
-    return CleaningVerdict(
-        chunk_index=index,
-        min_edit_distance=match.distance,
-        threshold=threshold,
-        flagged=match.distance > threshold,
-        start=match.start,
-        end=match.end,
-    )
+    return CleaningVerdict(match.distance, threshold, match.start, match.end)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +333,7 @@ def distill_document(
         region_end = offset + len(region)
         for text in parse_tagged_chunks(generation.text):
             verdict = detect_hallucination(
-                text.strip(), doc, index=len(verdicts),
-                search_from=min(cursor, region_end - 1),
+                text.strip(), doc, search_from=min(cursor, region_end - 1),
                 flag_ratio=flag_ratio, search_to=region_end,
             )
             verdicts.append(verdict)

@@ -65,18 +65,26 @@ def generate_rules(
 
 @dataclass(frozen=True)
 class RuleMatch:
-    """How one rule resolved: exact, recovered (with distance), or failed."""
+    """How one rule resolved: its span ``[start, end)`` in the document and
+    the edit distance of its anchors, or no span when it failed. A match's
+    rule is the one at its position in the report."""
 
-    rule_index: int
-    mode: str  # "exact" | "recovered" | "failed"
     distance: int = 0
     start: int | None = None
     end: int | None = None
 
+    @property
+    def mode(self) -> str:
+        """``"failed"``, ``"exact"`` or ``"recovered"``."""
+        if self.start is None:
+            return "failed"
+        return "exact" if self.distance == 0 else "recovered"
+
 
 @dataclass
 class ExtractionReport:
-    doc_id: str
+    """One match per rule of a window, in rule order."""
+
     matches: list[RuleMatch] = field(default_factory=list)
 
     @property
@@ -99,7 +107,6 @@ def _locate(needle: str, text: str, start: int) -> tuple[int, int, int] | None:
 def _extract_spans(
     text: str,
     rules: RuleList,
-    doc_id: str,
     base_offset: int = 0,
 ) -> tuple[list[tuple[int, int]], ExtractionReport]:
     """Resolve rules against ``text`` with a forward-only cursor.
@@ -109,22 +116,20 @@ def _extract_spans(
     Unresolvable rules are skipped and reported; more than 50% failures
     raise :class:`ExtractionError`.
     """
-    report = ExtractionReport(doc_id=doc_id)
+    report = ExtractionReport()
     spans: list[tuple[int, int]] = []
     cursor = 0
-    for idx, rule in enumerate(rules.rules):
+    for rule in rules.rules:
         head = _locate(rule.prefix, text, cursor)
         # a literal rule is its own anchor: its tail is its head
         tail = head if head is None or rule.literal else _locate(rule.suffix, text, head[1])
         if tail is None:
-            report.matches.append(RuleMatch(idx, "failed"))
+            report.matches.append(RuleMatch())
             continue
         start, end = head[0], tail[1]
         distance = head[2] if rule.literal else head[2] + tail[2]
-        mode = "exact" if distance == 0 else "recovered"
         report.matches.append(
-            RuleMatch(idx, mode, distance, base_offset + start, base_offset + end)
-        )
+            RuleMatch(distance, base_offset + start, base_offset + end))
         spans.append((base_offset + start, base_offset + end))
         cursor = end
     if report.failed * 2 > len(rules.rules):
@@ -144,7 +149,7 @@ def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, Extraction
     """
     if not rules.rules:
         raise ValueError("rule list is empty")
-    spans, report = _extract_spans(doc.text, rules, doc.id)
+    spans, report = _extract_spans(doc.text, rules)
     return ChunkSet.from_spans(doc, spans, method="moc"), report
 
 
@@ -174,14 +179,12 @@ def moc_chunk(
         label = route(region, router)
         rule_list = generate_rules(region, experts[label], placeholder=placeholder)
         try:
-            spans, report = _extract_spans(region, rule_list, doc.id, base_offset=offset)
+            spans, report = _extract_spans(region, rule_list, base_offset=offset)
         except ExtractionError as exc:
             reports.append(exc.report)
             raise
         reports.append(report)
         return spans
 
-    spans, failed = windowed_chunk(doc, windows, per_window)
-    if failed == len(windows):
-        raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
+    spans, _ = windowed_chunk(doc, windows, per_window)
     return ChunkSet.from_spans(doc, spans, method="moc"), reports

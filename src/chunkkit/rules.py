@@ -9,6 +9,7 @@ asked to use, since models occasionally echo a different one.
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ class GranularityLabel(IntEnum):
     """Average-chunk-length class; smaller labels mean finer chunking.
 
     Intervals (characters, right-closed): 0 -> (0, 120], 1 -> (120, 150],
-    2 -> (150, 180], 3 -> (180, +inf).
+    2 -> (150, 180], 3 -> (180, +inf); ``label_for_mean`` holds the bounds.
     """
 
     FINE = 0
@@ -37,25 +38,16 @@ class GranularityLabel(IntEnum):
     COARSE = 2
     BROAD = 3
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return _LABEL_BOUNDS[self.value]
 
-
-_LABEL_BOUNDS = {
-    0: (0.0, 120.0),
-    1: (120.0, 150.0),
-    2: (150.0, 180.0),
-    3: (180.0, float("inf")),
-}
+# the upper bounds of labels 0-2; label 3 has none
+_UPPER_BOUNDS = (120.0, 150.0, 180.0)
 
 
 def label_for_mean(mean_len: float) -> GranularityLabel:
     """Map a mean chunk length onto its granularity label (right-closed)."""
     if mean_len <= 0:
         raise ValueError(f"mean length must be positive, got {mean_len}")
-    return next((label for label in GranularityLabel
-                 if mean_len <= label.interval[1]), GranularityLabel.BROAD)
+    return GranularityLabel(bisect.bisect_left(_UPPER_BOUNDS, mean_len))
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,9 @@ class Document:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One contiguous span of a document."""
+    """One contiguous span of a document; its document is the one of the
+    :class:`ChunkSet` that holds it, and ``index`` its position there."""
 
-    doc_id: str
     index: int
     start: int
     end: int
@@ -86,10 +86,6 @@ class ChunkSet:
         object.__setattr__(self, "chunks", tuple(self.chunks))
         prev_start = -1
         for position, chunk in enumerate(self.chunks):
-            if chunk.doc_id != self.doc_id:
-                raise ValueError(
-                    f"chunk doc_id {chunk.doc_id!r} != set doc_id {self.doc_id!r}"
-                )
             if chunk.index != position:
                 raise ValueError(
                     f"chunk index {chunk.index} at position {position}: "
@@ -108,10 +104,8 @@ class ChunkSet:
         for i, (start, end) in enumerate(spans):
             if end > len(doc.text):
                 raise ValueError(f"span [{start}, {end}) exceeds document length")
-            chunks.append(
-                Chunk(doc_id=doc.id, index=i, start=start, end=end,
-                      text=doc.text[start:end])
-            )
+            chunks.append(Chunk(index=i, start=start, end=end,
+                                text=doc.text[start:end]))
         return cls(doc_id=doc.id, chunks=tuple(chunks), method=method)
 
     def __len__(self) -> int:

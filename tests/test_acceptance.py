@@ -264,7 +264,7 @@ def test_c4_rule_round_trip_and_recovery():
                 suffix=mutated_text if side == "suffix" else rule.suffix,
             )
         out, rep2 = extract_chunks(doc, RuleList(rules=tuple(mutated)))
-        spans_by_rule = {m.rule_index: (m.start, m.end) for m in rep2.matches}
+        spans_by_rule = {i: (m.start, m.end) for i, m in enumerate(rep2.matches)}
         for idx in chosen:
             perturbed_total += 1
             match = rep2.matches[idx]

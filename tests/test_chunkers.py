@@ -288,6 +288,11 @@ class TestChunkSemantic:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("target", [0, -5, -0.0, math.nan])
+    def test_target_not_positive_rejected(self, target):
+        with pytest.raises(ValueError, match="target_avg must be > 0"):
+            calibrate_avg_len("fixed", [make_doc("alpha beta.")], target_avg=target)
+
     def test_fixed_closed_form(self, rng):
         docs = [make_doc(random_text(rng, sentences=40), f"d{i}")
                 for i in range(3)]

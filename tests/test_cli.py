@@ -72,6 +72,26 @@ class TestChunkCommand:
         assert result.exit_code == 0, result.output
         assert "calibrated fixed: target_len=178" in result.output
 
+    @pytest.mark.parametrize("method,value", [
+        ("fixed", "0"), ("boundary", "-5"), ("fixed", "-0.0")])
+    def test_calibrate_avg_not_positive_is_a_config_error(
+            self, runner, tmp_path, small_corpus, monkeypatch, method, value):
+        corpus, _ = small_corpus
+
+        def load_corpus(path):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, [
+            "chunk", "--corpus", corpus, "--out", str(out),
+            "--method", method, "--calibrate-avg", value,
+        ])
+        assert result.exit_code == 2, result.output
+        assert errors_of(result) == [
+            f"error: --calibrate-avg must be > 0, got {float(value)}"]
+        assert not out.exists()
+
     def test_calibrate_empty_corpus_is_one_error(self, runner, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("")
@@ -592,6 +612,27 @@ class TestDatasetCommands:
         assert manifest["router_count"] == 1
         assert "warning" in result.output  # three empty label buckets
 
+    def test_distill_document_whose_every_window_fails_fails(self, runner,
+                                                               tmp_path):
+        # a generator that answers nothing fails each window, so the document
+        corpus = write_corpus(tmp_path / "c.jsonl",
+                              [make_doc("roses are red. violets are blue.", "d0")])
+        (tmp_path / "gen.json").write_text(json.dumps({"entries": []}))
+        (tmp_path / "config.json").write_text(json.dumps({"generator": {
+            "kind": "fixture", "table": str(tmp_path / "gen.json")}}))
+        out_dir = tmp_path / "distilled"
+        result = runner.invoke(main, [
+            "--config", str(tmp_path / "config.json"),
+            "dataset", "distill", "--corpus", corpus, "--out-dir", str(out_dir),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == ["error: doc d0: all 1 windows failed for doc d0"]
+        assert (out_dir / "chunksets.jsonl").read_text() == ""
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["documents"], manifest["distilled"], manifest["failed"]) \
+            == (1, 0, ["d0"])
+
     def test_distill_without_generator_is_config_error(self, runner, tmp_path,
                                                        small_corpus):
         corpus, _ = small_corpus
@@ -1005,8 +1046,8 @@ class TestPerDocumentFailures:
 
     @pytest.mark.parametrize("command", ["rules", "label", "emit"])
     def test_empty_chunk_set_fails_its_document(self, runner, tmp_path, command):
-        # dataset distill writes a chunk set with no chunks when every window
-        # of a document fails
+        # no command writes a chunk set with no chunks, but a chunk-set file
+        # written by hand may hold one
         (d0, _), corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
         chunksets = tmp_path / "chunks.jsonl"
         save_chunksets([ChunkSet.from_spans(d0, [(0, 20)], "fixed"),
@@ -1211,13 +1252,17 @@ class TestConfigErrorsExitTwo:
          "entry 1: vector must be a non-empty list of finite numbers, got []"),
         ("ds", "embedder", [{"text": 1, "vector": [1]}],
          "entry 0: text must be a string, got 1"),
+        ("ds", "embedder", [{"text": "x", "vector": [1, 0]},
+                            {"text": "y", "vector": [1, 0, 1]}],
+         "entry 1: vector length 3 differs from the first entry's 2"),
         ("bc", "scorer", [{"text": "ab", "logprobs": [-1, -1]},
                           {"text": "ab", "context": "c", "logprobs": [-math.inf, -1]}],
          "entry 1: logprobs must be finite and <= 0"),
         ("bc", "scorer", [{"text": None, "logprobs": [-1]}],
          "entry 0: text must be a string, got None"),
     ], ids=["response-int", "prompt-list", "finish-reason-null", "vector-nan",
-            "vector-bool", "vector-empty", "embedder-text-int", "logprob-infinite",
+            "vector-bool", "vector-empty", "embedder-text-int", "vector-lengths-differ",
+            "logprob-infinite",
             "scorer-text-null"])
     def test_bad_fixture_entry_names_it(self, runner, tmp_path, metrics, role,
                                         entries, message):

@@ -92,7 +92,7 @@ class TestWindowedChunk:
     """The chunk buffer and per-window failures of ``windowed_chunk``."""
 
     DOC = make_doc("aaa bbb ccc ddd eee fff")
-    WINDOWS = [Window("doc", 0, 12), Window("doc", 12, 23)]
+    WINDOWS = [Window(0, 12), Window(12, 23)]
 
     def run(self, answers):
         calls = []
@@ -146,8 +146,7 @@ class TestWindowedChunk:
 
     def test_span_re_offered_to_a_failed_window_is_kept(self):
         doc = make_doc("aaaa bbbb cccc dddd eeee ffff")
-        windows = [Window("doc", 0, 15), Window("doc", 15, 25),
-                   Window("doc", 25, 29)]
+        windows = [Window(0, 15), Window(15, 25), Window(25, 29)]
         calls = []
 
         def per_window(region, offset):  # 5-character spans
@@ -465,16 +464,32 @@ class TestDistillDocument:
             doc.text[:half], doc.text[half:len(para1)]]
 
     def test_cut_off_generation_fails_its_window(self, caplog):
+        # the document's one window fails, and with it the document
         doc = make_doc("Alpha one here. Beta two here. Gamma 3 here.")  # 44 chars
         prompt = prompts.render(prompts.DISTILL_PROMPT, text=doc.text)
         generator = FixtureGenerator().add(
             prompt, "<chunk>Alpha one here.</chunk><chunk>Beta two",
             finish_reason="length")
-        with caplog.at_level("WARNING"):
-            result = distill_document(doc, generator)
-        assert (result.window_count, result.failed_windows) == (1, 1)
-        assert result.chunkset.chunks == () and result.verdicts == []
+        with caplog.at_level("WARNING"), pytest.raises(
+                ExtractionError, match="^all 1 windows failed for doc doc$"):
+            distill_document(doc, generator)
         assert "generation cut off at max_tokens" in caplog.text
+
+    def test_cut_off_window_leaves_the_other_windows_chunks(self, caplog):
+        doc = make_doc("Alpha one here. Beta two here.\n\nGamma 3 here.")
+        windows = sliding_windows(doc, max_tokens=35)
+        assert [(w.start, w.end) for w in windows] == [(0, 32), (32, 45)]
+        generator = FixtureGenerator().add(
+            prompts.render(prompts.DISTILL_PROMPT, text=doc.text[:32]),
+            "<chunk>Alpha one here.</chunk><chunk>Beta two", finish_reason="length",
+        ).add(prompts.render(prompts.DISTILL_PROMPT, text=doc.text[32:]),
+              "<chunk>Gamma 3 here.</chunk>")
+        with caplog.at_level("WARNING"):
+            result = distill_document(doc, generator, max_window_tokens=35)
+        assert (result.window_count, result.failed_windows) == (2, 1)
+        assert [c.text for c in result.chunkset.chunks] == ["Gamma 3 here."]
+        assert [(v.start, v.end) for v in result.verdicts] == [(32, 45)]
+        assert "window 0 failed: generation cut off at max_tokens" in caplog.text
 
     def test_hallucinated_chunk_flagged_and_dropped(self, rng):
         doc = make_doc(random_text(rng, sentences=6).lower())

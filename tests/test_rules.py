@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -208,5 +209,11 @@ class TestGranularityLabels:
             label_for_mean(0)
 
     def test_intervals_documented(self):
-        assert GranularityLabel.FINE.interval == (0.0, 120.0)
-        assert GranularityLabel.BROAD.interval[1] == float("inf")
+        # right-closed: each bound is the last length of its label, and the
+        # next float above it belongs to the next label
+        for label, bound in enumerate((120.0, 150.0, 180.0)):
+            assert label_for_mean(bound) == GranularityLabel(label)
+            assert label_for_mean(math.nextafter(bound, math.inf)) == \
+                GranularityLabel(label + 1)
+        assert label_for_mean(math.nextafter(0.0, math.inf)) == GranularityLabel.FINE
+        assert label_for_mean(float("inf")) == GranularityLabel.BROAD

@@ -76,11 +76,11 @@ class TestDocumentInvariants:
 class TestChunkInvariants:
     def test_text_must_match_span_length(self):
         with pytest.raises(ValueError):
-            Chunk(doc_id="d", index=0, start=0, end=5, text="abc")
+            Chunk(index=0, start=0, end=5, text="abc")
 
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError):
-            Chunk(doc_id="d", index=0, start=3, end=3, text="")
+            Chunk(index=0, start=3, end=3, text="")
 
     def test_slice_identity(self):
         doc = make_doc("hello world")

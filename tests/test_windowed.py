@@ -2,11 +2,13 @@
 
 ``reference_moc_chunk`` and ``reference_distill`` are the window loops that
 ``moc_chunk`` and ``distill_document`` each carried before both moved onto
-``dataset.windowed_chunk``, restated for two later rules: a span re-offered
-to a window that fails is kept, and distillation matches each generated
-chunk only inside its window's region. Random documents, window budgets and
-injected window faults (routing, parse, extraction, backend) must give the
-same spans, extraction reports, verdicts and failed-window counts.
+``dataset.windowed_chunk``, restated for three later rules: a span
+re-offered to a window that fails is kept, distillation matches each
+generated chunk only inside its window's region, and a distilled document
+whose every window fails fails, as a MoC one does. Random documents, window
+budgets and injected window faults (routing, parse, extraction, backend)
+must give the same spans, extraction reports, verdicts, failed-window
+counts and document failures.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             label = route(region, router)
             rule_list = generate_rules(region, experts[label])
             spans, report = _extract_spans(
-                region, rule_list, doc.id, base_offset=region_start
+                region, rule_list, base_offset=region_start
             )
         except (RuleParseError, ExtractionError, ScoringError) as exc:
             # a window whose extraction failed still reports its rules
@@ -103,7 +105,6 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
     dropped = None
     region_start = 0
     failed = 0
-    chunk_counter = 0
     for wi, window in enumerate(windows):
         last_window = wi == len(windows) - 1
         region = doc.text[region_start:window.end]
@@ -123,11 +124,9 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
         for text in chunk_texts:
             text = text.strip()
             verdict = detect_hallucination(
-                text, doc, index=chunk_counter,
-                search_from=min(cursor, window.end - 1),
+                text, doc, search_from=min(cursor, window.end - 1),
                 flag_ratio=flag_ratio, search_to=window.end,
             )
-            chunk_counter += 1
             verdicts.append(verdict)
             if verdict.flagged or verdict.start >= verdict.end:
                 continue
@@ -140,6 +139,8 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             dropped = None
             region_start = window.end
         spans.extend(window_spans)
+    if failed == len(windows):
+        raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
     return (ChunkSet.from_spans(doc, spans, method="distilled"), verdicts,
             len(windows), failed)
 
@@ -277,10 +278,14 @@ def test_moc_chunk_matches_reference_loop(case):
 @given(case=cases)
 def test_distill_document_matches_reference_loop(case):
     doc, _, generator = _setup(case, AnsweringDistiller)
-    chunkset, verdicts, window_count, failed = reference_distill(
-        doc, generator, case["budget"])
+    try:
+        chunkset, verdicts, window_count, failed = reference_distill(
+            doc, generator, case["budget"])
+    except ExtractionError as exc:
+        with pytest.raises(ExtractionError, match=str(exc)):
+            distill_document(doc, generator, max_window_tokens=case["budget"])
+        return
     result = distill_document(doc, generator, max_window_tokens=case["budget"])
     assert result.chunkset == chunkset
     assert result.verdicts == verdicts
-    assert [v.chunk_index for v in result.verdicts] == list(range(len(verdicts)))
     assert (result.window_count, result.failed_windows) == (window_count, failed)

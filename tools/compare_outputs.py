@@ -1,0 +1,116 @@
+"""Compare the output bodies of two chunkkit trees on the benchmark's inputs.
+
+    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval]
+
+Run from the repository root. For each workload and seed it builds the
+benchmark's inputs with ``perfbench/corpus.py``'s ``build`` (imported from
+this tree) and runs the workload's commands, ``perfbench/run.py``'s
+``COMMANDS``, once with ``PARENT_DIR/src`` and once with this tree's
+``src``, each in a subprocess and in its own copy of the inputs. Every
+file in ``run.OUTPUTS`` is then compared with its header line dropped, so
+the timestamp does not count. Each body that differs is printed as a
+unified diff, and so is each command that exits other than 0; the exit
+code is 1 if anything is printed, else 0. ``eval-http`` needs the
+benchmark's fake LM server and is not offered.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import corpus  # noqa: E402
+import run  # noqa: E402
+
+WORKLOADS = ("chunk", "distill", "eval")
+_CLI = "from chunkkit.cli import main; main(prog_name='chunkkit')"
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``0-19``, ``3`` or ``1,4,7-9`` as a list of seeds."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def parse_workloads(text: str) -> list[str]:
+    names = [w for w in text.split(",") if w]
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(f"choose from {', '.join(WORKLOADS)}")
+    return names
+
+
+def run_tree(src: Path, workload: str, work: Path) -> tuple[list[int], dict]:
+    """Exit codes of the workload's commands run with ``src`` in ``work``,
+    and each output's body (None when the file is missing)."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    codes = [subprocess.run([sys.executable, "-c", _CLI, *args], cwd=work, env=env,
+                            capture_output=True).returncode
+             for args in run.COMMANDS[workload]]
+    bodies = {}
+    for name, header in run.OUTPUTS[workload]:
+        path = work / name
+        lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else None
+        bodies[name] = lines[1:] if lines and header else lines
+    return codes, bodies
+
+
+def compare(parent_src: Path, workload: str, seed: int) -> list[str]:
+    """The differences between the two trees on one workload and seed."""
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        inputs = Path(tmp) / "inputs"
+        corpus.build(workload, seed, inputs)
+        corpus.write_config(workload, inputs)
+        results = {}
+        for side, src in (("parent", parent_src), ("tree", ROOT / "src")):
+            shutil.copytree(inputs, Path(tmp) / side)
+            results[side] = run_tree(src, workload, Path(tmp) / side)
+    (parent_codes, parent), (codes, bodies) = results["parent"], results["tree"]
+    where = f"{workload} seed {seed}"
+    found = []
+    if codes != parent_codes or any(codes):  # every benchmark command exits 0
+        found.append(f"{where}: exit codes {parent_codes} -> {codes}")
+    for name, body in bodies.items():
+        if body != parent[name]:
+            diff = difflib.unified_diff(parent[name] or [], body or [], lineterm="",
+                                        fromfile=f"parent/{name}", tofile=f"tree/{name}")
+            found.append(f"{where}: {name} differs\n" + "\n".join(diff))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path,
+                        help="checkout whose src/ gives the reference outputs")
+    parser.add_argument("--seeds", type=parse_seeds, default="0-19")
+    parser.add_argument("--workloads", type=parse_workloads, default=",".join(WORKLOADS))
+    args = parser.parse_args(argv)
+    parent_src = args.parent.resolve() / "src"
+    if not (parent_src / "chunkkit" / "__init__.py").is_file():
+        parser.error(f"{parent_src}/chunkkit not found")
+
+    differences = []
+    for workload in args.workloads:
+        for seed in args.seeds:
+            differences += compare(parent_src, workload, seed)
+    for difference in differences:
+        print(difference)
+    runs = len(args.workloads) * len(args.seeds)
+    print(f"{runs} workload runs compared: {len(differences)} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
