@@ -17,11 +17,9 @@ from .chunkers import (
 from .dataset import (
     CleaningVerdict,
     DistillResult,
-    Window,
     detect_hallucination,
     distill_document,
     expert_samples,
-    label_granularity,
     make_rules,
     router_text,
     sliding_windows,

@@ -125,6 +125,11 @@ class BackendHandle:
         if self.max_context_chars is not None and self.max_context_chars < 1:
             raise ValueError(f"max_context_chars must be >= 1 or null, "
                              f"got {self.max_context_chars}")
+        try:  # the model id goes into every request and report header
+            self.model.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"model holds a lone surrogate at index {exc.start}, "
+                             f"got {self.model!r}") from None
 
 
 def _dropped(sock) -> bool:

@@ -157,16 +157,14 @@ def _cut(doc: Document, method: str, step, knob, overlap: int = 0) -> ChunkSet:
 class CalibrationResult:
     """Outcome of searching a chunker knob for a target mean chunk length.
 
-    The knob is ``target_len`` (in characters) for fixed-length and
-    boundary-aware chunking, where ``threshold`` is 0.5, and ``threshold``
-    for semantic chunking, where ``target_len`` is the rounded target mean.
-    ``steps`` holds each document's first step, in corpus order, for
-    :meth:`cut`.
+    ``knob`` is the value found: a length in characters (an int) for
+    fixed-length and boundary-aware chunking, the similarity threshold for
+    semantic chunking. ``steps`` holds each document's first step, in
+    corpus order, for :meth:`cut`.
     """
 
     method: str
-    target_len: int
-    threshold: float
+    knob: int | float
     achieved_avg: float
     ok: bool
     steps: tuple = field(repr=False, compare=False)
@@ -176,8 +174,7 @@ class CalibrationResult:
         what the method's chunker outputs at that knob, without running the
         first step again. ``overlap`` applies to boundary-aware chunking,
         which calibration searched without it."""
-        knob = self.threshold if self.method == "semantic" else self.target_len
-        return _cut(doc, self.method, step, knob, overlap)
+        return _cut(doc, self.method, step, self.knob, overlap)
 
 
 def _mean_length(spans: Iterable[tuple[int, int]]) -> float:
@@ -219,12 +216,7 @@ def calibrate_avg_len(
                 "calibration best-effort: method=%s achieved=%.1f target=%.1f",
                 method, achieved, target_avg,
             )
-        if method == "semantic":
-            target_len, threshold = max(1, round(target_avg)), knob
-        else:
-            target_len, threshold = knob, 0.5
-        return CalibrationResult(method, target_len, threshold, achieved, ok,
-                                 tuple(steps))
+        return CalibrationResult(method, knob, achieved, ok, tuple(steps))
 
     if method == "fixed":
         length = max(1, round(target_avg))

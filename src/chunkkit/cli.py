@@ -51,7 +51,6 @@ from .dataset import (
     detect_hallucination,
     distill_document,
     expert_samples,
-    label_granularity,
     make_rules,
     router_text,
     sliding_windows,
@@ -59,7 +58,7 @@ from .dataset import (
 from .errors import ChunkKitError, ConfigError, CorpusFormatError
 from .metrics import METRIC_BACKENDS, evaluate_chunksets, pearson
 from .moc import moc_chunk
-from .rules import GranularityLabel
+from .rules import GranularityLabel, label_for_mean
 from .text import (
     ChunkSet,
     Document,
@@ -173,14 +172,13 @@ def _backend_name(backend) -> str | None:
 
 def _labeled(chunksets: Iterable[ChunkSet],
              failures: _Failures) -> Iterator[tuple[ChunkSet, GranularityLabel]]:
-    """Each chunk set with its granularity label. An empty chunk set, which
-    no command writes but a chunk-set file may hold, has none: it fails
-    its document."""
+    """Each chunk set with the granularity label of its mean chunk length.
+    An empty chunk set, which no command writes but a chunk-set file may
+    hold, has none: it fails its document."""
     def label(cs: ChunkSet) -> tuple[ChunkSet, GranularityLabel]:
-        try:
-            return cs, label_granularity(cs)
-        except ValueError as exc:
-            raise ChunkKitError(str(exc)) from exc
+        if not cs.chunks:
+            raise ChunkKitError("cannot label an empty chunk set")
+        return cs, label_for_mean(cs.mean_length())
 
     return _each_doc(((cs.doc_id, cs) for cs in chunksets), label, failures)
 
@@ -206,8 +204,8 @@ class _Group(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,
-              help="Overrides the config's concurrency: the threads of the "
-                   "one pool that runs all of eval's pair scores, BC's "
+              help="Overrides the config's concurrency (1-64): the threads "
+                   "of the one pool that runs all of eval's pair scores, BC's "
                    "included. Other commands ignore it.")
 @click.version_option(__version__)
 @click.pass_context
@@ -274,13 +272,14 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
                                        embedder=embedder)
         except (ChunkKitError, ValueError) as exc:  # ValueError: an empty corpus
             raise ChunkKitError(f"calibration: {exc}") from exc
-        click.echo(f"calibrated {method}: target_len={result.target_len} "
-                   f"threshold={result.threshold:.4f} "
+        knob = (f"threshold={result.knob:.4f}" if method == "semantic"
+                else f"target_len={result.knob}")
+        click.echo(f"calibrated {method}: {knob} "
                    f"achieved={result.achieved_avg:.1f} ok={result.ok}")
-        if method == "boundary" and params.overlap >= result.target_len:
+        if method == "boundary" and params.overlap >= result.knob:
             raise ConfigError(
                 f"chunker.overlap={params.overlap} must be below the calibrated "
-                f"target_len={result.target_len}")
+                f"{knob}")
         # write calibration's own cut: no document is split or embedded again
         steps = dict(zip((d.id for d in docs), result.steps))
 
@@ -345,12 +344,13 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
         what = f"unknown metrics {unknown}" if unknown else "no metrics given"
         raise ConfigError(f"{what}; choose from {tuple(METRIC_BACKENDS)}")
     backends = {}
-    for role, build in (("scorer", build_scorer), ("embedder", build_embedder)):
+    for role, article, build in (("scorer", "a", build_scorer),
+                                 ("embedder", "an", build_embedder)):
         needing = [m for m in metric_names if METRIC_BACKENDS[m] == role]
         if needing:
             spec = getattr(config, role)
             if spec is None:
-                raise ConfigError(f"metrics {needing} need a {role} in config")
+                raise ConfigError(f"metrics {needing} need {article} {role} in config")
             backends[role] = _owned(build(spec))
 
     docs = _load_docs(corpus)
@@ -427,8 +427,9 @@ def cmd_windows(config: RunConfig, corpus: str, out: str,
     count = 0
     with _report(out, {"max_window_tokens": config.dataset.max_window_tokens}) as write:
         for doc in load_corpus(corpus):
-            for w in sliding_windows(doc, max_tokens=config.dataset.max_window_tokens):
-                write({"doc_id": doc.id, "start": w.start, "end": w.end})
+            for start, end in sliding_windows(
+                    doc, max_tokens=config.dataset.max_window_tokens):
+                write({"doc_id": doc.id, "start": start, "end": end})
                 count += 1
     click.echo(f"wrote {count} windows")
 

@@ -117,11 +117,17 @@ class DatasetParams:
                               f"got {self.flag_ratio}")
 
 
+#: The largest ``concurrency``: past an HTTP scorer's ``max_in_flight``
+#: (default 4) more threads only wait on its semaphore.
+MAX_CONCURRENCY = 64
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Backends and parameters of one run. ``concurrency`` is the size of
     the one thread pool that runs all of ``eval``'s pair scores, BC's
-    included; at 1 no thread starts. Other commands ignore it."""
+    included, from 1 to :data:`MAX_CONCURRENCY`; at 1 no thread starts.
+    Other commands ignore it."""
 
     scorer: BackendSpec | None = None
     generator: BackendSpec | None = None
@@ -134,8 +140,9 @@ class RunConfig:
     concurrency: int = 1
 
     def __post_init__(self):
-        if self.concurrency < 1:
-            raise ConfigError("concurrency must be >= 1")
+        if not 1 <= self.concurrency <= MAX_CONCURRENCY:
+            raise ConfigError(f"concurrency must be >= 1 and <= {MAX_CONCURRENCY}, "
+                              f"got {self.concurrency}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -143,7 +150,11 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                          f"at offset {exc.start}") from None
     if path.suffix in (".yaml", ".yml"):
         import yaml  # loaded only for a YAML config
 

@@ -1,12 +1,12 @@
-"""Training-data distillation: windows, cleaning, rule and label synthesis.
+"""Training-data distillation: windows, cleaning, rule synthesis.
 
 A long document is cut into sub-token-budget windows (preferring paragraph
 breaks, then sentence ends, then hard cuts), a generator proposes chunk
 texts per window, hallucinated chunks are flagged by minimum edit distance
-against the source, and surviving chunks become anchor rules and
-granularity labels. A chunking also yields training samples: one router
-text per document and one expert prompt/target pair per window. Nothing
-here writes a file; the CLI decides where samples go.
+against the source, and surviving chunks become anchor rules. A chunking
+also yields training samples: one router text per document and one expert
+prompt/target pair per window. Nothing here writes a file; the CLI
+decides where samples go.
 
 A window budget counts characters as a stand-in for tokens, since the
 backend tokenizer is remote; windows only need to respect a budget.
@@ -24,14 +24,7 @@ from typing import Callable, Sequence
 from . import prompts
 from .errors import ExtractionError, RuleParseError, ScoringError
 from .fuzzy import best_substring_match
-from .rules import (
-    DEFAULT_PLACEHOLDER,
-    ChunkRule,
-    GranularityLabel,
-    RuleList,
-    label_for_mean,
-    render_rule_targets,
-)
+from .rules import DEFAULT_PLACEHOLDER, ChunkRule, RuleList, render_rule_targets
 from .scoring import Generator
 from .text import Chunk, ChunkSet, Document, split_sentences
 
@@ -40,26 +33,13 @@ logger = logging.getLogger(__name__)
 _PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
 
 
-@dataclass(frozen=True)
-class Window:
-    """One sub-budget slice ``[start, end)`` of the document it was cut from."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"invalid window span [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
 def sliding_windows(
     doc: Document,
     max_tokens: int = 1024,
-) -> list[Window]:
-    """Tile the document into windows of at most ``max_tokens`` characters.
+) -> list[tuple[int, int]]:
+    """Tile the document into windows ``(start, end)`` of at most
+    ``max_tokens`` characters, each non-empty and starting where the one
+    before ends.
 
     Cut points are chosen at the last paragraph break within budget, else
     the last sentence end, else a hard cut exactly at the budget. A budget
@@ -75,12 +55,12 @@ def sliding_windows(
         s.end for s in split_sentences(doc) if s.terminal is not None
     ]
 
-    windows: list[Window] = []
+    windows: list[tuple[int, int]] = []
     pos = 0
     while pos < n:
         limit = pos + budget
         if limit >= n:
-            windows.append(Window(pos, n))
+            windows.append((pos, n))
             break
         # a break found in [pos, limit) ends past pos and by limit
         cut = None
@@ -92,7 +72,7 @@ def sliding_windows(
                 cut = sentence_ends[idx]
         if cut is None:
             cut = limit
-        windows.append(Window(pos, cut))
+        windows.append((pos, cut))
         pos = cut
     return windows
 
@@ -102,16 +82,17 @@ _WINDOW_FAULTS = (RuleParseError, ExtractionError, ScoringError)
 
 def windowed_chunk(
     doc: Document,
-    windows: Sequence[Window],
+    windows: Sequence[tuple[int, int]],
     per_window: Callable[[str, int], list[tuple[int, int]]],
 ) -> tuple[list[tuple[int, int]], int]:
     """Chunk a document window by window, stitched with the chunk buffer.
 
+    ``windows`` are the ``(start, end)`` pairs of :func:`sliding_windows`.
     ``per_window(region, offset)`` returns the document spans it finds in
-    ``region = doc.text[offset:window.end]``. The first region starts at 0.
-    Unless the window is the last or gave a single span, its last span is
-    held back and the next region starts where that span began, so the next
-    window sees the held text again. A window whose ``per_window`` raises
+    ``region = doc.text[offset:end]`` of a window's ``end``. The first
+    region starts at 0. Unless the window is the last or gave a single
+    span, its last span is held back and the next region starts where that
+    span began, so the next window sees the held text again. A window whose ``per_window`` raises
     a parse, extraction or backend error (a router's scoring fault is a
     backend error) contributes no spans, is logged, and the next region
     starts at its end; the span held back for it is kept, since the window
@@ -123,23 +104,23 @@ def windowed_chunk(
     held: tuple[int, int] | None = None  # the span re-offered to this window
     region_start = 0
     failed = 0
-    for wi, window in enumerate(windows):
+    for wi, (_, window_end) in enumerate(windows):
         try:
-            found = per_window(doc.text[region_start:window.end], region_start)
+            found = per_window(doc.text[region_start:window_end], region_start)
         except _WINDOW_FAULTS as exc:
             logger.warning("doc %s window %d failed: %s", doc.id, wi, exc)
             failed += 1
             if held is not None:
                 spans.append(held)
                 held = None
-            region_start = window.end
+            region_start = window_end
             continue
         if wi < len(windows) - 1 and len(found) > 1:
             held = found.pop()
             region_start = held[0]
         else:
             held = None
-            region_start = window.end
+            region_start = window_end
         spans.extend(found)
     if failed == len(windows):
         raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
@@ -193,7 +174,7 @@ def detect_hallucination(
 
 
 # ---------------------------------------------------------------------------
-# Rule and label synthesis
+# Rule synthesis
 # ---------------------------------------------------------------------------
 
 def make_rules(
@@ -218,13 +199,6 @@ def make_rules(
                 suffix=text[-anchor_len:],
             ))
     return RuleList(rules=tuple(rules))
-
-
-def label_granularity(chunks: ChunkSet) -> GranularityLabel:
-    """Granularity label of a chunking from its mean chunk length."""
-    if not chunks.chunks:
-        raise ValueError("cannot label an empty chunk set")
-    return label_for_mean(chunks.mean_length())
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +234,16 @@ def expert_samples(
     placeholder: str = DEFAULT_PLACEHOLDER,
     max_window_tokens: int = 1024,
 ) -> list[tuple[str, str]]:
-    """Expert training pairs ``(prompt, target)``: per window, the
-    rule-chunking prompt over the window text and the rule list of the
-    chunks falling inside it."""
+    """Expert training pairs ``(prompt, target)``: per window ``(start,
+    end)`` of :func:`sliding_windows`, the rule-chunking prompt over the
+    window text and the rule list of the chunks falling inside it."""
     samples = []
-    for window in sliding_windows(doc, max_tokens=max_window_tokens):
-        inside = [c for c in chunks
-                  if c.start >= window.start and c.end <= window.end]
+    for start, end in sliding_windows(doc, max_tokens=max_window_tokens):
+        inside = [c for c in chunks if c.start >= start and c.end <= end]
         if inside:
             samples.append((
                 prompts.render(prompts.RULE_CHUNK_PROMPT,
-                               text=doc.text[window.start:window.end],
+                               text=doc.text[start:end],
                                placeholder=placeholder),
                 render_rule_targets(make_rules(inside, anchor_len, placeholder)),
             ))

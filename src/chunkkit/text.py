@@ -35,6 +35,12 @@ class Document:
             raise ValueError("document id must be a non-empty string")
         if not isinstance(self.text, str):
             raise TypeError(f"document {self.id!r}: text must be a string")
+        for name in ("id", "text"):
+            try:  # a lone surrogate is valid JSON, but no writer can encode it
+                getattr(self, name).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"document {self.id!r}: {name} holds a lone "
+                                 f"surrogate at index {exc.start}") from None
         if not isinstance(self.meta, Mapping):
             raise TypeError(f"document {self.id!r}: meta must be an object")
         if not self.text.strip():
@@ -189,14 +195,24 @@ def split_sentences(doc: Document | str) -> list[SentenceSpan]:
 # Corpus and chunk-set IO
 # ---------------------------------------------------------------------------
 
+# What ``surrogateescape`` decodes each byte that is not UTF-8 to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
     """``(where, record)`` for each non-blank line of a JSON-lines file, where
-    ``where`` reads ``<path>: line N``; invalid JSON is a CorpusFormatError."""
-    with open(path, encoding="utf-8") as fh:
+    ``where`` reads ``<path>: line N``; invalid JSON, or a line that is not
+    UTF-8, is a CorpusFormatError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             where = f"{path}: line {line_no}"
+            bad = None if line.isascii() else _UNDECODED.search(line)
+            if bad:
+                raise CorpusFormatError(
+                    f"{where}: not UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                    f"at column {bad.start() + 1}")
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -261,17 +277,15 @@ def save_chunksets(chunksets: Iterable[ChunkSet], path: str | Path) -> int:
 
 
 def load_chunksets(
-    path: str | Path,
-    documents: Mapping[str, Document] | Iterable[Document],
+    path: str | Path, documents: Mapping[str, Document]
 ) -> list[ChunkSet]:
-    """Load chunk sets, re-slicing chunk text from the source documents.
+    """Load chunk sets, re-slicing chunk text from the source documents,
+    which ``documents`` maps by id.
 
     Raises :class:`CorpusFormatError` naming the offending line on malformed
     records, unknown document ids or a document id seen before.
     """
     path = Path(path)
-    if not isinstance(documents, Mapping):
-        documents = {d.id: d for d in documents}
     out: list[ChunkSet] = []
     seen: set[str] = set()
     for where, record in read_jsonl(path):

@@ -33,7 +33,7 @@ from itertools import product
 from statistics import fmean
 
 from chunkkit.chunkers import chunk_boundary_aware, chunk_fixed
-from chunkkit.dataset import label_granularity, make_rules, sliding_windows
+from chunkkit.dataset import make_rules, sliding_windows
 from chunkkit.fuzzy import edit_distance
 from chunkkit.metrics import (
     SemanticGraph,
@@ -44,7 +44,13 @@ from chunkkit.metrics import (
     pearson,
 )
 from chunkkit.moc import extract_chunks, moc_chunk
-from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, render_rule_targets
+from chunkkit.rules import (
+    ChunkRule,
+    GranularityLabel,
+    RuleList,
+    label_for_mean,
+    render_rule_targets,
+)
 from chunkkit.scoring import FixtureScorer, GenerationResult, NGramScorer
 from chunkkit.text import ChunkSet, Document, split_sentences
 
@@ -332,7 +338,7 @@ def test_c6_granularity_boundary_means():
     for mean, expected in ((120, 0), (150, 1), (180, 2), (181, 3)):
         doc = Document(id="d", text="x" * mean)
         cs = ChunkSet.from_spans(doc, [(0, mean)], method="t")
-        outcomes.append(label_granularity(cs) == GranularityLabel(expected))
+        outcomes.append(label_for_mean(cs.mean_length()) == GranularityLabel(expected))
     ok = all(outcomes)
     report("6", ok, "means 120/150/180/181 -> labels 0/1/2/3")
 
@@ -369,10 +375,10 @@ def test_c7_windowing_and_seam_stitching():
             text=random_text(rng, sentences=rng.randint(2, 24)),
         )
         windows = sliding_windows(doc, max_tokens=budget)
-        assert windows[0].start == 0
-        assert windows[-1].end == len(doc.text)
-        assert all(a.end == b.start for a, b in zip(windows, windows[1:]))
-        assert all(len(w) <= budget for w in windows)
+        assert windows[0][0] == 0
+        assert windows[-1][1] == len(doc.text)
+        assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+        assert all(end - start <= budget for start, end in windows)
 
         cs, _ = moc_chunk(doc, router, experts, max_window_tokens=budget)
         assert all(a.end <= b.start for a, b in zip(cs.chunks, cs.chunks[1:]))

@@ -297,7 +297,7 @@ class TestCalibration:
         docs = [make_doc(random_text(rng, sentences=40), f"d{i}")
                 for i in range(3)]
         result = calibrate_avg_len("fixed", docs, target_avg=178)
-        assert result.target_len == 178
+        assert result.knob == 178
 
     def test_boundary_search_reaches_target(self, rng):
         docs = [make_doc(random_text(rng, sentences=60), f"d{i}")
@@ -362,7 +362,7 @@ class TestCalibrationPins:
             "semantic", docs, target, tolerance, embedder)
         result = calibrate_avg_len("semantic", docs, target_avg=target,
                                    tolerance=tolerance, embedder=embedder)
-        assert result.threshold == knob
+        assert result.knob == knob
         assert result.achieved_avg == achieved
         assert result.ok == ok
         for d in docs:
@@ -402,7 +402,7 @@ class TestCalibrationPins:
     def test_boundary(self, docs, target, tolerance):
         knob, achieved, ok, _ = reference_calibrate("boundary", docs, target, tolerance)
         result = calibrate_avg_len("boundary", docs, target_avg=target, tolerance=tolerance)
-        assert result.target_len == knob
+        assert result.knob == knob
         assert result.achieved_avg == achieved
         assert result.ok == ok
 
@@ -460,7 +460,7 @@ class TestCalibratedCut:
         result = calibrate_avg_len("fixed", docs, target_avg=target, tolerance=tolerance)
         for doc, step in zip(docs, result.steps, strict=True):
             assert result.cut(doc, step, overlap) == \
-                chunk_fixed(doc, result.target_len)
+                chunk_fixed(doc, result.knob)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(docs=corpora, target=targets, tolerance=tolerances,
@@ -468,7 +468,7 @@ class TestCalibratedCut:
     def test_boundary(self, docs, target, tolerance, overlap, caplog):
         result = calibrate_avg_len("boundary", docs, target_avg=target,
                                    tolerance=tolerance)
-        knob = result.target_len
+        knob = result.knob
         overlap = min(overlap, knob - 1)
         with caplog.at_level("WARNING", logger="chunkkit.chunkers"):
             caplog.clear()
@@ -489,6 +489,6 @@ class TestCalibratedCut:
     def test_semantic(self, docs, embedder, target, tolerance, overlap):
         result = calibrate_avg_len("semantic", docs, target_avg=target,
                                    tolerance=tolerance, embedder=embedder)
-        knob = result.threshold
+        knob = result.knob
         for doc, step in zip(docs, result.steps, strict=True):
             assert result.cut(doc, step, overlap) == chunk_semantic(doc, embedder, knob)

@@ -72,6 +72,38 @@ class TestChunkCommand:
         assert result.exit_code == 0, result.output
         assert "calibrated fixed: target_len=178" in result.output
 
+    @pytest.mark.parametrize("method,line", [
+        ("fixed", "calibrated fixed: target_len=178 achieved=165.3 ok=False"),
+        ("boundary", "calibrated boundary: target_len=248 achieved=186.0 ok=False"),
+        ("semantic", "calibrated semantic: threshold=0.3122 achieved=186.0 ok=False"),
+    ], ids=["fixed", "boundary", "semantic"])
+    def test_calibrated_line_names_only_the_searched_knob(
+            self, runner, tmp_path, small_corpus, method, line):
+        corpus, _ = small_corpus
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedder": {"kind": "hash", "dim": 64}}))
+        result = runner.invoke(main, [
+            "--config", str(config), "chunk", "--corpus", corpus,
+            "--out", str(tmp_path / "o.jsonl"),
+            "--method", method, "--calibrate-avg", "178",
+        ])
+        assert result.exit_code == 0, result.output
+        assert [ln for ln in result.output.splitlines()
+                if ln.startswith("calibrated ")] == [line]
+
+    def test_overlap_not_below_the_calibrated_length_is_a_config_error(
+            self, runner, tmp_path, small_corpus):
+        corpus, _ = small_corpus
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, [
+            "chunk", "--corpus", corpus, "--out", str(out), "--method", "boundary",
+            "--calibrate-avg", "60", "--overlap", "100",
+        ])
+        assert result.exit_code == 2, result.output
+        assert errors_of(result) == [
+            "error: chunker.overlap=100 must be below the calibrated target_len=82"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("method,value", [
         ("fixed", "0"), ("boundary", "-5"), ("fixed", "-0.0")])
     def test_calibrate_avg_not_positive_is_a_config_error(
@@ -156,9 +188,9 @@ class TestChunkCommand:
         # the output is the chunker's at the threshold calibration chose
         embedder = HashEmbedder(dim=64)
         threshold = calibrate_avg_len("semantic", docs, target_avg=150,
-                                      embedder=embedder).threshold
-        assert load_chunksets(out, docs) == [chunk_semantic(d, embedder, threshold)
-                                             for d in docs]
+                                      embedder=embedder).knob
+        assert load_chunksets(out, {d.id: d for d in docs}) == [
+            chunk_semantic(d, embedder, threshold) for d in docs]
 
     def test_calibration_backend_fault_is_one_error(self, runner, tmp_path):
         doc = make_doc("First sentence here. Second sentence there.", "a")
@@ -288,6 +320,18 @@ class TestEvalCommand:
         assert header["k"] == 0.5
         assert len(records) == 4  # 3 docs + aggregate
         assert records[-1]["doc_id"] == "__aggregate__"
+
+    @pytest.mark.parametrize("metrics,message", [
+        ("bc,cs_i", "metrics ['bc', 'cs_i'] need a scorer in config"),
+        ("ds", "metrics ['ds'] need an embedder in config"),
+    ], ids=["scorer", "embedder"])
+    def test_missing_backend_is_a_config_error(self, runner, tmp_path, metrics,
+                                               message):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        result = runner.invoke(main, ["eval", "--corpus", corpus, "--chunksets",
+                                      chunksets, "--metrics", metrics])
+        assert result.exit_code == 2, result.output
+        assert errors_of(result) == [f"error: {message}"]
 
     def test_report_rows_and_aggregate(self, runner, tmp_path):
         # d1 has one chunk: no pairs, so its metrics are null, and the
@@ -1538,3 +1582,117 @@ class TestOutputsReplacedWhole:
                                       "--calibrate-avg", "20"])
         assert result.exit_code == 0, result.output
         assert reads == [corpus]
+
+
+class TestUnencodableText:
+    """Input that is not UTF-8, or a string UTF-8 cannot encode, is one
+    ``error:`` line where it enters, and the old output stays in place."""
+
+    OLD = "old output\n"
+
+    def run(self, runner, tmp_path, args):
+        out = tmp_path / "out.jsonl"
+        out.write_text(self.OLD)
+        result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "Traceback" not in result.output
+        assert out.read_text() == self.OLD
+        return result
+
+    # the bad file, its bytes (0xff at column 8 of line 2), and the command
+    @pytest.mark.parametrize("bad,content,args", [
+        ("bad.jsonl", b'{"id": "d0", "text": "Alpha."}\n{"id":"\xff", "text": "x"}\n',
+         ["chunk", "--corpus", "{tmp}/bad.jsonl", "--out", "{tmp}/out.jsonl",
+          "--method", "fixed"]),
+        ("bad.jsonl", b'\n{"doc_i\xff": "d0"}\n',
+         ["dataset", "label", "--corpus", "{tmp}/corpus.jsonl",
+          "--chunksets", "{tmp}/bad.jsonl", "--out", "{tmp}/out.jsonl"]),
+        ("bad.jsonl", b'{"doc_id": "d0", "chunks": ["Alpha"]}\n["x", "\xff"]\n',
+         ["dataset", "clean", "--corpus", "{tmp}/corpus.jsonl",
+          "--generated", "{tmp}/bad.jsonl", "--out", "{tmp}/out.jsonl"]),
+    ], ids=["chunk-corpus", "label-chunksets", "clean-generated"])
+    def test_input_not_utf8_is_one_error(self, runner, tmp_path, bad, content, args):
+        two_chunk_docs(tmp_path, ["d0"])
+        (tmp_path / bad).write_bytes(content)
+        result = self.run(runner, tmp_path, args)
+        assert result.exit_code == 1, result.output
+        assert errors_of(result) == [
+            f"error: {tmp_path / bad}: line 2: not UTF-8: byte 0xff at column 8"]
+
+    @pytest.mark.parametrize("name,content", [
+        ("config.json", b'{"concurrency": 1, "x": "\xff"}'),
+        ("config.yaml", b'concurrency: 1\nx: "\xff"\n'),
+    ], ids=["json", "yaml"])
+    def test_config_not_utf8_is_one_error(self, runner, tmp_path, name, content):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0"])
+        (tmp_path / name).write_bytes(content)
+        result = self.run(runner, tmp_path, [
+            "--config", str(tmp_path / name), "chunk", "--corpus", corpus,
+            "--out", "{tmp}/out.jsonl"])
+        assert result.exit_code == 2, result.output
+        offset = content.index(b"\xff")
+        assert errors_of(result) == [
+            f"error: {tmp_path / name}: not UTF-8: byte 0xff at offset {offset}"]
+
+    @pytest.mark.parametrize("record,args,message", [
+        ({"id": "d\udc00", "text": "Alpha one."},
+         ["chunk", "--method", "fixed", "--out", "{tmp}/out.jsonl"],
+         "document 'd\\udc00': id holds a lone surrogate at index 1"),
+        ({"id": "d0", "text": "Alpha \ud800 one."},
+         ["dataset", "rules", "--chunksets", "{tmp}/chunks.jsonl",
+          "--out", "{tmp}/out.jsonl"],
+         "document 'd0': text holds a lone surrogate at index 6"),
+        ({"id": "d0", "text": "Alpha \ud800 one."},
+         ["dataset", "emit", "--chunksets", "{tmp}/chunks.jsonl",
+          "--out-dir", "{tmp}/emitted"],
+         "document 'd0': text holds a lone surrogate at index 6"),
+    ], ids=["chunk-id", "rules-text", "emit-text"])
+    def test_lone_surrogate_in_corpus_is_one_error(self, runner, tmp_path, record,
+                                                   args, message):
+        two_chunk_docs(tmp_path, ["d0"])
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text(json.dumps(record) + "\n")  # escaped: valid JSON
+        result = self.run(runner, tmp_path, [*args, "--corpus", str(corpus)])
+        assert result.exit_code == 1, result.output
+        assert errors_of(result) == [f"error: {corpus}: line 1: {message}"]
+        assert not (tmp_path / "emitted").exists()
+
+    def test_lone_surrogate_in_model_is_a_config_error(self, runner, tmp_path):
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(http_scorer(model="m\ud800")))
+        result = self.run(runner, tmp_path, [
+            "--config", str(config), "eval", "--corpus", corpus,
+            "--chunksets", chunksets, "--metrics", "bc", "--out", "{tmp}/out.jsonl"])
+        assert result.exit_code == 2, result.output
+        assert errors_of(result) == [
+            "error: invalid http backend 'scorer': model holds a lone surrogate "
+            "at index 1, got 'm\\ud800'"]
+
+
+class TestConcurrencyLimit:
+    """A concurrency above 64 is rejected before any command runs, so no
+    thread pool is made."""
+
+    @pytest.mark.parametrize("value", [65, 10**9])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_above_the_bound_is_a_config_error(self, runner, tmp_path, monkeypatch,
+                                               source, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_load_docs", no_pool)
+        _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scorer": {"kind": "ngram", "alphabet": "abc"},
+            **({"concurrency": value} if source == "config" else {})}))
+        flag = ["--concurrency", str(value)] if source == "flag" else []
+        result = runner.invoke(main, ["--config", str(config), *flag, "eval",
+                                      "--corpus", corpus, "--chunksets", chunksets,
+                                      "--metrics", "bc"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [
+            f"error: concurrency must be >= 1 and <= 64, got {value}"]

@@ -195,6 +195,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="overlap must satisfy"):
             override(config, chunker={"overlap": 1})
 
+    @pytest.mark.parametrize("concurrency,ok", [(0, False), (1, True), (64, True),
+                                                (65, False)])
+    def test_concurrency_edges(self, concurrency, ok):
+        if ok:
+            assert parse_config({"concurrency": concurrency}).concurrency == concurrency
+        else:
+            with pytest.raises(ConfigError, match=r"^concurrency must be >= 1 and "
+                                                  r"<= 64, got -?\d+$"):
+                parse_config({"concurrency": concurrency})
+
     def test_bad_expert_label(self):
         with pytest.raises(ConfigError, match="invalid expert label"):
             parse_config({"experts": {"7": {"kind": "http"}}})

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from chunkkit import fuzzy
 from chunkkit.dataset import (
     CleaningVerdict,
-    Window,
     detect_hallucination,
     distill_document,
     expert_samples,
-    label_granularity,
     make_rules,
     parse_tagged_chunks,
     router_text,
@@ -25,7 +23,7 @@ from chunkkit.dataset import (
 )
 from chunkkit.errors import ExtractionError, RuleParseError, ScoringError
 from chunkkit.moc import extract_chunks
-from chunkkit.rules import GranularityLabel, parse_rule_list
+from chunkkit.rules import GranularityLabel, label_for_mean, parse_rule_list
 from chunkkit.scoring import FixtureGenerator, GenerationResult
 from chunkkit.text import ChunkSet, Document, split_sentences
 from chunkkit import prompts
@@ -39,7 +37,7 @@ class TestSlidingWindows:
         assert len(doc.text) < 1024
         windows = sliding_windows(doc, max_tokens=1024)
         assert len(windows) == 1
-        assert (windows[0].start, windows[0].end) == (0, len(doc.text))
+        assert windows[0] == (0, len(doc.text))
 
     def test_paragraph_breaks_preferred(self, rng):
         # paragraphs of ~400 chars: cuts land exactly on paragraph breaks
@@ -54,30 +52,30 @@ class TestSlidingWindows:
         for p in paragraphs[:-1]:
             pos += len(p) + 2
             breaks.add(pos)
-        for w in windows[:-1]:
-            assert w.end in breaks
-        assert all(len(w) <= 1024 for w in windows)
+        for _, end in windows[:-1]:
+            assert end in breaks
+        assert all(end - start <= 1024 for start, end in windows)
 
     def test_sentence_ends_when_no_paragraphs(self, rng):
         doc = make_doc(random_text(rng, sentences=60))
         windows = sliding_windows(doc, max_tokens=256)
-        for w in windows[:-1]:
-            assert doc.text[w.end - 1] == "."
-            assert len(w) <= 256
+        for start, end in windows[:-1]:
+            assert doc.text[end - 1] == "."
+            assert end - start <= 256
 
     def test_hard_cut_fallback(self):
         doc = make_doc("x" * 3000)
         windows = sliding_windows(doc, max_tokens=1024)
-        assert [len(w) for w in windows] == [1024, 1024, 952]
+        assert [end - start for start, end in windows] == [1024, 1024, 952]
 
     def test_windows_tile_document(self, rng):
         for i in range(25):
             doc = make_doc(random_text(rng, sentences=rng.randint(1, 80)),
                            doc_id=f"d{i}")
             windows = sliding_windows(doc, max_tokens=200)
-            assert windows[0].start == 0
-            assert windows[-1].end == len(doc.text)
-            assert all(a.end == b.start for a, b in zip(windows, windows[1:]))
+            assert windows[0][0] == 0
+            assert windows[-1][1] == len(doc.text)
+            assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
 
     @pytest.mark.parametrize("max_tokens", [10**6, sys.maxsize, 10**400],
                              ids=["10**6", "maxsize", "10**400"])
@@ -85,14 +83,14 @@ class TestSlidingWindows:
         # the budget is an integer clamped to the text: no count overflows
         doc = make_doc("y" * 1000)
         windows = sliding_windows(doc, max_tokens=max_tokens)
-        assert [(w.start, w.end) for w in windows] == [(0, 1000)]
+        assert windows == [(0, 1000)]
 
 
 class TestWindowedChunk:
     """The chunk buffer and per-window failures of ``windowed_chunk``."""
 
     DOC = make_doc("aaa bbb ccc ddd eee fff")
-    WINDOWS = [Window(0, 12), Window(12, 23)]
+    WINDOWS = [(0, 12), (12, 23)]
 
     def run(self, answers):
         calls = []
@@ -146,7 +144,7 @@ class TestWindowedChunk:
 
     def test_span_re_offered_to_a_failed_window_is_kept(self):
         doc = make_doc("aaaa bbbb cccc dddd eeee ffff")
-        windows = [Window(0, 15), Window(15, 25), Window(25, 29)]
+        windows = [(0, 15), (15, 25), (25, 29)]
         calls = []
 
         def per_window(region, offset):  # 5-character spans
@@ -271,21 +269,21 @@ class TestSearchBound:
         para2 = "Inland, the orchards bloom. Farmers walk between the rows."
         doc = make_doc(para1 + "\n\n" + para2)
         windows = sliding_windows(doc, max_tokens=len(para1) + 2)
-        assert [(w.start, w.end) for w in windows] == [
+        assert windows == [
             (0, len(para1) + 2), (len(para1) + 2, len(doc.text))]
         first, later = para1[:26], para2[:26]  # later is in window 2 only
         generator = FixtureGenerator({
-            prompts.render(prompts.DISTILL_PROMPT, text=doc.text[:windows[0].end]):
+            prompts.render(prompts.DISTILL_PROMPT, text=doc.text[:windows[0][1]]):
                 f"<chunk>{first}</chunk><chunk>{later}</chunk>",
             prompts.render(prompts.DISTILL_PROMPT, text=para2):
                 f"<chunk>{para2}</chunk>",
         })
-        result = distill_document(doc, generator, max_window_tokens=windows[0].end)
+        result = distill_document(doc, generator, max_window_tokens=windows[0][1])
         verdict = result.verdicts[1]
         # unbounded, "later" matched exactly at its place in paragraph 2
-        assert doc.text.find(later) == windows[1].start
+        assert doc.text.find(later) == windows[1][0]
         assert verdict.flagged and verdict.min_edit_distance > 0
-        assert len(first) <= verdict.start <= verdict.end <= windows[0].end
+        assert len(first) <= verdict.start <= verdict.end <= windows[0][1]
         assert [c.text for c in result.chunkset.chunks] == [first, para2]
         assert result.failed_windows == 0
 
@@ -366,11 +364,11 @@ class TestLabelGranularity:
     def test_boundary_means(self, length, label):
         doc = make_doc("x" * length)
         cs = ChunkSet.from_spans(doc, [(0, length)], method="t")
-        assert label_granularity(cs) == GranularityLabel(label)
+        assert label_for_mean(cs.mean_length()) == GranularityLabel(label)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            label_granularity(ChunkSet(doc_id="d", chunks=(), method="t"))
+            ChunkSet(doc_id="d", chunks=(), method="t").mean_length()
 
 
 def uniform_chunkset(chunk_len: int, n: int, doc_id: str = "d"):
@@ -448,7 +446,7 @@ class TestDistillDocument:
         windows = sliding_windows(doc, max_tokens=budget)
         assert len(windows) == 2
 
-        region1 = doc.text[windows[0].start:windows[0].end]
+        region1 = doc.text[slice(*windows[0])]
         half = len(para1) // 2
         generation = (f"<chunk>{doc.text[:half]}</chunk>"
                       f"<chunk>{doc.text[half:len(para1)]}</chunk>")
@@ -478,7 +476,7 @@ class TestDistillDocument:
     def test_cut_off_window_leaves_the_other_windows_chunks(self, caplog):
         doc = make_doc("Alpha one here. Beta two here.\n\nGamma 3 here.")
         windows = sliding_windows(doc, max_tokens=35)
-        assert [(w.start, w.end) for w in windows] == [(0, 32), (32, 45)]
+        assert windows == [(0, 32), (32, 45)]
         generator = FixtureGenerator().add(
             prompts.render(prompts.DISTILL_PROMPT, text=doc.text[:32]),
             "<chunk>Alpha one here.</chunk><chunk>Beta two", finish_reason="length",

@@ -1,10 +1,12 @@
-"""Golden record bodies: the chunk-set file, ``chunk --report`` records and
-the ``dataset distill`` and ``dataset clean`` verdicts, pinned byte for
+"""Golden record bodies: the chunk-set file, ``chunk --report`` records,
+the ``dataset distill`` and ``dataset clean`` verdicts, and the files of
+``dataset windows``, ``label``, ``rules`` and ``emit``, pinned byte for
 byte on small hand-made inputs.
 
-The inputs hold a failed rule, a recovered rule, a flagged chunk and more
-than one window, so every field each writer derives (a rule's number and
-mode, a verdict's chunk position and flag) shows in a pinned line.
+The inputs hold a failed rule, a recovered rule, a flagged chunk, more
+than one window and three granularity labels, so every field each writer
+derives (a rule's number and mode, a verdict's chunk position and flag, a
+window's span, a label, an expert sample's window) shows in a pinned line.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from click.testing import CliRunner
 
 from chunkkit import prompts
 from chunkkit.cli import main
-from chunkkit.text import save_corpus
+from chunkkit.text import ChunkSet, save_chunksets, save_corpus
 
 from conftest import make_doc
 
@@ -163,3 +165,114 @@ def test_clean_body_numbers_chunks_per_record(runner, tmp_path):
         '{"chunk": 1, "distance": 8, "doc_id": "d1", "flagged": true, '
         '"span": [1, 10], "threshold": 1}',
     ]
+
+
+# Three chunkings of mean length 24, 130.5 and 199: labels 0, 1 and 3. At
+# anchor_len 12 the chunks of d0 of at most 24 characters become literal
+# rules, and only d0's chunks fit inside one window of BUDGET characters.
+RIVER = ("The river runs past the old mill and on into the quiet town below. "
+         "Boats wait by the bank while the ferryman counts his coins twice. "
+         "At dusk the lamps come on one by one along the stone embankment. "
+         "Nobody hurries here, and the church bell marks every half hour.")
+WINTER = ("Winter came early that year, and the pass closed before the last "
+          "caravan reached the valley. The traders camped below the ridge and "
+          "waited for a thaw that did not come until the first week of spring.")
+SPANS = {"d0": [(0, 24), (25, 48), (50, 75), (76, 100)],
+         "d1": [(0, 60), (60, 261)],
+         "d2": [(0, 199)]}
+
+
+@pytest.fixture
+def labeled_inputs(tmp_path):
+    """A corpus, its chunk-set file and a config for the dataset commands."""
+    docs = [make_doc(TEXT, "d0"), make_doc(RIVER, "d1"), make_doc(WINTER, "d2")]
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(docs, corpus)
+    chunksets = tmp_path / "chunksets.jsonl"
+    save_chunksets([ChunkSet.from_spans(d, SPANS[d.id], "given") for d in docs],
+                   chunksets)
+    config = _write_json(tmp_path / "config.json", {"dataset": {
+        "max_window_tokens": BUDGET, "anchor_len": 12, "router_target_chars": 100}})
+    return ["--config", config], ["--corpus", str(corpus), "--chunksets", str(chunksets)]
+
+
+
+def test_windows_body(runner, tmp_path, labeled_inputs):
+    config, inputs = labeled_inputs
+    out = tmp_path / "windows.jsonl"
+    _invoke(runner, [*config, "dataset", "windows", *inputs[:2], "--out", str(out)])
+
+    assert _body(out, header=True) == [
+        f'{{"doc_id": "{doc_id}", "end": {end}, "start": {start}}}'
+        for doc_id, start, end in [
+            ("d0", 0, 50), ("d0", 50, 100),
+            ("d1", 0, 60), ("d1", 60, 66), ("d1", 66, 126), ("d1", 126, 132),
+            ("d1", 132, 192), ("d1", 192, 197), ("d1", 197, 257), ("d1", 257, 261),
+            ("d2", 0, 60), ("d2", 60, 92), ("d2", 92, 152), ("d2", 152, 199)]
+    ]
+
+
+def test_label_body(runner, tmp_path, labeled_inputs):
+    config, inputs = labeled_inputs
+    out = tmp_path / "labels.jsonl"
+    _invoke(runner, [*config, "dataset", "label", *inputs, "--out", str(out)])
+
+    assert _body(out, header=True) == [
+        '{"doc_id": "d0", "label": 0, "mean_length": 24.0}',
+        '{"doc_id": "d1", "label": 1, "mean_length": 130.5}',
+        '{"doc_id": "d2", "label": 3, "mean_length": 199.0}',
+    ]
+
+
+def test_rules_body(runner, tmp_path, labeled_inputs):
+    config, inputs = labeled_inputs
+    out = tmp_path / "rules.jsonl"
+    _invoke(runner, [*config, "dataset", "rules", *inputs, "--out", str(out)])
+
+    assert _body(out, header=True) == [
+        '{"doc_id": "d0", "label": 0, "rules": ['
+        '{"placeholder": null, "prefix": "Alpha one sentence here.", "suffix": ""}, '
+        '{"placeholder": null, "prefix": "Beta two sentence here.", "suffix": ""}, '
+        '{"placeholder": "[MASK]", "prefix": "Gamma three ", "suffix": "entence now."}, '
+        '{"placeholder": null, "prefix": "Delta four sentence now.", "suffix": ""}]}',
+        '{"doc_id": "d1", "label": 1, "rules": ['
+        '{"placeholder": "[MASK]", "prefix": "The river ru", "suffix": " quiet town "}, '
+        '{"placeholder": "[MASK]", "prefix": "below. Boats", "suffix": "y half hour."}]}',
+        '{"doc_id": "d2", "label": 3, "rules": ['
+        '{"placeholder": "[MASK]", "prefix": "Winter came ", "suffix": "k of spring."}]}',
+    ]
+
+
+def _expert_line(doc_id: str, window: str, target: str) -> str:
+    prompt = prompts.render(prompts.RULE_CHUNK_PROMPT, text=window, placeholder="[MASK]")
+    return f'{{"doc_id": "{doc_id}", "prompt": {json.dumps(prompt)}, "target": {target}}}'
+
+
+def test_emit_bodies(runner, tmp_path, labeled_inputs):
+    config, inputs = labeled_inputs
+    out_dir = tmp_path / "emitted"
+    _invoke(runner, [*config, "dataset", "emit", *inputs, "--out-dir", str(out_dir)])
+
+    # a sample per window holding whole chunks: d0's two, and d1's first
+    assert _body(out_dir / "expert_0.jsonl", header=False) == [
+        _expert_line("d0", TEXT[:50], '"[\\n \\"Alpha one sentence here.\\",'
+                                      '\\n \\"Beta two sentence here.\\"\\n]"'),
+        _expert_line("d0", TEXT[50:], '"[\\n \\"Gamma three [MASK]entence now.\\",'
+                                      '\\n \\"Delta four sentence now.\\"\\n]"'),
+    ]
+    assert _body(out_dir / "expert_1.jsonl", header=False) == [
+        _expert_line("d1", RIVER[:60], '"[\\n \\"The river ru[MASK] quiet town \\"\\n]"'),
+    ]
+    assert _body(out_dir / "expert_2.jsonl", header=False) == []
+    assert _body(out_dir / "expert_3.jsonl", header=False) == []
+    assert _body(out_dir / "router.jsonl", header=False) == [
+        '{"doc_id": "d0", "label": 0, "text": "Alpha one sentence here. '
+        'Beta two sentence here.\\n\\nGamma three sentence now. Delta four sentence now."}',
+        '{"doc_id": "d1", "label": 1, "text": "The river runs past the old mill '
+        'and on into the quiet town "}',
+        f'{{"doc_id": "d2", "label": 3, "text": "{WINTER}"}}',
+    ]
+    assert (out_dir / "manifest.json").read_text(encoding="utf-8") == (
+        '{\n  "expert_counts": {\n    "0": 2,\n    "1": 1,\n    "2": 0,\n    "3": 0\n  },\n'
+        '  "router_count": 3,\n  "total_samples": 6,\n  "warnings": [\n'
+        '    "expert bucket 2 is empty",\n    "expert bucket 3 is empty"\n  ]\n}')

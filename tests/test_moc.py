@@ -236,8 +236,8 @@ def build_moc_fixtures(doc: Document, label: int, chunk_texts: list[str],
     router = FixtureScorer()
     expert = FixtureGenerator()
     region_start = 0
-    for wi, window in enumerate(windows):
-        region = doc.text[region_start:window.end]
+    for wi, (_, window_end) in enumerate(windows):
+        region = doc.text[region_start:window_end]
         router_fixture(region, favouring(label), router)
         # chunks fully inside the region, as anchor rules
         inside = [t for t in chunk_texts if region.find(t) >= 0]
@@ -252,7 +252,7 @@ def build_moc_fixtures(doc: Document, label: int, chunk_texts: list[str],
                            placeholder="[MASK]"),
             json.dumps(elements),
         )
-        region_start = window.end
+        region_start = window_end
     experts = {lab: expert for lab in GranularityLabel}
     return router, experts
 
@@ -356,9 +356,9 @@ def two_window_fixtures():
     budget = len(doc.text) // 2 + 10
     windows = sliding_windows(doc, max_tokens=budget)
     assert len(windows) == 2
-    region1 = doc.text[windows[0].start:windows[0].end]
+    region1 = doc.text[slice(*windows[0])]
     inside1 = [s for s in sentences if s in region1]
-    region2 = doc.text[doc.text.find(inside1[-1]):windows[1].end]
+    region2 = doc.text[doc.text.find(inside1[-1]):windows[1][1]]
     router = FixtureScorer()
     expert = FixtureGenerator()
     for region in (region1, region2):

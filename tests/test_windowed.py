@@ -66,9 +66,9 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
     dropped = None
     region_start = 0
     failures = 0
-    for wi, window in enumerate(windows):
+    for wi, (_, window_end) in enumerate(windows):
         last_window = wi == len(windows) - 1
-        region = doc.text[region_start:window.end]
+        region = doc.text[region_start:window_end]
         try:
             label = route(region, router)
             rule_list = generate_rules(region, experts[label])
@@ -83,7 +83,7 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             if dropped is not None:
                 all_spans.append(dropped)
             dropped = None
-            region_start = window.end
+            region_start = window_end
             continue
         reports.append(report)
         if not last_window and len(spans) > 1:
@@ -91,7 +91,7 @@ def reference_moc_chunk(doc, router, experts, max_window_tokens):
             region_start = dropped[0]
         else:
             dropped = None
-            region_start = window.end
+            region_start = window_end
         all_spans.extend(spans)
     if failures == len(windows):
         raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
@@ -105,9 +105,9 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
     dropped = None
     region_start = 0
     failed = 0
-    for wi, window in enumerate(windows):
+    for wi, (_, window_end) in enumerate(windows):
         last_window = wi == len(windows) - 1
-        region = doc.text[region_start:window.end]
+        region = doc.text[region_start:window_end]
         prompt = prompts.render(prompts.DISTILL_PROMPT, text=region)
         try:
             generation = generator.generate(prompt)
@@ -117,15 +117,15 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             if dropped is not None:
                 spans.append(dropped)
             dropped = None
-            region_start = window.end
+            region_start = window_end
             continue
         window_spans: list[tuple[int, int]] = []
         cursor = region_start
         for text in chunk_texts:
             text = text.strip()
             verdict = detect_hallucination(
-                text, doc, search_from=min(cursor, window.end - 1),
-                flag_ratio=flag_ratio, search_to=window.end,
+                text, doc, search_from=min(cursor, window_end - 1),
+                flag_ratio=flag_ratio, search_to=window_end,
             )
             verdicts.append(verdict)
             if verdict.flagged or verdict.start >= verdict.end:
@@ -137,7 +137,7 @@ def reference_distill(doc, generator, max_window_tokens, flag_ratio=0.10):
             region_start = dropped[0]
         else:
             dropped = None
-            region_start = window.end
+            region_start = window_end
         spans.extend(window_spans)
     if failed == len(windows):
         raise ExtractionError(f"all {len(windows)} windows failed for doc {doc.id}")
@@ -164,7 +164,7 @@ class _Faults:
 
     def __init__(self, doc: Document, windows, faults: dict[int, str]):
         self.doc = doc
-        self.by_end = {windows[i].end: kind for i, kind in faults.items()
+        self.by_end = {windows[i][1]: kind for i, kind in faults.items()
                        if i < len(windows)}
 
     def __call__(self, region: str) -> str | None:

@@ -1,6 +1,6 @@
 """Compare the output bodies of two chunkkit trees on the benchmark's inputs.
 
-    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval]
+    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,dataset]
 
 Run from the repository root. For each workload and seed it builds the
 benchmark's inputs with ``perfbench/corpus.py``'s ``build`` (imported from
@@ -12,6 +12,11 @@ the timestamp does not count. Each body that differs is printed as a
 unified diff, and so is each command that exits other than 0; the exit
 code is 1 if anything is printed, else 0. ``eval-http`` needs the
 benchmark's fake LM server and is not offered.
+
+The ``dataset`` set is no benchmark workload. On the ``eval`` workload's
+inputs it runs ``dataset windows``, ``label``, ``rules`` and ``emit`` over
+the reference chunk sets, and ``chunk --method fixed`` and ``boundary``
+with ``--calibrate-avg 178``, and compares every file they write.
 """
 
 from __future__ import annotations
@@ -31,7 +36,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpus  # noqa: E402
 import run  # noqa: E402
 
-WORKLOADS = ("chunk", "distill", "eval")
+_DATASET_ARGS = ["--corpus", "corpus.jsonl", "--chunksets", "reference.jsonl"]
+# each set: the workload whose inputs it runs on, its commands, its outputs
+SETS = {workload: (workload, run.COMMANDS[workload], run.OUTPUTS[workload])
+        for workload in ("chunk", "distill", "eval")}
+SETS["dataset"] = ("eval", [
+    ["dataset", "windows", "--corpus", "corpus.jsonl", "--out", "windows.jsonl"],
+    ["dataset", "label", *_DATASET_ARGS, "--out", "labels.jsonl"],
+    ["dataset", "rules", *_DATASET_ARGS, "--out", "rules.jsonl"],
+    ["dataset", "emit", *_DATASET_ARGS, "--out-dir", "emitted"],
+    *(["chunk", "--corpus", "corpus.jsonl", "--out", f"{method}.jsonl",
+       "--method", method, "--calibrate-avg", "178"] for method in ("fixed", "boundary")),
+], [("windows.jsonl", True), ("labels.jsonl", True), ("rules.jsonl", True),
+    *((f"emitted/expert_{label}.jsonl", False) for label in range(4)),
+    ("emitted/router.jsonl", False), ("emitted/manifest.json", False),
+    ("fixed.jsonl", False), ("boundary.jsonl", False)])
+WORKLOADS = tuple(SETS)
 _CLI = "from chunkkit.cli import main; main(prog_name='chunkkit')"
 
 
@@ -55,12 +75,13 @@ def parse_workloads(text: str) -> list[str]:
 def run_tree(src: Path, workload: str, work: Path) -> tuple[list[int], dict]:
     """Exit codes of the workload's commands run with ``src`` in ``work``,
     and each output's body (None when the file is missing)."""
+    _, commands, outputs = SETS[workload]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
     codes = [subprocess.run([sys.executable, "-c", _CLI, *args], cwd=work, env=env,
                             capture_output=True).returncode
-             for args in run.COMMANDS[workload]]
+             for args in commands]
     bodies = {}
-    for name, header in run.OUTPUTS[workload]:
+    for name, header in outputs:
         path = work / name
         lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else None
         bodies[name] = lines[1:] if lines and header else lines
@@ -71,8 +92,9 @@ def compare(parent_src: Path, workload: str, seed: int) -> list[str]:
     """The differences between the two trees on one workload and seed."""
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         inputs = Path(tmp) / "inputs"
-        corpus.build(workload, seed, inputs)
-        corpus.write_config(workload, inputs)
+        built = SETS[workload][0]
+        corpus.build(built, seed, inputs)
+        corpus.write_config(built, inputs)
         results = {}
         for side, src in (("parent", parent_src), ("tree", ROOT / "src")):
             shutil.copytree(inputs, Path(tmp) / side)
