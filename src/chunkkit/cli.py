@@ -92,9 +92,12 @@ _FINITE = _FiniteFloat()
 @contextmanager
 def _staged(path: str | Path) -> Iterator[Path]:
     """A temporary path beside ``path`` that replaces it when the block ends
-    normally and is removed on any other exit. A failure to write or rename
-    the temporary file is a ChunkKitError that names ``path``."""
+    normally and is removed on any other exit. A path with no file name
+    (``''``, ``.``, ``/``), or a failure to write or rename the temporary
+    file, is a ChunkKitError that names ``path``."""
     given, path = path, Path(path)
+    if not path.name:
+        raise ChunkKitError(f"{given!r}: not a file name")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -302,7 +305,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
     failures: _Failures = []
     totals = [0, 0]  # chunks, their characters
     with _staged(out) as out_tmp, \
-            (_report(report_path, {"method": method}) if report_path
+            (_report(report_path, {"method": method}) if report_path is not None
              else nullcontext(lambda record: None)) as write_report:
 
         def chunksets():

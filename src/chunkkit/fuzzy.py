@@ -14,14 +14,22 @@ end recovers its start. Ties are resolved smallest distance, then smallest
 start, then span length closest to the needle's (a one-substitution match
 beats a one-deletion match), then smallest end.
 
-A miss of ``str.find`` proves every distance is at least 1, so the
-free-start row stops at its floor: once it reaches 1 at some end e1, the
-best distance is 1, and the row stops at e1 + 1. An end past e1 + 2 starts
-after every span ending at e1; end e1 + 2 starts no earlier, and when it
-starts at the same place its length is off the needle's by as much, so the
-tie goes to the smaller end e1. A best distance of 2 or more never reaches
-the floor, and the row spans the whole haystack. Either way the distance
-is exact; there is no cap.
+A miss of ``str.find`` proves every distance is at least 1; the needle's
+pieces prove more. The partition filter (Wu & Manber, CACM 35(10), 1992;
+Navarro, ACM CSUR 33(1), 2001) cuts the needle from the left into pieces,
+each ending at its shortest prefix that does not occur in the search
+region. An edit touches at most one piece, so an alignment with fewer
+edits than pieces leaves one piece whole, and that piece would occur in
+the region: the piece count k bounds every distance from below.
+
+The free-start row stops at this floor: once it first reaches k at some
+end e1, the best distance d* is k, and the row stops at e1 + 2k - 1. A
+span of distance d* is within d* of the needle's length, so an end at
+e1 + 2d* or later starts no earlier than the best span ending at e1; when
+it starts at the same place, that span is d* shorter than the needle and
+the later one d* longer, so the tie goes to the smaller end e1. When d* is
+above k the row never reaches the floor and spans the whole haystack.
+Either way the distance is exact; there is no cap.
 """
 
 from __future__ import annotations
@@ -123,6 +131,36 @@ def _best_start_for_end(needle: str, hay: str, end: int, max_len: int) -> tuple[
     return best_dist, best_start
 
 
+def _pieces(needle: str, hay: str) -> int:
+    """The number of pieces cut from the left of ``needle``, each at its
+    shortest prefix absent from ``hay``: a lower bound on the distance of
+    ``needle`` to every substring of ``hay`` (see the module doc).
+
+    A prefix that is absent stays absent as it grows, so each cut is found
+    by galloping (lengths 1, 2, 4, ...) and then bisecting: k pieces take
+    O(k log(m / k)) containment tests for an m-char needle, at most about
+    4m / 3 (pieces of three characters), each one C-level search of
+    ``hay``.
+    """
+    m = len(needle)
+    pieces = i = 0
+    while i < m:
+        lo, hi = 0, 1  # needle[i:i + lo] occurs in hay; is needle[i:i + hi] absent?
+        while needle[i:i + hi] in hay:
+            if hi == m - i:
+                return pieces  # the rest of the needle occurs: no further piece
+            lo, hi = hi, min(2 * hi, m - i)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if needle[i:i + mid] in hay:
+                lo = mid
+            else:
+                hi = mid
+        pieces += 1
+        i += hi
+    return pieces
+
+
 def best_substring_match(needle: str, haystack: str, search_from: int = 0,
                          search_to: int | None = None) -> SpanMatch:
     """The substring of ``haystack[search_from:search_to]`` closest to
@@ -130,11 +168,12 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0,
 
     ``search_to`` bounds the search as ``str.find``'s ``end`` does; None is
     the end of ``haystack``. The search costs time in proportion to the
-    characters between the two bounds. Among all spans with minimal edit
-    distance the smallest start wins, then the span length closest to the
-    needle's length, then the smallest end. An exact occurrence is found by
-    ``str.find``: distance 0 forces an exact-length span, so the earliest
-    occurrence is the answer.
+    characters between the two bounds, or only up to the end of the best
+    match when the needle's pieces prove its distance (see the module doc).
+    Among all spans with minimal edit distance the smallest start wins, then
+    the span length closest to the needle's length, then the smallest end.
+    An exact occurrence is found by ``str.find``: distance 0 forces an
+    exact-length span, so the earliest occurrence is the answer.
     """
     if not needle:
         raise ValueError("needle must be non-empty")
@@ -151,8 +190,8 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0,
         return SpanMatch(start=pos, end=pos + m, distance=0)
     hay = haystack[search_from:search_to]
 
-    # no exact occurrence: every distance is at least 1 (see the module doc)
-    row = _last_row(needle, hay, free_start=True, floor=1)
+    # no exact occurrence: the pieces bound every distance (see the module doc)
+    row = _last_row(needle, hay, free_start=True, floor=_pieces(needle, hay))
     d_star = min(row)
     max_len = m + d_star  # any optimal span has length in [m - d*, m + d*]
 

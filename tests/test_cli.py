@@ -1571,6 +1571,40 @@ class TestOutputsReplacedWhole:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "chunks.jsonl", "config.json", "corpus.jsonl", "out.jsonl", "report.jsonl"]
 
+    @pytest.mark.parametrize("command, given", [
+        (["chunk", "--method", "fixed", "--out", ""], ""),
+        (["chunk", "--method", "fixed", "--out", "."], "."),
+        (["chunk", "--method", "fixed", "--out", "/"], "/"),
+        (["chunk", "--method", "moc", "--out", "out.jsonl", "--report", ""], ""),
+        (["eval", "--chunksets", "chunks.jsonl", "--metrics", "ds", "--out", ""], ""),
+        (["dataset", "windows", "--out", ""], ""),
+        (["dataset", "label", "--chunksets", "chunks.jsonl", "--out", ""], ""),
+        (["dataset", "rules", "--chunksets", "chunks.jsonl", "--out", ""], ""),
+        (["dataset", "clean", "--generated", "generated.jsonl", "--out", ""], ""),
+    ], ids=["chunk-empty", "chunk-dot", "chunk-root", "chunk-moc-report", "eval",
+            "dataset-windows", "dataset-label", "dataset-rules", "dataset-clean"])
+    def test_out_with_no_file_name_is_one_error(self, runner, tmp_path, monkeypatch,
+                                                old_outputs, command, given):
+        _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
+        (tmp_path / "empty.json").write_text(json.dumps({"entries": []}))
+        fixture = {"kind": "fixture", "table": "empty.json"}
+        (tmp_path / "config.json").write_text(json.dumps({
+            "embedder": {"kind": "hash", "dim": 16}, "router": fixture,
+            "experts": {str(i): fixture for i in range(4)}}))
+        (tmp_path / "generated.jsonl").write_text(
+            json.dumps({"doc_id": "d0", "chunks": ["Alpha 0 opens"]}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        result = runner.invoke(main, ["--config", "config.json", *command,
+                                      "--corpus", corpus])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert errors_of(result) == [f"error: {given!r}: not a file name"]
+        out, report = old_outputs
+        assert (out.read_text(), report.read_text()) == (
+            "old chunk sets\n", "old report\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_chunk_reads_the_corpus_once(self, runner, tmp_path, monkeypatch):
         _, corpus, _ = two_chunk_docs(tmp_path, ["d0", "d1"])
         reads = []

@@ -146,6 +146,49 @@ def one_edit_then_decoys(draw):
     return needle, haystack
 
 
+# Marks that no haystack holds: each one in a needle ends a piece there.
+MARKS = "~#"
+
+
+@st.composite
+def marked_edits_then_decoys(draw):
+    """A haystack holding a text followed by decoys, and a needle that is
+    the text with 2 to 6 edits, at least two of them marks. The needle's
+    pieces prove a floor of at least 2, often the whole distance, so the
+    free-start row stops above distance 1."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    text = draw(st.text(alphabet=alphabet, min_size=2, max_size=100))
+    needle = list(text)
+    for pos, op, mark in draw(st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from("sid"),
+                      st.sampled_from(MARKS)), min_size=2, max_size=6)):
+        pos %= len(needle) + 1
+        if op == "i":
+            needle.insert(pos, mark)
+        elif pos < len(needle):
+            needle[pos:pos + 1] = [mark] if op == "s" else []
+    needle = "".join(needle)
+    assume(sum(c in MARKS for c in needle) >= 2)
+    decoys = {"last": text[-1:], "last2": text[-2:], "half": text[len(text) // 2:],
+              "copy": text[1:], "text": text}
+    tail = "".join(decoys[d] for d in draw(st.lists(st.sampled_from(sorted(decoys)),
+                                                    max_size=4)))
+    haystack = draw(st.text(alphabet=alphabet, max_size=40)) + text + tail
+    return needle, haystack
+
+
+def naive_pieces(needle: str, hay: str) -> int:
+    """Reference: ``fuzzy._pieces`` by trying each piece length in turn."""
+    pieces = i = 0
+    while True:
+        for j in range(i + 1, len(needle) + 1):
+            if needle[i:j] not in hay:
+                break
+        else:
+            return pieces  # the rest occurs (or nothing is left)
+        pieces, i = pieces + 1, j
+
+
 # None, or a draw that search_range turns into an end past the start
 search_ends = st.one_of(st.none(), st.integers(0, 10**6))
 
@@ -198,6 +241,28 @@ class TestBitParallelKernel:
         assert (m.start, m.end, m.distance) == \
             cell_dp_best_substring_match(needle, haystack, search_from, search_to)
 
+    @given(marked_edits_then_decoys(), st.integers(0, 10**6), search_ends)
+    @settings(max_examples=300)
+    def test_pieces_floor_stop_matches_cell_dp(self, case, search_from, end):
+        needle, haystack = case
+        assert fuzzy._pieces(needle, haystack) >= 2
+        search_from, search_to = search_range(haystack, search_from, end)
+        m = best_substring_match(needle, haystack, search_from, search_to)
+        assert (m.start, m.end, m.distance) == \
+            cell_dp_best_substring_match(needle, haystack, search_from, search_to)
+
+    @given(needle_near_haystack(), st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_floor_rows_are_prefixes_of_the_cell_dp_row(self, case, draw):
+        needle, haystack = case
+        full = cell_dp_row(needle, haystack, free_start=True)
+        assume(min(full) > 0)  # a floor is at least 1
+        floor = 1 + draw % min(full)  # any floor up to the best distance
+        row = fuzzy._last_row(needle, haystack, True, floor)
+        # 2 * floor entries from the first one at the floor, or all of them
+        length = full.index(floor) + 2 * floor if floor in full else len(full)
+        assert row == full[:length]
+
     @given(st.text(alphabet="aé你😀", max_size=150),
            st.text(alphabet="aé你😀", max_size=150))
     @settings(max_examples=200)
@@ -226,8 +291,10 @@ class TestExactMatchFastPath:
 
 
 class TestFloorStop:
-    """A miss of ``str.find`` proves every distance is at least 1: the
-    free-start row ends one entry after it first reaches 1."""
+    """The needle's pieces prove a floor under every distance: the
+    free-start row ends ``2 * floor - 1`` entries after it first reaches
+    the floor, and reads the whole haystack if the best distance is above
+    it."""
 
     @staticmethod
     def free_start_rows(monkeypatch) -> list[int]:
@@ -249,11 +316,22 @@ class TestFloorStop:
         assert (m.start, m.end, m.distance) == (4, 16, 1)
         assert lengths == [16 + 2]  # entries 0 .. e1 + 1, not len(hay) + 1
 
-    def test_distance_two_reads_the_whole_haystack(self, monkeypatch):
+    def test_distance_two_row_stops_three_past_its_end(self, monkeypatch):
         hay = "... The sUn rOse " + "over the bay. " * 20
+        assert fuzzy._pieces("The sun rose", hay) == 2  # "The su", "n ro"
         lengths = self.free_start_rows(monkeypatch)
         m = best_substring_match("The sun rose", hay)
         assert (m.start, m.end, m.distance) == (4, 16, 2)
+        assert lengths == [16 + 4]  # entries 0 .. e1 + 2 * 2 - 1
+
+    def test_distance_two_reads_the_whole_haystack(self, monkeypatch):
+        # "The sun ro" occurs, so the pieces ("The sun ros", then "e"
+        # occurs) prove only 1, and the row never reaches it
+        hay = "The sun ro. ... The sUn rOse " + "over the bay. " * 20
+        assert fuzzy._pieces("The sun rose", hay) == 1
+        lengths = self.free_start_rows(monkeypatch)
+        m = best_substring_match("The sun rose", hay)
+        assert (m.start, m.end, m.distance) == (0, 12, 2)
         assert lengths == [len(hay) + 1]
 
     def test_one_char_needle_is_at_the_floor_from_entry_0(self, monkeypatch):
@@ -261,6 +339,32 @@ class TestFloorStop:
         m = best_substring_match("z", "abcdef")
         assert (m.start, m.end, m.distance) == (0, 1, 1)
         assert lengths == [2]  # entries 0 .. 1
+
+
+class TestPieces:
+    @given(st.text(alphabet="abxy", min_size=1, max_size=7),
+           st.text(alphabet="ab", min_size=1, max_size=10))
+    @settings(max_examples=400)
+    def test_pieces_bound_every_substring_distance(self, needle, hay):
+        # x and y never occur in the haystack: each one ends a piece
+        pieces = fuzzy._pieces(needle, hay)
+        assert pieces == naive_pieces(needle, hay)
+        assert pieces <= min(recursive_distance(needle, hay[s:e])
+                             for s in range(len(hay) + 1)
+                             for e in range(s, len(hay) + 1))
+
+    @given(needle_near_haystack())
+    @settings(max_examples=150)
+    def test_galloping_cuts_match_naive_cuts(self, case):
+        needle, haystack = case
+        assert fuzzy._pieces(needle, haystack) == naive_pieces(needle, haystack)
+
+    @given(marked_edits_then_decoys())
+    @settings(max_examples=150)
+    def test_pieces_bound_the_best_distance(self, case):
+        needle, haystack = case
+        assert 2 <= fuzzy._pieces(needle, haystack) \
+            <= min(cell_dp_row(needle, haystack, free_start=True))
 
 
 class TestEditDistance:

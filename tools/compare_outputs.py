@@ -1,6 +1,6 @@
 """Compare the output bodies of two chunkkit trees on the benchmark's inputs.
 
-    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,dataset]
+    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,dataset,clean]
 
 Run from the repository root. For each workload and seed it builds the
 benchmark's inputs with ``perfbench/corpus.py``'s ``build`` (imported from
@@ -17,12 +17,20 @@ The ``dataset`` set is no benchmark workload. On the ``eval`` workload's
 inputs it runs ``dataset windows``, ``label``, ``rules`` and ``emit`` over
 the reference chunk sets, and ``chunk --method fixed`` and ``boundary``
 with ``--calibrate-avg 178``, and compares every file they write.
+
+The ``clean`` set is no benchmark workload either. On the ``distill``
+workload's inputs it runs ``dataset clean``, which searches whole
+documents, on a ``--generated`` file that this tool writes from the
+reference chunk texts: every third chunk verbatim, every third with one to
+three characters replaced by a mark no document holds, and the rest with
+every fifth character replaced by the next code point.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -51,6 +59,10 @@ SETS["dataset"] = ("eval", [
     *((f"emitted/expert_{label}.jsonl", False) for label in range(4)),
     ("emitted/router.jsonl", False), ("emitted/manifest.json", False),
     ("fixed.jsonl", False), ("boundary.jsonl", False)])
+SETS["clean"] = ("distill", [
+    ["dataset", "clean", "--corpus", "corpus.jsonl", "--generated", "generated.jsonl",
+     "--out", "verdicts.jsonl"],
+], [("verdicts.jsonl", True)])
 WORKLOADS = tuple(SETS)
 _CLI = "from chunkkit.cli import main; main(prog_name='chunkkit')"
 
@@ -70,6 +82,26 @@ def parse_workloads(text: str) -> list[str]:
     if unknown or not names:
         raise argparse.ArgumentTypeError(f"choose from {', '.join(WORKLOADS)}")
     return names
+
+
+def _edited(text: str, i: int) -> str:
+    """Chunk ``i`` of a document as the ``clean`` set gives it back."""
+    if i % 3 == 0:
+        return text
+    if i % 3 == 1:
+        marks = 1 + i // 3 % 3  # one to three, spread out
+        at = {len(text) * k // (marks + 1) for k in range(1, marks + 1)}
+        return "".join(corpus.EDIT_MARK if j in at else ch for j, ch in enumerate(text))
+    return "".join(chr(ord(ch) + 1) if j % 5 == 2 else ch for j, ch in enumerate(text))
+
+
+def write_generated(inputs: corpus.Inputs, path: Path) -> None:
+    """The ``clean`` set's ``--generated`` file, one record per document."""
+    path.write_text("".join(
+        json.dumps({"doc_id": cs.doc_id,
+                    "chunks": [_edited(c.text, i) for i, c in enumerate(cs.chunks)]},
+                   ensure_ascii=False) + "\n"
+        for cs in inputs.reference), encoding="utf-8")
 
 
 def run_tree(src: Path, workload: str, work: Path) -> tuple[list[int], dict]:
@@ -93,8 +125,10 @@ def compare(parent_src: Path, workload: str, seed: int) -> list[str]:
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         inputs = Path(tmp) / "inputs"
         built = SETS[workload][0]
-        corpus.build(built, seed, inputs)
+        built_inputs = corpus.build(built, seed, inputs)
         corpus.write_config(built, inputs)
+        if workload == "clean":
+            write_generated(built_inputs, inputs / "generated.jsonl")
         results = {}
         for side, src in (("parent", parent_src), ("tree", ROOT / "src")):
             shutil.copytree(inputs, Path(tmp) / side)
