@@ -15,12 +15,16 @@ Requests retry a bounded number of times on transport failures and on 429
 and 5xx replies, honouring a Retry-After header, and log each retry at
 WARNING; each client enforces its handle's in-flight limit with a
 semaphore, so callers may fan out across threads freely.
+``HttpScorer.score_many`` sends a request list on the client's own
+threads, at most ``max_in_flight`` of them; ``eval``'s ``concurrency``
+sets how many.
 
 The client is the standard library's ``http.client``: one kept-alive
 connection per client and thread, checked before reuse, so a connection
 the server closed while idle is replaced without a failed attempt. The
-client owns its connections: ``close()`` (or leaving a ``with`` block)
-closes every one its threads opened. A
+client owns its connections and its pool: ``close()`` (or leaving a
+``with`` block) stops the pool's threads, then closes every connection its
+threads opened. A
 proxy named by the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
 ``NO_PROXY``) is honoured, HTTPS verifies the server against
 ``ssl.create_default_context()``, and a redirect is not followed.
@@ -41,8 +45,10 @@ import ssl
 import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
+from typing import Iterator
 from urllib.parse import unquote, urlsplit
 
 from .config import finite_number
@@ -272,7 +278,42 @@ class _HttpClient:
 
 
 class HttpScorer(_HttpClient):
-    """Log-probability scoring against a remote /v1/score endpoint."""
+    """Log-probability scoring against a remote /v1/score endpoint.
+
+    :meth:`score_many` sends a list on ``min(threads, max_in_flight)``
+    threads, each request through :meth:`score`. The pool starts on first
+    use and serves every later list, so each thread keeps its connection;
+    at one thread the list runs inline and no thread starts.
+    """
+
+    def __init__(self, handle: BackendHandle, threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        super().__init__(handle)
+        self._threads = min(threads, handle.max_in_flight)
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Stop the pool, dropping requests not yet sent; close every connection."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        super().close()
+
+    def score_many(self, requests: list[tuple[str, str | None]]) -> Iterator[ScoredText]:
+        """The result of each ``(text, context)`` request, in order, yielded
+        as it completes; a request that failed raises its error when its
+        result is read."""
+        if self._threads == 1:
+            return (self.score(text, context) for text, context in requests)
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self._threads,
+                                                thread_name_prefix="HttpScorer")
+            pool = self._pool
+        return pool.map(lambda request: self.score(*request), requests)
 
     def score(self, text: str, context: str | None = None) -> ScoredText:
         if not text:

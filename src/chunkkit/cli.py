@@ -6,15 +6,16 @@ document and one aggregate record. Reports and chunk sets are written as the
 run goes into a temporary file beside each one, which replaces it only when
 the command completes: an interrupted run leaves the old output as it was.
 ``dataset emit`` holds its training samples in memory and stages its files
-the same way at the end. Only this module and ``text`` write files, and
-only this module makes a thread pool: at a ``concurrency`` above 1,
-``eval`` opens one for the whole command and runs every pair score on it.
+the same way at the end. Only this module and ``text`` write files.
+``concurrency`` reaches only ``eval``'s scorer: an HTTP scorer sends each
+request list on that many threads, at most its ``max_in_flight``, and an
+offline scorer ignores it.
 
 ``chunk``, ``eval`` and ``dataset distill/rules/label/emit`` share one
 per-document driver: a document whose work fails gets one ``error: doc
 <id>: ...`` line, and the other documents still reach the output. Exit
 codes: 0 success; 1 a failed document or a data error (a malformed input
-line, a backend fault); 2 a configuration error. Each error is one
+line, a backend fault); 2 a configuration error. Every error is one
 ``error:`` line.
 """
 
@@ -25,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -175,7 +175,7 @@ def _backend_name(backend) -> str | None:
 
 def _labeled(chunksets: Iterable[ChunkSet],
              failures: _Failures) -> Iterator[tuple[ChunkSet, GranularityLabel]]:
-    """Each chunk set with the granularity label of its mean chunk length.
+    """Every chunk set with the granularity label of its mean chunk length.
     An empty chunk set, which no command writes but a chunk-set file may
     hold, has none: it fails its document."""
     def label(cs: ChunkSet) -> tuple[ChunkSet, GranularityLabel]:
@@ -208,8 +208,9 @@ class _Group(click.Group):
               help="JSON or YAML run configuration.")
 @click.option("--concurrency", type=int, default=None,
               help="Overrides the config's concurrency (1-64): the threads "
-                   "of the one pool that runs all of eval's pair scores, BC's "
-                   "included. Other commands ignore it.")
+                   "on which eval's HTTP scorer sends each metric's requests, "
+                   "at most its max_in_flight. Offline scorers and other "
+                   "commands ignore it.")
 @click.version_option(__version__)
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None,
@@ -347,14 +348,15 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
         what = f"unknown metrics {unknown}" if unknown else "no metrics given"
         raise ConfigError(f"{what}; choose from {tuple(METRIC_BACKENDS)}")
     backends = {}
-    for role, article, build in (("scorer", "a", build_scorer),
-                                 ("embedder", "an", build_embedder)):
+    for role, article in (("scorer", "a"), ("embedder", "an")):
         needing = [m for m in metric_names if METRIC_BACKENDS[m] == role]
         if needing:
             spec = getattr(config, role)
             if spec is None:
                 raise ConfigError(f"metrics {needing} need {article} {role} in config")
-            backends[role] = _owned(build(spec))
+            backends[role] = _owned(
+                build_scorer(spec, threads=config.concurrency) if role == "scorer"
+                else build_embedder(spec))
 
     docs = _load_docs(corpus)
     chunksets = load_chunksets(chunksets_path, docs)
@@ -364,14 +366,12 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
                  for role in ("scorer", "embedder")}}
     failures: _Failures = []
     columns: dict[str, list[float]] = {}  # each metric's non-null values
-    with (ThreadPoolExecutor(config.concurrency) if config.concurrency > 1
-          else nullcontext()) as pool, _report(out, params) as write:
+    with _report(out, params) as write:
 
         def evaluate(cs: ChunkSet) -> tuple[str, dict]:
             return cs.doc_id, evaluate_chunksets(
                 docs[cs.doc_id], cs, metric_names, k=config.metrics.k,
-                delta=config.metrics.delta, each=pool.map if pool else map,
-                **backends)
+                delta=config.metrics.delta, **backends)
 
         for doc_id, values in _each_doc(((cs.doc_id, cs) for cs in chunksets),
                                         evaluate, failures):

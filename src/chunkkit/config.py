@@ -117,17 +117,17 @@ class DatasetParams:
                               f"got {self.flag_ratio}")
 
 
-#: The largest ``concurrency``: past an HTTP scorer's ``max_in_flight``
-#: (default 4) more threads only wait on its semaphore.
+#: The largest ``concurrency``. An HTTP scorer starts at most its
+#: ``max_in_flight`` (default 4) threads, whatever the value.
 MAX_CONCURRENCY = 64
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Backends and parameters of one run. ``concurrency`` is the size of
-    the one thread pool that runs all of ``eval``'s pair scores, BC's
-    included, from 1 to :data:`MAX_CONCURRENCY`; at 1 no thread starts.
-    Other commands ignore it."""
+    """Backends and parameters of one run. ``concurrency``, from 1 to
+    :data:`MAX_CONCURRENCY`, is the number of threads on which ``eval``'s
+    HTTP scorer sends each request list, at most its ``max_in_flight``; at
+    1 no thread starts. Offline scorers and other commands ignore it."""
 
     scorer: BackendSpec | None = None
     generator: BackendSpec | None = None
@@ -264,11 +264,11 @@ def _reading(what: str, role: str, path) -> Iterator[None]:
 
 def _http(client: str):
     """The builder of the client class ``client`` of .backends."""
-    def build(options: Mapping[str, Any], role: str):
+    def build(options: Mapping[str, Any], role: str, **client_args):
         from . import backends
 
         handle = read_record(backends.BackendHandle, options, role)
-        return getattr(backends, client)(handle)
+        return getattr(backends, client)(handle, **client_args)
     return build
 
 
@@ -386,23 +386,27 @@ _BUILDERS = {
 }
 
 
-def _build(what: str, spec: BackendSpec, role: str):
-    """Build ``spec`` as a ``what`` (a key of _BUILDERS) for ``role``. A
-    builder's KeyError (a missing fixture field), TypeError or ValueError
-    (an option of the wrong type or out of range) becomes a ConfigError."""
+def _build(what: str, spec: BackendSpec, role: str, **client_args):
+    """Build ``spec`` as a ``what`` (a key of _BUILDERS) for ``role``;
+    ``client_args`` go to an http client only. A builder's KeyError (a
+    missing fixture field), TypeError or ValueError (an option of the wrong
+    type or out of range) becomes a ConfigError."""
     builders = _BUILDERS[what]
     if spec.kind not in builders:
         raise ConfigError(f"{what} kind must be one of {tuple(builders)}, "
                           f"got {spec.kind!r}")
     try:
+        if spec.kind == "http":
+            return builders["http"](spec.options, role, **client_args)
         return builders[spec.kind](spec.options, role)
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"invalid {spec.kind} backend {role!r}: {detail}") from exc
 
 
-def build_scorer(spec: BackendSpec, role: str = "scorer"):
-    return _build("scorer", spec, role)
+def build_scorer(spec: BackendSpec, role: str = "scorer", threads: int = 1):
+    """``threads`` reaches an HTTP scorer only: see ``HttpScorer.score_many``."""
+    return _build("scorer", spec, role, threads=threads)
 
 
 def build_generator(spec: BackendSpec, role: str = "generator"):

@@ -16,19 +16,15 @@ import math
 import operator
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import CorpusFormatError, GraphBuildError, UndefinedCorrelationError
-from .scoring import Embedder, Scorer, cosine, perplexity
+from .scoring import Embedder, Scorer, cosine, perplexity, score_many
 from .text import Chunk, ChunkSet, Document
 
 logger = logging.getLogger(__name__)
 
 GRAPH_VARIANTS = ("complete", "sequence")
-
-#: A ``map``-shaped callable that runs pair scores: the builtin ``map``, or a
-#: thread pool's ``map`` to score them concurrently. Either yields in order.
-Each = Callable[[Callable, Iterable], Iterator]
 
 
 def _text_of(piece: Chunk | str) -> str:
@@ -111,12 +107,11 @@ def build_graph(
     k: float = 0.8,
     variant: str = "complete",
     delta: int = 0,
-    each: Each = map,
 ) -> SemanticGraph:
     """Score pairwise edges and keep those strictly above the threshold ``k``.
 
-    Pair scoring is a pure map run through ``each``; graph assembly is a
-    single-threaded reduction.
+    The plain perplexities go to the scorer as one request list and the
+    conditional ones as a second, each through :func:`score_many`.
     """
     texts = [_text_of(c) for c in chunks]
     n = len(texts)
@@ -129,22 +124,21 @@ def build_graph(
     if delta < 0:
         raise ValueError("delta must be >= 0")
 
-    ppl_plain = list(each(lambda t: perplexity(scorer.score(t)), texts))
-
-    def edge(q: int, d: int) -> float:
-        """Edge weight of chunk q given chunk d."""
-        return _edge_from_ppl(
-            ppl_plain[q], perplexity(scorer.score(texts[q], context=texts[d]))
-        )
-
+    ppl_plain = [perplexity(s) for s in score_many(scorer, [(t, None) for t in texts])]
     if variant == "complete":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # q conditioned on d, both directions; keep the stronger pull
-        weights = each(lambda p: max(edge(p[0], p[1]), edge(p[1], p[0])), pairs)
+        # q conditioned on d, both directions
+        directed = [qd for i, j in pairs for qd in ((i, j), (j, i))]
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1 + delta, n)]
         # reading order: the later chunk is scored given the earlier one
-        weights = each(lambda p: edge(p[1], p[0]), pairs)
+        directed = [(j, i) for i, j in pairs]
+    scored = score_many(scorer, [(texts[q], texts[d]) for q, d in directed])
+    # the edge weight of chunk q given chunk d, per directed request
+    weights = [_edge_from_ppl(ppl_plain[q], perplexity(s))
+               for (q, _), s in zip(directed, scored)]
+    if variant == "complete":  # keep the stronger pull
+        weights = list(map(max, weights[::2], weights[1::2]))
     edges = tuple(
         (i, j, w) for (i, j), w in zip(pairs, weights) if w > k
     )
@@ -194,7 +188,7 @@ def conditional_support(
     if not answer:
         raise ValueError("answer must be non-empty")
     context = "\n".join(_text_of(c) for c in retrieved)
-    scored = scorer.score(answer, context=context if context else None)
+    (scored,) = score_many(scorer, [(answer, context if context else None)])
     return -fmean(scored.logprobs)
 
 
@@ -235,7 +229,7 @@ def _unit_scaled(values: Sequence[float]) -> list[float]:
 # All requested metrics of one chunk set
 # ---------------------------------------------------------------------------
 
-#: Each metric and the backend role it needs.
+#: The backend role that every metric needs, by metric.
 METRIC_BACKENDS = {"bc": "scorer", "cs_c": "scorer", "cs_i": "scorer",
                    "ds": "embedder", "cp": "scorer"}
 
@@ -248,7 +242,6 @@ def evaluate_chunksets(
     embedder: Embedder | None = None,
     k: float = 0.8,
     delta: int = 0,
-    each: Each = map,
 ) -> dict[str, float | None]:
     """The requested metrics of one chunk set of ``doc``, by name; a metric
     that does not apply to it is None.
@@ -256,7 +249,9 @@ def evaluate_chunksets(
     BC is the mean over adjacent pairs (later chunk given earlier); CP reads
     the reference answer from ``doc.meta["answer"]`` and scores it against
     the document's own chunks, and is None without one; an answer that is
-    not a string is a CorpusFormatError. Pair scores run through ``each``.
+    not a string is a CorpusFormatError. Every metric sends its own
+    requests as lists through :func:`score_many`: BC its 2(n - 1) requests
+    as one, each graph its plain and its conditional requests as two.
     """
     unknown = [m for m in metrics if m not in METRIC_BACKENDS]
     if unknown:
@@ -269,17 +264,20 @@ def evaluate_chunksets(
 
     values: dict[str, float | None] = {}
     if "bc" in metrics:
-        pairs = list(zip(cs.chunks, cs.chunks[1:]))
+        texts = cs.texts()
+        # each adjacent pair: the later chunk q, then q given the earlier one
+        scored = score_many(scorer, [request for d, q in zip(texts, texts[1:])
+                                     for request in ((q, None), (q, d))])
         values["bc"] = fmean(
-            each(lambda p: boundary_clarity(p[1], p[0], scorer), pairs)
-        ) if pairs else None
+            perplexity(q_given_d) / perplexity(q) for q, q_given_d in zip(scored, scored)
+        ) if len(cs) >= 2 else None
     if "cs_c" in metrics:
         values["cs_c"] = chunk_stickiness(
-            build_graph(cs, scorer, k=k, variant="complete", each=each)
+            build_graph(cs, scorer, k=k, variant="complete")
         ) if len(cs) >= 2 else None
     if "cs_i" in metrics:
         values["cs_i"] = chunk_stickiness(
-            build_graph(cs, scorer, k=k, variant="sequence", delta=delta, each=each)
+            build_graph(cs, scorer, k=k, variant="sequence", delta=delta)
         ) if len(cs) >= 2 else None
     if "ds" in metrics:
         values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None

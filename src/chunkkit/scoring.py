@@ -98,6 +98,19 @@ class Scorer(Protocol):
     def score(self, text: str, context: str | None = None) -> ScoredText: ...
 
 
+def score_many(scorer: Scorer,
+               requests: Sequence[tuple[str, str | None]]) -> Iterator[ScoredText]:
+    """The result of each ``(text, context)`` request, in order, as the
+    caller reads them: from the scorer's own ``score_many`` when it has one
+    (an HTTP scorer fans the list out on its threads), else from one
+    ``score`` call per request. A caller that reads each result once holds
+    no more of them than it keeps."""
+    many = getattr(scorer, "score_many", None)
+    if many is not None:
+        return iter(many(requests))
+    return (scorer.score(text, context) for text, context in requests)
+
+
 class Generator(Protocol):
     def generate(self, prompt: str) -> GenerationResult: ...
 

@@ -10,6 +10,7 @@ import string
 import pytest
 from hypothesis import settings
 
+from chunkkit import backends
 from chunkkit.scoring import FixtureScorer
 from chunkkit.text import Document
 
@@ -102,3 +103,17 @@ def no_proxy_env(monkeypatch):
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def pools_made(monkeypatch) -> list[int]:
+    """The thread count of each pool an HTTP client makes."""
+    made = []
+
+    class Pool(backends.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", Pool)
+    return made

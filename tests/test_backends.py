@@ -675,6 +675,121 @@ def test_eval_closes_its_connections_when_it_returns(scripted_server, tmp_path,
     assert closed_by_client(scripted_server) == scripted_server.connections
 
 
+def write_eval_inputs(server, doc_ids: list[str]) -> list[str]:
+    """A config naming the scripted server as the scorer, a corpus of
+    ``doc_ids`` with two chunks each, in the working directory; the ``eval``
+    arguments that read them."""
+    Path("config.json").write_text(json.dumps({"scorer": {
+        "kind": "http", "endpoint": endpoint_of(server), "model": "stub"}}))
+    Path("corpus.jsonl").write_text("".join(json.dumps(
+        {"id": doc_id, "text": "Roses are red. Violets are blue."}) + "\n"
+        for doc_id in doc_ids))
+    Path("chunks.jsonl").write_text("".join(json.dumps(
+        {"doc_id": doc_id, "method": "fixed", "chunks": [
+            {"index": 0, "start": 0, "end": 14}, {"index": 1, "start": 15, "end": 32}]})
+        + "\n" for doc_id in doc_ids))
+    return ["--config", "config.json", "eval", "--corpus", "corpus.jsonl",
+            "--chunksets", "chunks.jsonl", "--metrics", "bc,cs_c,cs_i",
+            "--out", "report.jsonl"]
+
+
+class TestScoreMany:
+    """``score_many`` sends a request list on ``min(threads, max_in_flight)``
+    threads of the client's own pool, which starts once and serves every
+    later list; at one thread it scores inline and starts no thread."""
+
+    REQUESTS = [("a" * n, None if n % 2 else "c" * n) for n in range(1, 9)]
+
+    def test_results_come_back_in_request_order(self, scripted_server):
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=0), threads=4)
+        scored = list(scorer.score_many(self.REQUESTS))
+        assert [s.tokens for s in scored] == [tuple(text) for text, _ in self.REQUESTS]
+        assert scored == [scorer.score(text, context) for text, context in self.REQUESTS]
+
+    def test_a_4xx_in_a_list_is_one_transport_error(self, scripted_server):
+        scripted_server.script = [(200, {}), (400, {})]
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=2), threads=2)
+        with pytest.raises(TransportError, match="HTTP 400"):
+            list(scorer.score_many(self.REQUESTS))
+
+    def test_a_4xx_fails_its_document_only(self, scripted_server, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = write_eval_inputs(scripted_server, ["d0", "d1"])
+        scripted_server.script = [(400, {})]  # d0's first request
+        result = CliRunner().invoke(cli.main, ["--concurrency", "2", *args])
+        assert result.exit_code == 1, result.output
+        assert [ln for ln in result.output.splitlines() if ln.startswith("error:")] == [
+            f"error: doc d0: {endpoint_of(scripted_server)}/v1/score: "
+            f"HTTP 400 Bad Request (attempts=1)"]
+        records = [json.loads(line) for line in
+                   Path("report.jsonl").read_text().splitlines()[1:]]
+        assert [r["doc_id"] for r in records] == ["d1", "__aggregate__"]
+
+    def test_eval_at_concurrency_two_makes_one_pool_and_two_connections(
+            self, scripted_server, tmp_path, monkeypatch, pools_made):
+        monkeypatch.chdir(tmp_path)
+        args = write_eval_inputs(scripted_server, ["d0", "d1"])
+        result = CliRunner().invoke(cli.main, ["--concurrency", "2", *args])
+        assert result.exit_code == 0, result.output
+        # per document: bc 2, cs_c 2 + 2, cs_i 2 + 1
+        assert scripted_server.seen == 2 * 9 and pools_made == [2]
+        assert 1 <= scripted_server.connections <= 2
+
+    def test_threads_are_capped_at_max_in_flight(self, scripted_server, pools_made):
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=0,
+                                   max_in_flight=2), threads=8)
+        list(scorer.score_many(self.REQUESTS))
+        list(scorer.score_many(self.REQUESTS))
+        assert pools_made == [2]
+
+    def test_callers_on_many_threads_share_one_pool(self, scripted_server, pools_made):
+        # more callers than cores, switching often: a pool made without the
+        # lock could be made twice
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=0), threads=2)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(
+                len(list(scorer.score_many(self.REQUESTS[:2]))))) for _ in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(10)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [2] * 8 and pools_made == [2]
+
+    def test_close_stops_the_pool_threads(self, scripted_server):
+        before = set(threading.enumerate())
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=0), threads=2)
+        list(scorer.score_many(self.REQUESTS))
+        pool_threads = [t for t in set(threading.enumerate()) - before
+                        if t.name.startswith("HttpScorer")]
+        assert 1 <= len(pool_threads) <= 2
+        scorer.close()
+        assert not any(t.is_alive() for t in pool_threads)
+        assert closed_by_client(scripted_server) == scripted_server.connections
+
+    @pytest.mark.parametrize("threads, max_in_flight", [(1, 4), (4, 1)])
+    def test_one_thread_starts_none(self, scripted_server, pools_made,
+                                    threads, max_in_flight):
+        scorer = HttpScorer(handle(endpoint_of(scripted_server), retries=0,
+                                   max_in_flight=max_in_flight), threads=threads)
+        before = set(threading.enumerate())
+        scored = list(scorer.score_many(self.REQUESTS))
+        assert [s.tokens for s in scored] == [tuple(text) for text, _ in self.REQUESTS]
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("HttpScorer")]
+        assert pools_made == [] and scripted_server.connections == 1
+
+    def test_threads_below_one_are_rejected(self, scripted_server):
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            HttpScorer(handle(endpoint_of(scripted_server)), threads=0)
+
+
 LEAK_TESTS = '''
 import gc
 import json

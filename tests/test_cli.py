@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from click.testing import CliRunner
 
-from chunkkit import cli, prompts
+from chunkkit import backends, cli, prompts
 from chunkkit.chunkers import calibrate_avg_len, chunk_semantic
 from chunkkit.cli import main
 from chunkkit.scoring import HashEmbedder
@@ -403,30 +403,26 @@ class TestEvalCommand:
         assert len(bodies[0].splitlines()) == 4  # 3 docs + aggregate
         assert bodies[0] == bodies[1]
 
-    @pytest.mark.parametrize("concurrency, pools", [("1", []), ("2", [2])])
+    @pytest.mark.parametrize("concurrency, pools", [("1", []), ("2", [])])
     def test_one_pool_per_command(self, runner, tmp_path, small_corpus,
-                                  monkeypatch, concurrency, pools):
-        # every pair score of the command, BC's included, runs on one pool;
-        # at concurrency 1 none is made and no thread starts
+                                  monkeypatch, pools_made, concurrency, pools):
+        # only an HTTP scorer makes a pool, one per client: offline eval
+        # makes none and starts no thread at any concurrency
         corpus, _ = small_corpus
         chunks_out = tmp_path / "chunks.jsonl"
         runner.invoke(main, ["chunk", "--corpus", corpus, "--out",
                              str(chunks_out), "--method", "fixed",
                              "--target-len", "60"])
-        made = []
-
-        class Pool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread)))
         result = runner.invoke(main, [
             "--config", self._config(tmp_path, corpus), "--concurrency", concurrency,
             "eval", "--corpus", corpus, "--chunksets", str(chunks_out),
             "--metrics", "bc,cs_c,cs_i", "--out", str(tmp_path / "r.jsonl")])
         assert result.exit_code == 0, result.output
-        assert made == pools
+        assert pools_made == pools and started == []
 
     def test_k_sweep_monotone_per_document(self, runner, tmp_path, small_corpus):
         corpus, _ = small_corpus
@@ -1715,7 +1711,7 @@ class TestConcurrencyLimit:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was made")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(cli, "_load_docs", no_pool)
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
         config = tmp_path / "config.json"

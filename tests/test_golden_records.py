@@ -7,18 +7,28 @@ The inputs hold a failed rule, a recovered rule, a flagged chunk, more
 than one window and three granularity labels, so every field each writer
 derives (a rule's number and mode, a verdict's chunk position and flag, a
 window's span, a label, an expert sample's window) shows in a pinned line.
+
+The ``eval`` body is pinned on larger inputs, committed under
+``data/eval_seed1``: the benchmark generator's ``eval`` corpus of seed 1
+and its reference chunk sets, at K = 0.025, where every graph keeps edges.
+An oracle that calls only ``Scorer.score`` recomputes BC and both
+stickiness variants from those inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
+from statistics import fmean
 
 import pytest
 from click.testing import CliRunner
 
 from chunkkit import prompts
 from chunkkit.cli import main
-from chunkkit.text import ChunkSet, save_chunksets, save_corpus
+from chunkkit.scoring import NGramScorer
+from chunkkit.text import ChunkSet, load_chunksets, load_corpus, save_chunksets, save_corpus
 
 from conftest import make_doc
 
@@ -276,3 +286,66 @@ def test_emit_bodies(runner, tmp_path, labeled_inputs):
         '{\n  "expert_counts": {\n    "0": 2,\n    "1": 1,\n    "2": 0,\n    "3": 0\n  },\n'
         '  "router_count": 3,\n  "total_samples": 6,\n  "warnings": [\n'
         '    "expert bucket 2 is empty",\n    "expert bucket 3 is empty"\n  ]\n}')
+
+
+EVAL_DATA = Path(__file__).resolve().parent / "data" / "eval_seed1"
+EVAL_K = 0.025
+
+
+def _ppl(scorer, text: str, context: str | None = None) -> float:
+    logprobs = scorer.score(text, context).logprobs
+    return math.exp(-math.fsum(logprobs) / len(logprobs))
+
+
+def _oracle(scorer, texts: list[str]) -> dict:
+    """BC, the two stickiness variants (delta 0), each variant's edge count
+    and every directed edge weight of one chunk set, from ``score`` alone."""
+    n = len(texts)
+    plain = [_ppl(scorer, t) for t in texts]
+    given = {(q, d): _ppl(scorer, texts[q], texts[d])
+             for q in range(n) for d in range(n) if q != d}
+    weight = {qd: max(0.0, (plain[qd[0]] - ppl) / plain[qd[0]])
+              for qd, ppl in given.items()}
+    found = {"bc": fmean(given[j, j - 1] / plain[j] for j in range(1, n)),
+             "weights": list(weight.values())}
+    for name, pair_weight in (("cs_c", lambda i, j: max(weight[i, j], weight[j, i])),
+                              ("cs_i", lambda i, j: weight[j, i])):
+        degree = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if pair_weight(i, j) > EVAL_K:
+                    degree[i] += 1
+                    degree[j] += 1
+        two_m = sum(degree)
+        found[name] = -sum(h / two_m * math.log2(h / two_m) for h in degree if h)
+        found[f"{name}_edges"] = two_m // 2
+    return found
+
+
+def test_eval_body_and_stickiness_oracle(runner, tmp_path):
+    corpus = EVAL_DATA / "corpus.jsonl"
+    config = _write_json(tmp_path / "config.json", {
+        "scorer": {"kind": "ngram", "order": 3, "corpus": str(corpus)}})
+    report = tmp_path / "report.jsonl"
+    _invoke(runner, ["--config", config, "eval", "--corpus", str(corpus),
+                     "--chunksets", str(EVAL_DATA / "reference.jsonl"),
+                     "--metrics", "bc,cs_c,cs_i", "--k", str(EVAL_K),
+                     "--out", str(report)])
+
+    body = _body(report, header=True)
+    assert body == (EVAL_DATA / "report_k0.025.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    rows = {row["doc_id"]: row for row in map(json.loads, body)}
+    docs = list(load_corpus(corpus))
+    scorer = NGramScorer(order=3, corpus=[d.text for d in docs])
+    chunksets = load_chunksets(EVAL_DATA / "reference.jsonl", {d.id: d for d in docs})
+    assert len(chunksets) == 3
+    for cs in chunksets:
+        assert len(cs) >= 3
+        found = _oracle(scorer, cs.texts())
+        for metric in ("bc", "cs_c", "cs_i"):
+            assert rows[cs.doc_id][metric] == pytest.approx(found[metric], rel=1e-9)
+        # every graph keeps an edge, and no weight is close enough to K
+        # that a last-bit difference could flip it
+        assert found["cs_c_edges"] >= 1 and found["cs_i_edges"] >= 1
+        assert min(abs(w - EVAL_K) for w in found["weights"]) > 1e-9

@@ -143,13 +143,18 @@ class TestBuildGraph:
             build_graph(["a", "b"], FixtureScorer(), k=1.0)
 
     def test_parallel_scoring_matches_serial(self):
+        # a scorer whose score_many runs each list on four threads
+        class Threaded(NGramScorer):
+            def score_many(self, requests):
+                with ThreadPoolExecutor(4) as pool:
+                    return list(pool.map(lambda r: self.score(*r), requests))
+
         texts = [f"chunk {i} body" for i in range(8)]
         corpus = " ".join(texts)
         serial = build_graph(texts, NGramScorer(order=3, corpus=corpus),
-                             k=0.01, variant="complete", each=map)
-        with ThreadPoolExecutor(4) as pool:
-            threaded = build_graph(texts, NGramScorer(order=3, corpus=corpus),
-                                   k=0.01, variant="complete", each=pool.map)
+                             k=0.01, variant="complete")
+        threaded = build_graph(texts, Threaded(order=3, corpus=corpus),
+                               k=0.01, variant="complete")
         assert serial.edges == threaded.edges
 
     def test_increasing_k_never_adds_edges(self):
@@ -364,26 +369,27 @@ class TestEvaluateChunksets:
             evaluate_chunksets(doc, cs, (metric,), scorer=scorer, delta=0)
         assert scorer.calls == sum(budget(len(cs)) for cs in sets)
 
-    @pytest.mark.parametrize("metric, mapped", [
-        ("bc", [3]), ("cs_c", [4, 6]), ("cs_i", [4, 6]),
+    @pytest.mark.parametrize("metric, sizes", [
+        ("bc", [6]), ("cs_c", [4, 12]), ("cs_i", [4, 6]),
     ])
-    def test_pair_scores_go_through_each(self, metric, mapped):
-        # the caller's map runs every pair score: BC's adjacent pairs, and
-        # each graph's plain perplexities, then its pairs
+    def test_one_request_list_per_metric(self, metric, sizes):
+        # BC sends its 2(n - 1) requests as one list; each graph sends its n
+        # plain requests, then its conditional ones, as a second
         doc = make_doc("aaaa bbbb cccc dddd", doc_id="d1")
         cs = ChunkSet.from_spans(doc, [(0, 4), (5, 9), (10, 14), (15, 19)],
                                  method="fixed")
-        scorer = NGramScorer(order=2, corpus=doc.text)
-        sizes = []
+        sent = []
 
-        def each(fn, items):
-            items = list(items)
-            sizes.append(len(items))
-            return map(fn, items)
+        class Listed(NGramScorer):
+            def score_many(self, requests):
+                sent.append(len(requests))
+                return [self.score(text, context) for text, context in requests]
 
-        values = evaluate_chunksets(doc, cs, (metric,), scorer=scorer, each=each)
-        assert values == evaluate_chunksets(doc, cs, (metric,), scorer=scorer)
-        assert sizes == mapped
+        values = evaluate_chunksets(doc, cs, (metric,),
+                                    scorer=Listed(order=2, corpus=doc.text))
+        assert values == evaluate_chunksets(
+            doc, cs, (metric,), scorer=NGramScorer(order=2, corpus=doc.text))
+        assert sent == sizes
 
     def test_scorer_required_for_bc(self):
         doc = make_doc("aaaa bbbb", doc_id="d1")

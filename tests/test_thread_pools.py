@@ -1,9 +1,9 @@
-"""Only ``cli`` makes thread pools.
+"""Only ``backends`` makes thread pools.
 
-``eval`` scores its chunk pairs on one pool that ``cli`` opens for the
-whole command and passes down as ``each``, a ``map``-shaped callable; the
-metrics take ``each`` and never make a pool of their own. This test parses
-the package source and fails on an import of ``concurrent.futures`` in any
+An HTTP scorer's ``score_many`` sends a request list on threads of the
+client's own pool; the metrics hand it whole lists and never make a pool,
+and offline scorers score on the calling thread. This test parses the
+package source and fails on an import of ``concurrent.futures`` in any
 other module.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chunkkit"
-ALLOWED = {"cli.py"}
+ALLOWED = {"backends.py"}
 
 
 def futures_imports(tree: ast.AST) -> list[str]:

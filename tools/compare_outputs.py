@@ -1,6 +1,6 @@
 """Compare the output bodies of two chunkkit trees on the benchmark's inputs.
 
-    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,dataset,clean]
+    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,eval-k,dataset,clean]
 
 Run from the repository root. For each workload and seed it builds the
 benchmark's inputs with ``perfbench/corpus.py``'s ``build`` (imported from
@@ -12,6 +12,11 @@ the timestamp does not count. Each body that differs is printed as a
 unified diff, and so is each command that exits other than 0; the exit
 code is 1 if anything is printed, else 0. ``eval-http`` needs the
 benchmark's fake LM server and is not offered.
+
+The ``eval-k`` set is the ``eval`` workload's command with ``--k 0.025``
+on the same inputs. At the benchmark's K = 0.8 no graph keeps an edge, so
+every ``cs_c`` and ``cs_i`` is 0.0 and a wrong edge cannot show; at 0.025
+every graph keeps some.
 
 The ``dataset`` set is no benchmark workload. On the ``eval`` workload's
 inputs it runs ``dataset windows``, ``label``, ``rules`` and ``emit`` over
@@ -48,6 +53,8 @@ _DATASET_ARGS = ["--corpus", "corpus.jsonl", "--chunksets", "reference.jsonl"]
 # each set: the workload whose inputs it runs on, its commands, its outputs
 SETS = {workload: (workload, run.COMMANDS[workload], run.OUTPUTS[workload])
         for workload in ("chunk", "distill", "eval")}
+SETS["eval-k"] = ("eval", [[*run.COMMANDS["eval"][0], "--k", "0.025"]],
+                  run.OUTPUTS["eval"])
 SETS["dataset"] = ("eval", [
     ["dataset", "windows", "--corpus", "corpus.jsonl", "--out", "windows.jsonl"],
     ["dataset", "label", *_DATASET_ARGS, "--out", "labels.jsonl"],
