@@ -124,7 +124,7 @@ def build_graph(
     if delta < 0:
         raise ValueError("delta must be >= 0")
 
-    ppl_plain = [perplexity(s) for s in score_many(scorer, [(t, None) for t in texts])]
+    ppl_plain = list(map(perplexity, score_many(scorer, [(t, None) for t in texts])))
     if variant == "complete":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         # q conditioned on d, both directions
@@ -135,8 +135,8 @@ def build_graph(
         directed = [(j, i) for i, j in pairs]
     scored = score_many(scorer, [(texts[q], texts[d]) for q, d in directed])
     # the edge weight of chunk q given chunk d, per directed request
-    weights = [_edge_from_ppl(ppl_plain[q], perplexity(s))
-               for (q, _), s in zip(directed, scored)]
+    weights = list(map(_edge_from_ppl, [ppl_plain[q] for q, _ in directed],
+                       map(perplexity, scored)))
     if variant == "complete":  # keep the stronger pull
         weights = list(map(max, weights[::2], weights[1::2]))
     edges = tuple(

@@ -16,19 +16,24 @@ import math
 import operator
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from statistics import fmean
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import starmap
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
 
 
-@dataclass(frozen=True)
 class ScoredText:
     """Per-token log-probabilities of a text, excluding any context tokens.
 
     ``truncated`` is set when the context had to be left-truncated to fit a
     backend limit.
+
+    ``logprobs`` is one tuple for every reader, but a result holds it as a
+    head and a tail, joined when read. A result of this constructor holds
+    all of its logprobs as the head. An :class:`NGramScorer` result holds
+    as its head only the ``order - 1`` positions its context tail reaches,
+    and shares the tail with every other result of the same text.
 
     Logprobs are checked where they enter: this constructor checks every
     value (a finite float, not above 0, one per token), so fixtures and
@@ -38,50 +43,81 @@ class ScoredText:
 
     Both ways compute the perplexity once, when the result is built, and
     raise ``ValueError`` when it is out of float range (a mean logprob
-    below about -709.78); :func:`perplexity` reads the stored value.
+    below about -709.78); :data:`perplexity` reads the stored value.
+    Results are immutable, and equal when their tokens, logprobs and
+    ``truncated`` are.
     """
 
-    tokens: tuple[str, ...]
-    logprobs: tuple[float, ...]
-    truncated: bool = False
-    _perplexity: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "logprobs", tuple(map(float, self.logprobs)))
-        if len(self.tokens) != len(self.logprobs):
-            raise ValueError(
-                f"{len(self.tokens)} tokens vs {len(self.logprobs)} logprobs"
-            )
-        if not self.tokens:
+    def __init__(self, tokens: Iterable[str], logprobs: Iterable[float],
+                 truncated: bool = False):
+        tokens, logprobs = tuple(tokens), tuple(map(float, logprobs))
+        if len(tokens) != len(logprobs):
+            raise ValueError(f"{len(tokens)} tokens vs {len(logprobs)} logprobs")
+        if not tokens:
             raise ValueError("scored text must contain at least one token")
-        if any(map((0.0).__lt__, self.logprobs)) \
-                or not all(map(math.isfinite, self.logprobs)):
+        if any(map((0.0).__lt__, logprobs)) or not all(map(math.isfinite, logprobs)):
             raise ValueError("logprobs must be finite and <= 0")
-        object.__setattr__(self, "_perplexity", _perplexity_of(self.logprobs))
+        self._fill(tokens, logprobs, (), truncated, logprobs)
 
     @classmethod
-    def _trusted(cls, tokens: tuple[str, ...],
-                 logprobs: tuple[float, ...]) -> "ScoredText":
-        """A ScoredText of values checked where they were made, built
-        without ``__post_init__``. Only ``NGramScorer.score`` calls it."""
+    def _trusted(cls, tokens: tuple[str, ...], head: tuple[float, ...],
+                 tail: tuple[float, ...], parts: tuple[float, ...]) -> "ScoredText":
+        """A ScoredText of the logprobs ``head + tail``, values checked where
+        they were made, built without the check. ``parts`` has the exact
+        sum of ``tail``, so the perplexity costs ``len(head + parts)``
+        additions. Only ``NGramScorer.score`` calls it."""
         scored = object.__new__(cls)
-        scored.__dict__.update(tokens=tokens, logprobs=logprobs, truncated=False,
-                               _perplexity=_perplexity_of(logprobs))
+        scored._fill(tokens, head, tail, False, (*head, *parts))
         return scored
 
+    def _fill(self, tokens, head, tail, truncated, summands) -> None:
+        """Set the fields, and the perplexity from ``summands``, which have
+        the exact sum of ``head + tail``. ``fsum`` rounds the exact sum
+        correctly and ``statistics.fmean`` is ``fsum / n``, so any summands
+        of that sum give ``exp(-fmean(logprobs))`` to the bit."""
+        try:
+            perplexity = math.exp(-(math.fsum(summands) / len(tokens)))
+        except OverflowError:
+            raise ValueError("perplexity is out of float range") from None
+        self.__dict__.update(tokens=tokens, _head=head, _tail=tail, truncated=truncated,
+                             _perplexity=perplexity)
 
-def _perplexity_of(logprobs: tuple[float, ...]) -> float:
-    """exp(-mean logprob), or ValueError past the float range."""
-    try:
-        return math.exp(-fmean(logprobs))
-    except OverflowError:
-        raise ValueError("perplexity is out of float range") from None
+    @property
+    def logprobs(self) -> tuple[float, ...]:
+        return self._head + self._tail
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tokens, self.logprobs, self.truncated) == \
+            (other.tokens, other.logprobs, other.truncated)
+
+    def __hash__(self):
+        return hash((self.tokens, self.logprobs, self.truncated))
+
+    def __repr__(self):
+        return (f"ScoredText(tokens={self.tokens!r}, logprobs={self.logprobs!r}, "
+                f"truncated={self.truncated!r})")
 
 
-def perplexity(scored: ScoredText) -> float:
-    """exp(-mean logprob); >= 1 for any valid ScoredText."""
-    return scored._perplexity
+def _exact_parts(values: tuple[float, ...]) -> tuple[float, ...]:
+    """Two floats ``(hi, lo)`` whose exact sum is that of ``values``, or
+    ``values`` itself when no two floats have it (its sum needs more than
+    two floats' bits)."""
+    hi = math.fsum(values)
+    lo = math.fsum((*values, -hi))
+    return values if math.fsum((*values, -hi, -lo)) else (hi, lo)
+
+
+# exp(-mean logprob) of a ScoredText, >= 1 for any valid one: the value
+# stored when it was built, read without a Python call
+perplexity = operator.attrgetter("_perplexity")
 
 
 @dataclass(frozen=True)
@@ -108,7 +144,7 @@ def score_many(scorer: Scorer,
     many = getattr(scorer, "score_many", None)
     if many is not None:
         return iter(many(requests))
-    return (scorer.score(text, context) for text, context in requests)
+    return starmap(scorer.score, requests)
 
 
 class Generator(Protocol):
@@ -147,8 +183,9 @@ def _ngrams(text: str, n: int) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 # Positions NGramScorer keeps cached, 8 bytes each: 512 KiB. Pair metrics
-# rescore the chunks of one document; n chunks of L characters need at most
-# n * L * (n + 1) positions, so 18 chunks of 178 characters fit whole.
+# rescore the chunks of one document; n chunks of L characters, each under
+# at most n context tails, need at most n * (L + n * (order - 1))
+# positions, so at order 3, 141 chunks of 178 characters fit whole.
 _CACHE_POSITIONS = 1 << 16
 
 
@@ -157,12 +194,13 @@ class _CachedText(NamedTuple):
 
     tokens: tuple[str, ...]
     tail: tuple[float, ...]  # the logprobs of positions >= order - 1
+    parts: tuple[float, ...]  # _exact_parts(tail)
     results: dict[str, ScoredText]  # last order - 1 context chars -> result
 
     @property
     def positions(self) -> int:
-        """The positions it holds: the text's own, and each result's."""
-        return len(self.tokens) * (1 + len(self.results))
+        """The positions it holds: the text's own, and each result's head."""
+        return len(self.tokens) + (len(self.tokens) - len(self.tail)) * len(self.results)
 
 
 class NGramScorer:
@@ -186,16 +224,20 @@ class NGramScorer:
     Only the last ``order - 1`` context characters reach any row, so a
     result depends on the text and those characters alone, and
     :meth:`score` caches it on them: each text it scored keeps its tokens,
-    the logprobs of its positions from ``order - 1`` on (no context reaches
-    them), and the :class:`ScoredText` built under each context tail. A
-    repeat request returns the cached object in O(order), however long the
-    context, and a known text under a new tail looks up ``order - 1``
-    n-grams instead of ``len(text)``. A cached text
-    costs ``len(text)`` positions, and so does each cached result; one
-    position is one 8-byte reference. The cache holds at most
-    ``_CACHE_POSITIONS`` positions: a text that gains a result moves to
-    the back, and the texts at the front are dropped until it fits. A text
-    too long to fit at all is scored uncached.
+    its tail row (the logprobs of its positions from ``order - 1`` on, which
+    no context reaches), the row's exact sum as two floats, and the
+    :class:`ScoredText` built under each context tail. A result holds only
+    its head, the ``order - 1`` logprobs its context tail reaches, and
+    shares the text's tokens and tail row. A repeat request returns the
+    cached object in O(order), however long the context, and a known text
+    under a new tail costs O(order) too: it looks up ``order - 1`` n-grams,
+    and its perplexity sums its head and the two floats, not ``len(text)``
+    values. A cached text costs ``len(text)`` positions, and each cached
+    result the length of its head; one position is one 8-byte reference.
+    The cache holds at most ``_CACHE_POSITIONS`` positions: a text that
+    gains a result moves to the back, and the texts at the front are
+    dropped until it fits. A text too long to fit at all is scored
+    uncached.
 
     The constructor checks every row value once: each is a float, and none
     is above 0 (the clamp keeps a rounded-up ``log`` at 0). Every value
@@ -267,8 +309,7 @@ class NGramScorer:
         if not self._v:
             raise ValueError("scorer has an empty alphabet; pass a corpus or an alphabet")
         n = self.order - 1
-        context = context or ""
-        ctx = context[max(0, len(context) - n):]  # all that any row reads
+        ctx = context[-n:] if n and context else ""  # all that any row reads
         cache = self._cache
         entry = cache.get(text)
         if entry is not None:
@@ -281,8 +322,8 @@ class NGramScorer:
             if entry is None:
                 # text positions t >= n read the n-gram text[t-n:t+1],
                 # whatever the context
-                entry = _CachedText(tuple(text),
-                                    self._lookup(list(_ngrams(text, self.order))), {})
+                tail = self._lookup(list(_ngrams(text, self.order)))
+                entry = _CachedText(tuple(text), tail, _exact_parts(tail), {})
             else:
                 self._positions -= entry.positions
             scored = entry.results.get(ctx)  # set if another thread was first
@@ -290,15 +331,16 @@ class NGramScorer:
                 full = ctx + text[:n]
                 # a head position reads its order chars, or the whole prefix
                 # when fewer precede it
-                head = self._lookup([full[max(0, t - n):t + 1]
+                head = self._lookup([full[t - n:t + 1] if t >= n else full[:t + 1]
                                      for t in range(len(ctx), len(full))])
                 scored = entry.results[ctx] = ScoredText._trusted(
-                    entry.tokens, head + entry.tail)
-            if entry.positions <= _CACHE_POSITIONS:  # else it stays out
-                while self._positions + entry.positions > _CACHE_POSITIONS:
+                    entry.tokens, head, entry.tail, entry.parts)
+            held = entry.positions
+            if held <= _CACHE_POSITIONS:  # else it stays out
+                while self._positions + held > _CACHE_POSITIONS:
                     self._positions -= cache.pop(next(iter(cache))).positions
                 cache[text] = entry
-                self._positions += entry.positions
+                self._positions += held
             return scored
 
 

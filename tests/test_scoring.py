@@ -172,6 +172,55 @@ class TestScoredText:
             ScoredText(tokens=(), logprobs=())
 
 
+    def test_immutable_equal_by_value_and_hashable(self):
+        a = ScoredText(tokens=("a", "b"), logprobs=(-1, -0.5))
+        b = ScoredText(tokens=["a", "b"], logprobs=[-1.0, -0.5])
+        assert a == b and hash(a) == hash(b) and a.logprobs == (-1.0, -0.5)
+        assert a != ScoredText(tokens=("a", "b"), logprobs=(-1.0, -0.5), truncated=True)
+        assert repr(a) == ("ScoredText(tokens=('a', 'b'), logprobs=(-1.0, -0.5), "
+                           "truncated=False)")
+        with pytest.raises(AttributeError):
+            a.logprobs = (-2.0, -2.0)
+        with pytest.raises(AttributeError):
+            a._perplexity = 1.0
+        with pytest.raises(AttributeError):
+            del a.tokens
+
+
+# Tails of mixed magnitudes: any float down to -1e300, subnormals, and
+# powers of two whose exponents lie far apart, so that some sums need more
+# than two floats' bits and the two parts cannot hold them.
+tail_values = st.one_of(
+    st.floats(min_value=-1e300, max_value=0.0),
+    st.floats(min_value=-5e-308, max_value=0.0),
+    st.integers(-1074, 990).map(lambda e: -math.ldexp(1.0, e)),
+)
+
+
+class TestExactParts:
+    """The two floats that stand in for a shared tail row's sum."""
+
+    @given(st.lists(st.floats(min_value=-1e300, max_value=0.0), max_size=3),
+           st.lists(tail_values, min_size=1, max_size=40))
+    @example([], [-1.0])  # a single-element tail
+    @example([-0.5, -0.25], [-5e-324, -1e-310, -2.0])  # subnormals
+    @example([-1e-300], [-1.0, -2.0**-200, -2.0**-400])  # no two floats hold it
+    @example([-3.0], [-1e300, -1.0, -1e-300])
+    @settings(max_examples=500)
+    def test_head_plus_parts_sums_as_head_plus_tail(self, head, tail):
+        tail = tuple(tail)
+        parts = scoring._exact_parts(tail)
+        assert len(parts) == 2 or parts is tail
+        assert bits([math.fsum(head + list(parts))]) == bits([math.fsum(head + list(tail))])
+
+    def test_both_paths_run(self):
+        exact = (-0.1, -0.2, -0.3)
+        assert scoring._exact_parts(exact) == (math.fsum(exact),
+                                               math.fsum((*exact, -math.fsum(exact))))
+        wide = (-1.0, -2.0**-200, -2.0**-400)
+        assert scoring._exact_parts(wide) is wide
+
+
 class TestPerplexity:
     def test_uniform(self):
         st_ = ScoredText(tokens=tuple("abcd"), logprobs=(-math.log(4),) * 4)
@@ -319,10 +368,15 @@ def context_tail(context: str | None, order: int) -> str:
     return (context or "")[-(order - 1):] if order > 1 else ""
 
 
+def head_length(text: str, order: int) -> int:
+    """The positions of ``text`` that a context reaches at ``order``."""
+    return min(order - 1, len(text))
+
+
 def cached_positions(scorer: NGramScorer) -> int:
     """The positions a scorer's cache holds, counted from its entries: a
-    text's own, and one result's per context tail."""
-    return sum(len(text) * (1 + len(entry.results))
+    text's own, and one result's head per context tail."""
+    return sum(len(text) + head_length(text, scorer.order) * len(entry.results)
                for text, entry in scorer._cache.items())
 
 
@@ -387,7 +441,7 @@ class TestNGramScorerTailCache:
                 assert scorer._positions == cached_positions(scorer) <= bound
                 if hit:  # the cached object, left where it was
                     assert scored is entry.results[tail] and text in scorer._cache
-                elif 2 * len(text) > bound:  # too long to cache at all
+                elif len(text) + head_length(text, order) > bound:  # too long to cache
                     assert text not in scorer._cache
                 elif text in scorer._cache:  # a new result: the newest text
                     assert list(scorer._cache)[-1] == text
@@ -395,20 +449,34 @@ class TestNGramScorerTailCache:
                     assert scorer.score(text, context) is scored
 
     def test_oldest_texts_are_dropped_first(self, monkeypatch):
-        monkeypatch.setattr(scoring, "_CACHE_POSITIONS", 12)
+        # at order 2 a text costs its length, and each result its head of 1
+        monkeypatch.setattr(scoring, "_CACHE_POSITIONS", 7)
         scorer = NGramScorer(order=2, corpus="abc xyq")
-        plain = scorer.score("abc")  # the text and one result: 6 positions
-        scorer.score("xy")  # 4 more: 10
-        after_x = scorer.score("abc", "x")  # 9 for abc: xy is dropped
-        assert list(scorer._cache) == ["abc"] and scorer._positions == 9
+        plain = scorer.score("abc")  # the text and one result: 4 positions
+        scorer.score("xy")  # 3 more: 7
+        after_x = scorer.score("abc", "x")  # 5 for abc: xy is dropped
+        assert list(scorer._cache) == ["abc"] and scorer._positions == 5
         assert scorer.score("abc", "zzx") is after_x
         assert scorer.score("abc") is plain
-        scorer.score("q")  # 2 more: 11
-        assert list(scorer._cache) == ["abc", "q"] and scorer._positions == 11
-        scorer.score("xy")  # 4 more: abc, the oldest, is dropped
-        assert list(scorer._cache) == ["q", "xy"] and scorer._positions == 6
+        scorer.score("q")  # 2 more: 7
+        assert list(scorer._cache) == ["abc", "q"] and scorer._positions == 7
+        scorer.score("xy")  # 3 more: abc, the oldest, is dropped
+        assert list(scorer._cache) == ["q", "xy"] and scorer._positions == 5
         again = scorer.score("abc")
         assert again is not plain and hexes(again) == hexes(plain)
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_results_share_their_texts_tail_row(self, order):
+        scorer = NGramScorer(order=order, corpus="the cat sat on the mat")
+        for text in ("a", "the hat", "sat on the mat"):
+            results = [scorer.score(text, context)
+                       for context in (None, "x", "on the ", "cat sat")]
+            entry = scorer._cache[text]
+            for scored in results:
+                assert type(scored) is ScoredText
+                assert scored.tokens is entry.tokens and scored._tail is entry.tail
+                assert len(scored._head) == head_length(text, order)
+                assert scored.logprobs == scored._head + entry.tail
 
     def test_threads_sharing_a_scorer_match_serial(self, monkeypatch):
         # a bound of 100 positions makes threads evict each other's texts,
@@ -417,7 +485,7 @@ class TestNGramScorerTailCache:
         monkeypatch.setattr(scoring, "_CACHE_POSITIONS", 100)
         trusted = ScoredText._trusted
         monkeypatch.setattr(ScoredText, "_trusted", classmethod(
-            lambda cls, tokens, logprobs: time.sleep(1e-5) or trusted(tokens, logprobs)))
+            lambda cls, *row: time.sleep(1e-5) or trusted(*row)))
         rng = random.Random(7)
         corpus = "".join(rng.choice("abcde ") for _ in range(400))
         texts_ = [corpus[i:i + rng.randint(1, 40)] for i in range(0, 400, 37)]
