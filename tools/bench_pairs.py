@@ -16,8 +16,9 @@ every run agree, and names each run that was not correct.
 
 ``--record`` writes the runs to the next free ``BENCH_<n>.json`` at the
 repository root; ``--record BENCH_<n>.json`` adds these workloads to that
-file instead. A record holds each tree's git SHA and whether its tracked
-files differ from it, the Python version, the CPU count, and per workload
+file instead, when it records the same trees. A record holds each tree's
+git SHA and whether its tracked files differed from it when the runs
+began, the Python version, the CPU count, and per workload
 the command line, the summary and each run's JSON line and exact
 counters.
 """
@@ -146,7 +147,17 @@ def main(argv=None) -> int:
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs < 1")
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    states = {tree: git_state(trees[tree]) for tree in TREES}  # as measured
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    record = None
+    if args.record is not None:
+        path = Path(args.record) if args.record else next_free(ROOT)
+        record = {"trees": states, "python": platform.python_version(),
+                  "cpus": os.cpu_count(), "workloads": {}}
+        if path.exists():
+            record = json.loads(path.read_text())
+            if record["trees"] != states:
+                raise SystemExit(f"error: {path} records other trees: {record['trees']}")
 
     measured = {}
     for workload in workloads:
@@ -167,15 +178,7 @@ def main(argv=None) -> int:
         measured[workload] = {"command": ["python3", *command[1:]], "pairs": args.pairs,
                               "summary": rows, "runs": runs}
 
-    if args.record is not None:
-        path = Path(args.record) if args.record else next_free(ROOT)
-        record = {"trees": {tree: git_state(trees[tree]) for tree in TREES},
-                  "python": platform.python_version(), "cpus": os.cpu_count(),
-                  "workloads": {}}
-        if path.exists():
-            record = json.loads(path.read_text())
-            if record["trees"]["change"]["sha"] != git_state(ROOT)["sha"]:
-                raise SystemExit(f"error: {path} records another SHA of this tree")
+    if record is not None:
         record["workloads"].update(measured)
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"recorded {path}")
