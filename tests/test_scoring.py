@@ -171,7 +171,6 @@ class TestScoredText:
         with pytest.raises(ValueError):
             ScoredText(tokens=(), logprobs=())
 
-
     def test_immutable_equal_by_value_and_hashable(self):
         a = ScoredText(tokens=("a", "b"), logprobs=(-1, -0.5))
         b = ScoredText(tokens=["a", "b"], logprobs=[-1.0, -0.5])
