@@ -32,7 +32,6 @@ from .metrics import (
     chunk_stickiness,
     conditional_support,
     dissimilarity,
-    edge_weight,
     evaluate_chunksets,
     pearson,
 )

@@ -167,8 +167,7 @@ def _backend_name(backend) -> str | None:
     """Class name, plus the remote model id when the backend has one."""
     if backend is None:
         return None
-    handle = getattr(backend, "handle", None)
-    model = getattr(handle, "model", None) or getattr(backend, "model", None)
+    model = getattr(getattr(backend, "handle", None), "model", None)
     name = type(backend).__name__
     return f"{name}:{model}" if model else name
 

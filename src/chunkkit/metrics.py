@@ -31,27 +31,30 @@ def _text_of(piece: Chunk | str) -> str:
     return piece.text if isinstance(piece, Chunk) else piece
 
 
-def _pair_ppl(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> tuple[float, float]:
-    """(ppl(q), ppl(q|d)) of two non-empty chunks."""
-    qt, dt = _text_of(q), _text_of(d)
-    if not qt or not dt:
-        raise ValueError("a chunk pair needs two non-empty chunks")
-    return perplexity(scorer.score(qt)), perplexity(scorer.score(qt, context=dt))
+def boundary_clarity(chunks: ChunkSet | Sequence[Chunk | str], scorer: Scorer) -> float:
+    """Mean over adjacent chunk pairs of BC(q, d) = ppl(q|d) / ppl(q), the
+    later chunk q given the earlier d; > 0, near 1 means each chunk is
+    independent of the one before it. ``boundary_clarity([d, q], scorer)``
+    is the BC of one pair.
 
-
-def boundary_clarity(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> float:
-    """ppl(q|d) / ppl(q); > 0, near 1 means q is independent of d."""
-    ppl_q, ppl_q_given_d = _pair_ppl(q, d, scorer)
-    return ppl_q_given_d / ppl_q
+    The 2(n - 1) requests, q and then q given d per pair, go to the scorer
+    as one list through :func:`score_many`.
+    """
+    texts = [_text_of(c) for c in chunks]
+    if len(texts) < 2:
+        raise ValueError(f"boundary clarity needs >= 2 chunks, got {len(texts)}")
+    if not all(texts):
+        raise ValueError("boundary clarity needs non-empty chunks")
+    scored = score_many(scorer, [request for d, q in zip(texts, texts[1:])
+                                 for request in ((q, None), (q, d))])
+    return fmean(
+        perplexity(q_given_d) / perplexity(q) for q, q_given_d in zip(scored, scored)
+    )
 
 
 def _edge_from_ppl(ppl_q: float, ppl_q_given_d: float) -> float:
+    """Normalized perplexity reduction of q given d, clamped below at 0."""
     return max(0.0, (ppl_q - ppl_q_given_d) / ppl_q)
-
-
-def edge_weight(q: Chunk | str, d: Chunk | str, scorer: Scorer) -> float:
-    """Normalized perplexity reduction of q given d, clamped into [0, 1]."""
-    return _edge_from_ppl(*_pair_ppl(q, d, scorer))
 
 
 @dataclass(frozen=True)
@@ -246,12 +249,13 @@ def evaluate_chunksets(
     """The requested metrics of one chunk set of ``doc``, by name; a metric
     that does not apply to it is None.
 
-    BC is the mean over adjacent pairs (later chunk given earlier); CP reads
-    the reference answer from ``doc.meta["answer"]`` and scores it against
-    the document's own chunks, and is None without one; an answer that is
-    not a string is a CorpusFormatError. Every metric sends its own
-    requests as lists through :func:`score_many`: BC its 2(n - 1) requests
-    as one, each graph its plain and its conditional requests as two.
+    Each metric is one call: BC :func:`boundary_clarity`, ``cs_c`` and
+    ``cs_i`` :func:`chunk_stickiness` of a complete and a sequence
+    :func:`build_graph`, DS :func:`dissimilarity`; each is None for a chunk
+    set of fewer than two chunks. CP reads the reference answer from
+    ``doc.meta["answer"]`` and scores it against the document's own chunks,
+    and is None without one; an answer that is not a string is a
+    CorpusFormatError.
     """
     unknown = [m for m in metrics if m not in METRIC_BACKENDS]
     if unknown:
@@ -262,25 +266,19 @@ def evaluate_chunksets(
     if missing:
         raise ValueError(f"metrics need backends that were not given: {missing}")
 
-    values: dict[str, float | None] = {}
-    if "bc" in metrics:
-        texts = cs.texts()
-        # each adjacent pair: the later chunk q, then q given the earlier one
-        scored = score_many(scorer, [request for d, q in zip(texts, texts[1:])
-                                     for request in ((q, None), (q, d))])
-        values["bc"] = fmean(
-            perplexity(q_given_d) / perplexity(q) for q, q_given_d in zip(scored, scored)
-        ) if len(cs) >= 2 else None
-    if "cs_c" in metrics:
-        values["cs_c"] = chunk_stickiness(
-            build_graph(cs, scorer, k=k, variant="complete")
-        ) if len(cs) >= 2 else None
-    if "cs_i" in metrics:
-        values["cs_i"] = chunk_stickiness(
-            build_graph(cs, scorer, k=k, variant="sequence", delta=delta)
-        ) if len(cs) >= 2 else None
-    if "ds" in metrics:
-        values["ds"] = dissimilarity(cs, embedder) if len(cs) >= 2 else None
+    # the metrics of two or more chunks, one call each, in this order
+    pairwise = {
+        "bc": lambda: boundary_clarity(cs, scorer),
+        "cs_c": lambda: chunk_stickiness(
+            build_graph(cs, scorer, k=k, variant="complete")),
+        "cs_i": lambda: chunk_stickiness(
+            build_graph(cs, scorer, k=k, variant="sequence", delta=delta)),
+        "ds": lambda: dissimilarity(cs, embedder),
+    }
+    values: dict[str, float | None] = {
+        name: metric() if len(cs) >= 2 else None
+        for name, metric in pairwise.items() if name in metrics
+    }
     if "cp" in metrics:
         answer = doc.meta.get("answer")
         if answer is not None and not isinstance(answer, str):

@@ -40,7 +40,6 @@ from chunkkit.metrics import (
     boundary_clarity,
     build_graph,
     chunk_stickiness,
-    edge_weight,
     pearson,
 )
 from chunkkit.moc import extract_chunks, moc_chunk
@@ -422,7 +421,7 @@ def test_c8_directional_sanity_two_topic_corpus():
         chunks = true_cs.chunks
 
         clarities = [
-            boundary_clarity(chunks[i + 1], chunks[i], scorer)
+            boundary_clarity([chunks[i], chunks[i + 1]], scorer)
             for i in range(len(chunks) - 1)
         ]
         boundary_index = per_topic - 1
@@ -458,10 +457,13 @@ def test_c9_clamp_and_identity_algebra():
     for i in range(1000):
         ppl_q = math.exp(rng.uniform(0.001, 5))
         ppl_qd = math.exp(rng.uniform(0.001, 5))
-        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=ppl_q),
-                         "q", "d", ppl=ppl_qd)
-        bc = boundary_clarity("q", "d", scorer)
-        edge = edge_weight("q", "d", scorer)
+        scorer = add_ppl(add_ppl(add_ppl(FixtureScorer(), "q", ppl=ppl_q),
+                                 "q", "d", ppl=ppl_qd), "d", ppl=ppl_q)
+        bc = boundary_clarity(["d", "q"], scorer)
+        # Edge(q, d) is the weight of the two-chunk sequence graph's one
+        # possible edge; a pair with no edge weighs 0
+        graph = build_graph(["d", "q"], scorer, k=1e-15, variant="sequence")
+        edge = next((w for _, _, w in graph.edges), 0.0)
         assert 0.0 <= edge <= 1.0, (ppl_q, ppl_qd, edge)
         if bc <= 1.0:
             worst = max(worst, abs(edge - (1.0 - bc)))

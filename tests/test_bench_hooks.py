@@ -40,7 +40,9 @@ print(json.dumps(outcomes))
 """
 
 
-def test_set_up_only_commands_stop_at_first_document(tmp_path):
+def write_inputs(tmp_path: Path) -> None:
+    """A two-document corpus, a chunk set of two chunks per document and a
+    config of offline backends, in ``tmp_path``."""
     text = "Alpha sentence one. Beta sentence two. Gamma sentence three."
     (tmp_path / "corpus.jsonl").write_text(
         "".join(json.dumps({"id": f"d{i}", "text": text}) + "\n" for i in range(2)))
@@ -58,6 +60,22 @@ def test_set_up_only_commands_stop_at_first_document(tmp_path):
         "experts": {str(i): fixture for i in range(4)},
         "generator": fixture,
     }))
+
+
+def run_script(script: str, arg, tmp_path: Path) -> dict:
+    """The JSON last line ``script`` prints when it runs in a fresh
+    interpreter with the probes importable, ``arg`` as JSON its argument."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(arg)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_set_up_only_commands_stop_at_first_document(tmp_path):
+    write_inputs(tmp_path)
     config = ["--config", "config.json"]
     commands = {
         "chunk-semantic": [*config, "chunk", "--corpus", "corpus.jsonl", "--out",
@@ -70,14 +88,39 @@ def test_set_up_only_commands_stop_at_first_document(tmp_path):
         "distill": [*config, "dataset", "distill", "--corpus", "corpus.jsonl",
                     "--out-dir", "distilled"],
     }
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(commands)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    outcomes = json.loads(proc.stdout.splitlines()[-1])
-    assert outcomes == {name: "setup-done" for name in commands}, proc.stderr
+    outcomes = run_script(SCRIPT, commands, tmp_path)
+    assert outcomes == {name: "setup-done" for name in commands}
     # a command stopped in set-up leaves no output and no temporary file
     left = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
     assert left == ["chunks.jsonl", "config.json", "corpus.jsonl", "empty.json"]
+
+
+TRACED = r"""
+import json, sys
+import probes
+
+rec = probes.Recorder(trace=True)
+probes.install(rec)
+from chunkkit import cli, metrics
+
+# each function of chunkkit.metrics that a probe wraps, by its probe's name
+wrapped = sorted({attr for owner in (cli, metrics) for attr, fn in vars(owner).items()
+                  if getattr(getattr(fn, "__wrapped__", None), "__module__", None)
+                  == metrics.__name__})
+cli.main.main(args=json.loads(sys.argv[1]), prog_name="chunkkit",
+              standalone_mode=False)
+print(json.dumps({name: rec.counts[f"metrics.{name}.calls"] for name in wrapped}))
+"""
+
+
+def test_traced_eval_calls_every_wrapped_metric(tmp_path):
+    # a probe on a name the command no longer calls reads 0; each metric
+    # the eval workload asks for is counted where it is computed, once per
+    # chunk set (build_graph once per variant)
+    write_inputs(tmp_path)
+    calls = run_script(TRACED, [
+        "--config", "config.json", "eval", "--corpus", "corpus.jsonl",
+        "--chunksets", "chunks.jsonl", "--metrics", "bc,cs_c,cs_i,ds",
+        "--out", "r.jsonl"], tmp_path)
+    assert calls == {"boundary_clarity": 2, "build_graph": 4,
+                     "dissimilarity": 2, "evaluate_chunksets": 2}

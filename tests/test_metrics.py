@@ -21,11 +21,10 @@ from chunkkit.metrics import (
     chunk_stickiness,
     conditional_support,
     dissimilarity,
-    edge_weight,
     evaluate_chunksets,
     pearson,
 )
-from chunkkit.scoring import FixtureEmbedder, FixtureScorer, NGramScorer
+from chunkkit.scoring import FixtureEmbedder, FixtureScorer, NGramScorer, perplexity
 from chunkkit.text import ChunkSet
 
 from conftest import add_ppl, make_doc, random_text
@@ -41,49 +40,67 @@ def complete_graph(n: int) -> SemanticGraph:
 class TestBoundaryClarity:
     def test_independent_chunks(self):
         scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=20), "q", "d", ppl=20)
-        assert boundary_clarity("q", "d", scorer) == pytest.approx(1.0)
+        assert boundary_clarity(["d", "q"], scorer) == pytest.approx(1.0)
 
     def test_ratio_by_definition(self):
         scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=20), "q", "d", ppl=5)
-        assert boundary_clarity("q", "d", scorer) == pytest.approx(0.25)
+        assert boundary_clarity(["d", "q"], scorer) == pytest.approx(0.25)
+
+    def test_mean_over_adjacent_pairs(self):
+        # each later chunk given the one before it: BC(b, a) and BC(c, b)
+        scorer = FixtureScorer()
+        add_ppl(add_ppl(scorer, "b", ppl=20), "b", "a", ppl=5)
+        add_ppl(add_ppl(scorer, "c", ppl=10), "c", "b", ppl=10)
+        assert boundary_clarity(["a", "b", "c"], scorer) == pytest.approx(0.625)
 
     def test_repetition_context_beats_disjoint_alphabet(self):
         # conditioning on an exact repetition primes the junction n-gram;
         # a disjoint-alphabet context gives the scorer nothing
         q = "the cat sat on the mat. "
         scorer = NGramScorer(order=2, corpus=q + q)
-        bc_repeat = boundary_clarity(q, q, scorer)
-        bc_disjoint = boundary_clarity(q, "0123456789", scorer)
+        bc_repeat = boundary_clarity([q, q], scorer)
+        bc_disjoint = boundary_clarity(["0123456789", q], scorer)
         assert bc_repeat < bc_disjoint
 
     def test_empty_chunk_rejected(self):
         scorer = FixtureScorer()
         with pytest.raises(ValueError):
-            boundary_clarity("", "d", scorer)
+            boundary_clarity(["d", ""], scorer)
+
+    @pytest.mark.parametrize("chunks", [[], ["q"]])
+    def test_fewer_than_two_chunks_rejected(self, chunks):
+        with pytest.raises(ValueError, match=">= 2 chunks"):
+            boundary_clarity(chunks, FixtureScorer())
+
+
+def pair_edge(scorer) -> float:
+    """Edge(q, d): the weight of the one possible edge of the two-chunk
+    sequence graph of ``d`` then ``q``; a pair with no edge weighs 0."""
+    graph = build_graph(["d", "q"], scorer, k=1e-15, variant="sequence")
+    return next((w for _, _, w in graph.edges), 0.0)
 
 
 class TestEdgeWeight:
+    @staticmethod
+    def scorer(ppl_q: float, ppl_qd: float) -> FixtureScorer:
+        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=ppl_q), "q", "d", ppl=ppl_qd)
+        return add_ppl(scorer, "d", ppl=10)
+
     def test_independence_gives_zero(self):
-        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=10)
-        assert edge_weight("q", "d", scorer) == pytest.approx(0.0)
+        assert pair_edge(self.scorer(10, 10)) == pytest.approx(0.0)
 
     def test_direct_formula(self):
-        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=2.5)
-        assert edge_weight("q", "d", scorer) == pytest.approx(0.75)
+        assert pair_edge(self.scorer(10, 2.5)) == pytest.approx(0.75)
 
     def test_clamped_at_zero(self):
         # noisier conditional than unconditional: clamp keeps the range
-        scorer = add_ppl(add_ppl(FixtureScorer(), "q", ppl=10), "q", "d", ppl=12)
-        assert edge_weight("q", "d", scorer) == 0.0
+        assert pair_edge(self.scorer(10, 12)) == 0.0
 
     def test_identity_with_bc(self, rng):
         for _ in range(50):
-            ppl_q = rng.uniform(1.001, 50)
-            ppl_qd = rng.uniform(1.001, 50)
-            scorer = add_ppl(FixtureScorer(), "q", ppl=ppl_q)
-            add_ppl(scorer, "q", "d", ppl=ppl_qd)
-            bc = boundary_clarity("q", "d", scorer)
-            edge = edge_weight("q", "d", scorer)
+            scorer = self.scorer(rng.uniform(1.001, 50), rng.uniform(1.001, 50))
+            bc = boundary_clarity(["d", "q"], scorer)
+            edge = pair_edge(scorer)
             if bc <= 1.0:
                 assert edge == pytest.approx(1.0 - bc, abs=1e-12)
             assert 0.0 <= edge <= 1.0
@@ -339,8 +356,13 @@ class TestEvaluateChunksets:
         scorer = NGramScorer(order=2, corpus=doc.text)
         values = evaluate_chunksets(doc, cs, ("bc", "cs_c", "cs_i"), scorer=scorer)
         assert set(values) == {"bc", "cs_c", "cs_i"}
+
+        def pair_bc(q, d):  # BC(q, d) from two score calls
+            return (perplexity(scorer.score(q.text, d.text))
+                    / perplexity(scorer.score(q.text)))
+
         assert values["bc"] == pytest.approx(fmean(
-            boundary_clarity(b, a, scorer) for a, b in zip(cs.chunks, cs.chunks[1:])))
+            pair_bc(b, a) for a, b in zip(cs.chunks, cs.chunks[1:])))
         single = ChunkSet.from_spans(doc, [(0, 19)], method="fixed")
         assert evaluate_chunksets(doc, single, ("bc", "cs_c", "cs_i"),
                                   scorer=scorer) == dict.fromkeys(values)
