@@ -24,7 +24,7 @@ from .rules import (
     RuleList,
     parse_rule_list,
 )
-from .scoring import Generator, Scorer
+from .scoring import Generator, Scorer, score_many
 from .text import ChunkSet, Document
 
 
@@ -32,14 +32,16 @@ def route(text: str, scorer: Scorer) -> GranularityLabel:
     """Pick the granularity label whose token is most probable at the end
     of the routing prompt; ties break toward the smaller (finer) label.
 
-    Every label is scored, so a scorer's fault on any label propagates
-    (a :class:`ScoringError` fails the caller's window); no label is skipped.
+    The four label requests go to the scorer as one list (see
+    :func:`score_many`). Every label is scored, so a scorer's fault on any
+    label propagates (a :class:`ScoringError` fails the caller's window);
+    no label is skipped.
     """
     if not text:
         raise ValueError("cannot route empty text")
     prompt = prompts.render(prompts.ROUTER_PROMPT, text=text)
-    return max(GranularityLabel, key=lambda label: sum(
-        scorer.score(str(label.value), context=prompt).logprobs))
+    results = score_many(scorer, [(str(label.value), prompt) for label in GranularityLabel])
+    return max(zip(GranularityLabel, results), key=lambda pair: sum(pair[1].logprobs))[0]
 
 
 def generate_rules(

@@ -11,13 +11,12 @@ at the metrics layer only.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import FixtureMissingError, UndefinedSimilarityError
@@ -213,8 +212,13 @@ class NGramScorer:
     the concatenation: score(text, context) == score(context + text)
     restricted to the text positions.
 
-    The constructor counts the corpus and turns the counts into log-prob
-    rows, one per seen context, then drops the counts: the row of ``ctx``
+    The constructor counts only the ``order``-grams of the corpus, in one
+    ``Counter.update`` over every text's n-grams that runs in C, and derives
+    each shorter order from them: a (k-1)-gram is the prefix of a k-gram,
+    or the last k-1 characters of its text. So it builds one n-gram string
+    per ``order``-gram position, and loops in Python only over distinct
+    n-grams. It turns the counts into log-prob rows, one per seen context,
+    then drops the counts: the row of ``ctx``
     gives log P(c | ctx) for every char seen after it, stored under the
     n-gram ``ctx + c``, plus one value for every unseen char,
     log(1 / (count(ctx) + V)). A context never seen gets log(1 / V).
@@ -260,29 +264,34 @@ class NGramScorer:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        chars = set(alphabet or ())
-        # ctx -> Counter of the char after it; a context's length k-1 tells
-        # its order, so one dict holds all orders
-        counts: dict[str, Counter] = {}
-        for text in [corpus] if isinstance(corpus, str) else corpus or ():
-            chars.update(text)
-            for k in range(1, order + 1):
-                for gram, count in Counter(_ngrams(text, k)).items():
-                    ctx = gram[:-1]
-                    bucket = counts.get(ctx)
-                    if bucket is None:
-                        bucket = counts[ctx] = Counter()
-                    bucket[gram[-1]] += count
-        v = self._v = len(chars)
+        texts = [corpus] if isinstance(corpus, str) else list(corpus or ())
+        # the order-grams of all texts, counted in one pass in C; a shorter
+        # gram is the prefix of a longer one, or lies in the last order - 1
+        # characters of its text, that text's end
+        level = Counter(chain.from_iterable(_ngrams(text, order) for text in texts))
+        ends = Counter(text[1 - order:] for text in texts) if order > 1 else Counter()
+        levels = []  # (k-grams' counts, their contexts' totals), k = order .. 1
+        for k in range(order, 0, -1):
+            totals = Counter()  # ctx -> how many k-grams open with it
+            for gram, count in level.items():
+                totals[gram[:-1]] += count
+            levels.append((level, totals))
+            # the (k-1)-grams: each k-gram's prefix, and the last k - 1
+            # characters of each end at least that long
+            level = totals.copy()
+            for end, count in ends.items():
+                if len(end) >= k - 1:
+                    level[end[len(end) - k + 1:]] += count
+        v = self._v = len(set(alphabet or ()).union(levels[-1][0]))
         self._logprob: dict[str, float] = {}  # ctx + char -> log P(char | ctx)
         self._unseen: dict[str, float] = {}  # ctx -> log P(unseen char | ctx)
         self._floor = math.log(1 / v) if v else 0.0
-        for ctx, bucket in counts.items():
-            total = sum(bucket.values())
-            self._unseen[ctx] = math.log(1 / (total + v))
-            for char, count in bucket.items():
-                self._logprob[ctx + char] = min(
-                    math.log((count + 1) / (total + v)), 0.0
+        for level, totals in levels:
+            for ctx, total in totals.items():
+                self._unseen[ctx] = math.log(1 / (total + v))
+            for gram, count in level.items():
+                self._logprob[gram] = min(
+                    math.log((count + 1) / (totals[gram[:-1]] + v)), 0.0
                 )
         rows = (*self._logprob.values(), *self._unseen.values(), self._floor)
         # the ScoredText check, once per scorer: 0.0 < lp is false for NaN too
@@ -440,11 +449,12 @@ class HashEmbedder:
     character n-grams land near each other. FNV-1a hashes each n-gram into
     one of ``dim`` buckets, and the vector is the integer count of n-grams
     per bucket (feature hashing). It is not normalised: :func:`cosine`,
-    its only reader, does not depend on scale. A text's n-grams are
-    counted first, so each distinct n-gram is hashed once per text. The
-    hash of each n-gram string is also memoised in a bounded process-wide
-    cache shared by all instances (see :func:`_gram_hash`), so an n-gram
-    seen in an earlier text skips the per-byte loop.
+    its only reader, does not depend on scale.
+
+    Each embedder keeps a table from n-gram to bucket, so FNV-1a runs once
+    per distinct n-gram it has seen, and a text's n-grams are looked up and
+    counted in C. The table holds at most ``_BUCKET_GRAMS`` n-grams: an
+    n-gram it misses when full empties it first.
     """
 
     def __init__(self, dim: int = 64, ngram: int = 3):
@@ -452,6 +462,7 @@ class HashEmbedder:
             raise ValueError("dim must be >= 2 and ngram >= 1")
         self.dim = dim
         self.ngram = ngram
+        self._buckets = _Buckets(dim)
 
     @staticmethod
     def _fnv1a(data: bytes) -> int:
@@ -467,17 +478,35 @@ class HashEmbedder:
         n = self.ngram
         padded = text if len(text) >= n else text.ljust(n)
         vec = [0] * self.dim
-        for gram, count in Counter(_ngrams(padded, n)).items():
-            vec[_gram_hash(gram) % self.dim] += count
+        for bucket in map(self._buckets.__getitem__, _ngrams(padded, n)):
+            vec[bucket] += 1
         return tuple(vec)
 
     def embed_many(self, texts: Sequence[str]) -> list[tuple[int, ...]]:
         return [self.embed(t) for t in texts]
 
 
-@functools.lru_cache(maxsize=1 << 15)
-def _gram_hash(gram: str) -> int:
-    """FNV-1a of an n-gram's UTF-8 bytes. Natural-language text has a few
-    thousand distinct short n-grams, so this bounded cache catches nearly
-    every repeat and holds at most a few MiB."""
-    return HashEmbedder._fnv1a(gram.encode("utf-8"))
+# n-grams a HashEmbedder's table holds: natural-language text has a few
+# thousand distinct short n-grams, so a full table is rare, and it holds a
+# few MiB
+_BUCKET_GRAMS = 1 << 15
+
+
+class _Buckets(dict):
+    """n-gram -> its bucket, FNV-1a of its UTF-8 bytes mod ``dim``, computed
+    when first looked up. A lock makes each miss check the size, empty a
+    full table and store as one step, so threads sharing an embedder never
+    grow it past ``_BUCKET_GRAMS``."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+        self._lock = threading.Lock()
+
+    def __missing__(self, gram: str) -> int:
+        bucket = HashEmbedder._fnv1a(gram.encode("utf-8")) % self.dim
+        with self._lock:
+            if len(self) >= _BUCKET_GRAMS:
+                self.clear()
+            self[gram] = bucket
+        return bucket

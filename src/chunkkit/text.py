@@ -152,8 +152,10 @@ class ChunkSet:
 # stay attached to that sentence.
 _TERMINALS = frozenset(".!?;。！？；")
 _CLOSERS = frozenset("\"'”’』」》〉〕】)]")
-# A terminal and its closers (group 1 is the terminal), or a newline run.
-_BREAK = re.compile("([{}])[{}]*|[\n\r]+".format(
+# A terminal and its closers, or a newline run. The pattern opens on one
+# character class, so ``re`` skips in C to each character that can start a
+# break; the terminal, if any, is the match's first character.
+_BREAK = re.compile("[{0}\n\r](?:(?<=[\n\r])[\n\r]*|[{1}]*)".format(
     *(re.escape("".join(sorted(chars))) for chars in (_TERMINALS, _CLOSERS))))
 
 
@@ -181,7 +183,8 @@ def split_sentences(doc: Document | str) -> list[SentenceSpan]:
     spans: list[SentenceSpan] = []
     start = 0
     for match in _BREAK.finditer(text):
-        terminal = match.group(1)
+        first = text[match.start()]
+        terminal = first if first in _TERMINALS else None
         if terminal is None and match.start() == start:
             continue  # a newline run at span start accumulates into the next span
         spans.append(SentenceSpan(start, match.end(), terminal))

@@ -17,7 +17,7 @@ from chunkkit.errors import (
 )
 from chunkkit.moc import extract_chunks, generate_rules, moc_chunk, route
 from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, parse_rule_list
-from chunkkit.scoring import FixtureGenerator, FixtureScorer
+from chunkkit.scoring import FixtureGenerator, FixtureScorer, NGramScorer
 from chunkkit.text import ChunkSet, Document
 
 from conftest import CountingGenerator, make_doc
@@ -68,6 +68,27 @@ class TestRoute:
         scorer = FailingLabel(router_fixture("t", favouring(1)), label)
         with pytest.raises(TransportError, match="router down"):
             route("t", scorer)
+
+
+    def test_labels_sent_as_one_list(self):
+        # the four labels in order, as one list; the tie still goes to the
+        # finer label
+        scorer = ListRouter(router_fixture("t", {0: 0.1, 1: 0.4, 2: 0.4, 3: 0.1}))
+        assert route("t", scorer) == GranularityLabel(1)
+        prompt = prompts.render(prompts.ROUTER_PROMPT, text="t")
+        assert scorer.lists == [[(str(lab.value), prompt) for lab in GranularityLabel]]
+
+
+class ListRouter:
+    """A router that only has ``score_many``: it records each request list
+    and answers it from ``inner``."""
+
+    def __init__(self, inner):
+        self.inner, self.lists = inner, []
+
+    def score_many(self, requests):
+        self.lists.append(list(requests))
+        return [self.inner.score(text, context) for text, context in self.lists[-1]]
 
 
 class FailingLabel:
@@ -282,6 +303,21 @@ class TestMocChunk:
         router, experts = build_moc_fixtures(doc, 2, texts)
         cs, _ = moc_chunk(doc, router, experts)
         assert [c.text.strip() for c in cs.chunks] == [t.strip() for t in texts]
+
+    def test_router_gets_one_list_per_window(self):
+        body = " ".join(f"sentence number {i} speaks plainly." for i in range(12))
+        doc = make_doc(body)
+        windows = sliding_windows(doc, max_tokens=120)
+        assert len(windows) > 2
+        texts = [f"sentence number {i} speaks plainly." for i in range(12)]
+        _, experts = build_moc_fixtures(doc, 0, texts, windows)
+        # uniform over the labels, so it answers every window's requests
+        router = ListRouter(NGramScorer(1, alphabet="0123"))
+        moc_chunk(doc, router, experts, max_window_tokens=120)
+        assert len(router.lists) == len(windows)
+        for requests in router.lists:
+            assert [text for text, _ in requests] == ["0", "1", "2", "3"]
+            assert len({context for _, context in requests}) == 1
 
     def test_missing_expert_rejected(self):
         doc = make_doc("abc def.")

@@ -106,6 +106,28 @@ specs = st.builds(
 )
 
 
+def per_order_rows(order: int, corpus, alphabet) -> tuple:
+    """Reference: the fit that counted each text once per order and merged
+    each text's Counter into the context buckets in Python. The rows as
+    float hex strings (``_logprob``, ``_unseen``), ``_floor`` and ``_v``."""
+    chars = set(alphabet or ())
+    counts: dict[str, Counter] = {}
+    for text in [corpus] if isinstance(corpus, str) else corpus or ():
+        chars.update(text)
+        for k in range(1, order + 1):
+            grams = Counter(text[t:t + k] for t in range(len(text) - k + 1))
+            for gram, count in grams.items():
+                counts.setdefault(gram[:-1], Counter())[gram[-1]] += count
+    v = len(chars)
+    logprob, unseen = {}, {}
+    for ctx, bucket in counts.items():
+        total = sum(bucket.values())
+        unseen[ctx] = math.log(1 / (total + v)).hex()
+        for char, count in bucket.items():
+            logprob[ctx + char] = min(math.log((count + 1) / (total + v)), 0.0).hex()
+    return logprob, unseen, (math.log(1 / v) if v else 0.0).hex(), v
+
+
 def bits(values) -> list[bytes]:
     return [struct.pack("<d", v) for v in values]
 
@@ -326,6 +348,23 @@ class TestNGramScorerTables:
         scored = scorer.score(text, context)
         assert hexes(scored) == reference_logprobs(spec, text, context)
         assert scored.tokens == tuple(text)
+
+    @given(order=st.integers(1, 6),
+           corpus=st.one_of(
+               st.none(), texts,
+               st.lists(st.one_of(st.text(alphabet=SMALL, max_size=7), texts), max_size=5)),
+           alphabet=st.one_of(st.none(), st.text(alphabet=SMALL + "xyz", min_size=1)),
+           one_pass=st.booleans())
+    @settings(max_examples=400)
+    def test_rows_equal_per_order_fit(self, order, corpus, alphabet, one_pass):
+        # texts shorter than the order, empty texts, a str corpus, a
+        # one-pass iterator and an alphabet-only scorer
+        given_corpus = iter(corpus) if one_pass and isinstance(corpus, list) else corpus
+        scorer = NGramScorer(order, given_corpus, alphabet)
+        got = ({gram: lp.hex() for gram, lp in scorer._logprob.items()},
+               {ctx: lp.hex() for ctx, lp in scorer._unseen.items()},
+               scorer._floor.hex(), scorer._v)
+        assert got == per_order_rows(order, corpus, alphabet)
 
     @given(st.integers(1, 5), st.text(alphabet="ab", min_size=1, max_size=20),
            nonempty, nonempty, st.one_of(st.none(), texts))
@@ -657,8 +696,8 @@ class TestHashEmbedder:
 
     @staticmethod
     def reference_embed(emb: HashEmbedder, text: str) -> list[int]:
-        """One ``_fnv1a`` call per n-gram, counted into the vector in place:
-        the reference for the memoised, Counter-filled path."""
+        """Reference: one ``_fnv1a`` call per n-gram, counted into the
+        vector in place."""
         vec = [0] * emb.dim
         padded = text if len(text) >= emb.ngram else text.ljust(emb.ngram)
         for i in range(len(padded) - emb.ngram + 1):
@@ -666,19 +705,68 @@ class TestHashEmbedder:
             vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += 1
         return vec
 
+    @staticmethod
+    def counter_embed(emb: HashEmbedder, text: str) -> list[int]:
+        """Reference: the embed that counted each text's n-grams with a
+        Counter and hashed each distinct one through a process-wide memo."""
+        vec = [0] * emb.dim
+        padded = text if len(text) >= emb.ngram else text.ljust(emb.ngram)
+        grams = Counter(padded[i:i + emb.ngram] for i in range(len(padded) - emb.ngram + 1))
+        for gram, count in grams.items():
+            vec[HashEmbedder._fnv1a(gram.encode("utf-8")) % emb.dim] += count
+        return vec
+
     @given(texts=st.lists(
                st.one_of(st.text(min_size=1),
                          st.text(alphabet="a😀漢", min_size=1, max_size=8)),
                min_size=1, max_size=4),
-           dim=st.sampled_from([2, 3, 64, 128, 1000]), ngram=st.integers(1, 6))
+           dim=st.one_of(st.integers(2, 256), st.just(1000)), ngram=st.integers(1, 6))
     def test_bit_identical_to_per_gram_reference(self, texts, dim, ngram):
         # unicode of any plane, texts shorter than ngram (space-padded), a
-        # gram repeated within a text (hashed once), and repeats across
-        # texts that the hash cache answers
+        # gram repeated within a text, and repeats across texts that the
+        # embedder's table answers
         emb = HashEmbedder(dim=dim, ngram=ngram)
         for text in texts + texts:
             got = emb.embed(text)
             assert all(type(x) is int for x in got)
-            assert list(got) == self.reference_embed(emb, text)
+            assert list(got) == self.reference_embed(emb, text) == \
+                self.counter_embed(emb, text)
         assert [list(v) for v in emb.embed_many(texts)] == \
             [self.reference_embed(emb, t) for t in texts]
+
+    @given(texts=st.lists(st.text(alphabet="abcd😀", min_size=1, max_size=12),
+                          min_size=1, max_size=6),
+           bound=st.integers(1, 8))
+    def test_table_holds_at_most_its_bound(self, texts, bound):
+        # a miss on a full table empties it; the vectors do not change
+        with mock.patch.object(scoring, "_BUCKET_GRAMS", bound):
+            emb = HashEmbedder(dim=16, ngram=2)
+            for text in texts:
+                assert list(emb.embed(text)) == self.reference_embed(emb, text)
+                assert len(emb._buckets) <= bound
+
+    def test_threads_sharing_an_embedder_keep_the_bound(self):
+        texts = ["".join(random.Random(seed).choices("abcdefgh", k=40))
+                 for seed in range(16)]
+        shared = HashEmbedder(dim=32, ngram=2)
+        sizes = []
+
+        def run(shift):
+            wrong = 0
+            for i in range(200):
+                text = texts[(i + shift) % len(texts)]
+                wrong += list(shared.embed(text)) != self.reference_embed(shared, text)
+                sizes.append(len(shared._buckets))
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(scoring, "_BUCKET_GRAMS", 10), \
+                    ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, shift * 5) for shift in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [0] * 4
+        assert len(sizes) == 800 and max(sizes) <= 10

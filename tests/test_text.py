@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -60,6 +61,27 @@ def char_loop_split_sentences(text: str) -> list[SentenceSpan]:
             i += 1
     if start < n:
         spans.append(SentenceSpan(start, n, None))
+    return spans
+
+
+# The split's pattern before it opened on one character class: a terminal
+# and its closers (group 1 is the terminal), or a newline run.
+TWO_BRANCH_BREAK = re.compile("([{}])[{}]*|[\n\r]+".format(
+    *(re.escape("".join(sorted(chars))) for chars in (_TERMINALS, _CLOSERS))))
+
+
+def two_branch_split_sentences(text: str) -> list[SentenceSpan]:
+    """Reference: the split over the two-branch pattern."""
+    spans: list[SentenceSpan] = []
+    start = 0
+    for match in TWO_BRANCH_BREAK.finditer(text):
+        terminal = match.group(1)
+        if terminal is None and match.start() == start:
+            continue
+        spans.append(SentenceSpan(start, match.end(), terminal))
+        start = match.end()
+    if start < len(text):
+        spans.append(SentenceSpan(start, len(text), None))
     return spans
 
 
@@ -159,6 +181,14 @@ class TestSplitSentences:
     def test_regex_split_matches_char_loop(self, text):
         # SentenceSpan equality compares start, end and terminal
         assert split_sentences(text) == char_loop_split_sentences(text)
+
+    @given(st.lists(st.sampled_from(sorted(_TERMINALS | _CLOSERS) + [
+        "\n", "\r", "\r\n", "\n\n\n", "\r\r", "a", "bc", " ", "你好", "."]),
+        max_size=40).map("".join))
+    @settings(max_examples=300)
+    def test_split_matches_two_branch_pattern(self, text):
+        # terminals (CJK ones too), closers, newline runs and letters
+        assert split_sentences(text) == two_branch_split_sentences(text)
 
     @given(st.text(min_size=1, max_size=200))
     @settings(max_examples=200)
