@@ -35,7 +35,7 @@ from .metrics import (
     evaluate_chunksets,
     pearson,
 )
-from .moc import ExtractionReport, RuleMatch, extract_chunks, generate_rules, moc_chunk, route
+from .moc import RuleMatch, extract_chunks, generate_rules, moc_chunk, route
 from .rules import (
     DEFAULT_PLACEHOLDER,
     PLACEHOLDERS,

@@ -316,7 +316,7 @@ def cmd_chunk(config: RunConfig, corpus: str, out: str, method: str | None,
                     write_report({"doc_id": cs.doc_id, "rules": [
                         {"rule": i, "mode": m.mode, "distance": m.distance,
                          "span": None if m.start is None else [m.start, m.end]}
-                        for i, m in enumerate(rep.matches)
+                        for i, m in enumerate(rep)
                     ]})
                 yield cs
 
@@ -341,7 +341,7 @@ def cmd_eval(config: RunConfig, corpus: str, chunksets_path: str,
              out: str) -> _Failures:
     """Score chunk sets with the requested metrics."""
     config = override(config, metrics={"k": k, "delta": delta})
-    metric_names = tuple(m.strip() for m in metrics_csv.split(",") if m.strip())
+    metric_names = tuple(dict.fromkeys(m.strip() for m in metrics_csv.split(",") if m.strip()))
     unknown = [m for m in metric_names if m not in METRIC_BACKENDS]
     if unknown or not metric_names:
         what = f"unknown metrics {unknown}" if unknown else "no metrics given"

@@ -54,7 +54,12 @@ class AnchorNotFoundError(ChunkKitError):
 
 
 class ExtractionError(ChunkKitError):
-    """Whole-document extraction failed (too many unresolvable rules)."""
+    """Extraction failed: a window had too many unresolvable rules, or
+    every window of a document failed.
+
+    For a window, ``report`` holds one :class:`~chunkkit.moc.RuleMatch`
+    per rule, in rule order, failed ones included; for a document it is
+    None."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)

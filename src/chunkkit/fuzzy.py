@@ -113,9 +113,6 @@ class SpanMatch:
     end: int
     distance: int
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 def _best_start_for_end(needle: str, hay: str, end: int, max_len: int) -> tuple[int, int]:
     """(distance, start) of the best substring of ``hay`` ending at ``end``.

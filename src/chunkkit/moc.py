@@ -11,13 +11,13 @@ any label included, fails its window and no other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import prompts
 from .dataset import sliding_windows, windowed_chunk
 from .errors import AnchorNotFoundError, ExtractionError, RuleParseError
-from .fuzzy import recover_anchor
+from .fuzzy import SpanMatch, recover_anchor
 from .rules import (
     DEFAULT_PLACEHOLDER,
     GranularityLabel,
@@ -69,7 +69,7 @@ def generate_rules(
 class RuleMatch:
     """How one rule resolved: its span ``[start, end)`` in the document and
     the edit distance of its anchors, or no span when it failed. A match's
-    rule is the one at its position in the report."""
+    rule is the one at its position in its window's match list."""
 
     distance: int = 0
     start: int | None = None
@@ -83,67 +83,51 @@ class RuleMatch:
         return "exact" if self.distance == 0 else "recovered"
 
 
-@dataclass
-class ExtractionReport:
-    """One match per rule of a window, in rule order."""
-
-    matches: list[RuleMatch] = field(default_factory=list)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for m in self.matches if m.mode == "failed")
-
-
-def _locate(needle: str, text: str, start: int) -> tuple[int, int, int] | None:
-    """(start, end, distance) of the earliest acceptable occurrence of
-    ``needle`` at or after ``start``; None when nothing qualifies."""
+def _locate(needle: str, text: str, start: int) -> SpanMatch | None:
+    """The earliest acceptable occurrence of ``needle`` at or after
+    ``start``; None when nothing qualifies."""
     if start >= len(text):
         return None
     try:
-        match = recover_anchor(needle, text, search_from=start)
+        return recover_anchor(needle, text, search_from=start)
     except AnchorNotFoundError:
         return None
-    return match.start, match.end, match.distance
 
 
 def _extract_spans(
     text: str,
     rules: RuleList,
     base_offset: int = 0,
-) -> tuple[list[tuple[int, int]], ExtractionReport]:
-    """Resolve rules against ``text`` with a forward-only cursor.
+) -> tuple[list[tuple[int, int]], list[RuleMatch]]:
+    """Resolve rules against ``text`` with a forward-only cursor: the spans
+    and one :class:`RuleMatch` per rule, in rule order.
 
     Anchors match earliest-first; the cursor advances past each resolved
-    chunk, so spans come out strictly increasing and non-overlapping.
-    Unresolvable rules are skipped and reported; more than 50% failures
-    raise :class:`ExtractionError`.
+    chunk, so spans come out strictly increasing and non-overlapping. An
+    unresolvable rule gets a failed match and no span; more than 50%
+    failures raise :class:`ExtractionError`, whose ``report`` is the matches.
     """
-    report = ExtractionReport()
-    spans: list[tuple[int, int]] = []
+    matches: list[RuleMatch] = []
     cursor = 0
     for rule in rules.rules:
         head = _locate(rule.prefix, text, cursor)
         # a literal rule is its own anchor: its tail is its head
-        tail = head if head is None or rule.literal else _locate(rule.suffix, text, head[1])
+        tail = head if head is None or rule.literal else _locate(rule.suffix, text, head.end)
         if tail is None:
-            report.matches.append(RuleMatch())
+            matches.append(RuleMatch())
             continue
-        start, end = head[0], tail[1]
-        distance = head[2] if rule.literal else head[2] + tail[2]
-        report.matches.append(
-            RuleMatch(distance, base_offset + start, base_offset + end))
-        spans.append((base_offset + start, base_offset + end))
-        cursor = end
-    if report.failed * 2 > len(rules.rules):
-        raise ExtractionError(
-            f"{report.failed} of {len(rules.rules)} rules failed to resolve",
-            report=report,
-        )
-    return spans, report
+        distance = head.distance if rule.literal else head.distance + tail.distance
+        matches.append(RuleMatch(distance, base_offset + head.start, base_offset + tail.end))
+        cursor = tail.end
+    failed = sum(m.start is None for m in matches)
+    if failed * 2 > len(rules.rules):
+        raise ExtractionError(f"{failed} of {len(rules.rules)} rules failed to resolve",
+                              report=matches)
+    return [(m.start, m.end) for m in matches if m.start is not None], matches
 
 
-def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, ExtractionReport]:
-    """Turn a rule list into document chunk spans.
+def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, list[RuleMatch]]:
+    """Turn a rule list into document chunk spans and its rule matches.
 
     For each rule the prefix anchor is located from the cursor (exact
     search first, then recovery), the suffix anchor strictly after the
@@ -151,8 +135,8 @@ def extract_chunks(doc: Document, rules: RuleList) -> tuple[ChunkSet, Extraction
     """
     if not rules.rules:
         raise ValueError("rule list is empty")
-    spans, report = _extract_spans(doc.text, rules)
-    return ChunkSet.from_spans(doc, spans, method="moc"), report
+    spans, matches = _extract_spans(doc.text, rules)
+    return ChunkSet.from_spans(doc, spans, method="moc"), matches
 
 
 def moc_chunk(
@@ -161,13 +145,14 @@ def moc_chunk(
     experts: Mapping[GranularityLabel | int, Generator],
     max_window_tokens: int = 1024,
     placeholder: str = DEFAULT_PLACEHOLDER,
-) -> tuple[ChunkSet, list[ExtractionReport]]:
+) -> tuple[ChunkSet, list[list[RuleMatch]]]:
     """Route, generate, and extract per window; stitch with the chunk buffer.
 
-    Every label must resolve to an expert (aliases allowed). A window whose
-    routing, generation, or extraction fails contributes no chunks; one whose
-    extraction fails still adds its report. The document fails only when
-    every window fails.
+    Returns the chunk set and one match list per window that reached
+    extraction, in window order. Every label must resolve to an expert
+    (aliases allowed). A window whose routing, generation, or extraction
+    fails contributes no chunks; one whose extraction fails still adds its
+    matches. The document fails only when every window fails.
     """
     experts = {GranularityLabel(int(k)): v for k, v in experts.items()}
     missing = [lab.value for lab in GranularityLabel if lab not in experts]
@@ -175,17 +160,17 @@ def moc_chunk(
         raise ValueError(f"no expert configured for labels {missing}")
 
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
-    reports: list[ExtractionReport] = []
+    reports: list[list[RuleMatch]] = []
 
     def per_window(region: str, offset: int) -> list[tuple[int, int]]:
         label = route(region, router)
         rule_list = generate_rules(region, experts[label], placeholder=placeholder)
         try:
-            spans, report = _extract_spans(region, rule_list, base_offset=offset)
+            spans, matches = _extract_spans(region, rule_list, base_offset=offset)
         except ExtractionError as exc:
             reports.append(exc.report)
             raise
-        reports.append(report)
+        reports.append(matches)
         return spans
 
     spans, _ = windowed_chunk(doc, windows, per_window)

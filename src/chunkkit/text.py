@@ -46,9 +46,6 @@ class Document:
         if not self.text.strip():
             raise ValueError(f"document {self.id!r}: text is empty")
 
-    def __len__(self) -> int:
-        return len(self.text)
-
 
 @dataclass(frozen=True)
 class Chunk:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
 import string
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from chunkkit import backends
+from chunkkit import backends, fuzzy
 from chunkkit.scoring import FixtureScorer
 from chunkkit.text import Document
 
@@ -117,3 +120,31 @@ def pools_made(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(backends, "ThreadPoolExecutor", Pool)
     return made
+
+
+@pytest.fixture
+def compare_tool(monkeypatch):
+    """``tools/compare_outputs.py``, which imports the benchmark's modules
+    (its ``corpus`` and ``run``)."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def kernel_chars(monkeypatch) -> list[int]:
+    """One running total of the characters every edit-distance kernel row
+    reads: ``len(row) - 1`` over every ``fuzzy._last_row`` call."""
+    total = [0]
+    last_row = fuzzy._last_row
+
+    def counted(pattern, text, free_start, floor=None):
+        row = last_row(pattern, text, free_start, floor)
+        total[0] += len(row) - 1
+        return row
+    monkeypatch.setattr(fuzzy, "_last_row", counted)
+    return total

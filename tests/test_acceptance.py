@@ -246,7 +246,7 @@ def test_c4_rule_round_trip_and_recovery():
 
         recovered, rep = extract_chunks(doc, rules)
         if recovered.chunks != cs.chunks or any(
-            m.mode != "exact" for m in rep.matches
+            m.mode != "exact" for m in rep
         ):
             exact_failures += 1
             continue
@@ -269,10 +269,10 @@ def test_c4_rule_round_trip_and_recovery():
                 suffix=mutated_text if side == "suffix" else rule.suffix,
             )
         out, rep2 = extract_chunks(doc, RuleList(rules=tuple(mutated)))
-        spans_by_rule = {i: (m.start, m.end) for i, m in enumerate(rep2.matches)}
+        spans_by_rule = {i: (m.start, m.end) for i, m in enumerate(rep2)}
         for idx in chosen:
             perturbed_total += 1
-            match = rep2.matches[idx]
+            match = rep2[idx]
             original = cs.chunks[idx]
             if (match.mode == "recovered" and match.distance == 1
                     and spans_by_rule[idx] == (original.start, original.end)):

@@ -299,6 +299,17 @@ class TestConcurrencyBound:
         assert not errors
         assert len(results) == 8
 
+    def test_leaving_a_with_block_stops_the_pool_and_closes_connections(
+            self, stub_server):
+        requests = [(text, None) for text in ("ab", "cd", "ef", "gh")]
+        with HttpScorer(handle(stub_server), threads=2) as scorer:
+            assert len(list(scorer.score_many(requests))) == 4
+            pool = scorer._pool
+            assert pool is not None and scorer._opened
+        assert scorer._pool is None
+        assert not any(thread.is_alive() for thread in pool._threads)
+        assert all(conn.sock is None for conn in scorer._opened)
+
 
 def canned(cls, server, body: bytes):
     """A client of ``cls`` whose server answers every request with ``body``."""

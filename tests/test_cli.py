@@ -361,6 +361,27 @@ class TestEvalCommand:
             assert records[3][key] == pytest.approx(
                 (records[0][key] + records[2][key]) / 2)
 
+    def test_repeated_metric_is_listed_once(self, runner, tmp_path):
+        # the header lists each metric once, in first-seen order, and the
+        # body is the one of the distinct names
+        docs = [make_doc("aaaa bbbb cccc dddd", "d0")]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", docs)
+        chunksets = tmp_path / "chunks.jsonl"
+        save_chunksets([ChunkSet.from_spans(docs[0], [(0, 9), (10, 19)], "fixed")],
+                       chunksets)
+        reports = []
+        for name, metrics in (("repeated", "cs_i,bc,cs_i, bc"), ("distinct", "cs_i,bc")):
+            out = tmp_path / f"{name}.jsonl"
+            result = runner.invoke(main, [
+                "--config", self._config(tmp_path, corpus), "eval", "--corpus", corpus,
+                "--chunksets", str(chunksets), "--metrics", metrics, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(read_report(out))
+        for header, _ in reports:
+            del header["timestamp"]
+        assert reports[0][0]["metrics"] == ["cs_i", "bc"]
+        assert reports[0] == reports[1]
+
     def test_cp_skipped_rows_leave_the_aggregate(self, runner, tmp_path, caplog):
         docs = [Document(id="d0", text="context. answer words.",
                          meta={"answer": "answer words."}),

@@ -354,7 +354,7 @@ class TestMakeRules:
                     doc, make_rules(cs, anchor_len=anchor_len)
                 )
                 assert recovered.chunks == cs.chunks
-                assert all(m.mode == "exact" for m in report.matches)
+                assert all(m.mode == "exact" for m in report)
 
 
 class TestLabelGranularity:

@@ -11,43 +11,9 @@ not depend on the machine. ``clean`` runs on the ``--generated`` file of
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
-import pytest
 from click.testing import CliRunner
 
-from chunkkit import fuzzy
 from chunkkit.cli import main
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture
-def compare_tool(monkeypatch):
-    """``tools/compare_outputs.py``, which imports the benchmark's modules."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends to it
-    spec = importlib.util.spec_from_file_location(
-        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture
-def kernel_chars(monkeypatch) -> list[int]:
-    """One running total of the characters every kernel row reads."""
-    total = [0]
-    last_row = fuzzy._last_row
-
-    def counted(pattern, text, free_start, floor=None):
-        row = last_row(pattern, text, free_start, floor)
-        total[0] += len(row) - 1
-        return row
-    monkeypatch.setattr(fuzzy, "_last_row", counted)
-    return total
 
 
 def test_distill_and_clean_kernel_characters(tmp_path, monkeypatch, compare_tool,

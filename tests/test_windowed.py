@@ -36,7 +36,7 @@ from chunkkit.errors import (
     ScoringError,
 )
 from chunkkit.moc import (
-    ExtractionReport,
+    RuleMatch,
     _extract_spans,
     generate_rules,
     moc_chunk,
@@ -61,7 +61,7 @@ FAULTS = ("routing", "parse", "extraction", "backend")
 def reference_moc_chunk(doc, router, experts, max_window_tokens):
     experts = {GranularityLabel(int(k)): v for k, v in experts.items()}
     windows = sliding_windows(doc, max_tokens=max_window_tokens)
-    reports: list[ExtractionReport] = []
+    reports: list[list[RuleMatch]] = []
     all_spans: list[tuple[int, int]] = []
     dropped = None
     region_start = 0
