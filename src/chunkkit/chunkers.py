@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .scoring import Embedder, cosine
+from .scoring import Embedder, adjacent_cosines
 from .text import ChunkSet, Document, SentenceSpan, split_sentences
 
 logger = logging.getLogger(__name__)
@@ -111,7 +111,7 @@ def _similarity_profile(doc: Document, embedder: Embedder) -> _Profile:
     if len(sentences) == 1:
         return sentences, []
     vectors = embedder.embed_many([doc.text[s.start:s.end] for s in sentences])
-    return sentences, [cosine(u, v) for u, v in zip(vectors, vectors[1:])]
+    return sentences, adjacent_cosines(vectors)
 
 
 def _split_profile(profile: _Profile, threshold: float) -> list[tuple[int, int]]:

@@ -30,6 +30,36 @@ it starts at the same place, that span is d* shorter than the needle and
 the later one d* longer, so the tie goes to the smaller end e1. When d* is
 above k the row never reaches the floor and spans the whole haystack.
 Either way the distance is exact; there is no cap.
+
+The candidate filter reads only where the needle's parts occur. It is
+partitioning into exact search (Wu & Manber, above; Baeza-Yates & Navarro,
+"Faster approximate string matching", Algorithmica 23(2), 1999). Cut the
+needle into U + 1 parts: the edits of a span within U of it touch at most U
+parts, so one part at offset o occurs in the span exactly, at some p. The
+span then starts within U of p - o and ends before p - o + m + 2U. The
+search starts with U the floor, finds each part's occurrences with
+``str.find``, runs the search above in the merged windows
+[p - o - U, p - o + m + 2U) around them, and keeps the least span over the
+windows. If its distance is at most U, every span within U lies in a
+window, so it is the answer; otherwise every distance exceeds U, and U
+doubles. Each window's row stops at the floor too, and a window whose
+distance exceeds U recovers no start.
+
+The whole region is read, with the floor, in two cases. Parts under four
+characters occur almost everywhere, so their windows skip little. And a
+window that starts within m of the region start shows that the row from
+the region start stops near that window anyway, so the windows would skip
+nothing; windows that would cover the region start there too. The filter
+gives up at the first occurrence that puts a window there, so a search
+whose match lies near its start, as ``dataset distill``'s do, costs it a
+few ``str.find`` calls.
+
+A chunk with every fifth character rewritten is about m/5 from its source,
+and its floor is about m/5 too: its parts are four or five characters
+long. Parts that short occur all over a document, so a window often starts
+within m of the region start, and such a chunk then reads its region from
+the start to its match. Above a distance of about m/4 the parts fall under
+four characters, and the whole region is read.
 """
 
 from __future__ import annotations
@@ -164,7 +194,8 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0,
     ``needle``.
 
     ``search_to`` bounds the search as ``str.find``'s ``end`` does; None is
-    the end of ``haystack``. The search costs time in proportion to the
+    the end of ``haystack``. The search reads only the windows around exact
+    occurrences of the needle's parts when they prove the distance, else the
     characters between the two bounds, or only up to the end of the best
     match when the needle's pieces prove its distance (see the module doc).
     Among all spans with minimal edit distance the smallest start wins, then
@@ -188,8 +219,27 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0,
     hay = haystack[search_from:search_to]
 
     # no exact occurrence: the pieces bound every distance (see the module doc)
-    row = _last_row(needle, hay, free_start=True, floor=_pieces(needle, hay))
+    floor = _pieces(needle, hay)
+    best = _filtered(needle, hay, floor) or _search(needle, hay, floor)
+    distance, start, _, end = best
+    return SpanMatch(search_from + start, search_from + end, distance)
+
+
+# A key orders spans as best_substring_match does: (distance, start,
+# |length - m|, end), least first.
+_Key = tuple[int, int, int, int]
+
+
+def _search(needle: str, hay: str, floor: int, limit: int | None = None) -> _Key | None:
+    """The least key over every span of ``hay``, which holds no exact
+    occurrence of ``needle``; ``floor`` is a proven bound under every
+    distance. None, before any start is recovered, when every distance
+    exceeds ``limit``."""
+    m = len(needle)
+    row = _last_row(needle, hay, free_start=True, floor=floor)
     d_star = min(row)
+    if limit is not None and d_star > limit:
+        return None
     max_len = m + d_star  # any optimal span has length in [m - d*, m + d*]
 
     # candidate key: (start, |length - m|, end); compared lexicographically
@@ -206,8 +256,72 @@ def best_substring_match(needle: str, haystack: str, search_from: int = 0,
         if best[0] == max(0, end - max_len) and best[1] == 0:
             break  # smallest reachable start with exact length: unbeatable
     assert best is not None
-    start, _, end = best
-    return SpanMatch(search_from + start, search_from + end, d_star)
+    return (d_star, *best)
+
+
+# Parts shorter than this occur too often for their windows to skip much.
+_MIN_PART = 4
+
+
+def _filtered(needle: str, hay: str, floor: int) -> _Key | None:
+    """The least key over every span of ``hay``, read from the windows
+    around exact occurrences of the needle's parts (see the module doc);
+    None when the windows would skip nothing, so the whole region is read.
+    """
+    m = len(needle)
+    bound = max(1, floor)
+    while m // (bound + 1) >= _MIN_PART:
+        windows = _windows(needle, hay, bound)
+        if windows is None:
+            return None
+        best = None
+        for lo, hi in windows:
+            found = _search(needle, hay[lo:hi], floor, bound)
+            if found is None:
+                continue
+            d, start, skew, end = found
+            key = (d, lo + start, skew, lo + end)
+            if best is None or key < best:
+                best = key
+            if d == floor:
+                break  # a later window's spans start later
+        if best is not None:
+            return best  # every span within the bound lies in a window
+        bound *= 2
+    return None
+
+
+def _windows(needle: str, hay: str, bound: int) -> list[tuple[int, int]] | None:
+    """The merged windows of ``hay`` that hold every span within ``bound``
+    edits of ``needle``, in order; None when one starts within the needle's
+    length of the region start.
+
+    The needle is cut into ``bound + 1`` parts, and such a span holds one
+    part at offset o exactly, at some p with the span within
+    [p - o - bound, p - o + m + 2 * bound).
+    """
+    m, n = len(needle), len(hay)
+    parts = bound + 1
+    spans = []
+    for i in range(parts):
+        o, o_end = i * m // parts, (i + 1) * m // parts
+        part = needle[o:o_end]
+        p = hay.find(part)
+        while p >= 0:
+            lo = p - o - bound
+            if lo < m:
+                return None  # the row from the region start reads no more
+            spans.append((lo, min(n, p - o + m + 2 * bound)))
+            p = hay.find(part, p + 1)
+    spans.sort()
+    windows: list[tuple[int, int]] = []
+    for lo, hi in spans:
+        if windows and lo <= windows[-1][1]:
+            if hi > windows[-1][1]:
+                windows[-1] = (windows[-1][0], hi)
+        else:
+            windows.append((lo, hi))
+    return windows
 
 
 def recover_anchor(
@@ -220,10 +334,14 @@ def recover_anchor(
     Accepts the best span only if its edit distance is within
     ``ceil(_MAX_RATIO * len(anchor))``; otherwise raises
     :class:`AnchorNotFoundError` whose message states the best distance
-    found and the limit.
+    found and the limit. An exact occurrence is answered at once.
     """
     if not anchor:
         raise ValueError("anchor must be non-empty")
+    if search_from >= 0:  # a negative start is refused below, not read from the end
+        pos = haystack.find(anchor, search_from)
+        if pos >= 0:
+            return SpanMatch(pos, pos + len(anchor), 0)
     limit = math.ceil(_MAX_RATIO * len(anchor))
     match = best_substring_match(anchor, haystack, search_from)
     if match.distance > limit:

@@ -19,7 +19,7 @@ from statistics import fmean
 from typing import Sequence
 
 from .errors import CorpusFormatError, GraphBuildError, UndefinedCorrelationError
-from .scoring import Embedder, Scorer, cosine, perplexity, score_many
+from .scoring import Embedder, Scorer, adjacent_cosines, perplexity, score_many
 from .text import Chunk, ChunkSet, Document
 
 logger = logging.getLogger(__name__)
@@ -172,9 +172,7 @@ def dissimilarity(chunks: ChunkSet | Sequence[Chunk | str], embedder: Embedder) 
     if len(texts) < 2:
         raise ValueError("dissimilarity needs >= 2 chunks")
     vectors = embedder.embed_many(texts)
-    gaps = [
-        1.0 - cosine(vectors[i], vectors[i + 1]) for i in range(len(vectors) - 1)
-    ]
+    gaps = [1.0 - c for c in adjacent_cosines(vectors)]
     return min(1.0, max(0.0, fmean(gaps)))
 
 

@@ -160,21 +160,45 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     """Cosine similarity in [-1, 1]; zero vectors have no defined similarity.
 
     The dot product is summed with ``math.fsum``, which rounds correctly, so
-    the value does not depend on summation order or on the CPU.
+    the value does not depend on summation order or on the CPU. It is
+    :func:`adjacent_cosines` of the pair.
     """
-    if len(u) != len(v):
-        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    nu, nv = math.hypot(*u), math.hypot(*v)
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedSimilarityError("similarity with a zero vector is undefined")
-    value = math.fsum(map(operator.mul, u, v)) / (nu * nv)
-    return max(-1.0, min(1.0, value))
+    return adjacent_cosines([u, v])[0]
+
+
+def adjacent_cosines(vectors: Sequence[Sequence[float]]) -> list[float]:
+    """:func:`cosine` of each adjacent pair of ``vectors``, one fewer than
+    the vectors, computing each vector's norm once.
+
+    Pairs are checked in order, each as :func:`cosine` checks it: lengths
+    first, then zero vectors.
+    """
+    values = []
+    nu = None
+    for u, v in zip(vectors, vectors[1:]):
+        if len(u) != len(v):
+            raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
+        if nu is None:
+            nu = math.hypot(*u)
+        nv = math.hypot(*v)
+        if nu == 0.0 or nv == 0.0:
+            raise UndefinedSimilarityError("similarity with a zero vector is undefined")
+        value = math.fsum(map(operator.mul, u, v)) / (nu * nv)
+        values.append(max(-1.0, min(1.0, value)))
+        nu = nv
+    return values
+
+
+def _gram_tuples(text: str, n: int) -> Iterator[tuple[str, ...]]:
+    """The n-character windows of ``text`` in order as tuples of characters
+    (none when it is shorter than ``n``), built by ``zip`` in C."""
+    return zip(*(text[i:] for i in range(n)))
 
 
 def _ngrams(text: str, n: int) -> Iterator[str]:
     """The n-character substrings of ``text`` in order (none when it is
     shorter than ``n``), built by ``zip`` and ``str.join`` in C."""
-    return map("".join, zip(*(text[i:] for i in range(n))))
+    return map("".join, _gram_tuples(text, n))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +477,10 @@ class HashEmbedder:
 
     Each embedder keeps a table from n-gram to bucket, so FNV-1a runs once
     per distinct n-gram it has seen, and a text's n-grams are looked up and
-    counted in C. The table holds at most ``_BUCKET_GRAMS`` n-grams: an
-    n-gram it misses when full empties it first.
+    counted in C. The table is keyed by the tuples of characters that
+    ``zip`` yields, so no n-gram string is built except on a miss. It holds
+    at most ``_BUCKET_GRAMS`` n-grams: an n-gram it misses when full empties
+    it first.
     """
 
     def __init__(self, dim: int = 64, ngram: int = 3):
@@ -478,7 +504,7 @@ class HashEmbedder:
         n = self.ngram
         padded = text if len(text) >= n else text.ljust(n)
         vec = [0] * self.dim
-        for bucket in map(self._buckets.__getitem__, _ngrams(padded, n)):
+        for bucket in map(self._buckets.__getitem__, _gram_tuples(padded, n)):
             vec[bucket] += 1
         return tuple(vec)
 
@@ -493,18 +519,19 @@ _BUCKET_GRAMS = 1 << 15
 
 
 class _Buckets(dict):
-    """n-gram -> its bucket, FNV-1a of its UTF-8 bytes mod ``dim``, computed
-    when first looked up. A lock makes each miss check the size, empty a
-    full table and store as one step, so threads sharing an embedder never
-    grow it past ``_BUCKET_GRAMS``."""
+    """n-gram, as its tuple of characters -> its bucket, FNV-1a of the
+    UTF-8 bytes of the joined n-gram mod ``dim``, computed when first looked
+    up. A lock makes each miss check the size, empty a full table and store
+    as one step, so threads sharing an embedder never grow it past
+    ``_BUCKET_GRAMS``."""
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
         self._lock = threading.Lock()
 
-    def __missing__(self, gram: str) -> int:
-        bucket = HashEmbedder._fnv1a(gram.encode("utf-8")) % self.dim
+    def __missing__(self, gram: tuple[str, ...]) -> int:
+        bucket = HashEmbedder._fnv1a("".join(gram).encode("utf-8")) % self.dim
         with self._lock:
             if len(self) >= _BUCKET_GRAMS:
                 self.clear()

@@ -177,6 +177,45 @@ def marked_edits_then_decoys(draw):
     return needle, haystack
 
 
+@st.composite
+def decoys_then_edited_copy(draw):
+    """A needle of 8 to 60 characters, and a haystack holding a copy of it
+    with a few edits after decoys: parts of the needle at offsets other than
+    their own, and copies with as many edits or more. A filler at least as
+    long as the needle comes first, so the windows around the parts' exact
+    occurrences can start past the needle's length and the candidate filter
+    reads them in place of the whole region."""
+    alphabet = draw(st.sampled_from(ALPHABETS[1:]))  # "ab" parts occur everywhere
+    needle = draw(st.text(alphabet=alphabet, min_size=8, max_size=60))
+    m = len(needle)
+
+    def edited(edits):
+        copy = list(needle)
+        for _ in range(edits):
+            pos = draw(st.integers(0, len(copy)))
+            op = draw(st.sampled_from("sid"))
+            if op == "i":
+                copy.insert(pos, draw(st.sampled_from(alphabet)))
+            elif pos < len(copy):
+                copy[pos:pos + 1] = [draw(st.sampled_from(alphabet))] if op == "s" else []
+        return "".join(copy)
+
+    edits = draw(st.integers(1, max(1, m // 8)))
+
+    def part():
+        start = draw(st.integers(0, m - 4))
+        return needle[start:start + draw(st.integers(4, m // 2))]
+
+    decoys = {"part": part, "near": lambda: edited(draw(st.integers(edits, 3 * edits))),
+              "gap": lambda: draw(st.text(alphabet=alphabet, max_size=20))}
+    before = "".join(decoys[d]() for d in draw(st.lists(st.sampled_from(sorted(decoys)),
+                                                        max_size=4)))
+    haystack = (draw(st.text(alphabet=alphabet, min_size=m, max_size=m + 40)) + before
+                + edited(edits) + draw(st.text(alphabet=alphabet, max_size=20)))
+    assume(needle not in haystack)
+    return needle, haystack
+
+
 def naive_pieces(needle: str, hay: str) -> int:
     """Reference: ``fuzzy._pieces`` by trying each piece length in turn."""
     pieces = i = 0
@@ -246,6 +285,15 @@ class TestBitParallelKernel:
     def test_pieces_floor_stop_matches_cell_dp(self, case, search_from, end):
         needle, haystack = case
         assert fuzzy._pieces(needle, haystack) >= 2
+        search_from, search_to = search_range(haystack, search_from, end)
+        m = best_substring_match(needle, haystack, search_from, search_to)
+        assert (m.start, m.end, m.distance) == \
+            cell_dp_best_substring_match(needle, haystack, search_from, search_to)
+
+    @given(decoys_then_edited_copy(), st.integers(0, 10**6), search_ends)
+    @settings(max_examples=300)
+    def test_candidate_filter_matches_cell_dp(self, case, search_from, end):
+        needle, haystack = case
         search_from, search_to = search_range(haystack, search_from, end)
         m = best_substring_match(needle, haystack, search_from, search_to)
         assert (m.start, m.end, m.distance) == \
@@ -339,6 +387,29 @@ class TestFloorStop:
         m = best_substring_match("z", "abcdef")
         assert (m.start, m.end, m.distance) == (0, 1, 1)
         assert lengths == [2]  # entries 0 .. 1
+
+
+class TestCandidateFilter:
+    """A span within U edits of the needle holds one of its U + 1 parts
+    exactly, so only the windows around the parts' occurrences are read."""
+
+    def test_one_edit_far_past_the_start_reads_only_its_window(self, monkeypatch):
+        hay = "over the bay. " * 20 + "The sun rOse over the hills."
+        needle = "The sun rose over the hills"  # parts "The sun rose ", "over the hills"
+        lengths = TestFloorStop.free_start_rows(monkeypatch)
+        m = best_substring_match(needle, hay)
+        assert (m.start, m.end, m.distance) == (280, 307, 1)
+        # "over the hills" at 293 = 280 + its offset 13: the window is
+        # [280 - 1, 280 + 27 + 2), and its row stops one past the match end
+        assert lengths == [307 - 279 + 2]
+
+    def test_a_window_within_the_needle_length_of_the_start_reads_the_region(
+            self, monkeypatch):
+        hay = "over the bay. " + "The sun rOse over the hills." + "over the bay. " * 20
+        lengths = TestFloorStop.free_start_rows(monkeypatch)
+        m = best_substring_match("The sun rose over the hills", hay)
+        assert (m.start, m.end, m.distance) == (14, 41, 1)
+        assert lengths == [41 + 2]  # from the region start, as without the filter
 
 
 class TestPieces:
@@ -488,3 +559,16 @@ class TestRecoverAnchor:
     def test_empty_anchor_rejected(self):
         with pytest.raises(ValueError):
             recover_anchor("", "text")
+
+    def test_exact_hit_is_answered_at_once(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("an exact hit needs no search")
+        monkeypatch.setattr(fuzzy, "best_substring_match", no_search)
+        span = recover_anchor("sun", "sun moon sun", search_from=1)
+        assert (span.start, span.end, span.distance) == (9, 12, 0)
+
+    @pytest.mark.parametrize("search_from", [-3, 12, 13])
+    def test_start_outside_the_haystack_rejected(self, search_from):
+        # str.find reads a negative start from the end; the search refuses it
+        with pytest.raises(ValueError, match="outside haystack"):
+            recover_anchor("sun", "sun moon sun", search_from=search_from)

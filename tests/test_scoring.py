@@ -29,6 +29,7 @@ from chunkkit.scoring import (
     HashEmbedder,
     NGramScorer,
     ScoredText,
+    adjacent_cosines,
     cosine,
     perplexity,
 )
@@ -677,6 +678,50 @@ class TestCosine:
     def test_zero_vector_undefined(self):
         with pytest.raises(UndefinedSimilarityError):
             cosine([0, 0], [1, 0])
+
+    @staticmethod
+    def pair_cosine(u, v) -> float:
+        """Reference: ``cosine`` as it was, both norms on every call."""
+        if len(u) != len(v):
+            raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
+        nu, nv = math.hypot(*u), math.hypot(*v)
+        if nu == 0.0 or nv == 0.0:
+            raise UndefinedSimilarityError("similarity with a zero vector is undefined")
+        value = math.fsum(map(lambda a, b: a * b, u, v)) / (nu * nv)
+        return max(-1.0, min(1.0, value))
+
+    @staticmethod
+    def outcome(compute):
+        """The value's bits (``float.hex``) or the error's type and message."""
+        try:
+            return [x.hex() for x in compute()]
+        except (ValueError, UndefinedSimilarityError) as exc:
+            return type(exc), str(exc)
+
+    # float vectors across the range, and int vectors as HashEmbedder gives
+    # them; a length of 1 to 3 makes zero vectors and length mismatches
+    # common, and the error of the first bad pair must win
+    @given(st.one_of(
+        st.lists(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=3),
+                 max_size=6),
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3), max_size=6),
+        st.lists(st.lists(st.floats(-1e150, 1e150), min_size=4, max_size=4),
+                 max_size=6)))
+    @settings(max_examples=400)
+    def test_adjacent_cosines_are_per_pair_cosines_to_the_bit(self, vectors):
+        expected = self.outcome(lambda: [self.pair_cosine(u, v)
+                                         for u, v in zip(vectors, vectors[1:])])
+        assert self.outcome(lambda: adjacent_cosines(vectors)) == expected
+        if len(vectors) == 2:
+            assert self.outcome(lambda: [cosine(*vectors)]) == expected
+
+    def test_each_norm_is_computed_once(self, monkeypatch):
+        norms = []
+        hypot = math.hypot
+        monkeypatch.setattr(scoring.math, "hypot", lambda *v: norms.append(v) or hypot(*v))
+        vectors = [(1, 2), (3, 4), (5, 6), (7, 8)]
+        assert len(adjacent_cosines(vectors)) == 3
+        assert norms == vectors
 
 
 class TestHashEmbedder:

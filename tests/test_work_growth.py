@@ -20,18 +20,31 @@ corpus's own recorders, ``_moc_tables`` and ``_distill_table``.
   alone and under every other. The paper's complete graph is quadratic in
   chunks by definition, so this gate is a closed form, not a ratio.
 
-No gate for ``dataset clean`` yet. It searches each generated chunk over
-its whole document, so one-edit chunks read 3.51 times the kernel
-characters for twice the length. Its gate lands with the exact candidate
-filter of ROADMAP item 19.
+- ``dataset clean`` on the ``distill`` inputs, each reference chunk given
+  back with one edit (``tools/compare_outputs.py``'s one-mark chunk): the
+  kernel characters. When each search read its document from the start
+  up to the match, they read 3.58 times the kernel characters for twice
+  the length; the candidate filter reads only the windows around the
+  chunk's parts.
+
+Two bounds hold per search, stated as formulas:
+
+- ``dataset clean`` on chunks rewritten past the flag ratio (every fifth
+  character replaced): each search reads its document at most once in
+  free-start rows, and at most twice the longest span it can return in
+  reverse rows. Chunks times document length is the one super-linear term.
+- ``dataset distill``: each free-start row reads at most the region its
+  window showed the generator, from the search's start on.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from click.testing import CliRunner
 
-from chunkkit import scoring
+from chunkkit import dataset, fuzzy, scoring
 from chunkkit.chunkers import chunk_boundary_aware
 from chunkkit.cli import main
 from chunkkit.text import Document, save_chunksets, save_corpus
@@ -59,6 +72,17 @@ def build(corpus, workload: str, scale: int, out):
     return inputs
 
 
+def write_generated(compare_tool, inputs, edit: int, path) -> None:
+    """A ``dataset clean`` ``--generated`` file: every reference chunk as
+    ``tools/compare_outputs.py``'s ``clean`` set gives back chunk ``edit``
+    (1: one mark in the middle, 2: every fifth character rewritten)."""
+    path.write_text("".join(
+        json.dumps({"doc_id": cs.doc_id,
+                    "chunks": [compare_tool._edited(c.text, edit) for c in cs.chunks]},
+                   ensure_ascii=False) + "\n"
+        for cs in inputs.reference), encoding="utf-8")
+
+
 def run(args: list[str], work, monkeypatch) -> None:
     monkeypatch.chdir(work)
     result = CliRunner().invoke(main, args)
@@ -79,19 +103,26 @@ def embedded_texts(monkeypatch) -> list[int]:
 
 
 # Measured (L -> 2L): distill reads 3,230 -> 5,791 kernel characters
-# (x1.79) for 4,360 -> 8,726 characters; moc 9,700 -> 18,115 (x1.87) for
-# 76,814 -> 153,652; semantic embeds 1,040 -> 2,080 texts (x2.00).
+# (x1.79) for 4,360 -> 8,726 characters; moc 2,456 -> 4,641 (x1.89) for
+# 76,814 -> 153,652, and 9,700 -> 18,115 (x1.87) when each anchor search
+# read from the cursor to its match; semantic embeds 1,040 -> 2,080 texts
+# (x2.00); clean reads 9,096 -> 17,921 (x1.97) for 4,360 -> 8,726, and
+# 29,819 -> 106,674 (x3.58) when each search read its whole document.
 @pytest.mark.parametrize("workload,command,counter", [
     ("distill", 0, "kernel_chars"),
     ("chunk", 1, "kernel_chars"),
     ("chunk", 0, "embedded_texts"),
-], ids=["distill", "chunk-moc", "chunk-semantic"])
+    ("clean", 0, "kernel_chars"),
+], ids=["distill", "chunk-moc", "chunk-semantic", "clean-one-edit"])
 def test_work_grows_no_faster_than_the_input(tmp_path, monkeypatch, request,
                                              compare_tool, workload, command, counter):
-    args = compare_tool.run.COMMANDS[workload][command]
+    built, commands = compare_tool.SETS[workload][:2]
+    args = commands[command]
     lengths, work = [], []
     for scale in (1, 2):
-        inputs = build(compare_tool.corpus, workload, scale, tmp_path / f"x{scale}")
+        inputs = build(compare_tool.corpus, built, scale, tmp_path / f"x{scale}")
+        if workload == "clean":
+            write_generated(compare_tool, inputs, 1, tmp_path / f"x{scale}" / "generated.jsonl")
         total = request.getfixturevalue(counter)
         total[0] = 0  # recording the tables ran the kernel too
         run(args, tmp_path / f"x{scale}", monkeypatch)
@@ -116,3 +147,66 @@ def test_eval_requests_are_the_complete_graph(tmp_path, monkeypatch, compare_too
     sizes = [len(cs) for cs in inputs.reference]
     # at L, the inputs of tests/data/eval_seed1: 1,557 distinct of 2,492 calls
     assert len(set(requests)) == sum(n + n * (n - 1) for n in sizes)
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list[dict]:
+    """Each search ``dataset`` makes: its needle and range, the distance
+    found, the characters its free-start and reverse rows read, and the
+    region of the window being distilled (None outside ``distill``)."""
+    done: list[dict] = []
+    rows = {True: 0, False: 0}
+    region = [None]
+    last_row, search = fuzzy._last_row, dataset.best_substring_match
+    windowed = dataset.windowed_chunk
+
+    def counted(pattern, text, free_start, floor=None):
+        row = last_row(pattern, text, free_start, floor)
+        rows[free_start] += len(row) - 1
+        return row
+
+    def recorded(needle, haystack, search_from=0, search_to=None):
+        rows[True] = rows[False] = 0
+        match = search(needle, haystack, search_from, search_to)
+        done.append({"m": len(needle), "from": search_from, "length": len(haystack),
+                     "distance": match.distance, "free": rows[True],
+                     "reverse": rows[False], "region_end": region[0]})
+        return match
+
+    def per_region(doc, windows, per_window):
+        def shown(text, offset):
+            region[0] = offset + len(text)
+            return per_window(text, offset)
+        return windowed(doc, windows, shown)
+    monkeypatch.setattr(fuzzy, "_last_row", counted)
+    monkeypatch.setattr(dataset, "best_substring_match", recorded)
+    monkeypatch.setattr(dataset, "windowed_chunk", per_region)
+    return done
+
+
+# Measured at L and 2L: 31 and 62 searches, whose free-start rows read
+# 14,173 and 28,045 characters of 46,900 and 187,724 allowed.
+@pytest.mark.parametrize("scale", [1, 2], ids=["L", "2L"])
+def test_clean_reads_each_document_at_most_once(tmp_path, monkeypatch, compare_tool,
+                                                searches, scale):
+    inputs = build(compare_tool.corpus, "distill", scale, tmp_path / "x")
+    write_generated(compare_tool, inputs, 2, tmp_path / "x" / "generated.jsonl")
+    searches.clear()  # recording the tables searched too
+    run(compare_tool.SETS["clean"][1][0], tmp_path / "x", monkeypatch)
+    assert len(searches) == sum(len(cs) for cs in inputs.reference)
+    for s in searches:
+        assert s["from"] == 0
+        # the document once; each reverse row reads at most m + d characters
+        assert s["free"] <= s["length"], s
+        assert s["reverse"] <= 2 * (s["m"] + s["distance"]), s
+
+
+@pytest.mark.parametrize("scale", [1, 2], ids=["L", "2L"])
+def test_distill_reads_only_the_region_its_window_showed(tmp_path, monkeypatch,
+                                                         compare_tool, searches, scale):
+    build(compare_tool.corpus, "distill", scale, tmp_path / "x")
+    searches.clear()
+    run(compare_tool.run.COMMANDS["distill"][0], tmp_path / "x", monkeypatch)
+    assert searches and all(s["region_end"] is not None for s in searches)
+    for s in searches:
+        assert s["free"] <= s["region_end"] - s["from"], s
