@@ -409,7 +409,7 @@ class TestCandidateFilter:
         lengths = TestFloorStop.free_start_rows(monkeypatch)
         m = best_substring_match("The sun rose over the hills", hay)
         assert (m.start, m.end, m.distance) == (14, 41, 1)
-        assert lengths == [41 + 2]  # from the region start, as without the filter
+        assert lengths == [41 + 2]  # the region's row, from its start
 
 
 class TestPieces:

@@ -698,9 +698,9 @@ class TestCosine:
         except (ValueError, UndefinedSimilarityError) as exc:
             return type(exc), str(exc)
 
-    # float vectors across the range, and int vectors as HashEmbedder gives
-    # them; a length of 1 to 3 makes zero vectors and length mismatches
-    # common, and the error of the first bad pair must win
+    # float vectors, and int vectors as HashEmbedder gives them; a length of
+    # 1 to 3 makes zero vectors and length mismatches common, and the error
+    # of the first bad pair must win
     @given(st.one_of(
         st.lists(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=3),
                  max_size=6),
