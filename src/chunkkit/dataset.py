@@ -1,15 +1,18 @@
 """Training-data distillation: windows, cleaning, rule synthesis.
 
-A long document is cut into sub-token-budget windows (preferring paragraph
-breaks, then sentence ends, then hard cuts), a generator proposes chunk
-texts per window, hallucinated chunks are flagged by minimum edit distance
-against the source, and surviving chunks become anchor rules. A chunking
-also yields training samples: one router text per document and one expert
-prompt/target pair per window. Nothing here writes a file; the CLI
-decides where samples go.
+A long document is cut into windows of at most the token budget
+(preferring paragraph breaks, then sentence ends, then hard cuts), a
+generator proposes chunk texts per window, hallucinated chunks are flagged
+by minimum edit distance against the source, and surviving chunks become
+anchor rules. A chunking also yields training samples: one router text per
+document and one expert prompt/target pair per window. Nothing here writes
+a file; the CLI decides where samples go.
 
 A window budget counts characters as a stand-in for tokens, since the
-backend tokenizer is remote; windows only need to respect a budget.
+backend tokenizer is remote. The windows keep to it, but the region a
+window shows does not always: it starts at the chunk held back from the
+window before, when there is one, so it can pass the budget by that chunk
+and the text after it (see :func:`windowed_chunk`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ def sliding_windows(
 
     Cut points are chosen at the last paragraph break within budget, else
     the last sentence end, else a hard cut exactly at the budget. A budget
-    of the whole text or more is one window.
+    of the whole text or more is one window. The text is split into
+    sentences only when a window has no paragraph break within budget, and
+    at most once.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
@@ -51,9 +56,7 @@ def sliding_windows(
     n = len(text)
     budget = min(max_tokens, n)
 
-    sentence_ends = [
-        s.end for s in split_sentences(doc) if s.terminal is not None
-    ]
+    sentence_ends = None  # split once, when a window first needs a sentence end
 
     windows: list[tuple[int, int]] = []
     pos = 0
@@ -67,6 +70,8 @@ def sliding_windows(
         for match in _PARAGRAPH_BREAK.finditer(text, pos, limit):
             cut = match.end()
         if cut is None:
+            if sentence_ends is None:
+                sentence_ends = [s.end for s in split_sentences(doc) if s.terminal is not None]
             idx = bisect.bisect_right(sentence_ends, limit) - 1
             if idx >= 0 and sentence_ends[idx] > pos:
                 cut = sentence_ends[idx]
@@ -92,7 +97,10 @@ def windowed_chunk(
     ``region = doc.text[offset:end]`` of a window's ``end``. The first
     region starts at 0. Unless the window is the last or gave a single
     span, its last span is held back and the next region starts where that
-    span began, so the next window sees the held text again. A window whose ``per_window`` raises
+    span began, so the next window sees the held text again. A region is
+    thus its window plus, when a span was held, the text from that span's
+    start to the window's start: it can exceed the windows' budget, and
+    nothing cuts it back. A window whose ``per_window`` raises
     a parse, extraction or backend error (a router's scoring fault is a
     backend error) contributes no spans, is logged, and the next region
     starts at its end; the span held back for it is kept, since the window

@@ -2,10 +2,11 @@
 
 The pipeline windows a document, routes each window to a granularity
 expert, asks the expert for anchor+placeholder rules, extracts chunk spans
-from the source text with exact search plus edit-distance recovery, and
-stitches windows with the chunk-buffer discipline (the last chunk of a
-window is held back and its text re-offered to the next window, and kept
-if that window fails). A backend fault in any step, the router's score of
+from the source text, and stitches windows with the chunk-buffer
+discipline (the last chunk of a window is held back and its text
+re-offered to the next window, and kept if that window fails). An exact
+anchor costs one ``str.find``; only a miss runs the edit-distance kernel
+of anchor recovery. A backend fault in any step, the router's score of
 any label included, fails its window and no other.
 """
 
@@ -17,7 +18,7 @@ from typing import Mapping
 from . import prompts
 from .dataset import sliding_windows, windowed_chunk
 from .errors import AnchorNotFoundError, ExtractionError, RuleParseError
-from .fuzzy import SpanMatch, recover_anchor
+from .fuzzy import recover_anchor
 from .rules import (
     DEFAULT_PLACEHOLDER,
     GranularityLabel,
@@ -83,15 +84,17 @@ class RuleMatch:
         return "exact" if self.distance == 0 else "recovered"
 
 
-def _locate(needle: str, text: str, start: int) -> SpanMatch | None:
-    """The earliest acceptable occurrence of ``needle`` at or after
-    ``start``; None when nothing qualifies."""
+def _locate(needle: str, text: str, start: int) -> tuple[int, int, int] | None:
+    """``(start, end, distance)`` of the earliest acceptable recovery of an
+    anchor that ``str.find`` missed at or after ``start``; None when nothing
+    qualifies."""
     if start >= len(text):
         return None
     try:
-        return recover_anchor(needle, text, search_from=start)
+        match = recover_anchor(needle, text, search_from=start)
     except AnchorNotFoundError:
         return None
+    return match.start, match.end, match.distance
 
 
 def _extract_spans(
@@ -102,23 +105,33 @@ def _extract_spans(
     """Resolve rules against ``text`` with a forward-only cursor: the spans
     and one :class:`RuleMatch` per rule, in rule order.
 
-    Anchors match earliest-first; the cursor advances past each resolved
-    chunk, so spans come out strictly increasing and non-overlapping. An
-    unresolvable rule gets a failed match and no span; more than 50%
-    failures raise :class:`ExtractionError`, whose ``report`` is the matches.
+    Anchors match earliest-first: one ``str.find`` answers an exact anchor,
+    and only a miss goes to recovery. The cursor advances past each
+    resolved chunk, so spans come out strictly increasing and
+    non-overlapping. An unresolvable rule gets a failed match and no span;
+    more than 50% failures raise :class:`ExtractionError`, whose ``report``
+    is the matches.
     """
     matches: list[RuleMatch] = []
     cursor = 0
     for rule in rules.rules:
-        head = _locate(rule.prefix, text, cursor)
-        # a literal rule is its own anchor: its tail is its head
-        tail = head if head is None or rule.literal else _locate(rule.suffix, text, head.end)
-        if tail is None:
+        prefix = rule.prefix
+        pos = text.find(prefix, cursor)
+        head = (pos, pos + len(prefix), 0) if pos >= 0 else _locate(prefix, text, cursor)
+        if head is None:
             matches.append(RuleMatch())
             continue
-        distance = head.distance if rule.literal else head.distance + tail.distance
-        matches.append(RuleMatch(distance, base_offset + head.start, base_offset + tail.end))
-        cursor = tail.end
+        start, end, distance = head
+        if not rule.literal:  # a literal rule is its own anchor: its tail is its head
+            suffix = rule.suffix
+            pos = text.find(suffix, end)
+            tail = (pos, pos + len(suffix), 0) if pos >= 0 else _locate(suffix, text, end)
+            if tail is None:
+                matches.append(RuleMatch())
+                continue
+            end, distance = tail[1], distance + tail[2]
+        matches.append(RuleMatch(distance, base_offset + start, base_offset + end))
+        cursor = end
     failed = sum(m.start is None for m in matches)
     if failed * 2 > len(rules.rules):
         raise ExtractionError(f"{failed} of {len(rules.rules)} rules failed to resolve",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
+from json.decoder import scanstring
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -125,7 +126,9 @@ _QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 def parse_rule_elements(text: str) -> list[str]:
     """The string elements of the bracket block of ``text``: from its first
-    ``[`` to its last ``]``, every double-quoted JSON string literal in order.
+    ``[`` to its last ``]``, every double-quoted JSON string literal in order,
+    each decoded by ``json.decoder.scanstring``, the C scanner that
+    ``json.loads`` runs on a string literal.
 
     One scan reads strict JSON and the almost-JSON that models tend to emit,
     such as a trailing comma; a quoted run that is no valid JSON string is
@@ -139,7 +142,7 @@ def parse_rule_elements(text: str) -> list[str]:
     elements = []
     for match in _QUOTED.finditer(text, start, end + 1):
         try:
-            elements.append(json.loads(match.group(0)))
+            elements.append(scanstring(text, match.start() + 1, True)[0])
         except json.JSONDecodeError:
             continue
     if not elements:

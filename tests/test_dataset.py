@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkkit import fuzzy
+from chunkkit import dataset, fuzzy
 from chunkkit.dataset import (
+    _PARAGRAPH_BREAK,
     CleaningVerdict,
     detect_hallucination,
     distill_document,
@@ -84,6 +86,76 @@ class TestSlidingWindows:
         doc = make_doc("y" * 1000)
         windows = sliding_windows(doc, max_tokens=max_tokens)
         assert windows == [(0, 1000)]
+
+
+def reference_sliding_windows(doc, max_tokens=1024):
+    """``sliding_windows`` as it was before it split sentences lazily: every
+    call split the whole document first."""
+    if max_tokens < 1:
+        raise ValueError("max_tokens must be >= 1")
+    text = doc.text
+    n = len(text)
+    budget = min(max_tokens, n)
+    sentence_ends = [s.end for s in split_sentences(doc) if s.terminal is not None]
+    windows = []
+    pos = 0
+    while pos < n:
+        limit = pos + budget
+        if limit >= n:
+            windows.append((pos, n))
+            break
+        cut = None
+        for match in _PARAGRAPH_BREAK.finditer(text, pos, limit):
+            cut = match.end()
+        if cut is None:
+            idx = bisect.bisect_right(sentence_ends, limit) - 1
+            if idx >= 0 and sentence_ends[idx] > pos:
+                cut = sentence_ends[idx]
+        if cut is None:
+            cut = limit
+        windows.append((pos, cut))
+        pos = cut
+    return windows
+
+
+# words, terminals (CJK too), closers, and newline runs with and without \r
+_WINDOW_PIECES = st.sampled_from([
+    "ab", "cde", " ", "  ", ".", "!", "?", ";", "。", "！", "？", "；", '"', "'", ")",
+    "」", "”", "\n", "\n\n", "\r\n", "\r\n\r\n", " \n \n", "\n\t\n", "\r",
+])
+window_texts = st.lists(_WINDOW_PIECES, min_size=1, max_size=60).map("".join).filter(str.strip)
+
+
+class TestLazySentenceEnds:
+    """``sliding_windows`` splits sentences only for a window that has no
+    paragraph break within budget, and at most once per call."""
+
+    @settings(max_examples=400)
+    @given(text=window_texts, data=st.data())
+    def test_matches_the_eager_reference(self, text, data):
+        doc = make_doc(text)
+        budget = data.draw(st.integers(1, len(text) + 1), label="budget")
+        assert sliding_windows(doc, budget) == reference_sliding_windows(doc, budget)
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = []
+
+        def counted(doc):
+            calls.append(doc)
+            return split_sentences(doc)
+        monkeypatch.setattr(dataset, "split_sentences", counted)
+        return calls
+
+    def test_paragraph_cuts_split_nothing(self, splits):
+        doc = make_doc("\n\n".join(["One two. Three four."] * 20))
+        assert len(sliding_windows(doc, 50)) == 10
+        assert splits == []
+
+    def test_sentence_cuts_split_once(self, splits, rng):
+        doc = make_doc(random_text(rng, sentences=60))
+        assert len(sliding_windows(doc, 256)) > 2
+        assert len(splits) == 1
 
 
 class TestWindowedChunk:

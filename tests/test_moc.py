@@ -6,16 +6,27 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkkit import prompts
 from chunkkit.dataset import make_rules, sliding_windows
 from chunkkit.errors import (
+    AnchorNotFoundError,
     ExtractionError,
     FixtureMissingError,
     RuleParseError,
     TransportError,
 )
-from chunkkit.moc import extract_chunks, generate_rules, moc_chunk, route
+from chunkkit.fuzzy import recover_anchor
+from chunkkit.moc import (
+    RuleMatch,
+    _extract_spans,
+    extract_chunks,
+    generate_rules,
+    moc_chunk,
+    route,
+)
 from chunkkit.rules import ChunkRule, GranularityLabel, RuleList, parse_rule_list
 from chunkkit.scoring import FixtureGenerator, FixtureScorer, NGramScorer
 from chunkkit.text import ChunkSet, Document
@@ -248,6 +259,80 @@ class TestExtractChunks:
         ends = [c.end for c in cs.chunks]
         assert starts == sorted(starts)
         assert all(e <= s for e, s in zip(ends, starts[1:]))
+
+
+def reference_extract_spans(text, rules, base_offset=0):
+    """``_extract_spans`` as it was before exact anchors skipped recovery:
+    every anchor went through ``recover_anchor`` and a ``SpanMatch``."""
+    def locate(needle, start):
+        if start >= len(text):
+            return None
+        try:
+            return recover_anchor(needle, text, search_from=start)
+        except AnchorNotFoundError:
+            return None
+
+    matches = []
+    cursor = 0
+    for rule in rules.rules:
+        head = locate(rule.prefix, cursor)
+        tail = head if head is None or rule.literal else locate(rule.suffix, head.end)
+        if tail is None:
+            matches.append(RuleMatch())
+            continue
+        distance = head.distance if rule.literal else head.distance + tail.distance
+        matches.append(RuleMatch(distance, base_offset + head.start, base_offset + tail.end))
+        cursor = tail.end
+    failed = sum(m.start is None for m in matches)
+    if failed * 2 > len(rules.rules):
+        raise ExtractionError(f"{failed} of {len(rules.rules)} rules failed to resolve",
+                              report=matches)
+    return [(m.start, m.end) for m in matches if m.start is not None], matches
+
+
+@st.composite
+def anchor_of(draw, text):
+    """A piece of ``text`` as it is, with one character changed, the text's
+    last characters (so the cursor reaches the region end), or text that
+    does not occur."""
+    kind = draw(st.sampled_from(["exact", "exact", "corrupted", "end", "missing"]))
+    size = draw(st.integers(1, 12))
+    if kind == "missing":
+        return "qz" * size
+    if kind == "end":
+        return text[-size:]
+    at = draw(st.integers(0, len(text) - 1))
+    piece = text[at:at + size]
+    if kind == "corrupted":
+        i = draw(st.integers(0, len(piece) - 1))
+        piece = piece[:i] + draw(st.sampled_from("~ab")) + piece[i + 1:]
+    return piece
+
+
+@st.composite
+def extraction_cases(draw):
+    text = draw(st.text("ab .\n", min_size=1, max_size=90).filter(str.strip))
+    rules = []
+    for _ in range(draw(st.integers(1, 8))):
+        prefix = draw(anchor_of(text))
+        if draw(st.booleans()):
+            rules.append(ChunkRule(prefix=prefix, placeholder=None))
+        else:
+            rules.append(anchored(prefix, draw(anchor_of(text))))
+    return text, RuleList(tuple(rules)), draw(st.integers(0, 50))
+
+
+def outcome(text, rules, base_offset, extract):
+    try:
+        return extract(text, rules, base_offset)
+    except ExtractionError as exc:
+        return str(exc), exc.report
+
+
+@settings(max_examples=500)
+@given(case=extraction_cases())
+def test_extract_spans_matches_reference(case):
+    assert outcome(*case, _extract_spans) == outcome(*case, reference_extract_spans)
 
 
 def build_moc_fixtures(doc: Document, label: int, chunk_texts: list[str],

@@ -163,21 +163,27 @@ def outcome(fn, arg):
         return ("raises", str(exc))
 
 
-# pieces that make placeholders overlap, nest and touch the edges
+# pieces that make placeholders overlap, nest and touch the edges; control
+# characters and a lone surrogate, which json.dumps escapes
 _ELEMENT_PIECES = st.sampled_from([
     *PLACEHOLDERS, "a", "bc", " ", ".", "*", "?", "<", ">", "[", "]", "MASK",
-    "<.", "<pad", "...", '"', "\\", "é", "\n",
+    "<.", "<pad", "...", '"', "\\", "é", "\n", "\x00", "\x1f", "\t", "\ud800",
 ])
 elements = st.lists(_ELEMENT_PIECES, max_size=8).map("".join)
 json_lists = st.builds(
     lambda items, ascii, indent: json.dumps(items, ensure_ascii=ascii, indent=indent),
     st.lists(elements, max_size=5), st.booleans(), st.sampled_from([None, 1]))
+# raw control characters, valid and invalid \u escapes (lone and paired
+# surrogates too), a backslash before a newline, and escaped quotes
 soup = st.lists(st.sampled_from([
     "[", "]", '"', "\\", '\\"', ",", " ", "\n", "a", "[MASK]", "\\u00e9", "\\x", "1",
+    "\x00", "\x07", "\t", "\x7f", "\\u", "\\u12", "\\uZZZZ", "\\u00G1", "\\ud800",
+    "\\udfff", "\\ud83d\\ude00", "\\ud83d\\u0041", "\\\n", '\\\\"', "\\/", "\\b",
 ]), max_size=24).map("".join)
 generations = st.one_of(
     json_lists, soup,
-    st.builds(lambda head, body, tail: head + body + tail, soup, json_lists, soup))
+    st.builds(lambda head, body, tail: head + body + tail, soup, json_lists, soup),
+    st.builds(lambda body, rest: f'["{body}", {rest}]', soup, soup))
 
 
 @settings(max_examples=300)

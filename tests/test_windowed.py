@@ -8,7 +8,8 @@ generated chunk only inside its window's region, and a distilled document
 whose every window fails fails, as a MoC one does. Random documents, window
 budgets and injected window faults (routing, parse, extraction, backend)
 must give the same spans, extraction reports, verdicts, failed-window
-counts and document failures.
+counts and document failures. A last test states how far a region may
+pass its window's budget.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from chunkkit.dataset import (
     distill_document,
     parse_tagged_chunks,
     sliding_windows,
+    windowed_chunk,
 )
 from chunkkit.errors import (
     ExtractionError,
@@ -289,3 +291,26 @@ def test_distill_document_matches_reference_loop(case):
     assert result.chunkset == chunkset
     assert result.verdicts == verdicts
     assert (result.window_count, result.failed_windows) == (window_count, failed)
+
+
+@settings(max_examples=100)
+@given(case=cases)
+def test_a_region_is_at_most_its_window_plus_the_held_span(case):
+    # the held span is offered again whole, so a region can pass the budget
+    doc = _document(case["seed"], case["sentences"], case["paragraph_every"])
+    windows = sliding_windows(doc, max_tokens=case["budget"])
+    offered, found = [], []
+
+    def per_window(region, offset):  # sentence spans, which tile the region
+        offered.append((offset, offset + len(region)))
+        found.append([(offset + s.start, offset + s.end)
+                      for s in split_sentences(region)])
+        return list(found[-1])
+
+    windowed_chunk(doc, windows, per_window)
+    for i, ((start, end), (region_start, region_end)) in enumerate(zip(windows, offered)):
+        held = found[i - 1][-1] if i and len(found[i - 1]) > 1 else None
+        assert region_end == end
+        assert region_start == (held[0] if held else start)
+        held_len = held[1] - held[0] if held else 0
+        assert region_end - region_start <= (end - start) + held_len

@@ -35,6 +35,10 @@ Two bounds hold per search, stated as formulas:
   reverse rows. Chunks times document length is the one super-linear term.
 - ``dataset distill``: each free-start row reads at most the region its
   window showed the generator, from the search's start on.
+
+Two gates count the calls of ``chunk --method moc`` at L: it recovers only
+the anchors that ``str.find`` misses, and it splits no document into
+sentences when every window cut is a paragraph break.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from chunkkit import dataset, fuzzy, scoring
+from chunkkit import dataset, fuzzy, moc, scoring
 from chunkkit.chunkers import chunk_boundary_aware
 from chunkkit.cli import main
 from chunkkit.text import Document, save_chunksets, save_corpus
@@ -210,3 +214,47 @@ def test_distill_reads_only_the_region_its_window_showed(tmp_path, monkeypatch,
     assert searches and all(s["region_end"] is not None for s in searches)
     for s in searches:
         assert s["free"] <= s["region_end"] - s["from"], s
+
+
+@pytest.fixture
+def moc_calls(tmp_path, monkeypatch, compare_tool) -> dict:
+    """One ``chunk --method moc`` pass at L: the edit marks in its expert
+    tables, the documents, and what ``str.find`` gave for each anchor that
+    went to ``recover_anchor``, and each ``split_sentences`` call of
+    ``dataset``."""
+    corpus = compare_tool.corpus
+    inputs = build(corpus, "chunk", 1, tmp_path / "x")
+    marks = sum(entry["response"].count(corpus.EDIT_MARK)
+                for table in (tmp_path / "x").glob("expert_*.json")
+                for entry in json.loads(table.read_text(encoding="utf-8"))["entries"])
+    finds, splits = [], []
+    recover, split = moc.recover_anchor, dataset.split_sentences
+
+    def recorded(anchor, haystack, search_from=0):
+        finds.append(haystack.find(anchor, search_from))
+        return recover(anchor, haystack, search_from)
+
+    def counted(doc):
+        splits.append(doc)
+        return split(doc)
+    monkeypatch.setattr(moc, "recover_anchor", recorded)
+    monkeypatch.setattr(dataset, "split_sentences", counted)
+    run(compare_tool.run.COMMANDS["chunk"][1], tmp_path / "x", monkeypatch)
+    return {"marks": marks, "docs": inputs.docs, "finds": finds, "splits": splits}
+
+
+# Measured at L: 109 of the 1,306 anchors miss, and each holds the edit
+# mark; the 109 windows all end at paragraph breaks. When every anchor went
+# to recover_anchor and every window split its document, the pass made
+# 1,306 calls and 12 splits.
+def test_moc_recovers_only_the_anchors_str_find_misses(moc_calls):
+    # the mark occurs in no document, so each marked anchor is one miss
+    assert moc_calls["marks"] == 109
+    assert moc_calls["finds"] == [-1] * moc_calls["marks"]
+
+
+def test_moc_splits_no_document_whose_cuts_are_paragraph_breaks(moc_calls):
+    assert moc_calls["splits"] == []
+    for doc in moc_calls["docs"]:
+        for _, end in dataset.sliding_windows(doc)[:-1]:
+            assert doc.text[end - 2:end] == "\n\n"

@@ -1,6 +1,6 @@
 """Compare the output bodies of two chunkkit trees on the benchmark's inputs.
 
-    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,eval-k,dataset,clean]
+    python tools/compare_outputs.py PARENT_DIR [--seeds 0-19] [--workloads chunk,distill,eval,eval-k,dataset,chunk-flat,clean]
 
 Run from the repository root. For each workload and seed it builds the
 benchmark's inputs with ``perfbench/corpus.py``'s ``build`` (imported from
@@ -22,6 +22,13 @@ The ``dataset`` set is no benchmark workload. On the ``eval`` workload's
 inputs it runs ``dataset windows``, ``label``, ``rules`` and ``emit`` over
 the reference chunk sets, and ``chunk --method fixed`` and ``boundary``
 with ``--calibrate-avg 178``, and compares every file they write.
+
+The ``chunk-flat`` set is no benchmark workload either. It runs the
+``chunk`` workload's commands on the ``chunk`` inputs with each ``\n\n``
+replaced by one space, with reference chunk sets recorded again by
+``chunk_boundary_aware`` and expert tables by ``corpus._moc_tables``. With
+no paragraph break, every window is cut at a sentence end, a fallback that
+no benchmark window takes.
 
 The ``clean`` set is no benchmark workload either. On the ``distill``
 workload's inputs it runs ``dataset clean``, which searches whole
@@ -48,6 +55,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import corpus  # noqa: E402
 import run  # noqa: E402
+from chunkkit.chunkers import chunk_boundary_aware  # noqa: E402
+from chunkkit.text import Document, save_chunksets, save_corpus  # noqa: E402
 
 _DATASET_ARGS = ["--corpus", "corpus.jsonl", "--chunksets", "reference.jsonl"]
 # each set: the workload whose inputs it runs on, its commands, its outputs
@@ -66,6 +75,7 @@ SETS["dataset"] = ("eval", [
     *((f"emitted/expert_{label}.jsonl", False) for label in range(4)),
     ("emitted/router.jsonl", False), ("emitted/manifest.json", False),
     ("fixed.jsonl", False), ("boundary.jsonl", False)])
+SETS["chunk-flat"] = ("chunk", run.COMMANDS["chunk"], run.OUTPUTS["chunk"])
 SETS["clean"] = ("distill", [
     ["dataset", "clean", "--corpus", "corpus.jsonl", "--generated", "generated.jsonl",
      "--out", "verdicts.jsonl"],
@@ -111,6 +121,19 @@ def write_generated(inputs: corpus.Inputs, path: Path) -> None:
         for cs in inputs.reference), encoding="utf-8")
 
 
+def build_flat(seed: int, out: Path) -> corpus.Inputs:
+    """The ``chunk-flat`` set's inputs, written into ``out``."""
+    docs = [Document(id=d.id, text=d.text.replace("\n\n", " "))
+            for d in corpus.make_documents("chunk", seed)]
+    inputs = corpus.Inputs(docs=docs, reference=[
+        chunk_boundary_aware(d, corpus.TARGET_LEN) for d in docs])
+    out.mkdir(parents=True)
+    save_corpus(docs, out / "corpus.jsonl")
+    save_chunksets(inputs.reference, out / "reference.jsonl")
+    corpus._moc_tables(inputs, out)
+    return inputs
+
+
 def run_tree(src: Path, workload: str, work: Path) -> tuple[list[int], dict]:
     """Exit codes of the workload's commands run with ``src`` in ``work``,
     and each output's body (None when the file is missing)."""
@@ -132,7 +155,10 @@ def compare(parent_src: Path, workload: str, seed: int) -> list[str]:
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         inputs = Path(tmp) / "inputs"
         built = SETS[workload][0]
-        built_inputs = corpus.build(built, seed, inputs)
+        if workload == "chunk-flat":
+            built_inputs = build_flat(seed, inputs)
+        else:
+            built_inputs = corpus.build(built, seed, inputs)
         corpus.write_config(built, inputs)
         if workload == "clean":
             write_generated(built_inputs, inputs / "generated.jsonl")
