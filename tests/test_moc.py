@@ -295,6 +295,7 @@ def anchor_of(draw, text):
     """A piece of ``text`` as it is, with one character changed, the text's
     last characters (so the cursor reaches the region end), or text that
     does not occur."""
+    # an exact anchor twice as often as each other kind
     kind = draw(st.sampled_from(["exact", "exact", "corrupted", "end", "missing"]))
     size = draw(st.integers(1, 12))
     if kind == "missing":
