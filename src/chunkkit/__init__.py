@@ -53,7 +53,6 @@ from .scoring import (
     HashEmbedder,
     NGramScorer,
     ScoredText,
-    cosine,
     perplexity,
 )
 from .text import (

@@ -298,7 +298,7 @@ def _fixture_scorer(options: Mapping[str, Any], role: str) -> FixtureScorer:
     scorer = FixtureScorer()
     _fill(options, role, lambda entry: scorer.add(
         _string(entry, "text"), entry.get("context"),
-        logprobs=entry.get("logprobs"), probs=entry.get("probs")))
+        logprobs=entry["logprobs"]))
     return scorer
 
 

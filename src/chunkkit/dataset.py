@@ -33,7 +33,9 @@ from .text import Chunk, ChunkSet, Document, split_sentences
 
 logger = logging.getLogger(__name__)
 
-_PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
+# A blank line, in each newline that ``text._BREAK`` reads (``\r\n``, ``\r``,
+# ``\n``); the group takes the ``\n`` of a ``\r\n``, one line break, not two.
+_PARAGRAPH_BREAK = re.compile(r"[\n\r](?:(?<=\r)\n|(?<!\r)|(?!\n))[ \t]*[\n\r]+")
 
 
 def sliding_windows(
@@ -65,9 +67,11 @@ def sliding_windows(
         if limit >= n:
             windows.append((pos, n))
             break
-        # a break found in [pos, limit) ends past pos and by limit
+        # a break found in [pos, end) ends past pos and by limit; the search
+        # stops short of a \r\n that the limit splits, or its \r would end one
+        end = limit - 1 if text[limit - 1] == "\r" and text[limit] == "\n" else limit
         cut = None
-        for match in _PARAGRAPH_BREAK.finditer(text, pos, limit):
+        for match in _PARAGRAPH_BREAK.finditer(text, pos, end):
             cut = match.end()
         if cut is None:
             if sentence_ends is None:

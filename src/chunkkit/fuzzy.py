@@ -269,7 +269,7 @@ def _filtered(needle: str, hay: str, floor: int) -> _Key | None:
     None when the windows would skip nothing, so the whole region is read.
     """
     m = len(needle)
-    bound = max(1, floor)
+    bound = floor  # at least 1: str.find missed, so _pieces cut a piece
     while m // (bound + 1) >= _MIN_PART:
         windows = _windows(needle, hay, bound)
         if windows is None:
@@ -324,24 +324,15 @@ def _windows(needle: str, hay: str, bound: int) -> list[tuple[int, int]] | None:
     return windows
 
 
-def recover_anchor(
-    anchor: str,
-    haystack: str,
-    search_from: int = 0,
-) -> SpanMatch:
-    """Locate a possibly-corrupted anchor in the haystack.
+def recover_anchor(anchor: str, haystack: str, search_from: int = 0) -> SpanMatch:
+    """Locate a possibly-corrupted anchor in the haystack: the span of
+    :func:`best_substring_match` from ``search_from``, accepted only if its
+    edit distance is within ``ceil(_MAX_RATIO * len(anchor))``.
 
-    Accepts the best span only if its edit distance is within
-    ``ceil(_MAX_RATIO * len(anchor))``; otherwise raises
-    :class:`AnchorNotFoundError` whose message states the best distance
-    found and the limit. An exact occurrence is answered at once.
+    Otherwise raises :class:`AnchorNotFoundError` whose message states the
+    best distance found and the limit. An empty anchor or a start outside
+    the haystack is the search's ``ValueError``.
     """
-    if not anchor:
-        raise ValueError("anchor must be non-empty")
-    if search_from >= 0:  # a negative start is refused below, not read from the end
-        pos = haystack.find(anchor, search_from)
-        if pos >= 0:
-            return SpanMatch(pos, pos + len(anchor), 0)
     limit = math.ceil(_MAX_RATIO * len(anchor))
     match = best_substring_match(anchor, haystack, search_from)
     if match.distance > limit:

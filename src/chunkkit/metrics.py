@@ -19,7 +19,8 @@ from statistics import fmean
 from typing import Sequence
 
 from .errors import CorpusFormatError, GraphBuildError, UndefinedCorrelationError
-from .scoring import Embedder, Scorer, adjacent_cosines, perplexity, score_many
+from .scoring import (Embedder, Scorer, _unit_scaled, adjacent_cosines, perplexity,
+                      score_many)
 from .text import Chunk, ChunkSet, Document
 
 logger = logging.getLogger(__name__)
@@ -167,7 +168,8 @@ def chunk_stickiness(graph: SemanticGraph) -> float:
 
 
 def dissimilarity(chunks: ChunkSet | Sequence[Chunk | str], embedder: Embedder) -> float:
-    """Mean over adjacent chunk pairs of 1 - cosine(embeddings) in [0, 1]."""
+    """Mean over adjacent chunk pairs of 1 - the cosine of their embeddings
+    (:func:`adjacent_cosines`), in [0, 1]."""
     texts = [_text_of(c) for c in chunks]
     if len(texts) < 2:
         raise ValueError("dissimilarity needs >= 2 chunks")
@@ -200,7 +202,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("correlation needs at least two points")
-    x, y = _unit_scaled(x), _unit_scaled(y)
+    # scaled by a power of two, exactly: r does not depend on scale, but no
+    # sum of squares can then overflow to infinity or underflow to 0
+    x, y = _unit_scaled(_finite_floats(x)), _unit_scaled(_finite_floats(y))
     mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
     xd = [a - mx for a in x]
     yd = [b - my for b in y]
@@ -214,16 +218,12 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def _unit_scaled(values: Sequence[float]) -> list[float]:
-    """``values`` as floats times the one power of two that puts the largest
-    magnitude in [0.5, 1). The scaling is exact and r does not depend on
-    scale, but no sum of squares can then overflow to infinity or underflow
-    to 0."""
+def _finite_floats(values: Sequence[float]) -> list[float]:
+    """``values`` as floats; a value that is not finite is a ValueError."""
     values = [float(v) for v in values]
     if not all(map(math.isfinite, values)):
         raise ValueError("correlation needs finite values")
-    shift = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -shift) for v in values]
+    return values
 
 
 # ---------------------------------------------------------------------------

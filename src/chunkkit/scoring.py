@@ -156,22 +156,30 @@ class Embedder(Protocol):
     def embed_many(self, texts: Sequence[str]) -> list[tuple[float, ...]]: ...
 
 
-def cosine(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors have no defined similarity.
+# Outside this range a pair's norm product, or the terms of its dot
+# product, leave the float range: two subnormal vectors gave 0 / 0, and
+# two of norm 1e160 gave inf / inf, which the clamp read as 1. Inside it no
+# term, nor their sum, exceeds the product (|u . v| <= |u| |v|).
+_MIN_NORMS, _MAX_NORMS = 2.0 ** -1000, 2.0 ** 1000
 
-    The dot product is summed with ``math.fsum``, which rounds correctly, so
-    the value does not depend on summation order or on the CPU. It is
-    :func:`adjacent_cosines` of the pair.
-    """
-    return adjacent_cosines([u, v])[0]
+
+def _unit_scaled(v: Sequence[float]) -> list[float]:
+    """``v`` times the power of two that takes its largest magnitude into
+    [0.5, 1): exact unless a component falls below the float range."""
+    shift = -math.frexp(max(map(abs, v)))[1]
+    return [math.ldexp(x, shift) for x in v]
 
 
 def adjacent_cosines(vectors: Sequence[Sequence[float]]) -> list[float]:
-    """:func:`cosine` of each adjacent pair of ``vectors``, one fewer than
-    the vectors, computing each vector's norm once.
+    """The cosine similarity, in [-1, 1], of each adjacent pair of
+    ``vectors``: one fewer than the vectors, each vector's norm computed
+    once.
 
-    Pairs are checked in order, each as :func:`cosine` checks it: lengths
-    first, then zero vectors.
+    Pairs are checked in order: lengths first, then zero vectors, which
+    have no defined similarity. The dot product is summed with
+    ``math.fsum``, which rounds correctly, so the value does not depend on
+    summation order or on the CPU. A pair whose norm product is outside
+    [``_MIN_NORMS``, ``_MAX_NORMS``] is scaled into it first.
     """
     values = []
     nu = None
@@ -183,7 +191,11 @@ def adjacent_cosines(vectors: Sequence[Sequence[float]]) -> list[float]:
         nv = math.hypot(*v)
         if nu == 0.0 or nv == 0.0:
             raise UndefinedSimilarityError("similarity with a zero vector is undefined")
-        value = math.fsum(map(operator.mul, u, v)) / (nu * nv)
+        norms = nu * nv
+        if not _MIN_NORMS <= norms <= _MAX_NORMS:  # powers of two leave the cosine as it is
+            u, v = _unit_scaled(u), _unit_scaled(v)
+            norms = math.hypot(*u) * math.hypot(*v)
+        value = math.fsum(map(operator.mul, u, v)) / norms
         values.append(max(-1.0, min(1.0, value)))
         nu = nv
     return values
@@ -387,18 +399,8 @@ class FixtureScorer:
     def __init__(self):
         self._table: dict[tuple[str, str | None], ScoredText] = {}
 
-    def add(
-        self,
-        text: str,
-        context: str | None = None,
-        *,
-        logprobs: Sequence[float] | None = None,
-        probs: Sequence[float] | None = None,
-    ) -> "FixtureScorer":
-        if (logprobs is None) == (probs is None):
-            raise ValueError("provide exactly one of logprobs or probs")
-        if probs is not None:
-            logprobs = [math.log(p) for p in probs]
+    def add(self, text: str, context: str | None = None, *,
+            logprobs: Sequence[float]) -> "FixtureScorer":
         toks = tuple(text)
         if len(toks) != len(logprobs):
             toks = tuple(f"t{i}" for i in range(len(logprobs)))
@@ -472,8 +474,8 @@ class HashEmbedder:
     Dependency-free stand-in for a sentence embedding model: texts sharing
     character n-grams land near each other. FNV-1a hashes each n-gram into
     one of ``dim`` buckets, and the vector is the integer count of n-grams
-    per bucket (feature hashing). It is not normalised: :func:`cosine`,
-    its only reader, does not depend on scale.
+    per bucket (feature hashing). It is not normalised:
+    :func:`adjacent_cosines`, its only reader, does not depend on scale.
 
     Each embedder keeps a table from n-gram to bucket, so FNV-1a runs once
     per distinct n-gram it has seen, and a text's n-grams are looked up and

@@ -15,6 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from chunkkit import prompts
+from chunkkit.rules import DEFAULT_PLACEHOLDER
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
@@ -124,3 +127,57 @@ def test_traced_eval_calls_every_wrapped_metric(tmp_path):
         "--out", "r.jsonl"], tmp_path)
     assert calls == {"boundary_clarity": 2, "build_graph": 4,
                      "dissimilarity": 2, "evaluate_chunksets": 2}
+
+
+TRACED_MOC = r"""
+import json, sys
+import probes
+
+rec = probes.Recorder(trace=True)
+probes.install(rec)
+from chunkkit import cli
+
+names, argv = json.loads(sys.argv[1])
+cli.main.main(args=argv, prog_name="chunkkit", standalone_mode=False)
+print(json.dumps({name: rec.counts[f"{name}.calls"] for name in names}))
+"""
+
+# d0 and d1 are one window each; their rule lists corrupt one prefix each
+# ("Bexa" and "Epsiloo"), which str.find misses and recovery finds
+MOC_DOCS = {
+    "d0": ("Alpha sentence one. Beta sentence two. Gamma sentence three.",
+           ["Alpha sen[MASK]nce one.", "Bexa sen[MASK]ce three."]),
+    "d1": ("Delta line four. Epsilon line five. Zeta line six.",
+           ["Delta line[MASK]four.", "Epsiloo line[MASK] six."]),
+}
+
+
+def test_traced_moc_chunk_calls_every_anchor_layer(tmp_path):
+    # each layer of the MoC path is counted where it runs: one call per
+    # document, and one anchor recovery, and one search, per corrupted prefix
+    (tmp_path / "corpus.jsonl").write_text("".join(
+        json.dumps({"id": doc_id, "text": text}) + "\n"
+        for doc_id, (text, _) in MOC_DOCS.items()))
+    (tmp_path / "expert.json").write_text(json.dumps({"entries": [
+        {"prompt": prompts.render(prompts.RULE_CHUNK_PROMPT, text=text,
+                                  placeholder=DEFAULT_PLACEHOLDER),
+         "response": json.dumps(rules)}
+        for text, rules in MOC_DOCS.values()]}))
+    expert = {"kind": "fixture", "table": "expert.json"}
+    (tmp_path / "config.json").write_text(json.dumps({
+        "router": {"kind": "ngram", "order": 2, "corpus": "corpus.jsonl"},
+        "experts": {str(i): expert for i in range(4)},
+    }))
+    names = ["moc.moc_chunk", "dataset.sliding_windows", "moc.route",
+             "moc.generate_rules", "rules.parse_rule_list", "fuzzy.recover_anchor",
+             "fuzzy.best_substring_match"]
+    calls = run_script(TRACED_MOC, [names, [
+        "--config", "config.json", "chunk", "--corpus", "corpus.jsonl",
+        "--out", "moc.jsonl", "--method", "moc", "--report", "report.jsonl"]], tmp_path)
+    assert calls == {"moc.moc_chunk": 2, "dataset.sliding_windows": 2, "moc.route": 2,
+                     "moc.generate_rules": 2, "rules.parse_rule_list": 2,
+                     "fuzzy.recover_anchor": 2, "fuzzy.best_substring_match": 2}
+    reports = [json.loads(line) for line in
+               (tmp_path / "report.jsonl").read_text().splitlines()[1:]]
+    assert [[rule["mode"] for rule in report["rules"]] for report in reports] == \
+        [["exact", "recovered"]] * 2

@@ -17,7 +17,7 @@ from chunkkit.chunkers import (
     chunk_fixed,
     chunk_semantic,
 )
-from chunkkit.scoring import FixtureEmbedder, HashEmbedder, cosine
+from chunkkit.scoring import FixtureEmbedder, HashEmbedder, adjacent_cosines
 from chunkkit.text import ChunkSet, split_sentences
 
 from conftest import CountingEmbedder, make_doc, random_sentence, random_text
@@ -35,7 +35,7 @@ def reference_chunk_semantic(doc, embedder, threshold):
     spans = []
     run_start = sentences[0].start
     for i in range(len(sentences) - 1):
-        if cosine(vectors[i], vectors[i + 1]) < threshold:
+        if adjacent_cosines([vectors[i], vectors[i + 1]])[0] < threshold:
             spans.append((run_start, sentences[i].end))
             run_start = sentences[i + 1].start
     spans.append((run_start, sentences[-1].end))
@@ -102,9 +102,9 @@ def _bisection_midpoints(depth):
     return mids
 
 
-# thresholds m for which cosine([1, 0], [m, sqrt(1 - m^2)]) == m exactly
+# thresholds m for which the cosine of [1, 0] and [m, sqrt(1 - m^2)] is m exactly
 EXACT_TIES = [m for m in _bisection_midpoints(7)
-              if cosine([1.0, 0.0], [m, math.sqrt(1 - m * m)]) == m]
+              if adjacent_cosines([[1.0, 0.0], [m, math.sqrt(1 - m * m)]]) == [m]]
 
 
 def tie_corpus(tie, sentence_counts, seed):

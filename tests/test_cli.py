@@ -1238,6 +1238,8 @@ class TestConfigErrorsExitTwo:
          "'generator'"),
         ("distill", {"generator": {"kind": "fixture", "table": "{tmp}/partial.json"}},
          "'generator': entry 0: missing key 'response'"),
+        ("eval", {"scorer": {"kind": "fixture", "table": "{tmp}/partial.json"}},
+         "'scorer': entry 0: missing key 'logprobs'"),
         ("semantic", {"embedder": {"kind": "fixture", "table": "{tmp}/partial.json"}},
          "'embedder': entry 0: missing key 'vector'"),
         ("semantic", {"embedder": {"kind": "hash", "ngram": [3]}}, "embedder.ngram"),
@@ -1267,6 +1269,7 @@ class TestConfigErrorsExitTwo:
     ], ids=["eval-fixture-no-table", "ngram-order-0", "ngram-order-not-int",
             "ngram-order-string", "hash-dim-1", "hash-dim-float",
             "distill-table-missing", "fixture-generator-no-response",
+            "fixture-scorer-no-logprobs",
             "fixture-embedder-no-vector", "hash-ngram-list",
             "concurrency-not-int", "concurrency-null", "concurrency-float",
             "ngram-corpus-missing", "ngram-corpus-directory", "fixture-table-directory",
@@ -1279,7 +1282,7 @@ class TestConfigErrorsExitTwo:
     def test_bad_backend_spec_is_one_error(self, runner, tmp_path, command, config,
                                            key):
         _, corpus, chunksets = two_chunk_docs(tmp_path, ["d0"])
-        # a fixture entry with neither a generator's response nor a vector
+        # a fixture entry with no generator's response, vector or logprobs
         (tmp_path / "partial.json").write_text(json.dumps(
             {"entries": [{"prompt": "p", "text": "x"}]}))
         path = tmp_path / "config.json"

@@ -312,11 +312,23 @@ class TestBuildBackends:
     def test_fixture_scorer_from_table(self, tmp_path):
         table = tmp_path / "t.json"
         table.write_text(json.dumps({"entries": [
-            {"text": "ab", "probs": [0.5, 0.5]},
+            {"text": "ab", "logprobs": [-0.5, -0.5]},
         ]}))
         scorer = build_scorer(BackendSpec("fixture", {"table": str(table)}))
         assert isinstance(scorer, FixtureScorer)
-        assert len(scorer.score("ab").logprobs) == 2
+        assert scorer.score("ab").logprobs == (-0.5, -0.5)
+
+    def test_fixture_scorer_reads_logprobs_only(self, tmp_path):
+        # probabilities are no input format: an entry without logprobs
+        # misses a key, as an entry without its text does
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"entries": [
+            {"text": "ab", "probs": [0.5, 0.5]},
+        ]}))
+        with pytest.raises(ConfigError) as info:
+            build_scorer(BackendSpec("fixture", {"table": str(table)}))
+        assert str(info.value) == (
+            "invalid fixture backend 'scorer': entry 0: missing key 'logprobs'")
 
     def test_fixture_generator_from_table(self, tmp_path):
         table = tmp_path / "t.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import re
 import sys
 
 import pytest
@@ -88,9 +89,36 @@ class TestSlidingWindows:
         assert windows == [(0, 1000)]
 
 
-def reference_sliding_windows(doc, max_tokens=1024):
+# The paragraph break as it was when it read only ``\n`` as a newline.
+_OLD_PARAGRAPH_BREAK = re.compile(r"\n[ \t]*\n+")
+_NEWLINE = re.compile(r"\r\n|\r|\n")
+_BLANK_LINE = re.compile(r"(?:\r\n|\r|\n)[ \t]*(?:\r\n|\r|\n)+")
+
+
+def whole_newline_break(text, pos, limit):
+    r"""The last cut in (pos, limit] at a blank line found from pos: the end
+    of its second newline or of one after it, each newline (``\r\n``,
+    ``\r``, ``\n``) read whole, so no cut falls inside a ``\r\n``."""
+    cut = None
+    for run in _BLANK_LINE.finditer(text, pos):
+        if run.start() >= limit:
+            break
+        ends = [nl.end() for nl in _NEWLINE.finditer(text, run.start(), run.end())]
+        cut = max((e for e in ends[1:] if e <= limit), default=cut)
+    return cut
+
+
+def old_lf_break(text, pos, limit):
+    r"""The last cut by the paragraph break as it was when it read only
+    ``\n`` as a newline."""
+    return max((m.end() for m in _OLD_PARAGRAPH_BREAK.finditer(text, pos, limit)),
+               default=None)
+
+
+def reference_sliding_windows(doc, max_tokens=1024, last_break=whole_newline_break):
     """``sliding_windows`` as it was before it split sentences lazily: every
-    call split the whole document first."""
+    call split the whole document first. ``last_break(text, pos, limit)``
+    gives a window's paragraph cut, or None."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
     text = doc.text
@@ -104,9 +132,7 @@ def reference_sliding_windows(doc, max_tokens=1024):
         if limit >= n:
             windows.append((pos, n))
             break
-        cut = None
-        for match in _PARAGRAPH_BREAK.finditer(text, pos, limit):
-            cut = match.end()
+        cut = last_break(text, pos, limit)
         if cut is None:
             idx = bisect.bisect_right(sentence_ends, limit) - 1
             if idx >= 0 and sentence_ends[idx] > pos:
@@ -124,6 +150,63 @@ _WINDOW_PIECES = st.sampled_from([
     "」", "”", "\n", "\n\n", "\r\n", "\r\n\r\n", " \n \n", "\n\t\n", "\r",
 ])
 window_texts = st.lists(_WINDOW_PIECES, min_size=1, max_size=60).map("".join).filter(str.strip)
+
+
+class TestParagraphBreakNewlines:
+    r"""A blank line ends a paragraph in each newline convention that the
+    sentence splitter reads: ``\n``, ``\r\n`` and ``\r``."""
+
+    @settings(max_examples=400)
+    @given(text=window_texts.map(lambda t: t.replace("\r", "")).filter(str.strip),
+           data=st.data())
+    def test_text_without_cr_keeps_its_windows(self, text, data):
+        doc = make_doc(text)
+        budget = data.draw(st.integers(1, len(text) + 1), label="budget")
+        assert sliding_windows(doc, budget) == \
+            reference_sliding_windows(doc, budget, old_lf_break)
+        # and the pattern that reads every newline finds the same breaks
+        pos = data.draw(st.integers(0, len(text)), label="pos")
+        end = data.draw(st.integers(pos, len(text)), label="end")
+        assert [m.span() for m in _PARAGRAPH_BREAK.finditer(text, pos, end)] == \
+            [m.span() for m in _OLD_PARAGRAPH_BREAK.finditer(text, pos, end)]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("blank", ["\n\n", "\n \t\n", "\n\n\n"],
+                             ids=["empty", "spaces", "run"])
+    def test_cuts_where_the_lf_twin_does(self, newline, blank):
+        lf = blank.join(["alpha beta gamma delta", "epsilon zeta eta theta",
+                         "lambda mu nu"])
+        text = lf.replace("\n", newline)
+        # an LF offset moves by the extra characters of the newlines before it
+        grown = len(newline) - 1
+
+        def mapped(i):
+            return i + grown * lf.count("\n", 0, i)
+        lf_windows = sliding_windows(make_doc(lf), 30)
+        assert [lf[end - 1] for _, end in lf_windows[:-1]] == ["\n", "\n"]
+        assert sliding_windows(make_doc(text), 30) == \
+            [(mapped(start), mapped(end)) for start, end in lf_windows]
+
+    @settings(max_examples=400)
+    @given(text=st.tuples(window_texts, st.sampled_from(["\r\n", "\r"])).map(
+        lambda t: t[0].replace("\n", t[1])), data=st.data())
+    def test_a_cut_at_a_break_ends_a_whole_newline(self, text, data):
+        doc = make_doc(text)
+        budget = data.draw(st.integers(1, len(text) + 1), label="budget")
+        assert sliding_windows(doc, budget) == reference_sliding_windows(doc, budget)
+
+    def test_a_budget_inside_a_crlf_ends_no_break(self):
+        # the second \r\n of the blank line ends one past the budget of 8,
+        # so the window ends at the sentence end, not on that \r
+        assert sliding_windows(make_doc("aaaa.\r\n\r\nbbbb"), 8)[0] == (0, 5)
+        # a run of three keeps the blank line that ends by the budget
+        assert sliding_windows(make_doc("aaaa\r\n\r\n\r\nbbbb"), 9)[0] == (0, 8)
+
+    def test_one_line_break_is_no_paragraph_break(self):
+        for newline in ("\n", "\r\n", "\r"):
+            assert _PARAGRAPH_BREAK.search(f"one{newline}two") is None
+        # LF then CR is two line breaks
+        assert _PARAGRAPH_BREAK.search("one\n\rtwo").group() == "\n\r"
 
 
 class TestLazySentenceEnds:

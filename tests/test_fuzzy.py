@@ -561,11 +561,19 @@ class TestRecoverAnchor:
             recover_anchor("", "text")
 
     def test_exact_hit_is_answered_at_once(self, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("an exact hit needs no search")
-        monkeypatch.setattr(fuzzy, "best_substring_match", no_search)
+        # the search's str.find answers an exact anchor: no kernel row runs
+        rows = []
+        last_row = fuzzy._last_row
+
+        def recorded(pattern, text, free_start, floor=None):
+            rows.append(pattern)
+            return last_row(pattern, text, free_start, floor)
+        monkeypatch.setattr(fuzzy, "_last_row", recorded)
         span = recover_anchor("sun", "sun moon sun", search_from=1)
         assert (span.start, span.end, span.distance) == (9, 12, 0)
+        assert rows == []
+        assert recover_anchor("sax", "sun moon sun", search_from=1).distance == 2
+        assert rows  # a miss runs the kernel, and the wrapper sees it
 
     @pytest.mark.parametrize("search_from", [-3, 12, 13])
     def test_start_outside_the_haystack_rejected(self, search_from):

@@ -2,10 +2,10 @@
 
 ``yaml`` serves only a YAML config. No path loads ``requests`` or
 ``numpy``: the HTTP backends use ``http.client``, and the embedders,
-``cosine`` and ``pearson`` use the standard library. Both stay in HEAVY so
-that an import of either added back fails here. Each check runs in a
-fresh interpreter and asserts which modules are loaded, never how long
-loading takes.
+``adjacent_cosines`` and ``pearson`` use the standard library. Both stay
+in HEAVY so that an import of either added back fails here. Each check
+runs in a fresh interpreter and asserts which modules are loaded, never
+how long loading takes.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from chunkkit.scoring import (
     NGramScorer,
     ScoredText,
     adjacent_cosines,
-    cosine,
     perplexity,
 )
 
@@ -626,14 +625,15 @@ class TestTrustedScores:
 
 class TestFixtures:
     def test_fixture_scorer_returns_table_entry(self):
-        scorer = FixtureScorer().add("abc", probs=[0.5, 0.25, 0.125])
+        scorer = FixtureScorer().add(
+            "abc", logprobs=[math.log(0.5), math.log(0.25), math.log(0.125)])
         scored = scorer.score("abc")
         assert perplexity(scored) == pytest.approx(
             (0.5 * 0.25 * 0.125) ** (-1 / 3)
         )
 
     def test_fixture_scorer_fails_closed(self):
-        scorer = FixtureScorer().add("abc", probs=[0.5])
+        scorer = FixtureScorer().add("abc", logprobs=[math.log(0.5)])
         with pytest.raises(FixtureMissingError):
             scorer.score("abc", context="unknown")
 
@@ -653,40 +653,49 @@ class TestFixtures:
     def test_fixture_embedder_similarity_table(self):
         emb = FixtureEmbedder({"x": [1, 0], "y": [1, 1]})
         # hand-computed: dot=1, norms 1 and sqrt(2)
-        assert cosine(emb.embed("x"), emb.embed("y")) == pytest.approx(
+        assert adjacent_cosines([emb.embed("x"), emb.embed("y")]) == [pytest.approx(
             1 / math.sqrt(2)
-        )
+        )]
         with pytest.raises(FixtureMissingError):
             emb.embed("z")
 
 
+# components whose products, scaled by 2**(a + b) for |a|, |b| <= 500, stay normal
+_MODERATE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
 class TestCosine:
     def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
+        assert adjacent_cosines([[1, 0], [0, 1]]) == [pytest.approx(0.0)]
 
     def test_collinear(self):
-        assert cosine([1, 2], [2, 4]) == pytest.approx(1.0, abs=1e-12)
+        assert adjacent_cosines([[1, 2], [2, 4]]) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_self_similarity(self):
         v = [0.3, -1.2, 4.0]
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert adjacent_cosines([v, v]) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_symmetry(self):
         u, v = [1.0, 2.0, -1.0], [0.5, -0.5, 3.0]
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-15)
+        assert adjacent_cosines([u, v]) == [pytest.approx(
+            adjacent_cosines([v, u])[0], abs=1e-15)]
 
     def test_zero_vector_undefined(self):
         with pytest.raises(UndefinedSimilarityError):
-            cosine([0, 0], [1, 0])
+            adjacent_cosines([[0, 0], [1, 0]])
 
     @staticmethod
     def pair_cosine(u, v) -> float:
-        """Reference: ``cosine`` as it was, both norms on every call."""
+        """Reference: the cosine of one pair, both norms on every call."""
         if len(u) != len(v):
             raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
         nu, nv = math.hypot(*u), math.hypot(*v)
         if nu == 0.0 or nv == 0.0:
             raise UndefinedSimilarityError("similarity with a zero vector is undefined")
+        if not 2.0 ** -1000 <= nu * nv <= 2.0 ** 1000:  # largest magnitudes into [0.5, 1)
+            u, v = ([math.ldexp(x, -math.frexp(max(map(abs, w)))[1]) for x in w]
+                    for w in (u, v))
+            nu, nv = math.hypot(*u), math.hypot(*v)
         value = math.fsum(map(lambda a, b: a * b, u, v)) / (nu * nv)
         return max(-1.0, min(1.0, value))
 
@@ -706,14 +715,33 @@ class TestCosine:
                  max_size=6),
         st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3), max_size=6),
         st.lists(st.lists(st.floats(-1e150, 1e150), min_size=4, max_size=4),
-                 max_size=6)))
+                 max_size=6),
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=3), max_size=6)))
     @settings(max_examples=400)
     def test_adjacent_cosines_are_per_pair_cosines_to_the_bit(self, vectors):
         expected = self.outcome(lambda: [self.pair_cosine(u, v)
                                          for u, v in zip(vectors, vectors[1:])])
         assert self.outcome(lambda: adjacent_cosines(vectors)) == expected
-        if len(vectors) == 2:
-            assert self.outcome(lambda: [cosine(*vectors)]) == expected
+
+    @pytest.mark.parametrize("x", [5e-324, 2.2250738585072014e-308, 1e-200, 1e-160,
+                                   1e160, 1e200, 1.7e308])
+    def test_magnitudes_at_the_ends_of_the_float_range(self, x):
+        # the norm product of a pair under 1e-160 underflowed (0 / 0), one
+        # over 1e160 overflowed (inf / inf, which the clamp read as 1)
+        assert adjacent_cosines([[x], [x], [-x]]) == [1.0, -1.0]
+        assert adjacent_cosines([[x, 0.0], [x, x], [0.0, x]]) == \
+            [pytest.approx(math.sqrt(0.5), abs=1e-15)] * 2
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        *[st.lists(_MODERATE, min_size=n, max_size=n)] * 2)),
+        st.integers(-500, 500), st.integers(-500, 500))
+    @settings(max_examples=200)
+    def test_powers_of_two_leave_the_cosine_bits(self, pair, a, b):
+        u, v = pair
+        assume(any(u) and any(v))
+        scaled = [[math.ldexp(x, a) for x in u], [math.ldexp(x, b) for x in v]]
+        assert adjacent_cosines(scaled) == adjacent_cosines([u, v])
 
     def test_each_norm_is_computed_once(self, monkeypatch):
         norms = []
@@ -729,14 +757,13 @@ class TestHashEmbedder:
         emb = HashEmbedder(dim=32)
         a = emb.embed("some text here")
         assert emb.embed("some text here") == a
-        assert cosine(a, a) == pytest.approx(1.0, abs=1e-15)
+        assert adjacent_cosines([a, a]) == [pytest.approx(1.0, abs=1e-15)]
 
     def test_shared_ngrams_raise_similarity(self):
         emb = HashEmbedder(dim=64)
-        near = cosine(emb.embed("the cat sat on the mat"),
-                      emb.embed("the cat sat on the hat"))
-        far = cosine(emb.embed("the cat sat on the mat"),
-                     emb.embed("zqx vwk prl jmt"))
+        near, far = adjacent_cosines([emb.embed("the cat sat on the hat"),
+                                      emb.embed("the cat sat on the mat"),
+                                      emb.embed("zqx vwk prl jmt")])
         assert near > far
 
     @staticmethod
