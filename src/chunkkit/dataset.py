@@ -42,12 +42,14 @@ def sliding_windows(
     doc: Document,
     max_tokens: int = 1024,
 ) -> list[tuple[int, int]]:
-    """Tile the document into windows ``(start, end)`` of at most
+    r"""Tile the document into windows ``(start, end)`` of at most
     ``max_tokens`` characters, each non-empty and starting where the one
     before ends.
 
     Cut points are chosen at the last paragraph break within budget, else
-    the last sentence end, else a hard cut exactly at the budget. A budget
+    the last sentence end, else a hard cut exactly at the budget. No cut
+    falls between the ``\r`` and ``\n`` of a ``\r\n`` unless the window
+    would be empty: a hard cut there moves one character back. A budget
     of the whole text or more is one window. The text is split into
     sentences only when a window has no paragraph break within budget, and
     at most once.
@@ -67,8 +69,8 @@ def sliding_windows(
         if limit >= n:
             windows.append((pos, n))
             break
-        # a break found in [pos, end) ends past pos and by limit; the search
-        # stops short of a \r\n that the limit splits, or its \r would end one
+        # a break found in [pos, end) ends past pos and by limit; where the
+        # limit splits a \r\n, end stops short of it, so no cut falls inside
         end = limit - 1 if text[limit - 1] == "\r" and text[limit] == "\n" else limit
         cut = None
         for match in _PARAGRAPH_BREAK.finditer(text, pos, end):
@@ -80,7 +82,7 @@ def sliding_windows(
             if idx >= 0 and sentence_ends[idx] > pos:
                 cut = sentence_ends[idx]
         if cut is None:
-            cut = limit
+            cut = end if end > pos else limit
         windows.append((pos, cut))
         pos = cut
     return windows

@@ -132,13 +132,43 @@ def reference_sliding_windows(doc, max_tokens=1024, last_break=whole_newline_bre
         if limit >= n:
             windows.append((pos, n))
             break
-        cut = last_break(text, pos, limit)
-        if cut is None:
-            idx = bisect.bisect_right(sentence_ends, limit) - 1
-            if idx >= 0 and sentence_ends[idx] > pos:
-                cut = sentence_ends[idx]
-        if cut is None:
-            cut = limit
+        cut = reference_cut(text, pos, limit, sentence_ends, last_break)
+        if cut == limit and text[limit - 1:limit + 1] == "\r\n" and limit - 1 > pos:
+            cut = limit - 1  # a hard cut never splits a \r\n
+        windows.append((pos, cut))
+        pos = cut
+    return windows
+
+
+def reference_cut(text, pos, limit, sentence_ends, last_break):
+    """A window's cut in (pos, limit]: the paragraph cut, else the last
+    sentence end, else the limit."""
+    cut = last_break(text, pos, limit)
+    if cut is None:
+        idx = bisect.bisect_right(sentence_ends, limit) - 1
+        if idx >= 0 and sentence_ends[idx] > pos:
+            cut = sentence_ends[idx]
+    return limit if cut is None else cut
+
+
+def lf_twin_windows(text, budget):
+    r"""The windows of ``text``, whose only ``\r`` begin ``\r\n``, at a budget
+    of 2 or more, each cut chosen in its LF twin and mapped back. From a
+    window's start the twin's limit is its last offset whose image is
+    within the budget, so a limit inside a ``\r\n`` moves back one."""
+    lf = text.replace("\r\n", "\n")
+    image = [i + lf.count("\n", 0, i) for i in range(len(lf) + 1)]
+    lf_ends = [s.end for s in split_sentences(make_doc(lf)) if s.terminal is not None]
+    windows = []
+    pos = 0
+    while pos < len(text):
+        limit = pos + budget
+        if limit >= len(text):
+            windows.append((pos, len(text)))
+            break
+        lf_pos = image.index(pos)
+        lf_limit = bisect.bisect_right(image, limit) - 1
+        cut = image[reference_cut(lf, lf_pos, lf_limit, lf_ends, old_lf_break)]
         windows.append((pos, cut))
         pos = cut
     return windows
@@ -170,22 +200,44 @@ class TestParagraphBreakNewlines:
         assert [m.span() for m in _PARAGRAPH_BREAK.finditer(text, pos, end)] == \
             [m.span() for m in _OLD_PARAGRAPH_BREAK.finditer(text, pos, end)]
 
-    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     @pytest.mark.parametrize("blank", ["\n\n", "\n \t\n", "\n\n\n"],
                              ids=["empty", "spaces", "run"])
-    def test_cuts_where_the_lf_twin_does(self, newline, blank):
+    def test_cuts_where_the_lf_twin_does(self, blank):
         lf = blank.join(["alpha beta gamma delta", "epsilon zeta eta theta",
                          "lambda mu nu"])
-        text = lf.replace("\n", newline)
-        # an LF offset moves by the extra characters of the newlines before it
-        grown = len(newline) - 1
+        crlf, cr = lf.replace("\n", "\r\n"), lf.replace("\n", "\r")
 
-        def mapped(i):
-            return i + grown * lf.count("\n", 0, i)
+        def mapped(i):  # an LF offset in the CRLF text
+            return i + lf.count("\n", 0, i)
         lf_windows = sliding_windows(make_doc(lf), 30)
         assert [lf[end - 1] for _, end in lf_windows[:-1]] == ["\n", "\n"]
-        assert sliding_windows(make_doc(text), 30) == \
+        assert sliding_windows(make_doc(crlf), 30) == \
             [(mapped(start), mapped(end)) for start, end in lf_windows]
+        for budget in range(1, len(crlf) + 2):
+            assert sliding_windows(make_doc(cr), budget) == \
+                sliding_windows(make_doc(lf), budget)
+            if budget > 1:
+                assert sliding_windows(make_doc(crlf), budget) == \
+                    lf_twin_windows(crlf, budget)
+
+    @settings(max_examples=400)
+    @given(text=window_texts.map(lambda t: t.replace("\r", "")).filter(str.strip),
+           data=st.data())
+    def test_crlf_and_cr_texts_cut_where_their_lf_twins_do(self, text, data):
+        budget = data.draw(st.integers(1, 2 * len(text) + 1), label="budget")
+        assert sliding_windows(make_doc(text.replace("\n", "\r")), budget) == \
+            sliding_windows(make_doc(text), budget)
+        if budget > 1:
+            crlf = text.replace("\n", "\r\n")
+            assert sliding_windows(make_doc(crlf), budget) == lf_twin_windows(crlf, budget)
+
+    def test_a_budget_inside_a_crlf_cuts_before_it(self):
+        # the blank line's second \r\n ends one past the budget of 7, so the
+        # hard cut moves back before its \r, and the next window starts on it
+        assert sliding_windows(make_doc("aaaa\r\n\r\nbbbb cccc"), 7) == \
+            [(0, 6), (6, 13), (13, 17)]
+        # a budget of 1 is the one window that can end inside a \r\n
+        assert sliding_windows(make_doc("a\r\nb"), 1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     @settings(max_examples=400)
     @given(text=st.tuples(window_texts, st.sampled_from(["\r\n", "\r"])).map(
